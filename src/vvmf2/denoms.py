@@ -13,6 +13,7 @@ auditable side condition are reported as exempt instead of asserted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +26,6 @@ from .quadratic import (
     QuadNum,
     denominator_of,
     half_form,
-    is_p_integral,
     is_prime,
     legendre,
     pochhammer,
@@ -99,9 +99,12 @@ def denom_scan(
     Divisibility is always tested on the denominator itself, never
     through the (possibly incomplete) factor list.
     """
+    return _scan_denominators([denominator_of(z) for z in seq], primes, factor_bound)
+
+
+def _scan_denominators(dens: list[int], primes, factor_bound: int) -> list[ScanRecord]:
     out = []
-    for i, z in enumerate(seq):
-        den = denominator_of(z)
+    for i, den in enumerate(dens):
         factors, cofactor = factor_trial(den, factor_bound)
         out.append(
             ScanRecord(
@@ -210,7 +213,7 @@ class DenomReport:
 
 
 def _scan_rows(
-    seq: tuple, params: InstanceParams, Kmax: int, u: int, v: int
+    dens: list[int], params: InstanceParams, Kmax: int, u: int, v: int
 ) -> list[UbdRow]:
     M = params.field_M
     rows = []
@@ -224,8 +227,8 @@ def _scan_rows(
         exempt = tuple(side_condition_audit(params, p, K)) if in_s else ()
         divides = earlier = None
         if in_s:
-            divides = denominator_of(seq[K]) % p == 0
-            earlier = all(is_p_integral(seq[i], p) for i in range(1, K))
+            divides = dens[K] % p == 0
+            earlier = all(dens[i] % p != 0 for i in range(1, K))
         rows.append(UbdRow(K, p, True, in_s, exempt, divides, earlier))
     return rows
 
@@ -249,9 +252,12 @@ def verify_ubd(
         raise ConsistencyError(f"minimal form only computed through K={t.Kmax}")
     if mf.method != "both":
         raise ConsistencyError("denominator analysis requires method='both'")
-    rows_d = _scan_rows(t.d[: Kmax + 1], p, Kmax, p.u, p.v)
-    rows_h = _scan_rows(t.h[: Kmax + 1], p, Kmax, p.u, p.v)
-    rows_dt = _scan_rows(t.d_tilde[: Kmax + 1], p, Kmax, -p.u, p.v)
+    dens_d, dens_h, dens_dt = (
+        [denominator_of(z) for z in seq[: Kmax + 1]] for seq in (t.d, t.h, t.d_tilde)
+    )
+    rows_d = _scan_rows(dens_d, p, Kmax, p.u, p.v)
+    rows_h = _scan_rows(dens_h, p, Kmax, p.u, p.v)
+    rows_dt = _scan_rows(dens_dt, p, Kmax, -p.u, p.v)
 
     asserted = [r for r in rows_d + rows_h + rows_dt if r.asserted]
     failed = sorted({r.p for r in asserted if not r.passed})
@@ -261,15 +267,12 @@ def verify_ubd(
             threshold = candidate
             break
 
-    def summarize(rows: list[UbdRow], seq: tuple) -> tuple[PrimeSummary, ...]:
+    def summarize(rows: list[UbdRow], dens: list[int]) -> tuple[PrimeSummary, ...]:
         out = []
         for r in rows:
             if not (r.is_prime and r.in_S):
                 continue
-            first = next(
-                (K for K in range(1, Kmax + 1) if denominator_of(seq[K]) % r.p == 0),
-                None,
-            )
+            first = next((K for K in range(1, Kmax + 1) if dens[K] % r.p == 0), None)
             verdict = "exempt" if r.exempt else ("pass" if r.passed else "fail")
             out.append(PrimeSummary(r.p, first, r.K, verdict))
         return tuple(out)
@@ -281,10 +284,10 @@ def verify_ubd(
         rows_d=tuple(rows_d),
         rows_h=tuple(rows_h),
         rows_d_tilde=tuple(rows_dt),
-        scan_d=tuple(denom_scan(t.d[: Kmax + 1], primes_seen, factor_bound)),
-        scan_d_tilde=tuple(denom_scan(t.d_tilde[: Kmax + 1], primes_seen, factor_bound)),
-        summary_d=summarize(rows_d, t.d),
-        summary_d_tilde=summarize(rows_dt, t.d_tilde),
+        scan_d=tuple(_scan_denominators(dens_d, primes_seen, factor_bound)),
+        scan_d_tilde=tuple(_scan_denominators(dens_dt, primes_seen, factor_bound)),
+        summary_d=summarize(rows_d, dens_d),
+        summary_d_tilde=summarize(rows_dt, dens_dt),
         threshold=threshold,
         exceptional=tuple(failed),
     )
@@ -361,20 +364,40 @@ def pochhammer_numerator_probe(X: QuadNum, R: Fraction, p: int, tmax: int) -> Pr
 
 @dataclass(frozen=True)
 class GeneralWeightRow:
+    """First denominator hits of one prime in the components whose prime set holds it.
+
+    expected_1 is the K with p = u + K*v when p is in S, expected_2 the K
+    with p = -u + K*v when p is in S~; None when p is not in that set.
+    Only components whose expected index lies within the scanned indices
+    0..scanned_to are checked; a prime with none is out of range, not
+    asserted.
+    """
+
     p: int
     exempt: tuple[str, ...]
     first_hit_1: int | None
     first_hit_2: int | None
+    expected_1: int | None
+    expected_2: int | None
+    scanned_to: int
+
+    def _checked_hits(self) -> list[int | None]:
+        pairs = ((self.expected_1, self.first_hit_1), (self.expected_2, self.first_hit_2))
+        return [hit for K, hit in pairs if K is not None and K <= self.scanned_to]
+
+    @property
+    def out_of_range(self) -> bool:
+        return not self._checked_hits()
 
     @property
     def asserted(self) -> bool:
-        return not self.exempt
+        return not self.exempt and not self.out_of_range
 
     @property
     def passed(self) -> bool | None:
-        if self.exempt:
+        if not self.asserted:
             return None
-        return self.first_hit_1 is not None and self.first_hit_2 is not None
+        return all(hit is not None for hit in self._checked_hits())
 
 
 @dataclass(frozen=True)
@@ -443,26 +466,36 @@ def ubd_general(
     For every audited prime in S the first component must show a
     coefficient whose denominator the prime divides within Kmax steps of
     its leading exponent; the second component is scanned against S~.
+    A prime is asserted only in the components whose predicted index
+    (p = u + K*v for S, p = -u + K*v for S~) lies within the scan.
     """
     p = mf.params
     z1, z2 = combination(mf, m1_map, m2_map, k)
     sets = prime_sets(p, prime_bound)
+    lead1 = Fraction(p.k0, 12) + p.l1
+    lead2 = Fraction(p.k0, 12) + p.l2
+    # coefficients lead + n are known for n < horizon - lead
+    scanned_to = min(Kmax, math.ceil(z1.horizon - lead1) - 1, math.ceil(z2.horizon - lead2) - 1)
 
     def first_hit(z: PureQSeries, prime: int, lead: Fraction) -> int | None:
-        for n in range(Kmax + 1):
-            e = lead + n
-            if e >= z.horizon:
-                break
-            if denominator_of(z.coeff(e)) % prime == 0:
+        for n in range(scanned_to + 1):
+            if denominator_of(z.coeff(lead + n)) % prime == 0:
                 return n
         return None
 
-    lead1 = Fraction(p.k0, 12) + p.l1
-    lead2 = Fraction(p.k0, 12) + p.l2
     rows = []
     for prime in sorted(set(sets.S) | set(sets.S_tilde)):
         exempt = tuple(side_condition_audit(p, prime))
-        hit1 = first_hit(z1, prime, lead1) if prime in sets.S else None
-        hit2 = first_hit(z2, prime, lead2) if prime in sets.S_tilde else None
-        rows.append(GeneralWeightRow(prime, exempt, hit1, hit2))
+        in_s, in_st = prime in sets.S, prime in sets.S_tilde
+        rows.append(
+            GeneralWeightRow(
+                p=prime,
+                exempt=exempt,
+                first_hit_1=first_hit(z1, prime, lead1) if in_s else None,
+                first_hit_2=first_hit(z2, prime, lead2) if in_st else None,
+                expected_1=(prime - p.u) // p.v if in_s else None,
+                expected_2=(prime + p.u) // p.v if in_st else None,
+                scanned_to=scanned_to,
+            )
+        )
     return GeneralWeightReport(k=k, Kmax=Kmax, rows=tuple(rows))

@@ -268,10 +268,11 @@ def identity_suite(N: int) -> IdentityReport:
     if N < 10:
         raise ValueError("identity_suite needs N >= 10")
     margin = N + 8
+    # the Hauptmodul asks for the longest E2, E4 and G; the prefixes below reuse them
+    K, J = hauptmodul(margin)
     e2 = _cached("E2", margin + 1, _build_e2)
     e4 = _cached("E4", margin + 1, _build_e4)
     g = _cached("G", margin + 1, _build_g)
-    K, J = hauptmodul(margin)
     one = PureQSeries.constant(1, margin + 2)
     g2 = g * g
     thJ = J.theta()

@@ -7,7 +7,10 @@ symbols, and the double convolution producing h(K).  The independent
 route runs a Frobenius power-series recursion directly on the weight-zero
 differential equation.  ``minimal_form(..., method="both")`` insists the
 two agree coefficient by coefficient; any disagreement is a bug, not
-data, and raises ``PipelineMismatch``.
+data, and raises ``PipelineMismatch``.  The closed-form sums run on plain
+integers over one common denominator (``_split`` and ``_iconv``), while
+the recursion stays on ``Fraction``, so the check does not rest on that
+kernel.
 
 The minimal form and its modular derivative generate everything of
 higher weight; ``weight_basis`` lists the monomial multiples and
@@ -19,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 
 from .errors import ConsistencyError, PipelineMismatch
 from .forms import (
@@ -35,7 +39,10 @@ from .forms import (
 )
 from .params import InstanceParams, check_assumptions
 from .qseries import PureQSeries, equal_through
-from .quadratic import FieldElement, gen_binomial, pochhammer
+from .quadratic import FieldElement, QuadNum, pochhammer
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def gauss_2f1(alpha, beta, gamma, n: int) -> FieldElement:
@@ -48,64 +55,119 @@ def gauss_2f1(alpha, beta, gamma, n: int) -> FieldElement:
     return pochhammer(alpha, n) * pochhammer(beta, n) / den / math.factorial(n)
 
 
+def _split(values) -> tuple[int, list[list[int]], int | None]:
+    """Write field elements over one common denominator L.
+
+    Returns (L, parts, M) with values[i] = (parts[0][i] + parts[1][i]*sqrt(M)) / L;
+    parts has the single rational list, and M is None, when no value is a QuadNum.
+    """
+    M = next((v.M for v in values if isinstance(v, QuadNum)), None)
+    rats = [v.rat if isinstance(v, QuadNum) else Fraction(v) for v in values]
+    comps = [rats]
+    if M is not None:
+        comps.append([v.surd if isinstance(v, QuadNum) else _ZERO for v in values])
+    L = math.lcm(*(c.denominator for comp in comps for c in comp))
+    return L, [[c.numerator * (L // c.denominator) for c in comp] for comp in comps], M
+
+
+def _iconv(a: list[int], cols) -> list[int]:
+    """Plain-int matrix-vector product: out[s] = sum_i a[i] * cols[s][i].
+
+    Columns may be shorter than a; missing entries count as zero.  A
+    convolution is the case of Toeplitz columns (see ``_toeplitz``).
+    """
+    return [sum(map(mul, a, col)) for col in cols]
+
+
+def _toeplitz(b: list, n: int) -> list:
+    """Columns b[s], b[s-1], ..., b[0] (zero past the end of b) for s < n."""
+    padded = list(b[:n]) + [0] * (n - len(b))
+    return [padded[s::-1] for s in range(n)]
+
+
+def _lift(values, cols_parts: list, L: int, M: int | None) -> list:
+    """The products of field-valued ``values`` with (cols_parts[0] + cols_parts[1]*sqrt(M)) / L.
+
+    Each part is a list of integer columns for ``_iconv``; the result is
+    rebuilt as Fraction or QuadNum values over the common denominator.
+    """
+    Lv, parts, Mv = _split(values)
+    M = Mv if Mv is not None else M
+    sums: list = [None, None, None]  # coefficients of sqrt(M)^0, ^1, ^2
+    for i, a in enumerate(parts):
+        for j, cols in enumerate(cols_parts):
+            c = _iconv(a, cols)
+            sums[i + j] = c if sums[i + j] is None else list(map(add, sums[i + j], c))
+    rat, surd, both = sums
+    if both is not None:
+        rat = [x + M * z for x, z in zip(rat, both)]
+    den = L * Lv
+    if M is None:
+        return [Fraction(x, den) for x in rat]
+    return [QuadNum(Fraction(x, den), Fraction(y, den), M) for x, y in zip(rat, surd)]
+
+
+def _convolve(u: list, v: list, n: int) -> list:
+    """The first n coefficients of the product of two coefficient lists."""
+    L, parts, M = _split(v)
+    return _lift(u, [_toeplitz(p, n) for p in parts], L, M)
+
+
+def _matvec(u: list, table, n: int) -> list:
+    """out[s] = sum_{k <= s} u[k] * table[k][s] for s < n, table integral."""
+    cols = [col[: s + 1] for s, col in zip(range(n), zip(*table))]
+    return _lift(u, [cols], 1, None)
+
+
+def _binomials(z, count: int) -> list:
+    """C(z, t) for t < count, each built from the last as C(z, t-1) (z - t + 1) / t."""
+    out: list = [_ONE]
+    for t in range(1, count):
+        out.append(out[-1] * (z - (t - 1)) / t)
+    return out
+
+
+def _power_rows(g: list[int], n: int) -> tuple[tuple[int, ...], ...]:
+    """Rows k < n of the q^0..q^(n-1) coefficients of (q*g)^k, by integer convolution."""
+    cols = _toeplitz(g, n)
+    rows = []
+    power = [1] + [0] * (n - 1)
+    for k in range(n):
+        rows.append(tuple([0] * k + power[: n - k]))
+        power = _iconv(power, cols[: n - k - 1])
+    return tuple(rows)
+
+
 def tables_DC(Kmax: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Integer tables D[k][s] and C[t][d] for 0 <= s, d, t, k <= Kmax.
 
     D(s,k) is the q^s coefficient of the (-k)-th Hauptmodul power, C(t,d)
     the q^d coefficient of the t-th power of its normalized deviation
-    from q^-1.  Non-integer entries signal a series bug upstream.
+    from q^-1.  With K^-1 = q*w, these are the powers of w and of
+    (w - 1)/q; a non-integer coefficient of w signals a series bug
+    upstream.
     """
     K, _ = hauptmodul(Kmax + 2)
-    Kinv = K.inv()
-    one = PureQSeries.constant(1, len(Kinv.coeffs))
-
-    def integer_row(series: PureQSeries, low: int) -> tuple[int, ...]:
-        row = []
-        for s in range(Kmax + 1):
-            c = series.coeff(s) if s >= low else Fraction(0)
-            if c.denominator != 1:
-                raise ArithmeticError(f"non-integer table entry {c} at q^{s}")
-            row.append(int(c))
-        return tuple(row)
-
-    d_rows = [tuple([1] + [0] * Kmax)]
-    power = one
-    for k in range(1, Kmax + 1):
-        power = power * Kinv
-        d_rows.append(integer_row(power, k))
-
-    x = Kinv.shifted(-1) - one
-    c_rows = [tuple([1] + [0] * Kmax)]
-    xpow = one
-    for t in range(1, Kmax + 1):
-        xpow = xpow * x
-        c_rows.append(integer_row(xpow, t))
-    return tuple(d_rows), tuple(c_rows)
+    w = K.inv().coeffs[: Kmax + 1]
+    for s, c in enumerate(w):
+        if c.denominator != 1 or (s == 0 and c != 1):
+            raise ArithmeticError(
+                f"K^-1/q has coefficient {c} at q^{s}; it must be integral with constant term 1"
+            )
+    w = [int(c) for c in w]
+    return _power_rows(w, Kmax + 1), _power_rows(w[1:], Kmax + 1)
 
 
 def _f_list(A, first_minus_second: Fraction, r, Kmax: int) -> list:
     """f(k) = sum over m+n=k of C(r,n) (-1)^n 2^(4m+6n) (2A)_{2m} / ((1+A-B)_m m!)."""
-    poch_2A = [None] * (Kmax + 1)
-    acc = 1
-    two_A = 2 * A
-    for m in range(Kmax + 1):
-        if m:
-            acc = acc * (two_A + (2 * m - 2)) * (two_A + (2 * m - 1))
-        poch_2A[m] = acc
     shifted = 1 + first_minus_second
-    denoms = [Fraction(1)] * (Kmax + 1)
+    two_A = 2 * A
+    a: list = [_ONE]  # 2^(4m) (2A)_{2m} / ((1+A-B)_m m!)
     for m in range(1, Kmax + 1):
-        denoms[m] = denoms[m - 1] * (shifted + (m - 1)) * m
-    binom_r = [gen_binomial(r, n) for n in range(Kmax + 1)]
-    out = []
-    for k in range(Kmax + 1):
-        total = Fraction(0)
-        for m in range(k + 1):
-            n = k - m
-            sign = 1 if n % 2 == 0 else -1
-            total = total + binom_r[n] * (sign * 2 ** (4 * m + 6 * n)) * poch_2A[m] / denoms[m]
-        out.append(total)
-    return out
+        step = 16 * (two_A + (2 * m - 2)) * (two_A + (2 * m - 1))
+        a.append(a[-1] * step / ((shifted + (m - 1)) * m))
+    b = [(-64) ** n * c for n, c in enumerate(_binomials(r, Kmax + 1))]
+    return _convolve(a, b, Kmax + 1)
 
 
 def seq_f(params: InstanceParams, Kmax: int) -> tuple[list, list]:
@@ -123,21 +185,12 @@ def h_closed(params: InstanceParams, Kmax: int, tables=None, fs=None) -> tuple[l
     """The h-sequences by the closed double-sum formula (h(0) = 1 normalized)."""
     d_table, c_table = tables if tables is not None else tables_DC(Kmax)
     f, f_tilde = fs if fs is not None else seq_f(params, Kmax)
+    n = Kmax + 1
 
     def assemble(f_seq: list, exponent: Fraction) -> list:
-        inner_fd = [
-            sum((f_seq[k] * d_table[k][s] for k in range(s + 1)), Fraction(0))
-            for s in range(Kmax + 1)
-        ]
-        binom = [gen_binomial(exponent, t) for t in range(Kmax + 1)]
-        inner_cb = [
-            sum((binom[t] * c_table[t][dd] for t in range(dd + 1)), Fraction(0))
-            for dd in range(Kmax + 1)
-        ]
-        return [
-            sum((inner_cb[dd] * inner_fd[K - dd] for dd in range(K + 1)), Fraction(0))
-            for K in range(Kmax + 1)
-        ]
+        inner_fd = _matvec(f_seq, d_table, n)
+        inner_cb = _matvec(_binomials(exponent, n), c_table, n)
+        return _convolve(inner_cb, inner_fd, n)
 
     return assemble(f, params.l1), assemble(f_tilde, params.l2)
 
@@ -211,12 +264,6 @@ class MinimalForm:
     method: str
 
 
-def _convolve_unit(e: list, h: list) -> list:
-    """Coefficients of (1 + sum e q)(1 + sum h q); both lists start at index 0 with 1."""
-    n = min(len(e), len(h))
-    return [sum((e[i] * h[k - i] for i in range(k + 1)), Fraction(0)) for k in range(n)]
-
-
 def instance_lattice(params: InstanceParams) -> int:
     return math.lcm(
         24,
@@ -252,8 +299,8 @@ def minimal_form(params: InstanceParams, Kmax: int, method: str = "both") -> Min
                 )
 
     e = eta_tail_coeffs(2 * params.k0, Kmax)
-    d = _convolve_unit(e, h)
-    dt = _convolve_unit(e, ht)
+    d = _convolve(e, h, Kmax + 1)
+    dt = _convolve(e, ht, Kmax + 1)
     lattice = instance_lattice(params)
     comp1 = PureQSeries.make(Fraction(params.k0, 12) + params.l1, d, 1, lattice)
     comp2 = PureQSeries.make(Fraction(params.k0, 12) + params.l2, dt, 1, lattice)

@@ -70,7 +70,9 @@ def legendre(M: int, p: int) -> int:
     return 1 if s == 1 else -1
 
 
+@lru_cache(maxsize=256)
 def is_square_free(m: int) -> bool:
+    """Trial division, memoized: every QuadNum re-checks the M of its field."""
     if m == 0:
         return False
     m = abs(m)

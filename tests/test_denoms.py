@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from vvmf2 import denoms
 from vvmf2.denoms import (
     combination,
     denom_scan,
@@ -16,11 +17,14 @@ from vvmf2.denoms import (
 )
 from vvmf2.errors import ConsistencyError
 from vvmf2.minform import minimal_form
-from vvmf2.params import params_from_exponents, seed_exponents
+from vvmf2.params import ExponentData, params_from_exponents, seed_exponents
 from vvmf2.quadratic import QuadNum, denominator_of, is_p_integral, legendre, primes_upto
 
 M2 = params_from_exponents(seed_exponents("m2"))
 SQRT2 = QuadNum(Fraction(0), Fraction(1), 2)
+# exponent difference -1/3 splits S and S~ into different progressions
+R_V3 = QuadNum(Fraction(1, 12), Fraction(1), 2)
+V3 = params_from_exponents(ExponentData(0, Fraction(0), Fraction(1, 3), R_V3, R_V3.conjugate()))
 
 
 def test_prime_sets_m2():
@@ -175,13 +179,7 @@ def test_prime_summary():
 
 
 def test_v3_instance_full_run():
-    # exponent difference -1/3 splits S and S~ into different progressions
-    r1 = QuadNum(Fraction(1, 12), Fraction(1), 2)
-    from vvmf2.params import ExponentData, params_from_exponents
-
-    p = params_from_exponents(
-        ExponentData(0, Fraction(0), Fraction(1, 3), r1, r1.conjugate())
-    )
+    p = V3
     assert (p.u, p.v) == (-1, 3)
     ps = prime_sets(p, 60)
     assert ps.S == (5, 11, 29, 53, 59)
@@ -192,3 +190,44 @@ def test_v3_instance_full_run():
     assert report.all_asserted_pass
     assert {r.p for r in report.rows_d if r.passed} >= {5, 11, 29, 59}
     assert {r.p for r in report.rows_d_tilde if r.passed} >= {13, 19, 37, 43}
+
+
+def test_ubd_general_v3_checks_only_own_component():
+    # S and S~ are disjoint for v = 3: each prime is hit in its own component only
+    mf = minimal_form(V3, 30, "both")
+    report = ubd_general(mf, {(0, 0): 1}, {}, V3.k0, 30, 120)
+    assert report.all_asserted_pass
+    rows = {r.p: r for r in report.rows}
+    for p in (5, 11, 29, 53, 59, 83):
+        assert rows[p].passed and rows[p].first_hit_1 == rows[p].expected_1 == (p + 1) // 3
+        assert rows[p].first_hit_2 is None
+    for p in (13, 19, 37, 43, 61, 67):
+        assert rows[p].passed and rows[p].first_hit_2 == rows[p].expected_2 == (p - 1) // 3
+        assert rows[p].first_hit_1 is None
+    # predicted at K = 34, 36, 36 > 30: reported out of range, not asserted
+    for p in (101, 107, 109):
+        assert rows[p].out_of_range and not rows[p].asserted and rows[p].passed is None
+
+
+def test_ubd_general_out_of_range_beyond_computed_terms():
+    # a Kmax past the computed coefficients scans only what is known
+    mf = minimal_form(M2, 10, "both")
+    report = ubd_general(mf, {(0, 0): 1}, {}, M2.k0, 40, 40)
+    rows = {r.p: r for r in report.rows}
+    assert report.all_asserted_pass
+    assert rows[19].passed and rows[19].first_hit_2 == 9
+    assert rows[29].out_of_range and rows[29].passed is None
+
+
+def test_verify_ubd_computes_each_denominator_once(monkeypatch):
+    calls = []
+
+    def counting(z):
+        calls.append(z)
+        return denominator_of(z)
+
+    monkeypatch.setattr(denoms, "denominator_of", counting)
+    mf = minimal_form(M2, 20, "both")
+    report = verify_ubd(mf, 20)
+    assert report.all_asserted_pass
+    assert len(calls) == 3 * 21  # d, h and d~, once per coefficient

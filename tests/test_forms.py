@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vvmf2 import forms
 from vvmf2.errors import NotAFormError
 from vvmf2.forms import (
     eisenstein_E2,
@@ -115,6 +116,27 @@ def test_identity_suite_passes():
     failed = [c.name for c in report.checks if not c.passed]
     assert not failed, failed
     assert report.all_passed
+
+
+def test_identity_suite_builds_each_named_series_once(monkeypatch):
+    monkeypatch.delenv(forms.CACHE_DIR_ENV, raising=False)
+    builds = []
+
+    def counted(name, real):
+        def build(count):
+            builds.append(name)
+            return real(count)
+
+        return build
+
+    for name in ("_build_e2", "_build_e4", "_build_g", "_build_hauptK"):
+        monkeypatch.setattr(forms, name, counted(name, getattr(forms, name)))
+    forms.clear_cache()
+    try:
+        assert identity_suite(30).all_passed
+    finally:
+        forms.clear_cache()
+    assert sorted(builds) == ["_build_e2", "_build_e4", "_build_g", "_build_hauptK"]
 
 
 def test_identity_suite_requires_depth():

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vvmf2.errors import ConsistencyError, NotAFormError
+from vvmf2 import minform
+from vvmf2.errors import ConsistencyError, NotAFormError, PipelineMismatch
 from vvmf2.forms import form_monomial, hauptmodul, modular_D
 from vvmf2.minform import (
+    _convolve,
+    _matvec,
     decompose,
     deriv_components,
     gauss_2f1,
@@ -71,6 +74,86 @@ def test_tables():
     assert C[0][0] == 1 and all(C[0][d] == 0 for d in range(1, 9))
     assert C[1][1] == -40
     assert C[1][2] == 1324
+
+
+def test_tables_match_series_powers():
+    # reference: the tables read off truncated PureQSeries powers of K^-1
+    Kmax = 12
+    kinv = hauptmodul(Kmax + 2)[0].inv()
+    one = PureQSeries.constant(1, len(kinv.coeffs))
+    x = kinv.shifted(-1) - one
+    D, C = tables_DC(Kmax)
+    dpow = cpow = one
+    for k in range(Kmax + 1):
+        assert D[k] == tuple(dpow.coeff(s) if s >= k else 0 for s in range(Kmax + 1))
+        assert C[k] == tuple(cpow.coeff(s) if s >= k else 0 for s in range(Kmax + 1))
+        dpow, cpow = dpow * kinv, cpow * x
+
+
+def test_tables_reject_non_integral_inverse(monkeypatch):
+    # K = q^-1 (1 + q/2) has K^-1 = q - q^2/2 + ..., which no table may absorb
+    def fake_hauptmodul(N):
+        K = PureQSeries.make(-1, [1, Fraction(1, 2)] + [0] * (N + 2))
+        return K, K * Fraction(1, 64)
+
+    monkeypatch.setattr(minform, "hauptmodul", fake_hauptmodul)
+    with pytest.raises(ArithmeticError):
+        tables_DC(6)
+
+
+def _naive_convolve(u, v, n):
+    return [
+        sum(
+            (u[i] * v[k - i] for i in range(k + 1) if i < len(u) and k - i < len(v)),
+            Fraction(0),
+        )
+        for k in range(n)
+    ]
+
+
+_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=40)
+_field_values = st.one_of(
+    st.just(Fraction(0)),
+    _fractions,
+    st.builds(lambda a, b: QuadNum(a, b, 2), _fractions, _fractions),
+)
+
+
+@given(
+    st.lists(_field_values, max_size=8),
+    st.lists(_field_values, max_size=8),
+    st.integers(min_value=0, max_value=12),
+)
+@settings(max_examples=150, deadline=None)
+def test_kernel_convolution_matches_naive(u, v, n):
+    got = _convolve(u, v, n)
+    assert got == _naive_convolve(u, v, n)
+    assert all(isinstance(c, (Fraction, QuadNum)) for c in got)
+
+
+@given(
+    st.lists(_field_values, min_size=1, max_size=7),
+    st.lists(st.lists(st.integers(-10**6, 10**6), min_size=7, max_size=7), min_size=7, max_size=7),
+)
+@settings(max_examples=100, deadline=None)
+def test_kernel_matvec_matches_naive(u, table):
+    n = len(u)
+    want = [sum((u[k] * table[k][s] for k in range(s + 1)), Fraction(0)) for s in range(n)]
+    assert _matvec(u, table, n) == want
+
+
+def test_perturbed_kernel_breaks_agreement(monkeypatch):
+    real = minform._iconv
+
+    def off_by_one(a, cols):
+        out = real(a, cols)
+        if out:
+            out[-1] += 1
+        return out
+
+    monkeypatch.setattr(minform, "_iconv", off_by_one)
+    with pytest.raises(PipelineMismatch):
+        minimal_form(M2, 6, "both")
 
 
 def test_seq_f_spot_values():
