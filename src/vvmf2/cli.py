@@ -69,6 +69,13 @@ def _frac(text) -> Fraction:
         raise ConfigError(f"bad rational {text!r}: {exc}") from None
 
 
+def _int(value, key: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+
+
 def value_to_json(x):
     if isinstance(x, QuadNum):
         if x.surd == 0:
@@ -82,7 +89,7 @@ def value_to_json(x):
 def value_from_json(obj):
     if isinstance(obj, dict):
         try:
-            return QuadNum(_frac(obj["rat"]), _frac(obj["surd"]), int(obj["M"]))
+            return QuadNum(_frac(obj["rat"]), _frac(obj["surd"]), _int(obj["M"], "M"))
         except KeyError as exc:
             raise ConfigError(f"quadratic value needs key {exc}") from None
     return _frac(obj)
@@ -140,10 +147,10 @@ def _exponents_from_spec(spec: dict) -> ExponentData:
         raise ConfigError(
             "instance must carry exactly one of {l1, l2, r} or {a, b, c, M}"
         )
-    k0 = int(spec.get("k0", 0))
+    k0 = _int(spec.get("k0", 0), "k0")
     if has_abc:
         return roots_from_abc(
-            _frac(spec["a"]), _frac(spec["b"]), _frac(spec["c"]), int(spec["M"]), k0
+            _frac(spec["a"]), _frac(spec["b"]), _frac(spec["c"]), _int(spec["M"], "M"), k0
         )
     r_spec = spec["r"]
     if not isinstance(r_spec, dict):
@@ -173,7 +180,7 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(instance, dict):
         raise ConfigError("config needs an 'instance' object")
     exponents = _exponents_from_spec(instance)
-    kmax = int(data.get("kmax", DEFAULT_KMAX))
+    kmax = _int(data.get("kmax", DEFAULT_KMAX), "kmax")
     if kmax < 1:
         raise ConsistencyError("kmax >= 1")
     method = data.get("method", "both")
@@ -186,7 +193,9 @@ def parse_config(text: str) -> RunConfig:
         exponents=exponents,
         kmax=kmax,
         method=method,
-        factor_bound=int(data.get("factor_bound", denoms_mod.DEFAULT_FACTOR_BOUND)),
+        factor_bound=_int(
+            data.get("factor_bound", denoms_mod.DEFAULT_FACTOR_BOUND), "factor_bound"
+        ),
         out=data.get("out"),
         fmt=fmt,
     )
@@ -310,7 +319,7 @@ def _named_series(name: str, order: int) -> PureQSeries:
     if name == "GslashS":
         return forms.g_slash_S(order)
     if name.startswith("eta^"):
-        return forms.eta_pow(int(name[4:]), order).series
+        return forms.eta_pow(_int(name[4:], "eta power"), order).series
     raise ConfigError(f"unknown series {name!r}; choose from {_EXPANDABLE} or eta^<even>")
 
 
@@ -450,7 +459,7 @@ def cmd_decompose(args) -> int:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed components JSON: {exc}") from None
     try:
-        k = int(comp["k"])
+        k = _int(comp["k"], "k")
         lead1 = Fraction(params.k0, 12) + params.l1
         lead2 = Fraction(params.k0, 12) + params.l2
         lattice = mf.comp1.lattice

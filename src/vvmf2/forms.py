@@ -12,8 +12,10 @@ optionally, on disk under $VVMF2_CACHE_DIR.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -90,12 +92,19 @@ def _disk_load(name: str) -> PureQSeries | None:
 
 
 def _disk_store(name: str, s: PureQSeries):
+    """Write through a temp file in the cache directory, then rename it into place.
+
+    A reader sees either the old file, the new one or none, never a half
+    written file; a failed write leaves nothing behind.
+    """
     path = _disk_path(name)
     if not path:
         return
+    tmp = None
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w") as fh:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=f".{name}.", suffix=".tmp")
+        with os.fdopen(fd, "w") as fh:
             json.dump(
                 {
                     "lead": str(s.lead),
@@ -105,8 +114,14 @@ def _disk_store(name: str, s: PureQSeries):
                 },
                 fh,
             )
+        os.replace(tmp, path)
+        tmp = None
     except OSError:
         pass
+    finally:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 def _cached(name: str, count: int, builder) -> PureQSeries:
@@ -193,7 +208,7 @@ def eta_pow(twok: int, N: int) -> FormSeries:
 
     def build(count: int) -> PureQSeries:
         euler = _cached("euler", count, _build_euler)
-        return euler.pow_binomial(twok).shifted(Fraction(twok, 24))
+        return (euler**twok).shifted(Fraction(twok, 24))
 
     return FormSeries(twok // 2, _cached(f"eta^{twok}", N + 1, build))
 

@@ -7,10 +7,13 @@ symbols, and the double convolution producing h(K).  The independent
 route runs a Frobenius power-series recursion directly on the weight-zero
 differential equation.  ``minimal_form(..., method="both")`` insists the
 two agree coefficient by coefficient; any disagreement is a bug, not
-data, and raises ``PipelineMismatch``.  The closed-form sums run on plain
-integers over one common denominator (``_split`` and ``_iconv``), while
-the recursion stays on ``Fraction``, so the check does not rest on that
-kernel.
+data, and raises ``PipelineMismatch``.  The closed-form sums run on the exact
+integer kernel of ``qseries`` (coefficients over one common denominator,
+plain-``int`` convolutions), which also builds the Hauptmodul K behind
+the integer tables.  The Frobenius recursion itself still runs on
+``Fraction``, but its G^2 now comes from the same shared series product,
+just as the closed route's K does; a fault in that kernel reaches the
+two routes by different paths and shows as a disagreement.
 
 The minimal form and its modular derivative generate everything of
 higher weight; ``weight_basis`` lists the monomial multiples and
@@ -22,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
 
 from .errors import ConsistencyError, PipelineMismatch
 from .forms import (
@@ -38,10 +40,9 @@ from .forms import (
     weight2_G,
 )
 from .params import InstanceParams, check_assumptions
-from .qseries import PureQSeries, equal_through
-from .quadratic import FieldElement, QuadNum, pochhammer
+from .qseries import PureQSeries, _convolve, _iconv, _lift, _toeplitz, equal_through
+from .quadratic import FieldElement, pochhammer
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -53,64 +54,6 @@ def gauss_2f1(alpha, beta, gamma, n: int) -> FieldElement:
     if not den:
         raise ZeroDivisionError(f"({gamma})_{n} vanishes")
     return pochhammer(alpha, n) * pochhammer(beta, n) / den / math.factorial(n)
-
-
-def _split(values) -> tuple[int, list[list[int]], int | None]:
-    """Write field elements over one common denominator L.
-
-    Returns (L, parts, M) with values[i] = (parts[0][i] + parts[1][i]*sqrt(M)) / L;
-    parts has the single rational list, and M is None, when no value is a QuadNum.
-    """
-    M = next((v.M for v in values if isinstance(v, QuadNum)), None)
-    rats = [v.rat if isinstance(v, QuadNum) else Fraction(v) for v in values]
-    comps = [rats]
-    if M is not None:
-        comps.append([v.surd if isinstance(v, QuadNum) else _ZERO for v in values])
-    L = math.lcm(*(c.denominator for comp in comps for c in comp))
-    return L, [[c.numerator * (L // c.denominator) for c in comp] for comp in comps], M
-
-
-def _iconv(a: list[int], cols) -> list[int]:
-    """Plain-int matrix-vector product: out[s] = sum_i a[i] * cols[s][i].
-
-    Columns may be shorter than a; missing entries count as zero.  A
-    convolution is the case of Toeplitz columns (see ``_toeplitz``).
-    """
-    return [sum(map(mul, a, col)) for col in cols]
-
-
-def _toeplitz(b: list, n: int) -> list:
-    """Columns b[s], b[s-1], ..., b[0] (zero past the end of b) for s < n."""
-    padded = list(b[:n]) + [0] * (n - len(b))
-    return [padded[s::-1] for s in range(n)]
-
-
-def _lift(values, cols_parts: list, L: int, M: int | None) -> list:
-    """The products of field-valued ``values`` with (cols_parts[0] + cols_parts[1]*sqrt(M)) / L.
-
-    Each part is a list of integer columns for ``_iconv``; the result is
-    rebuilt as Fraction or QuadNum values over the common denominator.
-    """
-    Lv, parts, Mv = _split(values)
-    M = Mv if Mv is not None else M
-    sums: list = [None, None, None]  # coefficients of sqrt(M)^0, ^1, ^2
-    for i, a in enumerate(parts):
-        for j, cols in enumerate(cols_parts):
-            c = _iconv(a, cols)
-            sums[i + j] = c if sums[i + j] is None else list(map(add, sums[i + j], c))
-    rat, surd, both = sums
-    if both is not None:
-        rat = [x + M * z for x, z in zip(rat, both)]
-    den = L * Lv
-    if M is None:
-        return [Fraction(x, den) for x in rat]
-    return [QuadNum(Fraction(x, den), Fraction(y, den), M) for x, y in zip(rat, surd)]
-
-
-def _convolve(u: list, v: list, n: int) -> list:
-    """The first n coefficients of the product of two coefficient lists."""
-    L, parts, M = _split(v)
-    return _lift(u, [_toeplitz(p, n) for p in parts], L, M)
 
 
 def _matvec(u: list, table, n: int) -> list:

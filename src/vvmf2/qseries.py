@@ -8,8 +8,14 @@ horizon raises instead of silently returning zero.
 
 A zero series keeps ``coeffs == ()`` and records in ``lead`` the exponent
 up to which it is known to vanish.  Coefficients are ``Fraction`` or
-``QuadNum`` and may be mixed; arithmetic promotes through the coefficient
-operators themselves.
+``QuadNum`` and may be mixed; sums and scalar multiples promote through
+the coefficient operators themselves.
+
+Products, inverses and integer powers run on one exact integer kernel
+(``_split``, ``_iconv``, ``_toeplitz``, ``_lift``, ``_convolve``): the
+coefficients are written over one common denominator, with a sqrt(M)
+part when a ``QuadNum`` is present, convolved as plain ``int`` and
+rebuilt once.  The closed-form route of ``minform`` uses the same kernel.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 from typing import Union
 
 from .errors import LatticeMismatch, TruncationError
@@ -30,6 +37,129 @@ _ONE = Fraction(1)
 
 def _num(x: Scalar) -> FieldElement:
     return Fraction(x) if isinstance(x, int) else x
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel
+# ---------------------------------------------------------------------------
+
+
+def _split(values) -> tuple[int, list[list[int]], int | None]:
+    """Write field elements over one common denominator L.
+
+    Returns (L, parts, M) with values[i] = (parts[0][i] + parts[1][i]*sqrt(M)) / L;
+    parts has the single rational list, and M is None, when no value is a QuadNum.
+    """
+    fields = {v.M for v in values if isinstance(v, QuadNum)}
+    if len(fields) > 1:
+        raise ValueError(f"mixed quadratic fields: M in {sorted(fields)}")
+    M = fields.pop() if fields else None
+    rats = [v.rat if isinstance(v, QuadNum) else v for v in values]
+    comps = [rats]
+    if M is not None:
+        comps.append([v.surd if isinstance(v, QuadNum) else _ZERO for v in values])
+    L = math.lcm(*(c.denominator for comp in comps for c in comp))
+    return L, [[c.numerator * (L // c.denominator) for c in comp] for comp in comps], M
+
+
+def _iconv(a: list[int], cols) -> list[int]:
+    """Plain-int matrix-vector product: out[s] = sum_i a[i] * cols[s][i].
+
+    Columns may be shorter than a; missing entries count as zero.  A
+    convolution is the case of Toeplitz columns (see ``_toeplitz``).
+    """
+    return [sum(map(mul, a, col)) for col in cols]
+
+
+def _toeplitz(b: list, n: int) -> list:
+    """Columns b[s], b[s-1], ..., b[0] (zero past the end of b) for s < n."""
+    padded = list(b[:n]) + [0] * (n - len(b))
+    return [padded[s::-1] for s in range(n)]
+
+
+def _rebuild(rat: list[int], surd: list[int] | None, dens: list[int], M: int | None) -> list:
+    """Field values (rat[i] + surd[i]*sqrt(M)) / dens[i]; Fraction when M is None."""
+    if M is None:
+        return [Fraction(x, d) for x, d in zip(rat, dens)]
+    return [QuadNum(Fraction(x, d), Fraction(y, d), M) for x, y, d in zip(rat, surd, dens)]
+
+
+def _lift(values, cols_parts: list, L: int, M: int | None) -> list:
+    """The products of field-valued ``values`` with (cols_parts[0] + cols_parts[1]*sqrt(M)) / L.
+
+    Each part is a list of integer columns for ``_iconv``; the result is
+    rebuilt as Fraction or QuadNum values over the common denominator.
+    """
+    Lv, parts, Mv = _split(values)
+    if Mv is not None and M is not None and Mv != M:
+        raise ValueError(f"mixed quadratic fields: M={Mv} vs M={M}")
+    M = Mv if Mv is not None else M
+    sums: list = [None, None, None]  # coefficients of sqrt(M)^0, ^1, ^2
+    for i, a in enumerate(parts):
+        for j, cols in enumerate(cols_parts):
+            c = _iconv(a, cols)
+            sums[i + j] = c if sums[i + j] is None else list(map(add, sums[i + j], c))
+    rat, surd, both = sums
+    if both is not None:
+        rat = [x + M * z for x, z in zip(rat, both)]
+    return _rebuild(rat, surd, [L * Lv] * len(rat), M)
+
+
+def _convolve(u: list, v: list, n: int) -> list:
+    """The first n coefficients of the product of two coefficient lists."""
+    L, parts, M = _split(v)
+    return _lift(u, [_toeplitz(p, n) for p in parts], L, M)
+
+
+def _inverse(values: list) -> list:
+    """The first len(values) coefficients of 1 / (sum_i values[i] q^i), values[0] != 0.
+
+    With c0 = values[0] factored out, the series is 1 + sum_j Y_j q^j / L
+    with Y_j integral (in Z[sqrt(M)] for a QuadNum input).  The inverse
+    sum_i b_i q^i then has integral B_i = L^i b_i, which obey
+    B_i = -sum_{j <= i} Y_j L^(j-1) B_(i-j); c0 and L^i are divided out
+    once per coefficient at the end.
+    """
+    L0, parts, M = _split(values)
+    n = len(values)
+    if M is None:
+        # c_j / c0 = P_j / P_0
+        norm = parts[0][0]
+        ratios = parts
+    else:
+        # c_j / c0 = c_j * conj(c0) / N(c0) = (R_j + S_j*sqrt(M)) / (P_0^2 - M*Q_0^2)
+        P, Q = parts
+        p0, q0 = P[0], Q[0]
+        norm = p0 * p0 - M * q0 * q0
+        ratios = [
+            [x * p0 - M * y * q0 for x, y in zip(P, Q)],
+            [y * p0 - x * q0 for x, y in zip(P, Q)],
+        ]
+    g = math.gcd(norm, *(x for part in ratios for x in part))
+    L = abs(norm) // g
+    sign = 1 if norm > 0 else -1
+    powers = [1]
+    for _ in range(1, n):
+        powers.append(powers[-1] * L)
+    # z_j = Y_j * L^(j-1), stored from j = 1
+    z = [[sign * (x // g) * w for x, w in zip(part[1:], powers)] for part in ratios]
+    if M is None:
+        (zr,) = z
+        B = [1]
+        for i in range(1, n):
+            B.append(-sum(map(mul, zr[:i], B[::-1])))
+        rat, surd = [b * L0 for b in B], None
+    else:
+        zr, zq = z
+        B, BQ = [1], [0]
+        for i in range(1, n):
+            rP, rQ, a, b = B[::-1], BQ[::-1], zr[:i], zq[:i]
+            B.append(-(sum(map(mul, a, rP)) + M * sum(map(mul, b, rQ))))
+            BQ.append(-(sum(map(mul, a, rQ)) + sum(map(mul, b, rP))))
+        # 1/c0 = (p0 - q0*sqrt(M)) * L0 / norm
+        rat = [(x * p0 - M * y * q0) * L0 for x, y in zip(B, BQ)]
+        surd = [(y * p0 - x * q0) * L0 for x, y in zip(B, BQ)]
+    return _rebuild(rat, surd, [w * norm for w in powers], M)
 
 
 def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
@@ -134,9 +264,10 @@ class PureQSeries:
     def _on_grid(self, base: Fraction, g: Fraction, length: int) -> list:
         """Coefficients re-indexed on the grid base + i*g, i < length."""
         out = [_ZERO] * length
-        for i, c in enumerate(self.coeffs):
-            j = (self.lead + i * self.step - base) / g
-            out[int(j)] = c
+        if self.coeffs:
+            start = int((self.lead - base) / g)
+            stride = int(self.step / g)
+            out[start : start + stride * len(self.coeffs) : stride] = self.coeffs
         return out
 
     # -- ring operations ----------------------------------------------------
@@ -201,22 +332,12 @@ class PureQSeries:
                 h = other.horizon + self.lead
             return PureQSeries.zero(h, self.step, self.lattice)
         if self.step == other.step:
-            a, b, g = list(self.coeffs), list(other.coeffs), self.step
+            a, b, g = self.coeffs, other.coeffs, self.step
         else:
             g = _frac_gcd(self.step, other.step)
             a = self._on_grid(self.lead, g, int((self.horizon - self.lead) / g))
             b = other._on_grid(other.lead, g, int((other.horizon - other.lead) / g))
-        n = min(len(a), len(b))
-        prod = [_ZERO] * n
-        for i, ai in enumerate(a):
-            if i >= n:
-                break
-            if not ai:
-                continue
-            top = min(n - i, len(b))
-            for j in range(top):
-                if b[j]:
-                    prod[i + j] = prod[i + j] + ai * b[j]
+        prod = _convolve(a, b, min(len(a), len(b)))
         return PureQSeries.make(self.lead + other.lead, prod, g, self.lattice)
 
     def __rmul__(self, other):
@@ -228,17 +349,7 @@ class PureQSeries:
         """Two-sided inverse to the truncation order."""
         if self.is_zero:
             raise ZeroDivisionError("cannot invert a zero series")
-        c0 = self.coeffs[0]
-        b0 = c0.inverse() if isinstance(c0, QuadNum) else 1 / c0
-        n = len(self.coeffs)
-        out = [b0] + [_ZERO] * (n - 1)
-        for i in range(1, n):
-            acc = _ZERO
-            for j in range(1, i + 1):
-                if self.coeffs[j]:
-                    acc = acc + self.coeffs[j] * out[i - j]
-            out[i] = -b0 * acc
-        return PureQSeries(-self.lead, self.step, tuple(out), self.lattice)
+        return PureQSeries(-self.lead, self.step, tuple(_inverse(self.coeffs)), self.lattice)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -262,6 +373,8 @@ class PureQSeries:
 
         Evaluated by the standard power recurrence (u w' = gamma u' w),
         which reproduces the binomial sum sum_t C(gamma, t) X^t exactly.
+        It serves fractional and quadratic exponents; integer powers are
+        faster through ``**`` on the integer kernel.
         """
         if self.is_zero or self.lead != 0 or self.coeffs[0] != 1:
             raise ValueError("binomial power needs a series with leading term exactly 1 at q^0")

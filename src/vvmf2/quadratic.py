@@ -277,37 +277,25 @@ def _is_algebraic_integer(z: FieldElement) -> bool:
     return r.denominator == 1
 
 
-@lru_cache(maxsize=None)
-def _sorted_divisors(n: int) -> tuple[int, ...]:
-    divs = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            divs.append(d)
-            if d != n // d:
-                divs.append(n // d)
-        d += 1
-    return tuple(sorted(divs))
-
-
 def denominator_of(z: QuadNum | Rational) -> int:
     """Smallest positive Z with Z*z an algebraic integer (1 for z = 0).
 
-    Every algebraic integer of Q(sqrt(M)) has the shape (x + y*sqrt(M))/2
-    with x, y integers, so Z divides 2*lcm of the coordinate denominators;
-    candidates run over those divisors in ascending order and are tested
-    through integrality of trace and norm.
+    Closed form from the ring of integers of Q(sqrt(M)).  For z = a + b*sqrt(M)
+    with b != 0: when M = 2, 3 (mod 4) the ring is Z[sqrt(M)], so Z is
+    lcm(den a, den b).  When M = 1 (mod 4) the ring is Z[(1 + sqrt(M))/2],
+    whose elements are (x + y*sqrt(M))/2 with x = y (mod 2): Z must make
+    2*Z*a and 2*Z*b integers, so it is a multiple of D = lcm(den 2a, den 2b),
+    and D itself works exactly when 2*D*a and 2*D*b have the same parity;
+    otherwise 2*D does.
     """
     if isinstance(z, QuadNum):
-        if not z:
-            return 1
         if z.surd == 0:
             return z.rat.denominator
-        bound = 2 * math.lcm(z.rat.denominator, z.surd.denominator)
-        for cand in _sorted_divisors(bound):
-            if _is_algebraic_integer(cand * z):
-                return cand
-        raise AssertionError(f"no denominator within forced bound for {z}")
+        a, b = z.rat, z.surd
+        if z.M % 4 != 1:
+            return math.lcm(a.denominator, b.denominator)
+        D = math.lcm((2 * a).denominator, (2 * b).denominator)
+        return D if (2 * D * a - 2 * D * b) % 2 == 0 else 2 * D
     z = _as_fraction(z)
     return z.denominator if z else 1
 

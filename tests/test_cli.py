@@ -1,10 +1,15 @@
 """CLI dispatch, config validation, exit codes, and report determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import vvmf2
 from vvmf2 import forms
 from vvmf2.cli import main, parse_config, value_from_json, value_to_json
 from vvmf2.errors import ConfigError, ConsistencyError
@@ -190,6 +195,34 @@ def test_probe_command(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "pass"
     assert main(["probe", "--M", "2", "--rat", "0", "--surd", "1", "--p", "7"]) == 3
+
+
+def test_probe_with_large_denominators_ends(tmp_path):
+    # the Pochhammer products here have coordinate denominators past 10^40;
+    # a divisor search over them did not finish
+    src = Path(vvmf2.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "vvmf2.cli", "probe", "--M", "2", "--rat", "1/3",
+         "--surd", "1/5", "--p", "5", "--tmax", "20"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "pass"
+
+
+def test_malformed_integer_in_config_exits_2(tmp_path, capsys):
+    for key, value in (("kmax", "ten"), ("factor_bound", [3]), ("kmax", None)):
+        cfg = write_config(tmp_path, {**M2_CONFIG, key: value}, f"{key}.json")
+        assert main(["denoms", "--config", cfg]) == 2
+        assert key in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="kmax"):
+        parse_config(json.dumps({**M2_CONFIG, "kmax": "ten"}))
+    bad_k0 = {**M2_CONFIG, "instance": {**M2_CONFIG["instance"], "k0": "zero"}}
+    assert main(["minform", "--config", write_config(tmp_path, bad_k0, "k0.json")]) == 2
+    capsys.readouterr()
 
 
 def test_json_determinism(tmp_path):

@@ -139,6 +139,28 @@ def test_identity_suite_builds_each_named_series_once(monkeypatch):
     assert sorted(builds) == ["_build_e2", "_build_e4", "_build_g", "_build_hauptK"]
 
 
+def test_failed_cache_write_leaves_no_file(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv(forms.CACHE_DIR_ENV, str(cache))
+    real_dump = forms.json.dump
+
+    def dump_then_fail(obj, fh):
+        fh.write('{"lead": "0", "step": "1", "coeffs": ["1", "24')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(forms.json, "dump", dump_then_fail)
+    forms.clear_cache()
+    try:
+        assert eisenstein_E4(8).coeff(1) == 240
+        assert list(cache.iterdir()) == []
+        monkeypatch.setattr(forms.json, "dump", real_dump)
+        forms.clear_cache()
+        assert eisenstein_E4(8).coeff(1) == 240
+        assert [f.name for f in cache.iterdir()] == ["E4.json"]
+    finally:
+        forms.clear_cache()
+
+
 def test_identity_suite_requires_depth():
     with pytest.raises(ValueError):
         identity_suite(5)

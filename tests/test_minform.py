@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vvmf2 import minform
+from vvmf2 import forms, minform, qseries
 from vvmf2.errors import ConsistencyError, NotAFormError, PipelineMismatch
 from vvmf2.forms import form_monomial, hauptmodul, modular_D
 from vvmf2.minform import (
@@ -154,6 +154,40 @@ def test_perturbed_kernel_breaks_agreement(monkeypatch):
     monkeypatch.setattr(minform, "_iconv", off_by_one)
     with pytest.raises(PipelineMismatch):
         minimal_form(M2, 6, "both")
+
+
+@pytest.fixture
+def perturbed_series_kernel(monkeypatch):
+    """The shared qseries kernel with the q^5 entry of every product scaled by 193.
+
+    193 = 1 (mod 192) keeps integral products integral and (E4 - G^2)/192
+    integral, so the Hauptmodul still passes the integrality check of
+    tables_DC and the fault reaches both routes of minimal_form.
+    """
+    real = qseries._iconv
+
+    def perturbed(a, cols):
+        out = real(a, cols)
+        if len(out) > 5:
+            out[5] *= 193
+        return out
+
+    monkeypatch.delenv(forms.CACHE_DIR_ENV, raising=False)
+    monkeypatch.setattr(qseries, "_iconv", perturbed)
+    forms.clear_cache()
+    yield
+    forms.clear_cache()
+
+
+def test_perturbed_series_kernel_fails_the_identity_suite(perturbed_series_kernel):
+    report = forms.identity_suite(20)
+    assert not report.all_passed
+    assert not next(c for c in report.checks if c.name == "theta-J").passed
+
+
+def test_perturbed_series_kernel_breaks_agreement(perturbed_series_kernel):
+    with pytest.raises(PipelineMismatch):
+        minimal_form(M2, 8, "both")
 
 
 def test_seq_f_spot_values():

@@ -1,5 +1,6 @@
 """Truncated pure q-expansion arithmetic."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -233,3 +234,130 @@ def test_lead_additivity(u, v):
     else:
         assert prod.lead == u.lead + v.lead
         assert prod.coeff(prod.lead) == u.coeffs[0] * v.coeffs[0]
+
+
+# -- the integer kernel against schoolbook field arithmetic ------------------
+#
+# Products, inverses and powers run on plain integers over one common
+# denominator.  The references below are the term-by-term Fraction/QuadNum
+# schoolbook algorithms they replaced, so any slip in a denominator, a
+# sqrt(M) part or a grid index shows up as a coefficient mismatch.
+
+_kernel_fracs = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+def _field_values(M):
+    if M is None:
+        return st.one_of(st.just(Fraction(0)), _kernel_fracs)
+    return st.one_of(
+        st.just(Fraction(0)),
+        _kernel_fracs,
+        st.builds(lambda a, b: QuadNum(a, b, M), _kernel_fracs, _kernel_fracs),
+    )
+
+
+@st.composite
+def _kernel_series(draw, M, min_size=0):
+    step = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]))
+    lead = draw(st.sampled_from([Fraction(0), Fraction(-1), Fraction(1, 2), Fraction(1, 12)]))
+    coeffs = draw(st.lists(_field_values(M), min_size=min_size, max_size=9))
+    return PureQSeries.make(lead, coeffs, step)
+
+
+_fields = st.sampled_from([None, 2, 5, -1])
+
+
+def _naive_mul(u, v):
+    """Schoolbook product on the finest common grid, with the same truncation."""
+    a, b = u.step, v.step
+    g = Fraction(math.gcd(a.numerator * b.denominator, b.numerator * a.denominator),
+                 a.denominator * b.denominator)
+    lead = u.lead + v.lead
+    horizon = min(u.horizon + v.lead, v.horizon + u.lead)
+    out = [Fraction(0)] * int((horizon - lead) / g)
+    for i, x in enumerate(u.coeffs):
+        for j, y in enumerate(v.coeffs):
+            k = int((i * u.step + j * v.step) / g)
+            if k < len(out):
+                out[k] = out[k] + x * y
+    return PureQSeries.make(lead, out, g)
+
+
+def _naive_inv(u):
+    c = u.coeffs
+    b0 = c[0].inverse() if isinstance(c[0], QuadNum) else 1 / c[0]
+    out = [b0]
+    for i in range(1, len(c)):
+        acc = sum((c[j] * out[i - j] for j in range(1, i + 1)), Fraction(0))
+        out.append(-b0 * acc)
+    return PureQSeries(-u.lead, u.step, tuple(out), u.lattice)
+
+
+def _naive_pow(u, n):
+    base = _naive_inv(u) if n < 0 else u
+    out = base
+    for _ in range(abs(n) - 1):
+        out = _naive_mul(out, base)
+    return out
+
+
+def _same(s, t):
+    assert (s.lead, s.step, s.horizon, s.lattice) == (t.lead, t.step, t.horizon, t.lattice)
+    assert s.coeffs == t.coeffs
+
+
+@given(_fields.flatmap(lambda M: st.tuples(_kernel_series(M), _kernel_series(M))))
+@settings(max_examples=150, deadline=None)
+def test_kernel_mul_matches_schoolbook(pair):
+    u, v = pair
+    prod = u * v
+    if u.is_zero or v.is_zero:
+        assert prod.is_zero
+        return
+    _same(prod, _naive_mul(u, v))
+
+
+@given(_fields.flatmap(lambda M: _kernel_series(M, min_size=1)))
+@settings(max_examples=150, deadline=None)
+def test_kernel_inv_matches_schoolbook(u):
+    if u.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            u.inv()
+        return
+    _same(u.inv(), _naive_inv(u))
+
+
+@given(
+    _fields.flatmap(lambda M: _kernel_series(M, min_size=1)),
+    st.sampled_from([-3, -2, -1, 1, 2, 3, 5]),
+)
+@settings(max_examples=100, deadline=None)
+def test_kernel_pow_matches_schoolbook(u, n):
+    if u.is_zero:
+        return
+    _same(u**n, _naive_pow(u, n))
+
+
+def test_kernel_inv_non_unit_leading_terms():
+    # c0 = 3/32 as in 6J, a QuadNum c0, and a tail that stays non-integral
+    # after c0 is factored out (L > 1)
+    w = QuadNum(Fraction(1, 2), Fraction(3), 5)
+    for coeffs in (
+        [Fraction(3, 32), Fraction(-9, 4), Fraction(27, 16), 5],
+        [w, 1, Fraction(2, 7), w * w, -3],
+        [Fraction(2, 3), Fraction(1, 5), Fraction(-7, 11), Fraction(1, 9), Fraction(5, 2)],
+        [QuadNum(0, Fraction(1, 3), 2), Fraction(1, 2), QuadNum(1, Fraction(1, 7), 2)],
+    ):
+        u = PureQSeries.make(Fraction(-1, 2), coeffs)
+        _same(u.inv(), _naive_inv(u))
+        one = u * u.inv()
+        assert one.coeffs == (1,) + (0,) * (len(coeffs) - 1)
+
+
+def test_kernel_rejects_mixed_fields():
+    r2 = QuadNum(Fraction(0), Fraction(1), 2)
+    r5 = QuadNum(Fraction(0), Fraction(1), 5)
+    with pytest.raises(ValueError, match="mixed quadratic fields"):
+        PureQSeries.make(0, [1, r2]) * PureQSeries.make(0, [1, r5])
+    with pytest.raises(ValueError, match="mixed quadratic fields"):
+        PureQSeries.make(0, [1, r2, r5]).inv()

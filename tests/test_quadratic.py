@@ -120,13 +120,35 @@ def test_denominator_examples():
     assert denominator_of(QuadNum(Fraction(0), Fraction(0), 2)) == 1
 
 
-@given(quadnums())
-@settings(max_examples=150)
+@given(st.sampled_from([2, 3, 5, 6, 7, 13, -1, -3, -5]).flatmap(quadnums))
+@settings(max_examples=300)
 def test_denominator_minimality(z):
     assume(z)
     Z = denominator_of(z)
     assert Z == brute_force_denominator(z)
     norm, trace = norm_trace(Z * z)
+    assert norm.denominator == 1 and trace.denominator == 1
+
+
+def test_denominator_closed_form_on_both_ring_shapes():
+    # Z[sqrt(M)] for M = 2, 3 (mod 4); Z[(1 + sqrt(M))/2] for M = 1 (mod 4)
+    assert denominator_of(QuadNum(Fraction(1, 2), Fraction(1, 2), 3)) == 2
+    assert denominator_of(QuadNum(Fraction(1, 2), Fraction(1, 2), -3)) == 1
+    assert denominator_of(QuadNum(Fraction(1, 2), Fraction(0), 5)) == 2
+    assert denominator_of(QuadNum(Fraction(1, 4), Fraction(1, 4), 5)) == 2
+    assert denominator_of(QuadNum(Fraction(1, 4), Fraction(3, 4), 13)) == 2
+    assert denominator_of(QuadNum(Fraction(1, 2), Fraction(1, 4), 5)) == 4
+    assert denominator_of(QuadNum(Fraction(1, 3), Fraction(1, 5), 2)) == 15
+
+
+def test_denominator_of_huge_coordinates_is_instant():
+    # the coordinate denominators of a Pochhammer product run past 10^40; no
+    # divisor search of them can finish, the closed form needs only gcds
+    z = pochhammer(QuadNum(Fraction(1, 3), Fraction(1, 5), 2), 40)
+    Z = denominator_of(z)
+    assert Z == math.lcm(z.rat.denominator, z.surd.denominator) and Z > 10**40
+    w = pochhammer(QuadNum(Fraction(1, 6), Fraction(1, 10), 5), 40)
+    norm, trace = norm_trace(denominator_of(w) * w)
     assert norm.denominator == 1 and trace.denominator == 1
 
 
