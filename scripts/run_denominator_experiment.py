@@ -9,10 +9,9 @@ d(K) while all earlier coefficients stay p_K-integral?
 
 import argparse
 
-from vvmf2.denoms import factor_trial, verify_ubd
+from vvmf2.denoms import verify_ubd
 from vvmf2.minform import minimal_form
 from vvmf2.params import params_from_exponents, seed_exponents
-from vvmf2.quadratic import denominator_of
 
 
 def fmt_factors(factors, cofactor):
@@ -37,11 +36,8 @@ def main():
 
     print(f"\n{'K':>4} {'den(d(K))':<40} {'p_K':>5}  verdict")
     report = verify_ubd(mf, args.kmax, args.factor_bound)
-    rows = {r.K: r for r in report.rows_d}
-    for K in range(1, args.kmax + 1):
-        den = denominator_of(mf.tables.d[K])
-        factors, cofactor = factor_trial(den, args.factor_bound)
-        r = rows[K]
+    for r in report.rows_d:
+        scan = report.scan_d[r.K]
         if not r.is_prime:
             verdict = "-"
         elif not r.in_S:
@@ -50,7 +46,7 @@ def main():
             verdict = "exempt: " + "; ".join(r.exempt)
         else:
             verdict = "PASS" if r.passed else "FAIL"
-        print(f"{K:>4} {fmt_factors(factors, cofactor):<40} {r.p:>5}  {verdict}")
+        print(f"{r.K:>4} {fmt_factors(scan.factors, scan.cofactor):<40} {r.p:>5}  {verdict}")
 
     print(f"\nempirical threshold: every audited inert prime from {report.threshold} on passes")
     if report.exceptional:

@@ -1,4 +1,4 @@
-"""Command-line front end: config parsing, subcommand dispatch, report emission.
+"""Command-line front end: argument parsing, dispatch to the library, report emission.
 
 Exit codes are stable and documented:
 
@@ -8,9 +8,10 @@ Exit codes are stable and documented:
     3  config validation failed (the violated relation is named on stderr)
     4  internal pipeline disagreement (a bug, not a data problem)
 
-All machine output is JSON with rationals rendered as "p/q" strings and
-quadratic values as {"rat", "surd", "M"} objects, emitted with sorted
-keys so identical configs produce byte-identical reports.
+All machine output is JSON written by the package's one encoder,
+``qseries.to_json``: rationals as "p/q" strings, quadratic values as
+{"rat", "surd", "M"} objects, emitted with sorted keys so identical
+configs produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -45,7 +46,13 @@ from .params import (
     roots_from_abc,
     seed_exponents,
 )
-from .qseries import PureQSeries
+from .qseries import (
+    PureQSeries,
+    fraction_from_json,
+    int_from_json,
+    to_json,
+    value_from_json,
+)
 from .quadratic import QuadNum
 
 DEFAULT_KMAX = 40
@@ -56,69 +63,8 @@ EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_PIPELINE = 4
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def _frac(text) -> Fraction:
-    try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad rational {text!r}: {exc}") from None
-
-
-def _int(value, key: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
-
-
-def value_to_json(x):
-    if isinstance(x, QuadNum):
-        if x.surd == 0:
-            return str(x.rat)
-        return {"rat": str(x.rat), "surd": str(x.surd), "M": x.M}
-    if isinstance(x, Fraction):
-        return str(x)
-    return x
-
-
-def value_from_json(obj):
-    if isinstance(obj, dict):
-        try:
-            return QuadNum(_frac(obj["rat"]), _frac(obj["surd"]), _int(obj["M"], "M"))
-        except KeyError as exc:
-            raise ConfigError(f"quadratic value needs key {exc}") from None
-    return _frac(obj)
-
-
-def series_to_json(s: PureQSeries) -> dict:
-    return {
-        "lead": str(s.lead),
-        "step": str(s.step),
-        "lattice": s.lattice,
-        "coefficients": [value_to_json(c) for c in s.coeffs],
-    }
-
-
-def params_to_json(p: InstanceParams) -> dict:
-    return {
-        "k0": p.k0,
-        "a": str(p.a),
-        "b": str(p.b),
-        "c": str(p.c),
-        "l1": str(p.l1),
-        "l2": str(p.l2),
-        "r": value_to_json(p.r),
-        "A": value_to_json(p.A),
-        "B": value_to_json(p.B),
-        "M": p.M,
-        "u": p.u,
-        "v": p.v,
-    }
+# one encoder for every report; these names are kept for callers that import them from here
+value_to_json = series_to_json = params_to_json = to_json
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +77,15 @@ class RunConfig:
     """A validated run request: one instance plus computation knobs."""
 
     exponents: ExponentData
-    kmax: int
-    method: str
-    factor_bound: int
-    out: str | None
-    fmt: str
+    kmax: int = DEFAULT_KMAX
+    method: str = "both"
+    factor_bound: int = denoms_mod.DEFAULT_FACTOR_BOUND
+    out: str | None = None
+    format: str = "json"
+
+    def __post_init__(self):
+        if self.kmax < 1:
+            raise ConsistencyError("kmax >= 1")
 
 
 def _exponents_from_spec(spec: dict) -> ExponentData:
@@ -147,25 +97,23 @@ def _exponents_from_spec(spec: dict) -> ExponentData:
         raise ConfigError(
             "instance must carry exactly one of {l1, l2, r} or {a, b, c, M}"
         )
-    k0 = _int(spec.get("k0", 0), "k0")
+    k0 = int_from_json(spec.get("k0", 0), "k0")
     if has_abc:
-        return roots_from_abc(
-            _frac(spec["a"]), _frac(spec["b"]), _frac(spec["c"]), _int(spec["M"], "M"), k0
-        )
+        a, b, c = (fraction_from_json(spec[key]) for key in "abc")
+        return roots_from_abc(a, b, c, int_from_json(spec["M"], "M"), k0)
     r_spec = spec["r"]
     if not isinstance(r_spec, dict):
         raise ConfigError("instance key 'r' must be an object {rat, surd, M}")
     r1 = value_from_json(r_spec)
+    l1, l2 = fraction_from_json(spec["l1"]), fraction_from_json(spec["l2"])
     if isinstance(r1, QuadNum) and r1.surd != 0:
         if not r_spec.get("conjugate_pair", True):
             raise ConsistencyError("irrational r requires conjugate_pair: true")
         r2 = r1.conjugate()
     else:
         r1 = r1.rat if isinstance(r1, QuadNum) else r1
-        r2 = Fraction(1, 2) - _frac(spec["l1"]) - _frac(spec["l2"]) - r1
-    return ExponentData(
-        k0=k0, l1=_frac(spec["l1"]), l2=_frac(spec["l2"]), r1=r1, r2=r2
-    )
+        r2 = Fraction(1, 2) - l1 - l2 - r1
+    return ExponentData(k0=k0, l1=l1, l2=l2, r1=r1, r2=r2)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -180,9 +128,7 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(instance, dict):
         raise ConfigError("config needs an 'instance' object")
     exponents = _exponents_from_spec(instance)
-    kmax = _int(data.get("kmax", DEFAULT_KMAX), "kmax")
-    if kmax < 1:
-        raise ConsistencyError("kmax >= 1")
+    kmax = int_from_json(data.get("kmax", DEFAULT_KMAX), "kmax")
     method = data.get("method", "both")
     if method not in ("both", "closed", "frobenius"):
         raise ConfigError(f"unknown method {method!r}")
@@ -193,24 +139,17 @@ def parse_config(text: str) -> RunConfig:
         exponents=exponents,
         kmax=kmax,
         method=method,
-        factor_bound=_int(
+        factor_bound=int_from_json(
             data.get("factor_bound", denoms_mod.DEFAULT_FACTOR_BOUND), "factor_bound"
         ),
         out=data.get("out"),
-        fmt=fmt,
+        format=fmt,
     )
 
 
 def _load_config(args) -> RunConfig:
     if getattr(args, "seed_instance", None):
-        cfg = RunConfig(
-            exponents=seed_exponents(args.seed_instance),
-            kmax=DEFAULT_KMAX,
-            method="both",
-            factor_bound=denoms_mod.DEFAULT_FACTOR_BOUND,
-            out=None,
-            fmt="json",
-        )
+        cfg = RunConfig(seed_exponents(args.seed_instance))
     elif getattr(args, "config", None):
         try:
             with open(args.config) as fh:
@@ -220,27 +159,16 @@ def _load_config(args) -> RunConfig:
         cfg = parse_config(text)
     else:
         raise ConfigError("need --config FILE or --seed-instance NAME")
-    updates = {}
-    if getattr(args, "kmax", None) is not None:
-        if args.kmax < 1:
-            raise ConsistencyError("kmax >= 1")
-        updates["kmax"] = args.kmax
-    if getattr(args, "method", None):
-        updates["method"] = args.method
-    if getattr(args, "factor_bound", None) is not None:
-        updates["factor_bound"] = args.factor_bound
-    if getattr(args, "out", None):
-        updates["out"] = args.out
-    if getattr(args, "format", None):
-        updates["fmt"] = args.format
-    if updates:
-        cfg = replace(cfg, **updates)
-    return cfg
+    # a flag given on the command line overrides the config
+    flags = ("kmax", "method", "factor_bound", "out", "format")
+    updates = {f: getattr(args, f) for f in flags if getattr(args, f, None) is not None}
+    return replace(cfg, **updates)
 
 
-def _emit(payload, out: str | None):
-    text = payload if isinstance(payload, str) else json.dumps(
-        payload, indent=2, sort_keys=True
+def _emit(report, out: str | None):
+    """Write a text report as it is, anything else as JSON through ``to_json``."""
+    text = report if isinstance(report, str) else json.dumps(
+        to_json(report), indent=2, sort_keys=True
     )
     if out:
         with open(out, "w") as fh:
@@ -256,74 +184,41 @@ def _emit(payload, out: str | None):
 
 def cmd_verify_identities(args) -> int:
     report = forms.identity_suite(args.order)
-    checks = list(report.checks)
-
-    th4, curly_e = forms.theta4_and_E(args.order)
-    g = forms.weight2_G(args.order).series
-    from .qseries import equal_through
-
-    checks.append(
-        forms.IdentityCheck(
-            "G-theta4-16E", equal_through(g, th4 + 16 * curly_e, args.order)
-        )
-    )
-    r4_ok = True
-    for n in range(1, args.order + 1):
-        expect = 8 * forms.sigma(n) if n % 2 else 24 * forms.sigma(_odd_part(n))
-        if th4.coeff(n) != expect:
-            r4_ok = False
-            break
-    checks.append(forms.IdentityCheck("four-squares-counts", r4_ok))
-    gs = forms.g_slash_S(2)
-    checks.append(
-        forms.IdentityCheck("G-slash-S-constant", gs.coeff(0) == Fraction(-1, 2))
-    )
-
-    payload = {
-        "order": args.order,
-        "checks": {c.name: ("pass" if c.passed else "fail") for c in checks},
-        "all_passed": all(c.passed for c in checks),
-    }
     if args.format == "text":
-        lines = [f"{c.name:<28} {'PASS' if c.passed else 'FAIL'}" for c in checks]
+        lines = [f"{c.name:<28} {'PASS' if c.passed else 'FAIL'}" for c in report.checks]
         _emit("\n".join(lines), args.out)
     else:
-        _emit(payload, args.out)
-    return EXIT_OK if payload["all_passed"] else EXIT_CHECK_FAILED
+        checks = {c.name: ("pass" if c.passed else "fail") for c in report.checks}
+        _emit({"order": report.order, "checks": checks, "all_passed": report.all_passed}, args.out)
+    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 
-def _odd_part(n: int) -> int:
-    while n % 2 == 0:
-        n //= 2
-    return n
-
-
-_EXPANDABLE = ("E2", "E4", "G", "K", "J", "theta4", "E", "GslashS")
+# looked up at call time, so a replaced or wrapped library function is the one called
+_NAMED_SERIES = {
+    "E2": lambda n: forms.eisenstein_E2(n).series,
+    "E4": lambda n: forms.eisenstein_E4(n).series,
+    "G": lambda n: forms.weight2_G(n).series,
+    "K": lambda n: forms.hauptmodul(n)[0],
+    "J": lambda n: forms.hauptmodul(n)[1],
+    "theta4": lambda n: forms.theta4_and_E(n)[0],
+    "E": lambda n: forms.theta4_and_E(n)[1],
+    "GslashS": lambda n: forms.g_slash_S(n),
+}
 
 
 def _named_series(name: str, order: int) -> PureQSeries:
-    if name == "E2":
-        return forms.eisenstein_E2(order).series
-    if name == "E4":
-        return forms.eisenstein_E4(order).series
-    if name == "G":
-        return forms.weight2_G(order).series
-    if name == "K":
-        return forms.hauptmodul(order)[0]
-    if name == "J":
-        return forms.hauptmodul(order)[1]
-    if name == "theta4":
-        return forms.theta4_and_E(order)[0]
-    if name == "E":
-        return forms.theta4_and_E(order)[1]
-    if name == "GslashS":
-        return forms.g_slash_S(order)
     if name.startswith("eta^"):
-        return forms.eta_pow(_int(name[4:], "eta power"), order).series
-    raise ConfigError(f"unknown series {name!r}; choose from {_EXPANDABLE} or eta^<even>")
+        return forms.eta_pow(int_from_json(name[4:], "eta power"), order).series
+    if name not in _NAMED_SERIES:
+        raise ConfigError(
+            f"unknown series {name!r}; choose from {tuple(_NAMED_SERIES)} or eta^<even>"
+        )
+    return _NAMED_SERIES[name](order)
 
 
 def cmd_expand(args) -> int:
+    if args.order < 0:
+        raise ConsistencyError("order >= 0")
     s = _named_series(args.name, args.order)
     if args.format == "text":
         lines = [f"# {args.name}, known below q^{s.horizon}"]
@@ -331,7 +226,7 @@ def cmd_expand(args) -> int:
             lines.append(f"q^{str(s.lead + i * s.step):>8}  {c}")
         _emit("\n".join(lines), args.out)
     else:
-        _emit({"name": args.name, "series": series_to_json(s)}, args.out)
+        _emit({"name": args.name, "series": s}, args.out)
     return EXIT_OK
 
 
@@ -345,24 +240,17 @@ def cmd_minform(args) -> int:
     params, mf = _build_minform(cfg)
     res1 = mlde_residual(params, mf.comp1)
     res2 = mlde_residual(params, mf.comp2)
-    d1, d2 = deriv_components(mf)
+    deriv_components(mf)  # raises PipelineMismatch if the formula and the operator disagree
     t1, t2 = t_lists(mf)
+    t = mf.tables
     payload = {
         "kmax": cfg.kmax,
         "method": cfg.method,
-        "params": params_to_json(params),
-        "components": {
-            "first": series_to_json(mf.comp1),
-            "second": series_to_json(mf.comp2),
-        },
+        "params": params,
+        "components": {"first": mf.comp1, "second": mf.comp2},
         "sequences": {
-            "h": [value_to_json(x) for x in mf.tables.h],
-            "h_tilde": [value_to_json(x) for x in mf.tables.h_tilde],
-            "d": [value_to_json(x) for x in mf.tables.d],
-            "d_tilde": [value_to_json(x) for x in mf.tables.d_tilde],
-            "e": [value_to_json(x) for x in mf.tables.e],
-            "t1": [value_to_json(x) for x in t1],
-            "t2": [value_to_json(x) for x in t2],
+            "h": t.h, "h_tilde": t.h_tilde, "d": t.d, "d_tilde": t.d_tilde, "e": t.e,
+            "t1": t1, "t2": t2,
         },
         "checks": {
             "pipelines_agree": True if cfg.method == "both" else None,
@@ -381,12 +269,10 @@ def _ubd_row_json(r: denoms_mod.UbdRow) -> dict:
         "p": r.p,
         "prime": r.is_prime,
         "in_S": r.in_S,
-        "exempt": list(r.exempt),
+        "exempt": r.exempt,
         "divides": r.divides,
         "earlier_integral": r.earlier_integral,
-        "verdict": "exempt" if (r.in_S and r.exempt) else (
-            "pass" if r.passed else ("fail" if r.passed is False else "skip")
-        ),
+        "verdict": r.verdict,
     }
 
 
@@ -394,107 +280,105 @@ def cmd_denoms(args) -> int:
     cfg = _load_config(args)
     params, mf = _build_minform(cfg)
     report = denoms_mod.verify_ubd(mf, cfg.kmax, cfg.factor_bound)
-    payload = {
-        "kmax": report.Kmax,
-        "factor_bound": report.factor_bound,
-        "params": params_to_json(params),
-        "threshold": report.threshold,
-        "exceptional": list(report.exceptional),
-        "rows_d": [_ubd_row_json(r) for r in report.rows_d],
-        "rows_h": [_ubd_row_json(r) for r in report.rows_h],
-        "rows_d_tilde": [_ubd_row_json(r) for r in report.rows_d_tilde],
-        "denominators_d": [
-            {
-                "K": s.index,
-                "denominator": s.denominator,
-                "factors": {str(p): e for p, e in sorted(s.factors.items())},
-                "cofactor": s.cofactor,
-            }
-            for s in report.scan_d
-        ],
-        "prime_summary_d": [
-            {
-                "p": s.p,
-                "first_division_K": s.first_division_K,
-                "expected_K": s.expected_K,
-                "verdict": s.verdict,
-            }
-            for s in report.summary_d
-        ],
-        "prime_summary_d_tilde": [
-            {
-                "p": s.p,
-                "first_division_K": s.first_division_K,
-                "expected_K": s.expected_K,
-                "verdict": s.verdict,
-            }
-            for s in report.summary_d_tilde
-        ],
-        "all_asserted_pass": report.all_asserted_pass,
-    }
-    if cfg.fmt == "text":
+    if cfg.format == "text":
         lines = [f"{'K':>4} {'p_K':>6} {'in S':>5} {'divides':>8} {'prior':>6}  verdict"]
         for r in report.rows_d:
-            row = _ubd_row_json(r)
             lines.append(
                 f"{r.K:>4} {r.p:>6} {str(r.in_S):>5} {str(r.divides):>8} "
-                f"{str(r.earlier_integral):>6}  {row['verdict']}"
+                f"{str(r.earlier_integral):>6}  {r.verdict}"
                 + (f" ({'; '.join(r.exempt)})" if r.exempt else "")
             )
         lines.append(f"threshold: {report.threshold}  exceptional: {list(report.exceptional)}")
         _emit("\n".join(lines), cfg.out)
     else:
-        _emit(payload, cfg.out)
+        _emit(
+            {
+                "kmax": report.Kmax,
+                "factor_bound": report.factor_bound,
+                "params": params,
+                "threshold": report.threshold,
+                "exceptional": report.exceptional,
+                "rows_d": [_ubd_row_json(r) for r in report.rows_d],
+                "rows_h": [_ubd_row_json(r) for r in report.rows_h],
+                "rows_d_tilde": [_ubd_row_json(r) for r in report.rows_d_tilde],
+                # str keys: the report orders the factors as text, "11" before "3"
+                "denominators_d": [
+                    {
+                        "K": s.index,
+                        "denominator": s.denominator,
+                        "factors": {str(p): e for p, e in s.factors.items()},
+                        "cofactor": s.cofactor,
+                    }
+                    for s in report.scan_d
+                ],
+                "prime_summary_d": report.summary_d,
+                "prime_summary_d_tilde": report.summary_d_tilde,
+                "all_asserted_pass": report.all_asserted_pass,
+            },
+            cfg.out,
+        )
     return EXIT_OK if report.all_asserted_pass else EXIT_CHECK_FAILED
 
 
-def cmd_decompose(args) -> int:
-    cfg = _load_config(args)
-    params, mf = _build_minform(cfg)
+def _read_components(path: str) -> dict:
+    """The components file: an object with an integer k and the value lists z1 and z2."""
     try:
-        with open(args.components) as fh:
+        with open(path) as fh:
             comp = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read components: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed components JSON: {exc}") from None
-    try:
-        k = _int(comp["k"], "k")
-        lead1 = Fraction(params.k0, 12) + params.l1
-        lead2 = Fraction(params.k0, 12) + params.l2
-        lattice = mf.comp1.lattice
-        z1 = PureQSeries.make(
-            lead1, [value_from_json(c) for c in comp["z1"]], 1, lattice
+    if not isinstance(comp, dict):
+        raise ConfigError("components file must be an object with keys k, z1 and z2")
+    for key in ("k", "z1", "z2"):
+        if key not in comp:
+            raise ConfigError(f"components file needs key {key!r}")
+        if key != "k" and not isinstance(comp[key], list):
+            raise ConfigError(f"components key {key!r} must be a list of values")
+    return comp
+
+
+def cmd_decompose(args) -> int:
+    cfg = _load_config(args)
+    params, mf = _build_minform(cfg)
+    comp = _read_components(args.components)
+    k = int_from_json(comp["k"], "k")
+    z1, z2 = (
+        PureQSeries.make(
+            Fraction(params.k0, 12) + exponent,
+            [value_from_json(c) for c in comp[key]],
+            1,
+            mf.comp1.lattice,
         )
-        z2 = PureQSeries.make(
-            lead2, [value_from_json(c) for c in comp["z2"]], 1, lattice
-        )
-    except KeyError as exc:
-        raise ConfigError(f"components file needs key {exc}") from None
+        for key, exponent in (("z1", params.l1), ("z2", params.l2))
+    )
     m1, m2 = decompose(mf, z1, z2, k)
     coords1 = forms.monomial_coordinates(m1, k - params.k0)
     coords2 = forms.monomial_coordinates(m2, k - params.k0 - 2)
     payload = {
         "k": k,
-        "m1": series_to_json(m1),
-        "m2": series_to_json(m2),
-        "m1_monomials": {f"G^{a}*E4^{b}": value_to_json(c) for (a, b), c in coords1.items()},
-        "m2_monomials": {f"G^{a}*E4^{b}": value_to_json(c) for (a, b), c in coords2.items()},
+        "m1": m1,
+        "m2": m2,
+        "m1_monomials": {f"G^{a}*E4^{b}": c for (a, b), c in coords1.items()},
+        "m2_monomials": {f"G^{a}*E4^{b}": c for (a, b), c in coords2.items()},
     }
     _emit(payload, cfg.out)
     return EXIT_OK
 
 
 def cmd_probe(args) -> int:
-    x = QuadNum(_frac(args.rat), _frac(args.surd), args.M)
-    verdict = denoms_mod.pochhammer_numerator_probe(x, _frac(args.shift), args.p, args.tmax)
+    x = QuadNum(fraction_from_json(args.rat), fraction_from_json(args.surd), args.M)
+    verdict = denoms_mod.pochhammer_numerator_probe(
+        x, fraction_from_json(args.shift), args.p, args.tmax
+    )
     payload = {
         "status": verdict.status,
         "p": verdict.p,
         "tmax": verdict.tmax,
         "half_form": {"Z": verdict.Z, "x": verdict.x, "y": verdict.y},
-        "bad_shifts": list(verdict.bad_shifts),
-        "bad_indices": list(verdict.bad_indices),
+        "bad_shifts": verdict.bad_shifts,
+        "bad_indices": verdict.bad_indices,
     }
     _emit(payload, args.out)
     return EXIT_OK if verdict.status != "fail" else EXIT_CHECK_FAILED

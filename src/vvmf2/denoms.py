@@ -65,6 +65,8 @@ def prime_sets(params: InstanceParams, bound: int) -> PrimeSets:
 
 def factor_trial(n: int, bound: int) -> tuple[dict[int, int], int]:
     """Trial-divide |n| up to the bound; returns (factors, unfactored cofactor)."""
+    if bound < 1:
+        raise ValueError(f"factor bound must be >= 1, got {bound}")
     n = abs(n)
     factors: dict[int, int] = {}
     d = 2
@@ -179,6 +181,15 @@ class UbdRow:
             return None
         return bool(self.divides and self.earlier_integral)
 
+    @property
+    def verdict(self) -> str:
+        """"exempt" (a prime of S failing a side condition), "pass", "fail" or "skip"."""
+        if self.in_S and self.exempt:
+            return "exempt"
+        if self.passed is None:
+            return "skip"
+        return "pass" if self.passed else "fail"
+
 
 @dataclass(frozen=True)
 class PrimeSummary:
@@ -273,8 +284,7 @@ def verify_ubd(
             if not (r.is_prime and r.in_S):
                 continue
             first = next((K for K in range(1, Kmax + 1) if dens[K] % r.p == 0), None)
-            verdict = "exempt" if r.exempt else ("pass" if r.passed else "fail")
-            out.append(PrimeSummary(r.p, first, r.K, verdict))
+            out.append(PrimeSummary(r.p, first, r.K, r.verdict))
         return tuple(out)
 
     primes_seen = sorted({r.p for r in rows_d if r.is_prime and r.in_S})

@@ -7,7 +7,8 @@ eta-quotient companions used at the other cusp, and the monomial basis
 G^a E4^b of each weight together with exact coordinates in it.
 
 Named expansions are cached in-process (longest prefix wins) and,
-optionally, on disk under $VVMF2_CACHE_DIR.
+optionally, on disk under $VVMF2_CACHE_DIR in the series encoding of the
+reports (``qseries.to_json``); a file that does not decode is rebuilt.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NotAFormError, TruncationError
-from .qseries import PureQSeries, equal_through
+from .errors import NotAFormError, TruncationError, VVMF2Error
+from .qseries import PureQSeries, equal_through, series_from_json, to_json
 
 CACHE_DIR_ENV = "VVMF2_CACHE_DIR"
 
@@ -80,14 +81,8 @@ def _disk_load(name: str) -> PureQSeries | None:
         return None
     try:
         with open(path) as fh:
-            data = json.load(fh)
-        return PureQSeries(
-            Fraction(data["lead"]),
-            Fraction(data["step"]),
-            tuple(Fraction(c) for c in data["coeffs"]),
-            data["lattice"],
-        )
-    except (OSError, ValueError, KeyError):
+            return series_from_json(json.load(fh))
+    except (OSError, ValueError, VVMF2Error):
         return None
 
 
@@ -105,15 +100,7 @@ def _disk_store(name: str, s: PureQSeries):
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=f".{name}.", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
-            json.dump(
-                {
-                    "lead": str(s.lead),
-                    "step": str(s.step),
-                    "lattice": s.lattice,
-                    "coeffs": [str(c) for c in s.coeffs],
-                },
-                fh,
-            )
+            json.dump(to_json(s), fh)
         os.replace(tmp, path)
         tmp = None
     except OSError:
@@ -277,6 +264,8 @@ def vanishes_through(s: PureQSeries, exponent) -> bool:
 def identity_suite(N: int) -> IdentityReport:
     """Verify the exact series identities tying together G, E2, E4, J and K.
 
+    The last three checks reach the other cusp: G = theta^4 + 16 E, the
+    four-squares counts in theta^4, and the constant term -1/2 of G|S.
     Every check is an exact coefficient comparison through order N;
     failures are reported, never raised.
     """
@@ -349,6 +338,18 @@ def identity_suite(N: int) -> IdentityReport:
 
     eta2 = eta_pow(2, margin).series
     record("theta-eta", equal_through(12 * eta2.theta(), e2 * eta2, Fraction(1, 12) + N))
+
+    th4, curly_e = theta4_and_E(N)
+    record("G-theta4-16E", equal_through(g, th4 + 16 * curly_e, N))
+    # r4(n) = 8 sigma(n) for odd n and 24 sigma(odd part of n) for even n
+    record(
+        "four-squares-counts",
+        all(
+            th4.coeff(n) == (8 * sigma(n) if n % 2 else 24 * sigma(n // (n & -n)))
+            for n in range(1, N + 1)
+        ),
+    )
+    record("G-slash-S-constant", g_slash_S(2).coeff(0) == Fraction(-1, 2))
 
     return IdentityReport(N, tuple(checks))
 

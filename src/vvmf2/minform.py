@@ -124,10 +124,10 @@ def seq_f(params: InstanceParams, Kmax: int) -> tuple[list, list]:
     return f, f_tilde
 
 
-def h_closed(params: InstanceParams, Kmax: int, tables=None, fs=None) -> tuple[list, list]:
+def h_closed(params: InstanceParams, Kmax: int) -> tuple[list, list]:
     """The h-sequences by the closed double-sum formula (h(0) = 1 normalized)."""
-    d_table, c_table = tables if tables is not None else tables_DC(Kmax)
-    f, f_tilde = fs if fs is not None else seq_f(params, Kmax)
+    d_table, c_table = tables_DC(Kmax)
+    f, f_tilde = seq_f(params, Kmax)
     n = Kmax + 1
 
     def assemble(f_seq: list, exponent: Fraction) -> list:
@@ -182,13 +182,9 @@ def h_frobenius(params: InstanceParams, Kmax: int) -> tuple[list, list]:
 
 @dataclass(frozen=True)
 class SeqTables:
-    """Every sequence computed for one instance, kept for reports and scans."""
+    """The sequences the reports and scans read: h, the eta tail e and d = e*h."""
 
     Kmax: int
-    D: tuple
-    C: tuple
-    f: tuple
-    f_tilde: tuple
     h: tuple
     h_tilde: tuple
     e: tuple
@@ -224,15 +220,11 @@ def minimal_form(params: InstanceParams, Kmax: int, method: str = "both") -> Min
     """
     if method not in ("closed", "frobenius", "both"):
         raise ValueError(f"unknown method {method!r}")
-    d_table, c_table = tables_DC(Kmax) if method != "frobenius" else ((), ())
-    fs = seq_f(params, Kmax) if method != "frobenius" else ([], [])
-
-    if method == "closed":
-        h, ht = h_closed(params, Kmax, (d_table, c_table), fs)
-    elif method == "frobenius":
+    if method == "frobenius":
         h, ht = h_frobenius(params, Kmax)
     else:
-        h, ht = h_closed(params, Kmax, (d_table, c_table), fs)
+        h, ht = h_closed(params, Kmax)
+    if method == "both":
         hf, htf = h_frobenius(params, Kmax)
         for K in range(Kmax + 1):
             if h[K] != hf[K] or ht[K] != htf[K]:
@@ -249,10 +241,6 @@ def minimal_form(params: InstanceParams, Kmax: int, method: str = "both") -> Min
     comp2 = PureQSeries.make(Fraction(params.k0, 12) + params.l2, dt, 1, lattice)
     tables = SeqTables(
         Kmax=Kmax,
-        D=d_table,
-        C=c_table,
-        f=tuple(fs[0]),
-        f_tilde=tuple(fs[1]),
         h=tuple(h),
         h_tilde=tuple(ht),
         e=tuple(e),

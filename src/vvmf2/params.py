@@ -215,10 +215,6 @@ class CircleExp:
         object.__setattr__(self, "t0", Fraction(self.t0) % 1)
         object.__setattr__(self, "t1", Fraction(self.t1))
 
-    @property
-    def is_root_of_unity(self) -> bool:
-        return self.t1 == 0
-
     def __mul__(self, other: "CircleExp") -> "CircleExp":
         return CircleExp(self.t0 + other.t0, self.t1 + other.t1)
 

@@ -16,17 +16,21 @@ Products, inverses and integer powers run on one exact integer kernel
 coefficients are written over one common denominator, with a sqrt(M)
 part when a ``QuadNum`` is present, convolved as plain ``int`` and
 rebuilt once.  The closed-form route of ``minform`` uses the same kernel.
+
+``to_json`` is the package's one JSON encoder (values, series, dataclasses
+and containers of them) and ``value_from_json``/``series_from_json`` its
+decoders; the CLI reports and the disk cache of ``forms`` both use them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from operator import add, mul
 from typing import Union
 
-from .errors import LatticeMismatch, TruncationError
+from .errors import ConfigError, LatticeMismatch, TruncationError
 from .quadratic import FieldElement, QuadNum
 
 Scalar = Union[int, Fraction, QuadNum]
@@ -451,3 +455,82 @@ def equal_through(u: PureQSeries, v: PureQSeries, exponent: Scalar) -> bool:
             f"equality through q^{e} undecidable: difference known only below q^{diff.horizon}"
         )
     return diff.is_zero or diff.lead > e
+
+
+# ---------------------------------------------------------------------------
+# JSON encoding
+# ---------------------------------------------------------------------------
+
+
+def to_json(x):
+    """The JSON form of an engine object, built recursively.
+
+    A rational is a "p/q" string and a quadratic value a {"rat", "surd",
+    "M"} object (a QuadNum with zero surd is written as its rational part).
+    A series is {"lead", "step", "lattice", "coefficients"}, any other
+    dataclass an object keyed by its field names.  Lists and tuples become
+    lists, dicts keep their keys, and anything else passes through.
+    """
+    if x is None or isinstance(x, (str, int)):  # the bulk of a report, so tested first
+        return x
+    if isinstance(x, QuadNum):
+        if x.surd == 0:
+            return str(x.rat)
+        return {"rat": str(x.rat), "surd": str(x.surd), "M": x.M}
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, (list, tuple)):
+        return [to_json(v) for v in x]
+    if isinstance(x, dict):
+        return {k: to_json(v) for k, v in x.items()}
+    if isinstance(x, PureQSeries):
+        return {
+            "lead": str(x.lead),
+            "step": str(x.step),
+            "lattice": x.lattice,
+            "coefficients": to_json(x.coeffs),
+        }
+    if is_dataclass(x):
+        return {f.name: to_json(getattr(x, f.name)) for f in fields(x)}
+    return x
+
+
+def fraction_from_json(text) -> Fraction:
+    try:
+        return Fraction(str(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad rational {text!r}: {exc}") from None
+
+
+def int_from_json(value, key: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+
+
+def value_from_json(obj) -> FieldElement:
+    """The field value that ``to_json`` wrote as obj; ConfigError if malformed."""
+    if isinstance(obj, dict):
+        try:
+            return QuadNum(
+                fraction_from_json(obj["rat"]),
+                fraction_from_json(obj["surd"]),
+                int_from_json(obj["M"], "M"),
+            )
+        except KeyError as exc:
+            raise ConfigError(f"quadratic value needs key {exc}") from None
+    return fraction_from_json(obj)
+
+
+def series_from_json(obj) -> PureQSeries:
+    """The series that ``to_json`` wrote as obj; ConfigError if malformed."""
+    try:
+        return PureQSeries(
+            fraction_from_json(obj["lead"]),
+            fraction_from_json(obj["step"]),
+            tuple(value_from_json(c) for c in obj["coefficients"]),
+            int_from_json(obj["lattice"], "lattice"),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"malformed series: {exc!r}") from None

@@ -106,10 +106,6 @@ class QuadNum:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def is_rational(self) -> bool:
-        return self.surd == 0
-
     def conjugate(self) -> "QuadNum":
         return QuadNum(self.rat, -self.surd, self.M)
 
@@ -119,11 +115,6 @@ class QuadNum:
 
     def trace(self) -> Fraction:
         return 2 * self.rat
-
-    def as_fraction(self) -> Fraction:
-        if self.surd != 0:
-            raise ValueError(f"{self} is irrational")
-        return self.rat
 
     # -- arithmetic --------------------------------------------------------
 
@@ -233,15 +224,6 @@ class QuadNum:
 
 
 FieldElement = Fraction | QuadNum
-
-
-def quad(x: Rational | QuadNum, M: int) -> QuadNum:
-    """Embed a rational into Q(sqrt(M)); pass QuadNum of matching M through."""
-    if isinstance(x, QuadNum):
-        if x.M != M:
-            raise ValueError(f"mixed quadratic fields: M={x.M} vs M={M}")
-        return x
-    return QuadNum(_as_fraction(x), Fraction(0), M)
 
 
 def norm_trace(z: QuadNum | Rational) -> tuple[Fraction, Fraction]:

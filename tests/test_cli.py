@@ -13,6 +13,7 @@ import vvmf2
 from vvmf2 import forms
 from vvmf2.cli import main, parse_config, value_from_json, value_to_json
 from vvmf2.errors import ConfigError, ConsistencyError
+from vvmf2.qseries import PureQSeries, series_from_json, to_json
 from vvmf2.quadratic import QuadNum
 
 M2_CONFIG = {
@@ -79,6 +80,8 @@ def test_value_roundtrip():
     x = QuadNum(Fraction(3, 7), Fraction(-2, 5), 5)
     assert value_from_json(value_to_json(x)) == x
     assert value_from_json("22/7") == Fraction(22, 7)
+    s = PureQSeries.make(Fraction(1, 4), [x, Fraction(5, 3), 0, x.conjugate()], Fraction(1, 2))
+    assert series_from_json(json.loads(json.dumps(to_json(s)))) == s
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -187,6 +190,18 @@ def test_decompose_roundtrip(tmp_path, capsys):
     assert payload["m2_monomials"] == {"G^2*E4^0": "1"}
 
 
+@pytest.mark.parametrize(
+    "components, key",
+    [([1, 2], "k, z1 and z2"), ({"k": 6, "z1": 5, "z2": []}, "'z1'"), ({"z1": [], "z2": []}, "'k'")],
+)
+def test_decompose_rejects_a_components_file_of_the_wrong_shape(tmp_path, capsys, components, key):
+    comp_file = tmp_path / "components.json"
+    comp_file.write_text(json.dumps(components))
+    cfg = write_config(tmp_path, M2_CONFIG)
+    assert main(["decompose", "--config", cfg, "--components", str(comp_file)]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_probe_command(capsys):
     assert (
         main(["probe", "--M", "2", "--rat", "0", "--surd", "1", "--p", "5", "--tmax", "15"])
@@ -223,6 +238,20 @@ def test_malformed_integer_in_config_exits_2(tmp_path, capsys):
     bad_k0 = {**M2_CONFIG, "instance": {**M2_CONFIG["instance"], "k0": "zero"}}
     assert main(["minform", "--config", write_config(tmp_path, bad_k0, "k0.json")]) == 2
     capsys.readouterr()
+
+
+def test_factor_bound_below_one_exits_3(tmp_path, capsys):
+    argv = ["denoms", "--seed-instance", "m2", "--kmax", "12", "--factor-bound", "-1000"]
+    assert main(argv) == 3
+    cfg = write_config(tmp_path, {**M2_CONFIG, "factor_bound": 0})
+    assert main(["denoms", "--config", cfg]) == 3
+    assert capsys.readouterr().err.count("factor bound must be >= 1") == 2
+
+
+@pytest.mark.parametrize("name", ["E2", "E4", "G", "K", "J", "theta4", "E", "GslashS", "eta^2"])
+def test_expand_rejects_a_negative_order(capsys, name):
+    assert main(["expand", "--name", name, "--order", "-3"]) == 3
+    assert "order >= 0" in capsys.readouterr().err
 
 
 def test_json_determinism(tmp_path):
@@ -284,4 +313,25 @@ def test_corrupt_disk_cache_is_ignored(tmp_path, monkeypatch, capsys):
     assert main(["expand", "--name", "E2", "--order", "6"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["series"]["coefficients"][1] == "-24"
+    forms.clear_cache()
+
+
+@pytest.mark.parametrize(
+    "cached",
+    [
+        # the cache format before it shared the report's series encoding
+        {"lead": "0", "step": "1", "lattice": 24, "coeffs": ["1", "-24", "-72"]},
+        {"lead": "0", "step": "1", "lattice": 24, "coefficients": ["1", "-2x4", "-72"]},
+    ],
+)
+def test_disk_cache_in_another_encoding_is_rebuilt(tmp_path, monkeypatch, capsys, cached):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "E2.json").write_text(json.dumps(cached))
+    monkeypatch.setenv(forms.CACHE_DIR_ENV, str(cache))
+    forms.clear_cache()
+    assert main(["expand", "--name", "E2", "--order", "6"]) == 0
+    assert json.loads(capsys.readouterr().out)["series"]["coefficients"][1] == "-24"
+    stored = json.loads((cache / "E2.json").read_text())
+    assert stored["coefficients"][:3] == ["1", "-24", "-72"]
     forms.clear_cache()

@@ -52,6 +52,10 @@ def test_factor_trial():
     big = 1000003 * 1000033
     factors, cofactor = factor_trial(12 * big, 100)
     assert factors == {2: 2, 3: 1} and cofactor == big
+    # a negative bound skips trial division yet passes n <= bound^2: 45 would come out prime
+    for bound in (0, -1000):
+        with pytest.raises(ValueError, match="factor bound"):
+            factor_trial(45, bound)
 
 
 def test_denom_scan_trivials():

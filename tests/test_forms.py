@@ -111,11 +111,34 @@ def test_product_rule_for_modular_D():
     assert equal_through(lhs, rhs, 9)
 
 
+IDENTITY_CHECKS = {
+    "theta-J", "theta-J-weight6", "theta-G", "D2-G", "theta2-J", "E4-J-ratio",
+    "192-divisibility", "Kq-integral-unit", "G-parity-form", "eta-kernel-k=-2",
+    "eta-kernel-k=0", "eta-kernel-k=1", "eta-kernel-k=6", "theta-eta",
+    "G-theta4-16E", "four-squares-counts", "G-slash-S-constant",
+}
+
+
 def test_identity_suite_passes():
     report = identity_suite(50)
     failed = [c.name for c in report.checks if not c.passed]
     assert not failed, failed
     assert report.all_passed
+    assert {c.name for c in report.checks} == IDENTITY_CHECKS
+
+
+def test_identity_suite_fails_on_a_wrong_theta4_coefficient(monkeypatch):
+    real = forms.theta4_and_E
+
+    def wrong_theta4(N):
+        th4, curly_e = real(N)
+        coeffs = list(th4.coeffs)
+        coeffs[7] += 1  # r4(7) = 64
+        return PureQSeries(th4.lead, th4.step, tuple(coeffs), th4.lattice), curly_e
+
+    monkeypatch.setattr(forms, "theta4_and_E", wrong_theta4)
+    failed = {c.name for c in identity_suite(20).checks if not c.passed}
+    assert failed == {"four-squares-counts", "G-theta4-16E"}
 
 
 def test_identity_suite_builds_each_named_series_once(monkeypatch):

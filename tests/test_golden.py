@@ -13,7 +13,12 @@ expand and verify-identities files by
 before series products, inverses and eta powers moved to the same
 integer kernel.  Together the expand files cover ``inv`` (K, J), negative
 and positive eta powers and the mixed q^(1/4)/q^(1/2) grids (E, GslashS).
-Any change in a single coefficient, denominator or verdict shows up as a
+The remaining files cover every other report the CLI writes: ``decompose``
+on the components of ``test_decompose_roundtrip`` (saved as
+decompose-components-m2.json), ``probe``, ``minform`` by a single route
+and the text formats of ``verify-identities``, ``expand`` and ``denoms``.
+They were written before the reports moved onto one JSON encoder.  Any
+change in a single coefficient, denominator or verdict shows up as a
 byte diff.
 """
 
@@ -53,3 +58,33 @@ def test_expand_matches_golden(tmp_path, name):
 def test_verify_identities_matches_golden(tmp_path):
     forms.clear_cache()
     _check(tmp_path, ["verify-identities", "--order", "200"], "verify-identities-o200.json")
+
+
+@pytest.mark.parametrize("method", ["closed", "frobenius"])
+def test_single_route_minform_matches_golden(tmp_path, method):
+    argv = ["minform", "--seed-instance", "m2", "--kmax", "20", "--method", method]
+    _check(tmp_path, argv, f"minform-m2-k20-{method}.json")
+
+
+def test_decompose_matches_golden(tmp_path):
+    components = GOLDEN / "decompose-components-m2.json"
+    argv = ["decompose", "--seed-instance", "m2", "--kmax", "8", "--components", str(components)]
+    _check(tmp_path, argv, "decompose-m2-k8.json")
+
+
+def test_probe_matches_golden(tmp_path):
+    argv = ["probe", "--M", "2", "--rat", "0", "--surd", "1", "--p", "5", "--tmax", "15"]
+    _check(tmp_path, argv, "probe-M2-p5-t15.json")
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["verify-identities", "--order", "60"], "verify-identities-o60.txt"),
+        (["expand", "--name", "eta^2", "--order", "20"], "expand-eta2-o20.txt"),
+        (["denoms", "--seed-instance", "m2", "--kmax", "40"], "denoms-m2-k40.txt"),
+    ],
+)
+def test_text_format_matches_golden(tmp_path, argv, golden):
+    forms.clear_cache()
+    _check(tmp_path, [*argv, "--format", "text"], golden)

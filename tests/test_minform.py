@@ -372,7 +372,7 @@ def test_2f1_reformulation():
 
 def test_sequence_values_live_in_the_field():
     mf = minimal_form(M2, 12, "both")
-    for value in (*mf.tables.h, *mf.tables.d, *mf.tables.f):
+    for value in (*mf.tables.h, *mf.tables.d, *seq_f(M2, 12)[0]):
         assert isinstance(value, (Fraction, QuadNum))
         if isinstance(value, QuadNum):
             assert value.M == 2
