@@ -195,9 +195,9 @@ def cmd_verify_identities(args) -> int:
 
 # looked up at call time, so a replaced or wrapped library function is the one called
 _NAMED_SERIES = {
-    "E2": lambda n: forms.eisenstein_E2(n).series,
-    "E4": lambda n: forms.eisenstein_E4(n).series,
-    "G": lambda n: forms.weight2_G(n).series,
+    "E2": lambda n: forms.eisenstein_E2(n),
+    "E4": lambda n: forms.eisenstein_E4(n),
+    "G": lambda n: forms.weight2_G(n),
     "K": lambda n: forms.hauptmodul(n)[0],
     "J": lambda n: forms.hauptmodul(n)[1],
     "theta4": lambda n: forms.theta4_and_E(n)[0],
@@ -208,7 +208,7 @@ _NAMED_SERIES = {
 
 def _named_series(name: str, order: int) -> PureQSeries:
     if name.startswith("eta^"):
-        return forms.eta_pow(int_from_json(name[4:], "eta power"), order).series
+        return forms.eta_pow(int_from_json(name[4:], "eta power"), order)
     if name not in _NAMED_SERIES:
         raise ConfigError(
             f"unknown series {name!r}; choose from {tuple(_NAMED_SERIES)} or eta^<even>"
@@ -345,13 +345,8 @@ def cmd_decompose(args) -> int:
     comp = _read_components(args.components)
     k = int_from_json(comp["k"], "k")
     z1, z2 = (
-        PureQSeries.make(
-            Fraction(params.k0, 12) + exponent,
-            [value_from_json(c) for c in comp[key]],
-            1,
-            mf.comp1.lattice,
-        )
-        for key, exponent in (("z1", params.l1), ("z2", params.l2))
+        PureQSeries.make(lead, [value_from_json(c) for c in comp[key]], 1, mf.comp1.lattice)
+        for key, lead in zip(("z1", "z2"), params.leads)
     )
     m1, m2 = decompose(mf, z1, z2, k)
     coords1 = forms.monomial_coordinates(m1, k - params.k0)

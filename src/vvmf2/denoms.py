@@ -211,7 +211,6 @@ class DenomReport:
     rows_h: tuple[UbdRow, ...]
     rows_d_tilde: tuple[UbdRow, ...]
     scan_d: tuple[ScanRecord, ...]
-    scan_d_tilde: tuple[ScanRecord, ...]
     summary_d: tuple[PrimeSummary, ...]
     summary_d_tilde: tuple[PrimeSummary, ...]
     threshold: int | None
@@ -221,6 +220,11 @@ class DenomReport:
     def all_asserted_pass(self) -> bool:
         rows = self.rows_d + self.rows_h + self.rows_d_tilde
         return all(r.passed for r in rows if r.asserted)
+
+
+def _first_division(dens: list[int], p: int, start: int) -> int | None:
+    """The first index i >= start with p | dens[i], or None."""
+    return next((i for i in range(start, len(dens)) if dens[i] % p == 0), None)
 
 
 def _scan_rows(
@@ -239,7 +243,8 @@ def _scan_rows(
         divides = earlier = None
         if in_s:
             divides = dens[K] % p == 0
-            earlier = all(dens[i] % p != 0 for i in range(1, K))
+            first = _first_division(dens, p, 1)
+            earlier = first is None or first >= K
         rows.append(UbdRow(K, p, True, in_s, exempt, divides, earlier))
     return rows
 
@@ -283,8 +288,7 @@ def verify_ubd(
         for r in rows:
             if not (r.is_prime and r.in_S):
                 continue
-            first = next((K for K in range(1, Kmax + 1) if dens[K] % r.p == 0), None)
-            out.append(PrimeSummary(r.p, first, r.K, r.verdict))
+            out.append(PrimeSummary(r.p, _first_division(dens, r.p, 1), r.K, r.verdict))
         return tuple(out)
 
     primes_seen = sorted({r.p for r in rows_d if r.is_prime and r.in_S})
@@ -295,7 +299,6 @@ def verify_ubd(
         rows_h=tuple(rows_h),
         rows_d_tilde=tuple(rows_dt),
         scan_d=tuple(_scan_denominators(dens_d, primes_seen, factor_bound)),
-        scan_d_tilde=tuple(_scan_denominators(dens_dt, primes_seen, factor_bound)),
         summary_d=summarize(rows_d, dens_d),
         summary_d_tilde=summarize(rows_dt, dens_dt),
         threshold=threshold,
@@ -482,17 +485,14 @@ def ubd_general(
     p = mf.params
     z1, z2 = combination(mf, m1_map, m2_map, k)
     sets = prime_sets(p, prime_bound)
-    lead1 = Fraction(p.k0, 12) + p.l1
-    lead2 = Fraction(p.k0, 12) + p.l2
+    components = tuple(zip((z1, z2), p.leads))
     # coefficients lead + n are known for n < horizon - lead
-    scanned_to = min(Kmax, math.ceil(z1.horizon - lead1) - 1, math.ceil(z2.horizon - lead2) - 1)
-
-    def first_hit(z: PureQSeries, prime: int, lead: Fraction) -> int | None:
-        for n in range(scanned_to + 1):
-            if denominator_of(z.coeff(lead + n)) % prime == 0:
-                return n
-        return None
-
+    scanned_to = min(Kmax, *(math.ceil(z.horizon - lead) - 1 for z, lead in components))
+    # one denominator per scanned coefficient, shared by every prime
+    dens1, dens2 = (
+        [denominator_of(z.coeff(lead + n)) for n in range(scanned_to + 1)]
+        for z, lead in components
+    )
     rows = []
     for prime in sorted(set(sets.S) | set(sets.S_tilde)):
         exempt = tuple(side_condition_audit(p, prime))
@@ -501,8 +501,8 @@ def ubd_general(
             GeneralWeightRow(
                 p=prime,
                 exempt=exempt,
-                first_hit_1=first_hit(z1, prime, lead1) if in_s else None,
-                first_hit_2=first_hit(z2, prime, lead2) if in_st else None,
+                first_hit_1=_first_division(dens1, prime, 0) if in_s else None,
+                first_hit_2=_first_division(dens2, prime, 0) if in_st else None,
                 expected_1=(prime - p.u) // p.v if in_s else None,
                 expected_2=(prime + p.u) // p.v if in_st else None,
                 scanned_to=scanned_to,

@@ -44,17 +44,6 @@ def sigma(n: int, power: int = 1) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class FormSeries:
-    """A q-expansion tagged with its weight."""
-
-    weight: int
-    series: PureQSeries
-
-    def coeff(self, exponent):
-        return self.series.coeff(exponent)
-
-
 # ---------------------------------------------------------------------------
 # generation cache
 # ---------------------------------------------------------------------------
@@ -142,19 +131,19 @@ def _build_g(count: int) -> PureQSeries:
     return -e2 + 2 * e2_doubled
 
 
-def eisenstein_E2(N: int) -> FormSeries:
-    """E2 = 1 - 24 sum sigma(n) q^n to order N (weight tag 2, quasi-modular)."""
-    return FormSeries(2, _cached("E2", N + 1, _build_e2))
+def eisenstein_E2(N: int) -> PureQSeries:
+    """E2 = 1 - 24 sum sigma(n) q^n to order N (quasi-modular of weight 2)."""
+    return _cached("E2", N + 1, _build_e2)
 
 
-def eisenstein_E4(N: int) -> FormSeries:
+def eisenstein_E4(N: int) -> PureQSeries:
     """E4 = 1 + 240 sum sigma_3(n) q^n to order N."""
-    return FormSeries(4, _cached("E4", N + 1, _build_e4))
+    return _cached("E4", N + 1, _build_e4)
 
 
-def weight2_G(N: int) -> FormSeries:
+def weight2_G(N: int) -> PureQSeries:
     """The weight-two form on Gamma0(2): -E2(q) + 2 E2(q^2), to order N."""
-    return FormSeries(2, _cached("G", N + 1, _build_g))
+    return _cached("G", N + 1, _build_g)
 
 
 def g_parity_form(N: int) -> PureQSeries:
@@ -188,7 +177,7 @@ def _build_euler(count: int) -> PureQSeries:
     return PureQSeries.make(0, cs)
 
 
-def eta_pow(twok: int, N: int) -> FormSeries:
+def eta_pow(twok: int, N: int) -> PureQSeries:
     """eta^twok = q^(twok/24) * prod (1-q^n)^twok for even twok, to relative order N."""
     if twok % 2 != 0:
         raise ValueError("eta_pow needs an even power of eta")
@@ -197,12 +186,12 @@ def eta_pow(twok: int, N: int) -> FormSeries:
         euler = _cached("euler", count, _build_euler)
         return (euler**twok).shifted(Fraction(twok, 24))
 
-    return FormSeries(twok // 2, _cached(f"eta^{twok}", N + 1, build))
+    return _cached(f"eta^{twok}", N + 1, build)
 
 
 def eta_tail_coeffs(twok: int, N: int) -> list[Fraction]:
     """Coefficients e(0)=1, e(1), ..., e(N) of the unit part of eta^twok."""
-    s = eta_pow(twok, N).series
+    s = eta_pow(twok, N)
     return [s.coeff(Fraction(twok, 24) + n) for n in range(N + 1)]
 
 
@@ -332,11 +321,11 @@ def identity_suite(N: int) -> IdentityReport:
     record("G-parity-form", equal_through(g, g_parity_form(margin), N))
 
     for k in (-2, 0, 1, 6):
-        eta2k = eta_pow(2 * k, margin).series
+        eta2k = eta_pow(2 * k, margin)
         res = modular_D(k, eta2k)
         record(f"eta-kernel-k={k}", vanishes_through(res, Fraction(k, 12) + N))
 
-    eta2 = eta_pow(2, margin).series
+    eta2 = eta_pow(2, margin)
     record("theta-eta", equal_through(12 * eta2.theta(), e2 * eta2, Fraction(1, 12) + N))
 
     th4, curly_e = theta4_and_E(N)
@@ -380,7 +369,7 @@ def theta4_and_E(N: int) -> tuple[PureQSeries, PureQSeries]:
     th4 = (th * th) * (th * th)
     m4 = N // 4 + 2
     m2 = N // 2 + 2
-    quotient = eta_pow(8, m4).series.rescale(4) * eta_pow(-4, m2).series.rescale(2)
+    quotient = eta_pow(8, m4).rescale(4) * eta_pow(-4, m2).rescale(2)
     return th4, quotient.truncated_at(Fraction(N + 1))
 
 
@@ -392,8 +381,8 @@ def g_slash_S(N: int) -> PureQSeries:
     """
     count = 4 * N + 5
     th4_quarter = jacobi_theta(count).rescale(Fraction(1, 4)) ** 4
-    eta_quarter = eta_pow(8, count).series.rescale(Fraction(1, 4))
-    eta_half = eta_pow(-4, 2 * N + 4).series.rescale(Fraction(1, 2))
+    eta_quarter = eta_pow(8, count).rescale(Fraction(1, 4))
+    eta_half = eta_pow(-4, 2 * N + 4).rescale(Fraction(1, 2))
     return Fraction(-1, 4) * th4_quarter + Fraction(-1, 4) * (eta_quarter * eta_half)
 
 

@@ -17,7 +17,8 @@ two routes by different paths and shows as a disagreement.
 
 The minimal form and its modular derivative generate everything of
 higher weight; ``weight_basis`` lists the monomial multiples and
-``decompose`` inverts that construction exactly.
+``decompose`` inverts that construction exactly, by Cramer's rule with
+the Wronskian of the two on the same series kernel.
 """
 
 from __future__ import annotations
@@ -155,9 +156,9 @@ def h_frobenius(params: InstanceParams, Kmax: int) -> tuple[list, list]:
     where I is the indicial polynomial; I(l) = 0 and the other root
     differs by a non-integer, so every step divides by a nonzero value.
     """
-    e2 = eisenstein_E2(Kmax).series
-    e4 = eisenstein_E4(Kmax).series
-    g = weight2_G(Kmax).series
+    e2 = eisenstein_E2(Kmax)
+    e4 = eisenstein_E4(Kmax)
+    g = weight2_G(Kmax)
     g2 = g * g
     count = Kmax + 1
     p = [params.a * g.coeff(j) - e2.coeff(j) / 6 for j in range(count)]
@@ -204,11 +205,7 @@ class MinimalForm:
 
 
 def instance_lattice(params: InstanceParams) -> int:
-    return math.lcm(
-        24,
-        (Fraction(params.k0, 12) + params.l1).denominator,
-        (Fraction(params.k0, 12) + params.l2).denominator,
-    )
+    return math.lcm(24, *(lead.denominator for lead in params.leads))
 
 
 def minimal_form(params: InstanceParams, Kmax: int, method: str = "both") -> MinimalForm:
@@ -237,8 +234,9 @@ def minimal_form(params: InstanceParams, Kmax: int, method: str = "both") -> Min
     d = _convolve(e, h, Kmax + 1)
     dt = _convolve(e, ht, Kmax + 1)
     lattice = instance_lattice(params)
-    comp1 = PureQSeries.make(Fraction(params.k0, 12) + params.l1, d, 1, lattice)
-    comp2 = PureQSeries.make(Fraction(params.k0, 12) + params.l2, dt, 1, lattice)
+    lead1, lead2 = params.leads
+    comp1 = PureQSeries.make(lead1, d, 1, lattice)
+    comp2 = PureQSeries.make(lead2, dt, 1, lattice)
     tables = SeqTables(
         Kmax=Kmax,
         h=tuple(h),
@@ -254,8 +252,8 @@ def mlde_residual(params: InstanceParams, u: PureQSeries) -> PureQSeries:
     """Apply the full weight-k0 operator; exact zero certifies a solution."""
     k0 = params.k0
     order = len(u.coeffs)
-    e4 = eisenstein_E4(order).series
-    g = weight2_G(order).series
+    e4 = eisenstein_E4(order)
+    g = weight2_G(order)
     du = modular_D(k0, u)
     return (
         modular_D(k0 + 2, du)
@@ -294,19 +292,14 @@ def deriv_components(mf: MinimalForm) -> tuple[PureQSeries, PureQSeries]:
     the derivative operator directly to the series; disagreement is a
     hard failure.
     """
-    p = mf.params
-    t1, t2 = t_lists(mf)
-    lattice = mf.comp1.lattice
-    s1 = PureQSeries.make(Fraction(p.k0, 12) + p.l1, t1, 1, lattice)
-    s2 = PureQSeries.make(Fraction(p.k0, 12) + p.l2, t2, 1, lattice)
-    for built, comp, lead, n in (
-        (s1, mf.comp1, Fraction(p.k0, 12) + p.l1, len(t1)),
-        (s2, mf.comp2, Fraction(p.k0, 12) + p.l2, len(t2)),
-    ):
-        direct = modular_D(p.k0, comp)
-        if not equal_through(built, direct, lead + n - 1):
+    k0 = mf.params.k0
+    out = []
+    for t, comp, lead in zip(t_lists(mf), (mf.comp1, mf.comp2), mf.params.leads):
+        built = PureQSeries.make(lead, t, 1, comp.lattice)
+        if not equal_through(built, modular_D(k0, comp), lead + len(t) - 1):
             raise PipelineMismatch("derivative coefficient formula disagrees with operator")
-    return s1, s2
+        out.append(built)
+    return out[0], out[1]
 
 
 @dataclass(frozen=True)
@@ -350,14 +343,15 @@ def decompose(
 ) -> tuple[PureQSeries, PureQSeries]:
     """Write (Z1, Z2) as m1*F' + m2*DF' with scalar forms m1, m2.
 
-    Solves the coefficientwise 2x2 systems recursively; the matrix
-    [[1, l1], [1, l2]] is invertible because l1 != l2.  With validate on,
-    both outputs are checked to be genuine forms of the right weights via
-    their monomial coordinates.
+    Cramer's rule with the Wronskian W = F1*D2 - F2*D1 of F' = (F1, F2)
+    and DF' = (D1, D2): m1 = (Z1*D2 - Z2*D1)/W and m2 = (F1*Z2 - F2*Z1)/W.
+    W leads with (l2 - l1) q^(2k0/12 + l1 + l2), and l1 != l2, so W is
+    invertible.  The results are known as far as both components of Z and
+    the minimal form are.  With validate on, both outputs are checked to be
+    genuine forms of the right weights via their monomial coordinates.
     """
     p = mf.params
-    lead1 = Fraction(p.k0, 12) + p.l1
-    lead2 = Fraction(p.k0, 12) + p.l2
+    lead1, lead2 = p.leads
     for z, lead in ((Z1, lead1), (Z2, lead2)):
         if not z.is_zero:
             rel = z.lead - lead
@@ -365,29 +359,19 @@ def decompose(
                 raise ConsistencyError(
                     f"component lead {z.lead} is not on the grid {lead} + Z>=0"
                 )
-    t1, t2 = t_lists(mf)
-    d, dt = mf.tables.d, mf.tables.d_tilde
-    n_avail = min(
-        int(Z1.horizon - lead1),
-        int(Z2.horizon - lead2),
-        len(d),
-    )
-    det = p.l2 - p.l1
-    m1: list = []
-    m2: list = []
-    for n in range(n_avail):
-        s1 = Z1.coeff(lead1 + n)
-        s2 = Z2.coeff(lead2 + n)
-        for j in range(n):
-            s1 = s1 - (m1[j] * d[n - j] + m2[j] * t1[n - j])
-            s2 = s2 - (m1[j] * dt[n - j] + m2[j] * t2[n - j])
-        m2n = (s2 - s1) / det
-        m1n = s1 - p.l1 * m2n
-        m1.append(m1n)
-        m2.append(m2n)
-    m1s = PureQSeries.make(0, m1)
-    m2s = PureQSeries.make(0, m2)
+    F1, F2 = mf.comp1, mf.comp2
+    D1, D2 = deriv_components(mf)
+    w_inv = (F1 * D2 - F2 * D1).inv()
+    known = min(int(Z1.horizon - lead1), int(Z2.horizon - lead2), len(mf.tables.d))
+
+    def scalar_form(numerator: PureQSeries) -> PureQSeries:
+        m = (numerator * w_inv).truncated_at(known)
+        # a scalar form lives on the default lattice, like the monomials G^a E4^b
+        return PureQSeries(m.lead, m.step, m.coeffs)
+
+    m1 = scalar_form(Z1 * D2 - Z2 * D1)
+    m2 = scalar_form(F1 * Z2 - F2 * Z1)
     if validate:
-        monomial_coordinates(m1s, k - p.k0)
-        monomial_coordinates(m2s, k - p.k0 - 2)
-    return m1s, m2s
+        monomial_coordinates(m1, k - p.k0)
+        monomial_coordinates(m2, k - p.k0 - 2)
+    return m1, m2

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError
-from .quadratic import QuadNum
+from .quadratic import QuadNum, is_square_free
 
 FieldValue = Fraction | QuadNum
 
@@ -83,6 +83,12 @@ class InstanceParams:
     M: int | None
     u: int
     v: int
+
+    @property
+    def leads(self) -> tuple[Fraction, Fraction]:
+        """The leading exponents k0/12 + l1 and k0/12 + l2 of the two components."""
+        shift = Fraction(self.k0, 12)
+        return shift + self.l1, shift + self.l2
 
     @property
     def field_M(self) -> int:
@@ -157,6 +163,8 @@ def roots_from_abc(
         r1: FieldValue = half_sum + t / 2
         r2: FieldValue = half_sum - t / 2
     else:
+        if M in (0, 1) or not is_square_free(M):
+            raise ConsistencyError(f"M must be square-free and not 0 or 1, got {M}")
         t = _rational_sqrt(disc_r / M)
         if t is None:
             raise ConsistencyError(

@@ -24,6 +24,7 @@ decoders; the CLI reports and the disk cache of ``forms`` both use them.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
@@ -503,10 +504,13 @@ def fraction_from_json(text) -> Fraction:
 
 
 def int_from_json(value, key: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+    """A JSON integer or a string of digits; a float or a bool is refused, not truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        with contextlib.suppress(ValueError):
+            return int(value)
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
 
 
 def value_from_json(obj) -> FieldElement:

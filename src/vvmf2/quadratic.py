@@ -252,13 +252,6 @@ def gen_binomial(z, t: int):
     return sign * pochhammer(-z, t) / math.factorial(t)
 
 
-def _is_algebraic_integer(z: FieldElement) -> bool:
-    if isinstance(z, QuadNum) and z.surd != 0:
-        return z.trace().denominator == 1 and z.norm().denominator == 1
-    r = z.rat if isinstance(z, QuadNum) else _as_fraction(z)
-    return r.denominator == 1
-
-
 def denominator_of(z: QuadNum | Rational) -> int:
     """Smallest positive Z with Z*z an algebraic integer (1 for z = 0).
 
@@ -313,6 +306,6 @@ def half_form(z: QuadNum) -> HalfForm:
 
 def divides_in_integers(p: int, z: QuadNum | Rational) -> bool:
     """True iff an algebraic integer z is divisible by p in the algebraic integers."""
-    if not _is_algebraic_integer(z):
+    if denominator_of(z) != 1:
         raise ValueError(f"{z} is not an algebraic integer")
-    return _is_algebraic_integer(z / p if isinstance(z, QuadNum) else _as_fraction(z) / p)
+    return denominator_of(z * Fraction(1, p)) == 1

@@ -240,6 +240,27 @@ def test_malformed_integer_in_config_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("kmax", 6.9), ("kmax", 8.0), ("kmax", True), ("factor_bound", 99.5), ("k0", False), ("M", 2.7)],
+)
+def test_non_integer_config_value_exits_2(tmp_path, capsys, key, value):
+    # a float or a bool is not truncated into an integer: the key is named and the run stops
+    if key in ("k0", "M"):
+        data = {**ABC_CONFIG, "instance": {**ABC_CONFIG["instance"], key: value}}
+    else:
+        data = {**M2_CONFIG, key: value}
+    assert main(["denoms", "--config", write_config(tmp_path, data)]) == 2
+    assert f"{key} must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("M", [0, 1, 8])
+def test_abc_config_with_an_unusable_M_exits_3(tmp_path, capsys, M):
+    data = {**ABC_CONFIG, "instance": {**ABC_CONFIG["instance"], "M": M}}
+    assert main(["minform", "--config", write_config(tmp_path, data)]) == 3
+    assert f"M must be square-free and not 0 or 1, got {M}" in capsys.readouterr().err
+
+
 def test_factor_bound_below_one_exits_3(tmp_path, capsys):
     argv = ["denoms", "--seed-instance", "m2", "--kmax", "12", "--factor-bound", "-1000"]
     assert main(argv) == 3

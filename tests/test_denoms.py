@@ -235,3 +235,19 @@ def test_verify_ubd_computes_each_denominator_once(monkeypatch):
     report = verify_ubd(mf, 20)
     assert report.all_asserted_pass
     assert len(calls) == 3 * 21  # d, h and d~, once per coefficient
+
+
+def test_ubd_general_computes_each_denominator_once(monkeypatch):
+    calls = []
+
+    def counting(z):
+        calls.append(z)
+        return denominator_of(z)
+
+    monkeypatch.setattr(denoms, "denominator_of", counting)
+    mf = minimal_form(V3, 20, "both")
+    report = ubd_general(mf, {(4, 0): 1, (0, 2): 1}, {(1, 1): 1}, V3.k0 + 8, 20, 60)
+    assert report.all_asserted_pass and len(report.rows) > 2
+    scanned_to = report.rows[0].scanned_to
+    assert scanned_to == 20
+    assert len(calls) == 2 * (scanned_to + 1)  # both components, once per coefficient

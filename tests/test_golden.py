@@ -17,9 +17,13 @@ The remaining files cover every other report the CLI writes: ``decompose``
 on the components of ``test_decompose_roundtrip`` (saved as
 decompose-components-m2.json), ``probe``, ``minform`` by a single route
 and the text formats of ``verify-identities``, ``expand`` and ``denoms``.
-They were written before the reports moved onto one JSON encoder.  Any
-change in a single coefficient, denominator or verdict shows up as a
-byte diff.
+They were written before the reports moved onto one JSON encoder.
+decompose-v3-k40.json is ``decompose`` at Kmax 40 and weight 8 on the
+v = 3 instance of decompose-config-v3.json (l1 = 0, l2 = 1/3,
+r = 1/12 + sqrt 2) with the components decompose-components-v3.json;
+it was written before ``decompose`` moved from a coefficientwise solve
+to Cramer's rule.  Any change in a single coefficient, denominator or
+verdict shows up as a byte diff.
 """
 
 from pathlib import Path
@@ -70,6 +74,16 @@ def test_decompose_matches_golden(tmp_path):
     components = GOLDEN / "decompose-components-m2.json"
     argv = ["decompose", "--seed-instance", "m2", "--kmax", "8", "--components", str(components)]
     _check(tmp_path, argv, "decompose-m2-k8.json")
+
+
+def test_decompose_v3_matches_golden(tmp_path):
+    argv = [
+        "decompose",
+        "--config", str(GOLDEN / "decompose-config-v3.json"),
+        "--kmax", "40",
+        "--components", str(GOLDEN / "decompose-components-v3.json"),
+    ]
+    _check(tmp_path, argv, "decompose-v3-k40.json")
 
 
 def test_probe_matches_golden(tmp_path):

@@ -33,6 +33,9 @@ from vvmf2.quadratic import QuadNum, gen_binomial, pochhammer
 M2 = params_from_exponents(seed_exponents("m2"))
 M5 = params_from_exponents(seed_exponents("m5"))
 SQRT2 = QuadNum(Fraction(0), Fraction(1), 2)
+# l2 - l1 = 1/3: S != S~, and the Wronskian of F' and DF' leads at q^(1/3)
+R_V3 = QuadNum(Fraction(1, 12), Fraction(1), 2)
+V3 = params_from_exponents(ExponentData(0, Fraction(0), Fraction(1, 3), R_V3, R_V3.conjugate()))
 
 
 def k0_two_instance():
@@ -268,6 +271,7 @@ def test_minimal_form_and_residual(params):
     mf = minimal_form(params, 15, "both")
     lead1 = Fraction(params.k0, 12) + params.l1
     lead2 = Fraction(params.k0, 12) + params.l2
+    assert params.leads == (lead1, lead2) == (mf.comp1.lead, mf.comp2.lead)
     assert mf.comp1.coeff(lead1) == 1
     assert mf.comp2.coeff(lead2) == 1
     assert mlde_residual(params, mf.comp1).is_zero
@@ -313,12 +317,13 @@ def test_weight_basis_counts():
     assert labels == {"G^2*E4^0*F'", "G^0*E4^1*F'", "G^1*E4^0*DF'"}
 
 
-def test_decompose_trivial_and_roundtrip():
-    mf = minimal_form(M2, 16, "both")
+@pytest.mark.parametrize("params", [M2, V3], ids=["M2", "V3"])
+def test_decompose_trivial_and_roundtrip(params):
+    mf = minimal_form(params, 16, "both")
     d1, d2 = deriv_components(mf)
-    m1, m2 = decompose(mf, mf.comp1, mf.comp2, M2.k0)
+    m1, m2 = decompose(mf, mf.comp1, mf.comp2, params.k0)
     assert m1.coeff(0) == 1 and m2.is_zero
-    m1, m2 = decompose(mf, d1, d2, M2.k0 + 2)
+    m1, m2 = decompose(mf, d1, d2, params.k0 + 2)
     assert m1.is_zero and m2.coeff(0) == 1
 
     n = len(mf.comp1.coeffs) + 1
@@ -326,7 +331,8 @@ def test_decompose_trivial_and_roundtrip():
     m2_true = form_monomial(2, 0, n) - 5 * form_monomial(0, 1, n)
     z1 = m1_true * mf.comp1 + m2_true * d1
     z2 = m1_true * mf.comp2 + m2_true * d2
-    r1, r2 = decompose(mf, z1, z2, M2.k0 + 6)
+    r1, r2 = decompose(mf, z1, z2, params.k0 + 6)
+    assert r1.horizon == r2.horizon == 17
     for nn in range(int(r1.horizon)):
         assert r1.coeff(nn) == m1_true.coeff(nn)
     for nn in range(int(r2.horizon)):

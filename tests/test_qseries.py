@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vvmf2.errors import LatticeMismatch, TruncationError
-from vvmf2.qseries import PureQSeries, equal_through
+from vvmf2.errors import ConfigError, LatticeMismatch, TruncationError
+from vvmf2.qseries import PureQSeries, equal_through, int_from_json
 from vvmf2.quadratic import QuadNum, gen_binomial
 
 small_fracs = st.fractions(
@@ -361,3 +361,12 @@ def test_kernel_rejects_mixed_fields():
         PureQSeries.make(0, [1, r2]) * PureQSeries.make(0, [1, r5])
     with pytest.raises(ValueError, match="mixed quadratic fields"):
         PureQSeries.make(0, [1, r2, r5]).inv()
+
+
+def test_int_from_json_takes_integers_and_digit_strings_only():
+    assert int_from_json(7, "kmax") == 7
+    assert int_from_json("12", "eta power") == 12
+    assert int_from_json("-4", "eta power") == -4
+    for value in (6.9, 8.0, True, False, None, "ten", [3]):
+        with pytest.raises(ConfigError, match="kmax must be an integer"):
+            int_from_json(value, "kmax")
