@@ -37,7 +37,6 @@ from .minform import (
     deriv_components,
     minimal_form,
     mlde_residual,
-    t_lists,
 )
 from .params import (
     ExponentData,
@@ -240,9 +239,12 @@ def cmd_minform(args) -> int:
     params, mf = _build_minform(cfg)
     res1 = mlde_residual(params, mf.comp1)
     res2 = mlde_residual(params, mf.comp2)
-    deriv_components(mf)  # raises PipelineMismatch if the formula and the operator disagree
-    t1, t2 = t_lists(mf)
     t = mf.tables
+    # deriv_components raises PipelineMismatch if the formula and the operator disagree
+    t1, t2 = (
+        [dc.coeff(lead + n) for n in range(len(t.d))]
+        for dc, lead in zip(deriv_components(mf), params.leads)
+    )
     payload = {
         "kmax": cfg.kmax,
         "method": cfg.method,

@@ -18,10 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError
-from .forms import form_monomial
-from .minform import MinimalForm, deriv_components
+from .minform import MinimalForm, combination
 from .params import InstanceParams, check_assumptions
-from .qseries import PureQSeries
 from .quadratic import (
     QuadNum,
     denominator_of,
@@ -422,48 +420,6 @@ class GeneralWeightReport:
     @property
     def all_asserted_pass(self) -> bool:
         return all(r.passed for r in self.rows if r.asserted)
-
-
-def combination(
-    mf: MinimalForm,
-    m1_map: dict[tuple[int, int], object],
-    m2_map: dict[tuple[int, int], object],
-    k: int,
-) -> tuple[PureQSeries, PureQSeries]:
-    """The vector m1*F' + m2*DF' from monomial coefficient maps of the right weights."""
-    p = mf.params
-
-    def check_weights(coeff_map, want: int):
-        for a, b in coeff_map:
-            if 2 * a + 4 * b != want:
-                raise ConsistencyError(
-                    f"monomial G^{a}E4^{b} has weight {2 * a + 4 * b}, need {want}"
-                )
-
-    check_weights(m1_map, k - p.k0)
-    check_weights(m2_map, k - p.k0 - 2)
-    n = len(mf.comp1.coeffs) + 1
-    d1, d2 = deriv_components(mf)
-
-    def scalar_form(coeff_map) -> PureQSeries | None:
-        total = None
-        for (a, b), c in sorted(coeff_map.items()):
-            term = form_monomial(a, b, n) * c
-            total = term if total is None else total + term
-        return total
-
-    m1 = scalar_form(m1_map)
-    m2 = scalar_form(m2_map)
-    z1 = z2 = None
-    if m1 is not None:
-        z1, z2 = m1 * mf.comp1, m1 * mf.comp2
-    if m2 is not None:
-        t1, t2 = m2 * d1, m2 * d2
-        z1 = t1 if z1 is None else z1 + t1
-        z2 = t2 if z2 is None else z2 + t2
-    if z1 is None:
-        raise ConsistencyError("empty combination")
-    return z1, z2
 
 
 def ubd_general(

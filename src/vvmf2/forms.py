@@ -217,7 +217,7 @@ def modular_D(k: int, u: PureQSeries) -> PureQSeries:
     if k == 0:
         return th
     span = len(u.coeffs) * u.step
-    e2 = _cached("E2", int(span) + 2, _build_e2)
+    e2 = _cached("E2", int(span) + 2, _build_e2).on_lattice(u.lattice)
     return th - Fraction(k, 12) * (e2 * u)
 
 

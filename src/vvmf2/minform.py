@@ -15,10 +15,11 @@ the integer tables.  The Frobenius recursion itself still runs on
 just as the closed route's K does; a fault in that kernel reaches the
 two routes by different paths and shows as a disagreement.
 
-The minimal form and its modular derivative generate everything of
-higher weight; ``weight_basis`` lists the monomial multiples and
-``decompose`` inverts that construction exactly, by Cramer's rule with
-the Wronskian of the two on the same series kernel.
+The minimal form F' and its modular derivative DF' generate everything
+of higher weight.  ``combination`` is the one builder of m1*F' + m2*DF'
+from monomials G^a E4^b, ``weight_basis`` lists the one-monomial
+multiples, and ``decompose`` inverts that construction exactly, by
+Cramer's rule with the Wronskian of the two on the same series kernel.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ConsistencyError, PipelineMismatch
 from .forms import (
@@ -195,13 +197,27 @@ class SeqTables:
 
 @dataclass(frozen=True)
 class MinimalForm:
-    """The normalized minimal-weight vector: two pure q-expansions."""
+    """The normalized minimal-weight vector: two pure q-expansions.
+
+    Its modular derivative is computed on first use and then kept, so
+    every caller shares one cross-checked pair (see ``deriv_components``).
+    """
 
     params: InstanceParams
     comp1: PureQSeries
     comp2: PureQSeries
     tables: SeqTables
     method: str
+
+    @cached_property
+    def derivative(self) -> tuple[PureQSeries, PureQSeries]:
+        out = []
+        for t, comp, lead in zip(t_lists(self), (self.comp1, self.comp2), self.params.leads):
+            built = PureQSeries.make(lead, t, 1, comp.lattice)
+            if not equal_through(built, modular_D(self.params.k0, comp), lead + len(t) - 1):
+                raise PipelineMismatch("derivative coefficient formula disagrees with operator")
+            out.append(built)
+        return out[0], out[1]
 
 
 def instance_lattice(params: InstanceParams) -> int:
@@ -252,8 +268,8 @@ def mlde_residual(params: InstanceParams, u: PureQSeries) -> PureQSeries:
     """Apply the full weight-k0 operator; exact zero certifies a solution."""
     k0 = params.k0
     order = len(u.coeffs)
-    e4 = eisenstein_E4(order)
-    g = weight2_G(order)
+    e4 = eisenstein_E4(order).on_lattice(u.lattice)
+    g = weight2_G(order).on_lattice(u.lattice)
     du = modular_D(k0, u)
     return (
         modular_D(k0 + 2, du)
@@ -288,18 +304,11 @@ def t_lists(mf: MinimalForm) -> tuple[list, list]:
 def deriv_components(mf: MinimalForm) -> tuple[PureQSeries, PureQSeries]:
     """The modular derivative of both components, cross-checked exactly.
 
-    Built from the coefficient formula, then compared against applying
-    the derivative operator directly to the series; disagreement is a
-    hard failure.
+    Built from the coefficient formula of ``t_lists``, then compared
+    against applying the derivative operator directly to the series;
+    disagreement is a hard failure.  Both run once per minimal form.
     """
-    k0 = mf.params.k0
-    out = []
-    for t, comp, lead in zip(t_lists(mf), (mf.comp1, mf.comp2), mf.params.leads):
-        built = PureQSeries.make(lead, t, 1, comp.lattice)
-        if not equal_through(built, modular_D(k0, comp), lead + len(t) - 1):
-            raise PipelineMismatch("derivative coefficient formula disagrees with operator")
-        out.append(built)
-    return out[0], out[1]
+    return mf.derivative
 
 
 @dataclass(frozen=True)
@@ -318,19 +327,56 @@ class BasisElement:
         return f"G^{self.a}*E4^{self.b}*{core}"
 
 
+def combination(
+    mf: MinimalForm,
+    m1_map: dict[tuple[int, int], object],
+    m2_map: dict[tuple[int, int], object],
+    k: int,
+) -> tuple[PureQSeries, PureQSeries]:
+    """The vector m1*F' + m2*DF' from monomial coefficient maps of the right weights.
+
+    The monomials G^a E4^b are lifted onto the components' lattice, which
+    is finer than 24 when a leading exponent needs it.
+    """
+    p = mf.params
+    for coeff_map, want in ((m1_map, k - p.k0), (m2_map, k - p.k0 - 2)):
+        for a, b in coeff_map:
+            if 2 * a + 4 * b != want:
+                raise ConsistencyError(
+                    f"monomial G^{a}E4^{b} has weight {2 * a + 4 * b}, need {want}"
+                )
+    n = len(mf.comp1.coeffs) + 1
+
+    def scalar_form(coeff_map) -> PureQSeries | None:
+        total = None
+        for (a, b), c in sorted(coeff_map.items()):
+            term = form_monomial(a, b, n).on_lattice(mf.comp1.lattice) * c
+            total = term if total is None else total + term
+        return total
+
+    m1 = scalar_form(m1_map)
+    m2 = scalar_form(m2_map)
+    z1 = z2 = None
+    if m1 is not None:
+        z1, z2 = m1 * mf.comp1, m1 * mf.comp2
+    if m2 is not None:
+        d1, d2 = deriv_components(mf)
+        t1, t2 = m2 * d1, m2 * d2
+        z1 = t1 if z1 is None else z1 + t1
+        z2 = t2 if z2 is None else z2 + t2
+    if z1 is None:
+        raise ConsistencyError("empty combination")
+    return z1, z2
+
+
 def weight_basis(mf: MinimalForm, k: int) -> list[BasisElement]:
     """All monomial multiples of F' and DF' landing in weight k."""
-    p = mf.params
-    n = len(mf.comp1.coeffs) + 1
+    k0 = mf.params.k0
     out = []
-    for a, b in monomial_basis(k - p.k0):
-        mon = form_monomial(a, b, n)
-        out.append(BasisElement(a, b, False, mon * mf.comp1, mon * mf.comp2))
-    if monomial_basis(k - p.k0 - 2):
-        d1, d2 = deriv_components(mf)
-        for a, b in monomial_basis(k - p.k0 - 2):
-            mon = form_monomial(a, b, n)
-            out.append(BasisElement(a, b, True, mon * d1, mon * d2))
+    for a, b in monomial_basis(k - k0):
+        out.append(BasisElement(a, b, False, *combination(mf, {(a, b): 1}, {}, k)))
+    for a, b in monomial_basis(k - k0 - 2):
+        out.append(BasisElement(a, b, True, *combination(mf, {}, {(a, b): 1}, k)))
     return out
 
 
@@ -365,9 +411,8 @@ def decompose(
     known = min(int(Z1.horizon - lead1), int(Z2.horizon - lead2), len(mf.tables.d))
 
     def scalar_form(numerator: PureQSeries) -> PureQSeries:
-        m = (numerator * w_inv).truncated_at(known)
         # a scalar form lives on the default lattice, like the monomials G^a E4^b
-        return PureQSeries(m.lead, m.step, m.coeffs)
+        return (numerator * w_inv).truncated_at(known).on_lattice(24)
 
     m1 = scalar_form(Z1 * D2 - Z2 * D1)
     m2 = scalar_form(F1 * Z2 - F2 * Z1)

@@ -13,11 +13,6 @@ algebra:
     A = r + l1,  B = r + l2,  r = r1
 
 with the consistency constraint l1 + l2 + r1 + r2 = 1/2.
-
-The module also carries a small symbolic model of the induced
-representations built from a character of the principal congruence
-subgroup of level two: monomial 2x2 matrices whose entries are formal
-exponentials e^(2 pi i (t0 + t1*xi2)).
 """
 
 from __future__ import annotations
@@ -208,99 +203,8 @@ def check_assumptions(p: InstanceParams) -> AssumptionReport:
 
 
 # ---------------------------------------------------------------------------
-# induced representations, modelled symbolically
+# induced representations
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CircleExp:
-    """The formal exponential e^(2 pi i (t0 + t1*xi2)) with t0 reduced mod 1."""
-
-    t0: Fraction
-    t1: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "t0", Fraction(self.t0) % 1)
-        object.__setattr__(self, "t1", Fraction(self.t1))
-
-    def __mul__(self, other: "CircleExp") -> "CircleExp":
-        return CircleExp(self.t0 + other.t0, self.t1 + other.t1)
-
-    def inverse(self) -> "CircleExp":
-        return CircleExp(-self.t0, -self.t1)
-
-    def __repr__(self):
-        return f"e(2*pi*i*({self.t0} + {self.t1}*xi2))"
-
-
-_ONE_EXP = CircleExp(Fraction(0))
-
-
-@dataclass(frozen=True)
-class MonomialMatrix2:
-    """A 2x2 matrix with one nonzero entry per row and column.
-
-    ``swap=False`` is diag(e1, e2); ``swap=True`` is antidiag with e1 in
-    the top-right and e2 in the bottom-left.
-    """
-
-    swap: bool
-    e1: CircleExp
-    e2: CircleExp
-
-    def __mul__(self, other: "MonomialMatrix2") -> "MonomialMatrix2":
-        if not self.swap and not other.swap:
-            return MonomialMatrix2(False, self.e1 * other.e1, self.e2 * other.e2)
-        if not self.swap and other.swap:
-            return MonomialMatrix2(True, self.e1 * other.e1, self.e2 * other.e2)
-        if self.swap and not other.swap:
-            return MonomialMatrix2(True, self.e1 * other.e2, self.e2 * other.e1)
-        return MonomialMatrix2(False, self.e1 * other.e2, self.e2 * other.e1)
-
-    @property
-    def is_scalar(self) -> bool:
-        return not self.swap and self.e1 == self.e2
-
-    @property
-    def trace_is_zero(self) -> bool:
-        """Exactly decidable: antidiagonal, or diagonal entries differing by -1."""
-        if self.swap:
-            return True
-        return self.e1.t1 == self.e2.t1 and (self.e1.t0 - self.e2.t0) % 1 == Fraction(1, 2)
-
-
-def _identity() -> MonomialMatrix2:
-    return MonomialMatrix2(False, _ONE_EXP, _ONE_EXP)
-
-
-WORD_TOKENS = ("T", "T^-1", "U^2", "U^-2", "-I")
-
-
-def rep_word_eval(word, xi1: Fraction) -> MonomialMatrix2:
-    """Evaluate the induced representation on a word in T, U^2 and -I.
-
-    The generator images are antidiag(1, alpha) for T and
-    diag(beta, alpha/beta) for U^2, with alpha = e^(2 pi i xi1) a root of
-    unity and beta = e^(2 pi i xi2) kept formal.
-    """
-    xi1 = Fraction(xi1)
-    alpha = CircleExp(xi1)
-    beta = CircleExp(Fraction(0), Fraction(1))
-    gens = {
-        "T": MonomialMatrix2(True, _ONE_EXP, alpha),
-        "T^-1": MonomialMatrix2(True, alpha.inverse(), _ONE_EXP),
-        "U^2": MonomialMatrix2(False, beta, alpha * beta.inverse()),
-        "U^-2": MonomialMatrix2(False, beta.inverse(), alpha.inverse() * beta),
-        "-I": _identity(),
-    }
-    if isinstance(word, str):
-        word = word.split()
-    out = _identity()
-    for token in word:
-        if token not in gens:
-            raise ValueError(f"unknown generator {token!r}; use one of {WORD_TOKENS}")
-        out = out * gens[token]
-    return out
 
 
 @dataclass(frozen=True)

@@ -304,6 +304,10 @@ class PureQSeries:
     def __neg__(self):
         return PureQSeries(self.lead, self.step, tuple(-c for c in self.coeffs), self.lattice)
 
+    def on_lattice(self, lattice: int) -> "PureQSeries":
+        """The same series with its exponents read on the 1/lattice lattice."""
+        return PureQSeries(self.lead, self.step, self.coeffs, lattice)
+
     def truncated_at(self, horizon: Fraction) -> "PureQSeries":
         """Forget knowledge at and beyond the given exponent."""
         if horizon >= self.horizon:

@@ -1,0 +1,64 @@
+"""The names the benchmark harness in ``perfbench/`` reaches into must resolve.
+
+``perfbench/tracer.py`` wraps the functions listed in its ``FUNCTIONS`` map
+and the ``PureQSeries`` methods in ``SERIES_METHODS``, and
+``perfbench/worker.py`` calls module attributes such as
+``minform.weight_basis`` and ``cli.series_to_json`` directly.  A refactor
+that renames or moves one of them would break the traced benchmark run,
+so this test reads both files and checks every name.
+"""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import vvmf2
+from vvmf2.qseries import PureQSeries
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_function_resolves():
+    tracer = _load_tracer()
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in tracer.FUNCTIONS.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"vvmf2.{layer}"), name, None))
+    ]
+    assert missing == []
+
+
+def test_every_traced_series_method_exists():
+    tracer = _load_tracer()
+    # the tracer looks the methods up in the class dictionary itself
+    assert [m for m in tracer.SERIES_METHODS if m not in PureQSeries.__dict__] == []
+
+
+def test_every_module_attribute_the_worker_uses_resolves():
+    tree = ast.parse((PERFBENCH / "worker.py").read_text())
+    modules = {
+        "vvmf2": vvmf2,
+        **{
+            name: importlib.import_module(f"vvmf2.{name}")
+            for name in ("cli", "denoms", "forms", "minform", "params", "qseries", "quadratic")
+        },
+    }
+    used = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    assert len(used) > 20
+    missing = sorted(f"{mod}.{attr}" for mod, attr in used if not hasattr(modules[mod], attr))
+    assert missing == []

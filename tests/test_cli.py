@@ -356,3 +356,28 @@ def test_disk_cache_in_another_encoding_is_rebuilt(tmp_path, monkeypatch, capsys
     stored = json.loads((cache / "E2.json").read_text())
     assert stored["coefficients"][:3] == ["1", "-24", "-72"]
     forms.clear_cache()
+
+
+def test_a_perturbed_closed_route_exits_4(monkeypatch, capsys):
+    from vvmf2 import minform
+
+    real_h_closed = minform.h_closed
+
+    def perturbed(params, Kmax):
+        h, h_tilde = real_h_closed(params, Kmax)
+        h[3] += 1
+        return h, h_tilde
+
+    monkeypatch.setattr(minform, "h_closed", perturbed)
+    assert main(["minform", "--seed-instance", "m2", "--kmax", "8"]) == 4
+    assert "closed-form and recursion disagree at K=3" in capsys.readouterr().err
+
+
+def test_minform_runs_on_a_lattice_120_instance(tmp_path, capsys):
+    config = dict(M2_CONFIG)
+    config["instance"] = dict(M2_CONFIG["instance"], l2="1/5")
+    config["instance"]["r"] = {"rat": "3/20", "surd": "1", "M": 2, "conjugate_pair": True}
+    assert main(["minform", "--config", write_config(tmp_path, config)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["components"]["second"]["lattice"] == 120
+    assert report["checks"]["mlde_residual_zero"] == [True, True]

@@ -1,5 +1,6 @@
 """Prime sets, denominator scans, and the finite-range divisibility laws."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,8 @@ from vvmf2.denoms import (
     verify_ubd,
 )
 from vvmf2.errors import ConsistencyError
-from vvmf2.minform import minimal_form
+from vvmf2.forms import form_monomial
+from vvmf2.minform import decompose, minimal_form, mlde_residual, weight_basis
 from vvmf2.params import ExponentData, params_from_exponents, seed_exponents
 from vvmf2.quadratic import QuadNum, denominator_of, is_p_integral, legendre, primes_upto
 
@@ -25,6 +27,14 @@ SQRT2 = QuadNum(Fraction(0), Fraction(1), 2)
 # exponent difference -1/3 splits S and S~ into different progressions
 R_V3 = QuadNum(Fraction(1, 12), Fraction(1), 2)
 V3 = params_from_exponents(ExponentData(0, Fraction(0), Fraction(1, 3), R_V3, R_V3.conjugate()))
+# l2 = 1/5 puts the components on the 1/120 lattice, finer than the monomials' 1/24
+R_L120 = QuadNum(Fraction(3, 20), Fraction(1), 2)
+
+
+def lattice_120_instance(k0):
+    return params_from_exponents(
+        ExponentData(k0, Fraction(0), Fraction(1, 5), R_L120, R_L120.conjugate())
+    )
 
 
 def test_prime_sets_m2():
@@ -251,3 +261,39 @@ def test_ubd_general_computes_each_denominator_once(monkeypatch):
     scanned_to = report.rows[0].scanned_to
     assert scanned_to == 20
     assert len(calls) == 2 * (scanned_to + 1)  # both components, once per coefficient
+
+
+@pytest.mark.parametrize("k0", [0, 2])
+def test_combinations_run_on_the_instance_lattice(k0):
+    params = lattice_120_instance(k0)
+    mf = minimal_form(params, 8, "both")
+    assert mf.comp1.lattice == mf.comp2.lattice == 120
+    assert mlde_residual(params, mf.comp1).is_zero and mlde_residual(params, mf.comp2).is_zero
+    labels = [b.label for b in weight_basis(mf, k0 + 4)]
+    assert labels == ["G^2*E4^0*F'", "G^0*E4^1*F'", "G^1*E4^0*DF'"]
+    k = k0 + 6
+    m1_map, m2_map = {(3, 0): 1, (1, 1): 2}, {(2, 0): 1, (0, 1): -5}
+    r1, r2 = decompose(mf, *combination(mf, m1_map, m2_map, k), k)
+    n = len(mf.comp1.coeffs) + 1
+    m1_true = form_monomial(3, 0, n) + 2 * form_monomial(1, 1, n)
+    m2_true = form_monomial(2, 0, n) - 5 * form_monomial(0, 1, n)
+    assert r1.horizon == r2.horizon == 9
+    for nn in range(9):
+        assert r1.coeff(nn) == m1_true.coeff(nn)
+        assert r2.coeff(nn) == m2_true.coeff(nn)
+    report = ubd_general(mf, m1_map, m2_map, k, 8, 60)
+    assert [r.p for r in report.rows if r.asserted] == [11, 19, 29]
+    assert report.all_asserted_pass
+
+
+def test_verify_ubd_fails_when_a_predicted_denominator_is_cleared():
+    mf = minimal_form(M2, 40, "both")
+    row = next(r for r in verify_ubd(mf).rows_d if r.K == 6)
+    assert (row.p, row.asserted, row.passed) == (11, True, True)
+    d = mf.tables.d
+    bad = replace(mf, tables=replace(mf.tables, d=d[:6] + (11 * d[6],) + d[7:]))
+    report = verify_ubd(bad)
+    row = next(r for r in report.rows_d if r.K == 6)
+    assert (row.divides, row.passed, row.verdict) == (False, False, "fail")
+    assert report.exceptional == (11,)
+    assert not report.all_asserted_pass

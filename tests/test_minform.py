@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vvmf2 import forms, minform, qseries
+from vvmf2 import denoms, forms, minform, qseries
 from vvmf2.errors import ConsistencyError, NotAFormError, PipelineMismatch
 from vvmf2.forms import form_monomial, hauptmodul, modular_D
 from vvmf2.minform import (
@@ -396,3 +396,46 @@ def test_negative_minimal_weight():
     assert mlde_residual(params, mf.comp1).is_zero
     assert mlde_residual(params, mf.comp2).is_zero
     deriv_components(mf)  # exact cross-check against the operator
+
+
+def test_the_derivative_is_built_once_per_form(monkeypatch):
+    mf = minimal_form(V3, 12, "both")
+    t_calls, d_args = [], []
+    real_t_lists, real_modular_D = minform.t_lists, minform.modular_D
+
+    def counting_t_lists(form):
+        t_calls.append(form)
+        return real_t_lists(form)
+
+    def counting_modular_D(k, u):
+        d_args.append(u)
+        return real_modular_D(k, u)
+
+    monkeypatch.setattr(minform, "t_lists", counting_t_lists)
+    monkeypatch.setattr(minform, "modular_D", counting_modular_D)
+    k = V3.k0 + 6
+    m1_map, m2_map = {(3, 0): 1, (1, 1): 2}, {(2, 0): 1, (0, 1): -5}
+    d1, d2 = deriv_components(mf)
+    weight_basis(mf, k)
+    z1, z2 = denoms.combination(mf, m1_map, m2_map, k)
+    assert denoms.combination(mf, m1_map, m2_map, k) == (z1, z2)
+    decompose(mf, z1, z2, k)
+    denoms.ubd_general(mf, m1_map, m2_map, k, 12, 40)
+    assert deriv_components(mf) == (d1, d2)
+    # one t_lists call covers both components; the operator runs once on each
+    assert len(t_calls) == 1
+    assert sum(u is mf.comp1 for u in d_args) == 1
+    assert sum(u is mf.comp2 for u in d_args) == 1
+
+
+def test_a_perturbed_closed_route_is_a_pipeline_mismatch(monkeypatch):
+    real_h_closed = minform.h_closed
+
+    def perturbed(params, Kmax):
+        h, h_tilde = real_h_closed(params, Kmax)
+        h[5] += 1
+        return h, h_tilde
+
+    monkeypatch.setattr(minform, "h_closed", perturbed)
+    with pytest.raises(PipelineMismatch, match="K=5"):
+        minimal_form(M2, 8, "both")

@@ -1,4 +1,4 @@
-"""Parameter algebra and the symbolic induced-representation model."""
+"""Parameter algebra and the exponent classes of induced instances."""
 
 from fractions import Fraction
 
@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 
 from vvmf2.errors import ConsistencyError
 from vvmf2.params import (
-    CircleExp,
     ExponentData,
     InstanceParams,
     check_assumptions,
     induced_exponent_classes,
     params_from_exponents,
-    rep_word_eval,
     roots_from_abc,
     seed_exponents,
 )
@@ -123,45 +121,6 @@ def test_check_assumptions():
     )
     flags = check_assumptions(integral_diff)
     assert not flags.difference_nonintegral and not flags.v_greater_one
-
-
-def test_rep_word_examples():
-    t = rep_word_eval("T", Fraction(0))
-    assert t.swap and t.e1 == CircleExp(Fraction(0)) and t.e2 == CircleExp(Fraction(0))
-    assert t.trace_is_zero
-    tt = rep_word_eval("T T", Fraction(1, 3))
-    assert tt.is_scalar and tt.e1 == CircleExp(Fraction(1, 3))
-    assert rep_word_eval("-I", Fraction(1, 3)) == rep_word_eval("", Fraction(1, 3))
-    with pytest.raises(ValueError):
-        rep_word_eval("X", Fraction(0))
-
-
-def test_defining_relation():
-    # the group relation T U^2 T^-1 = -T^2 U^-2 holds in the image
-    for xi1 in (Fraction(0), Fraction(1, 3), Fraction(5, 7)):
-        lhs = rep_word_eval("T U^2 T^-1", xi1)
-        rhs = rep_word_eval("-I T T U^-2", xi1)
-        assert lhs == rhs
-
-
-words = st.lists(st.sampled_from(["T", "T^-1", "U^2", "U^-2", "-I"]), max_size=8)
-
-
-@given(words, words, st.fractions(min_value=0, max_value=1, max_denominator=8))
-@settings(max_examples=60)
-def test_word_evaluation_is_multiplicative(w1, w2, xi1):
-    lhs = rep_word_eval(w1 + w2, xi1)
-    rhs = rep_word_eval(w1, xi1) * rep_word_eval(w2, xi1)
-    assert lhs == rhs
-
-
-@given(words, st.fractions(min_value=0, max_value=1, max_denominator=8))
-@settings(max_examples=60)
-def test_inverse_words(w, xi1):
-    inverse_token = {"T": "T^-1", "T^-1": "T", "U^2": "U^-2", "U^-2": "U^2", "-I": "-I"}
-    winv = [inverse_token[t] for t in reversed(w)]
-    prod = rep_word_eval(w, xi1) * rep_word_eval(winv, xi1)
-    assert prod == rep_word_eval("", xi1)
 
 
 def test_induced_classes_m2():
