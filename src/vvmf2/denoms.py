@@ -88,34 +88,15 @@ class ScanRecord:
     denominator: int
     factors: dict[int, int]
     cofactor: int
-    p_integral: dict[int, bool]
 
 
-def denom_scan(
-    seq, primes, factor_bound: int = DEFAULT_FACTOR_BOUND
-) -> list[ScanRecord]:
-    """Denominator and per-prime integrality verdicts for each sequence entry.
-
-    Divisibility is always tested on the denominator itself, never
-    through the (possibly incomplete) factor list.
-    """
-    return _scan_denominators([denominator_of(z) for z in seq], primes, factor_bound)
+def denom_scan(seq, factor_bound: int = DEFAULT_FACTOR_BOUND) -> list[ScanRecord]:
+    """Denominator and its trial factorization for each sequence entry."""
+    return _scan_denominators([denominator_of(z) for z in seq], factor_bound)
 
 
-def _scan_denominators(dens: list[int], primes, factor_bound: int) -> list[ScanRecord]:
-    out = []
-    for i, den in enumerate(dens):
-        factors, cofactor = factor_trial(den, factor_bound)
-        out.append(
-            ScanRecord(
-                index=i,
-                denominator=den,
-                factors=factors,
-                cofactor=cofactor,
-                p_integral={p: den % p != 0 for p in primes},
-            )
-        )
-    return out
+def _scan_denominators(dens: list[int], factor_bound: int) -> list[ScanRecord]:
+    return [ScanRecord(i, den, *factor_trial(den, factor_bound)) for i, den in enumerate(dens)]
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +270,13 @@ def verify_ubd(
             out.append(PrimeSummary(r.p, _first_division(dens, r.p, 1), r.K, r.verdict))
         return tuple(out)
 
-    primes_seen = sorted({r.p for r in rows_d if r.is_prime and r.in_S})
     return DenomReport(
         Kmax=Kmax,
         factor_bound=factor_bound,
         rows_d=tuple(rows_d),
         rows_h=tuple(rows_h),
         rows_d_tilde=tuple(rows_dt),
-        scan_d=tuple(_scan_denominators(dens_d, primes_seen, factor_bound)),
+        scan_d=tuple(_scan_denominators(dens_d, factor_bound)),
         summary_d=summarize(rows_d, dens_d),
         summary_d_tilde=summarize(rows_dt, dens_dt),
         threshold=threshold,

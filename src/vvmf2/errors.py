@@ -3,8 +3,8 @@
 The CLI maps these onto its documented exit codes, so keep the taxonomy
 small: bad input data is a ``ConfigError``, mathematically inconsistent
 instance data is a ``ConsistencyError``, and a disagreement between two
-supposedly equivalent computations is a ``PipelineMismatch`` (always a
-bug, never a data problem).
+supposedly equivalent computations, or a broken internal invariant, is a
+``PipelineMismatch`` (always a bug, never a data problem).
 """
 
 
@@ -36,4 +36,4 @@ class NotAFormError(VVMF2Error):
 
 
 class PipelineMismatch(VVMF2Error):
-    """Two independent computations of the same object disagree."""
+    """Two computations of one object disagree, or an internal invariant broke."""

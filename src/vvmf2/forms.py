@@ -6,25 +6,19 @@ K = 64*J integral, the modular derivative D_k, the Jacobi theta^4 and
 eta-quotient companions used at the other cusp, and the monomial basis
 G^a E4^b of each weight together with exact coordinates in it.
 
-Named expansions are cached in-process (longest prefix wins) and,
-optionally, on disk under $VVMF2_CACHE_DIR in the series encoding of the
-reports (``qseries.to_json``); a file that does not decode is rebuilt.
+Named expansions are cached in memory for the life of the process
+(longest prefix wins); each name is built and read through its one
+accessor (``eisenstein_E2``, ``weight2_G``, ``hauptmodul``, ...).
 """
 
 from __future__ import annotations
 
-import contextlib
-import json
-import os
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NotAFormError, TruncationError, VVMF2Error
-from .qseries import PureQSeries, equal_through, series_from_json, to_json
-
-CACHE_DIR_ENV = "VVMF2_CACHE_DIR"
+from .errors import NotAFormError, TruncationError
+from .qseries import PureQSeries, equal_through
 
 
 @lru_cache(maxsize=None)
@@ -59,56 +53,11 @@ def _prefix(s: PureQSeries, count: int) -> PureQSeries:
     return PureQSeries(s.lead, s.step, s.coeffs[:count], s.lattice)
 
 
-def _disk_path(name: str):
-    root = os.environ.get(CACHE_DIR_ENV)
-    return os.path.join(root, f"{name}.json") if root else None
-
-
-def _disk_load(name: str) -> PureQSeries | None:
-    path = _disk_path(name)
-    if not path or not os.path.exists(path):
-        return None
-    try:
-        with open(path) as fh:
-            return series_from_json(json.load(fh))
-    except (OSError, ValueError, VVMF2Error):
-        return None
-
-
-def _disk_store(name: str, s: PureQSeries):
-    """Write through a temp file in the cache directory, then rename it into place.
-
-    A reader sees either the old file, the new one or none, never a half
-    written file; a failed write leaves nothing behind.
-    """
-    path = _disk_path(name)
-    if not path:
-        return
-    tmp = None
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=f".{name}.", suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            json.dump(to_json(s), fh)
-        os.replace(tmp, path)
-        tmp = None
-    except OSError:
-        pass
-    finally:
-        if tmp is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-
-
 def _cached(name: str, count: int, builder) -> PureQSeries:
     """Longest-prefix cache: builder(count) must yield >= count coefficients."""
     s = _CACHE.get(name)
     if s is None or len(s.coeffs) < count:
-        s = _disk_load(name)
-        if s is None or len(s.coeffs) < count:
-            s = builder(count)
-            _disk_store(name, s)
-        _CACHE[name] = s
+        s = _CACHE[name] = builder(count)
     return _prefix(s, count)
 
 
@@ -126,8 +75,8 @@ def _build_e4(count: int) -> PureQSeries:
 
 
 def _build_g(count: int) -> PureQSeries:
-    e2 = _cached("E2", count, _build_e2)
-    e2_doubled = _cached("E2", count // 2 + 1, _build_e2).rescale(2)
+    e2 = eisenstein_E2(count - 1)
+    e2_doubled = eisenstein_E2(count // 2).rescale(2)
     return -e2 + 2 * e2_doubled
 
 
@@ -197,8 +146,8 @@ def eta_tail_coeffs(twok: int, N: int) -> list[Fraction]:
 
 def _build_hauptK(count: int) -> PureQSeries:
     # K = 192 G^2 / (E4 - G^2), a simple pole at infinity with residue 1
-    e4 = _cached("E4", count + 2, _build_e4)
-    g = _cached("G", count + 2, _build_g)
+    e4 = eisenstein_E4(count + 1)
+    g = weight2_G(count + 1)
     g2 = g * g
     return (192 * g2) * (e4 - g2).inv()
 
@@ -217,7 +166,7 @@ def modular_D(k: int, u: PureQSeries) -> PureQSeries:
     if k == 0:
         return th
     span = len(u.coeffs) * u.step
-    e2 = _cached("E2", int(span) + 2, _build_e2).on_lattice(u.lattice)
+    e2 = eisenstein_E2(int(span) + 1).on_lattice(u.lattice)
     return th - Fraction(k, 12) * (e2 * u)
 
 
@@ -263,9 +212,9 @@ def identity_suite(N: int) -> IdentityReport:
     margin = N + 8
     # the Hauptmodul asks for the longest E2, E4 and G; the prefixes below reuse them
     K, J = hauptmodul(margin)
-    e2 = _cached("E2", margin + 1, _build_e2)
-    e4 = _cached("E4", margin + 1, _build_e4)
-    g = _cached("G", margin + 1, _build_g)
+    e2 = eisenstein_E2(margin)
+    e4 = eisenstein_E4(margin)
+    g = weight2_G(margin)
     one = PureQSeries.constant(1, margin + 2)
     g2 = g * g
     thJ = J.theta()
@@ -400,9 +349,7 @@ def monomial_basis(k: int) -> list[tuple[int, int]]:
 
 def form_monomial(a: int, b: int, N: int) -> PureQSeries:
     """G^a * E4^b to order N."""
-    g = _cached("G", N + 1, _build_g)
-    e4 = _cached("E4", N + 1, _build_e4)
-    return (g**a) * (e4**b)
+    return (weight2_G(N) ** a) * (eisenstein_E4(N) ** b)
 
 
 def _solve_exact(rows: list[list], rhs: list) -> list:

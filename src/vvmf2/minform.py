@@ -97,7 +97,7 @@ def tables_DC(Kmax: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, 
     w = K.inv().coeffs[: Kmax + 1]
     for s, c in enumerate(w):
         if c.denominator != 1 or (s == 0 and c != 1):
-            raise ArithmeticError(
+            raise PipelineMismatch(
                 f"K^-1/q has coefficient {c} at q^{s}; it must be integral with constant term 1"
             )
     w = [int(c) for c in w]
@@ -385,7 +385,6 @@ def decompose(
     Z1: PureQSeries,
     Z2: PureQSeries,
     k: int,
-    validate: bool = True,
 ) -> tuple[PureQSeries, PureQSeries]:
     """Write (Z1, Z2) as m1*F' + m2*DF' with scalar forms m1, m2.
 
@@ -393,8 +392,8 @@ def decompose(
     and DF' = (D1, D2): m1 = (Z1*D2 - Z2*D1)/W and m2 = (F1*Z2 - F2*Z1)/W.
     W leads with (l2 - l1) q^(2k0/12 + l1 + l2), and l1 != l2, so W is
     invertible.  The results are known as far as both components of Z and
-    the minimal form are.  With validate on, both outputs are checked to be
-    genuine forms of the right weights via their monomial coordinates.
+    the minimal form are.  Both outputs are checked to be genuine forms of
+    the right weights via their monomial coordinates.
     """
     p = mf.params
     lead1, lead2 = p.leads
@@ -416,7 +415,6 @@ def decompose(
 
     m1 = scalar_form(Z1 * D2 - Z2 * D1)
     m2 = scalar_form(F1 * Z2 - F2 * Z1)
-    if validate:
-        monomial_coordinates(m1, k - p.k0)
-        monomial_coordinates(m2, k - p.k0 - 2)
+    monomial_coordinates(m1, k - p.k0)
+    monomial_coordinates(m2, k - p.k0 - 2)
     return m1, m2

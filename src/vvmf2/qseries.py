@@ -18,8 +18,8 @@ part when a ``QuadNum`` is present, convolved as plain ``int`` and
 rebuilt once.  The closed-form route of ``minform`` uses the same kernel.
 
 ``to_json`` is the package's one JSON encoder (values, series, dataclasses
-and containers of them) and ``value_from_json``/``series_from_json`` its
-decoders; the CLI reports and the disk cache of ``forms`` both use them.
+and containers of them), used by every CLI report; ``value_from_json``
+decodes the field values of configs and components files.
 """
 
 from __future__ import annotations
@@ -529,16 +529,3 @@ def value_from_json(obj) -> FieldElement:
         except KeyError as exc:
             raise ConfigError(f"quadratic value needs key {exc}") from None
     return fraction_from_json(obj)
-
-
-def series_from_json(obj) -> PureQSeries:
-    """The series that ``to_json`` wrote as obj; ConfigError if malformed."""
-    try:
-        return PureQSeries(
-            fraction_from_json(obj["lead"]),
-            fraction_from_json(obj["step"]),
-            tuple(value_from_json(c) for c in obj["coefficients"]),
-            int_from_json(obj["lattice"], "lattice"),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed series: {exc!r}") from None

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import PipelineMismatch
+
 Rational = int | Fraction
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -300,7 +302,7 @@ def half_form(z: QuadNum) -> HalfForm:
     x = 2 * Z * z.rat
     y = 2 * Z * z.surd
     if x.denominator != 1 or y.denominator != 1:
-        raise AssertionError(f"numerator of {z} is not half-integral")
+        raise PipelineMismatch(f"numerator of {z} is not half-integral")
     return HalfForm(Z, int(x), int(y), z.M)
 
 

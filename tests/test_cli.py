@@ -13,7 +13,7 @@ import vvmf2
 from vvmf2 import forms
 from vvmf2.cli import main, parse_config, value_from_json, value_to_json
 from vvmf2.errors import ConfigError, ConsistencyError
-from vvmf2.qseries import PureQSeries, series_from_json, to_json
+from vvmf2.qseries import PureQSeries
 from vvmf2.quadratic import QuadNum
 
 M2_CONFIG = {
@@ -80,8 +80,6 @@ def test_value_roundtrip():
     x = QuadNum(Fraction(3, 7), Fraction(-2, 5), 5)
     assert value_from_json(value_to_json(x)) == x
     assert value_from_json("22/7") == Fraction(22, 7)
-    s = PureQSeries.make(Fraction(1, 4), [x, Fraction(5, 3), 0, x.conjugate()], Fraction(1, 2))
-    assert series_from_json(json.loads(json.dumps(to_json(s)))) == s
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -285,18 +283,6 @@ def test_json_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_disk_cache(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(forms.CACHE_DIR_ENV, str(tmp_path / "cache"))
-    forms.clear_cache()
-    assert main(["expand", "--name", "E4", "--order", "12"]) == 0
-    first = capsys.readouterr().out
-    assert (tmp_path / "cache" / "E4.json").exists()
-    forms.clear_cache()
-    assert main(["expand", "--name", "E4", "--order", "12"]) == 0
-    assert capsys.readouterr().out == first
-    forms.clear_cache()
-
-
 def test_equal_exponents_exit_code(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -325,39 +311,6 @@ def test_config_forms_equivalent(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_corrupt_disk_cache_is_ignored(tmp_path, monkeypatch, capsys):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    (cache / "E2.json").write_text("{broken")
-    monkeypatch.setenv(forms.CACHE_DIR_ENV, str(cache))
-    forms.clear_cache()
-    assert main(["expand", "--name", "E2", "--order", "6"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["series"]["coefficients"][1] == "-24"
-    forms.clear_cache()
-
-
-@pytest.mark.parametrize(
-    "cached",
-    [
-        # the cache format before it shared the report's series encoding
-        {"lead": "0", "step": "1", "lattice": 24, "coeffs": ["1", "-24", "-72"]},
-        {"lead": "0", "step": "1", "lattice": 24, "coefficients": ["1", "-2x4", "-72"]},
-    ],
-)
-def test_disk_cache_in_another_encoding_is_rebuilt(tmp_path, monkeypatch, capsys, cached):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    (cache / "E2.json").write_text(json.dumps(cached))
-    monkeypatch.setenv(forms.CACHE_DIR_ENV, str(cache))
-    forms.clear_cache()
-    assert main(["expand", "--name", "E2", "--order", "6"]) == 0
-    assert json.loads(capsys.readouterr().out)["series"]["coefficients"][1] == "-24"
-    stored = json.loads((cache / "E2.json").read_text())
-    assert stored["coefficients"][:3] == ["1", "-24", "-72"]
-    forms.clear_cache()
-
-
 def test_a_perturbed_closed_route_exits_4(monkeypatch, capsys):
     from vvmf2 import minform
 
@@ -371,6 +324,39 @@ def test_a_perturbed_closed_route_exits_4(monkeypatch, capsys):
     monkeypatch.setattr(minform, "h_closed", perturbed)
     assert main(["minform", "--seed-instance", "m2", "--kmax", "8"]) == 4
     assert "closed-form and recursion disagree at K=3" in capsys.readouterr().err
+
+
+def test_a_non_integral_hauptmodul_inverse_exits_4(monkeypatch, capsys):
+    from vvmf2 import minform
+
+    def fake_hauptmodul(N):
+        K = PureQSeries.make(-1, [1, Fraction(1, 2)] + [0] * (N + 2))
+        return K, K * Fraction(1, 64)
+
+    monkeypatch.setattr(minform, "hauptmodul", fake_hauptmodul)
+    assert main(["denoms", "--seed-instance", "m2", "--kmax", "6"]) == 4
+    assert "K^-1/q has coefficient -1/2" in capsys.readouterr().err
+
+
+def test_a_cache_directory_variable_is_inert(tmp_path, monkeypatch, capsys):
+    argvs = (
+        ["expand", "--name", "E4", "--order", "12"],
+        ["denoms", "--seed-instance", "m2", "--kmax", "10"],
+    )
+
+    def outputs():
+        out = []
+        for argv in argvs:
+            forms.clear_cache()
+            assert main(argv) == 0
+            out.append(capsys.readouterr().out)
+        return out
+
+    plain = outputs()
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("VVMF2_CACHE_DIR", str(cache))
+    assert outputs() == plain
+    assert not cache.exists() or not any(cache.iterdir())
 
 
 def test_minform_runs_on_a_lattice_120_instance(tmp_path, capsys):

@@ -69,11 +69,10 @@ def test_factor_trial():
 
 
 def test_denom_scan_trivials():
-    records = denom_scan([Fraction(1), Fraction(7), Fraction(-3)], [3, 5])
+    records = denom_scan([Fraction(1), Fraction(7), Fraction(-3)])
     assert all(r.denominator == 1 for r in records)
-    assert all(all(r.p_integral.values()) for r in records)
-    records = denom_scan([Fraction(1, 3), Fraction(1, 9)], [3])
-    assert [r.p_integral[3] for r in records] == [False, False]
+    records = denom_scan([Fraction(1, 3), Fraction(1, 9)])
+    assert [r.denominator for r in records] == [3, 9]
     assert records[1].factors == {3: 2}
 
 

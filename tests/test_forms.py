@@ -142,7 +142,6 @@ def test_identity_suite_fails_on_a_wrong_theta4_coefficient(monkeypatch):
 
 
 def test_identity_suite_builds_each_named_series_once(monkeypatch):
-    monkeypatch.delenv(forms.CACHE_DIR_ENV, raising=False)
     builds = []
 
     def counted(name, real):
@@ -160,28 +159,6 @@ def test_identity_suite_builds_each_named_series_once(monkeypatch):
     finally:
         forms.clear_cache()
     assert sorted(builds) == ["_build_e2", "_build_e4", "_build_g", "_build_hauptK"]
-
-
-def test_failed_cache_write_leaves_no_file(tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
-    monkeypatch.setenv(forms.CACHE_DIR_ENV, str(cache))
-    real_dump = forms.json.dump
-
-    def dump_then_fail(obj, fh):
-        fh.write('{"lead": "0", "step": "1", "coeffs": ["1", "24')
-        raise OSError("disk full")
-
-    monkeypatch.setattr(forms.json, "dump", dump_then_fail)
-    forms.clear_cache()
-    try:
-        assert eisenstein_E4(8).coeff(1) == 240
-        assert list(cache.iterdir()) == []
-        monkeypatch.setattr(forms.json, "dump", real_dump)
-        forms.clear_cache()
-        assert eisenstein_E4(8).coeff(1) == 240
-        assert [f.name for f in cache.iterdir()] == ["E4.json"]
-    finally:
-        forms.clear_cache()
 
 
 def test_identity_suite_requires_depth():
