@@ -9,7 +9,6 @@ which denominators must appear in the Fourier coefficients.
 from .errors import (
     ConfigError,
     ConsistencyError,
-    LatticeMismatch,
     NotAFormError,
     PipelineMismatch,
     TruncationError,
@@ -83,7 +82,6 @@ __all__ = [
     "ExponentData",
     "HalfForm",
     "InstanceParams",
-    "LatticeMismatch",
     "MinimalForm",
     "NotAFormError",
     "PipelineMismatch",

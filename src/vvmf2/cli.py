@@ -146,7 +146,8 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
-def _load_config(args) -> RunConfig:
+def _load_config(args, formats=("json",)) -> RunConfig:
+    """The run request of a subcommand that writes a report in one of ``formats``."""
     if getattr(args, "seed_instance", None):
         cfg = RunConfig(seed_exponents(args.seed_instance))
     elif getattr(args, "config", None):
@@ -161,7 +162,10 @@ def _load_config(args) -> RunConfig:
     # a flag given on the command line overrides the config
     flags = ("kmax", "method", "factor_bound", "out", "format")
     updates = {f: getattr(args, f) for f in flags if getattr(args, f, None) is not None}
-    return replace(cfg, **updates)
+    cfg = replace(cfg, **updates)
+    if cfg.format not in formats:
+        raise ConfigError(f"config key 'format': {args.command} has no {cfg.format} report")
+    return cfg
 
 
 def _emit(report, out: str | None):
@@ -279,7 +283,9 @@ def _ubd_row_json(r: denoms_mod.UbdRow) -> dict:
 
 
 def cmd_denoms(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, ("json", "text"))
+    if cfg.method != "both":  # verify_ubd refuses it too, but only after the build
+        raise ConsistencyError("denominator analysis requires method='both'")
     params, mf = _build_minform(cfg)
     report = denoms_mod.verify_ubd(mf, cfg.kmax, cfg.factor_bound)
     if cfg.format == "text":
@@ -347,7 +353,7 @@ def cmd_decompose(args) -> int:
     comp = _read_components(args.components)
     k = int_from_json(comp["k"], "k")
     z1, z2 = (
-        PureQSeries.make(lead, [value_from_json(c) for c in comp[key]], 1, mf.comp1.lattice)
+        PureQSeries.make(lead, [value_from_json(c) for c in comp[key]])
         for key, lead in zip(("z1", "z2"), params.leads)
     )
     m1, m2 = decompose(mf, z1, z2, k)
@@ -396,7 +402,6 @@ def _add_instance_flags(sub):
     sub.add_argument("--kmax", type=int, default=None)
     sub.add_argument("--method", choices=("both", "closed", "frobenius"), default=None)
     sub.add_argument("--out", default=None, help="write the report here instead of stdout")
-    sub.add_argument("--format", choices=("json", "text"), default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,6 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("denoms", help="finite-range unbounded-denominator report")
     _add_instance_flags(s)
     s.add_argument("--factor-bound", type=int, default=None)
+    s.add_argument("--format", choices=("json", "text"), default=None)
     s.set_defaults(handler=cmd_denoms)
 
     s = subs.add_parser("decompose", help="express a vector in the F', DF' basis")

@@ -23,10 +23,6 @@ class ConsistencyError(VVMF2Error):
     """
 
 
-class LatticeMismatch(VVMF2Error):
-    """Arithmetic between series living on different exponent lattices."""
-
-
 class TruncationError(VVMF2Error):
     """A coefficient beyond the known truncation order was requested."""
 

@@ -50,7 +50,7 @@ def clear_cache():
 
 
 def _prefix(s: PureQSeries, count: int) -> PureQSeries:
-    return PureQSeries(s.lead, s.step, s.coeffs[:count], s.lattice)
+    return PureQSeries(s.lead, s.step, s.coeffs[:count])
 
 
 def _cached(name: str, count: int, builder) -> PureQSeries:
@@ -166,7 +166,7 @@ def modular_D(k: int, u: PureQSeries) -> PureQSeries:
     if k == 0:
         return th
     span = len(u.coeffs) * u.step
-    e2 = eisenstein_E2(int(span) + 1).on_lattice(u.lattice)
+    e2 = eisenstein_E2(int(span) + 1)
     return th - Fraction(k, 12) * (e2 * u)
 
 

@@ -213,15 +213,11 @@ class MinimalForm:
     def derivative(self) -> tuple[PureQSeries, PureQSeries]:
         out = []
         for t, comp, lead in zip(t_lists(self), (self.comp1, self.comp2), self.params.leads):
-            built = PureQSeries.make(lead, t, 1, comp.lattice)
+            built = PureQSeries.make(lead, t)
             if not equal_through(built, modular_D(self.params.k0, comp), lead + len(t) - 1):
                 raise PipelineMismatch("derivative coefficient formula disagrees with operator")
             out.append(built)
         return out[0], out[1]
-
-
-def instance_lattice(params: InstanceParams) -> int:
-    return math.lcm(24, *(lead.denominator for lead in params.leads))
 
 
 def minimal_form(params: InstanceParams, Kmax: int, method: str = "both") -> MinimalForm:
@@ -249,10 +245,9 @@ def minimal_form(params: InstanceParams, Kmax: int, method: str = "both") -> Min
     e = eta_tail_coeffs(2 * params.k0, Kmax)
     d = _convolve(e, h, Kmax + 1)
     dt = _convolve(e, ht, Kmax + 1)
-    lattice = instance_lattice(params)
     lead1, lead2 = params.leads
-    comp1 = PureQSeries.make(lead1, d, 1, lattice)
-    comp2 = PureQSeries.make(lead2, dt, 1, lattice)
+    comp1 = PureQSeries.make(lead1, d)
+    comp2 = PureQSeries.make(lead2, dt)
     tables = SeqTables(
         Kmax=Kmax,
         h=tuple(h),
@@ -268,8 +263,8 @@ def mlde_residual(params: InstanceParams, u: PureQSeries) -> PureQSeries:
     """Apply the full weight-k0 operator; exact zero certifies a solution."""
     k0 = params.k0
     order = len(u.coeffs)
-    e4 = eisenstein_E4(order).on_lattice(u.lattice)
-    g = weight2_G(order).on_lattice(u.lattice)
+    e4 = eisenstein_E4(order)
+    g = weight2_G(order)
     du = modular_D(k0, u)
     return (
         modular_D(k0 + 2, du)
@@ -333,11 +328,7 @@ def combination(
     m2_map: dict[tuple[int, int], object],
     k: int,
 ) -> tuple[PureQSeries, PureQSeries]:
-    """The vector m1*F' + m2*DF' from monomial coefficient maps of the right weights.
-
-    The monomials G^a E4^b are lifted onto the components' lattice, which
-    is finer than 24 when a leading exponent needs it.
-    """
+    """The vector m1*F' + m2*DF' from monomial coefficient maps of the right weights."""
     p = mf.params
     for coeff_map, want in ((m1_map, k - p.k0), (m2_map, k - p.k0 - 2)):
         for a, b in coeff_map:
@@ -350,7 +341,7 @@ def combination(
     def scalar_form(coeff_map) -> PureQSeries | None:
         total = None
         for (a, b), c in sorted(coeff_map.items()):
-            term = form_monomial(a, b, n).on_lattice(mf.comp1.lattice) * c
+            term = form_monomial(a, b, n) * c
             total = term if total is None else total + term
         return total
 
@@ -409,12 +400,8 @@ def decompose(
     w_inv = (F1 * D2 - F2 * D1).inv()
     known = min(int(Z1.horizon - lead1), int(Z2.horizon - lead2), len(mf.tables.d))
 
-    def scalar_form(numerator: PureQSeries) -> PureQSeries:
-        # a scalar form lives on the default lattice, like the monomials G^a E4^b
-        return (numerator * w_inv).truncated_at(known).on_lattice(24)
-
-    m1 = scalar_form(Z1 * D2 - Z2 * D1)
-    m2 = scalar_form(F1 * Z2 - F2 * Z1)
+    m1 = ((Z1 * D2 - Z2 * D1) * w_inv).truncated_at(known)
+    m2 = ((F1 * Z2 - F2 * Z1) * w_inv).truncated_at(known)
     monomial_coordinates(m1, k - p.k0)
     monomial_coordinates(m2, k - p.k0 - 2)
     return m1, m2

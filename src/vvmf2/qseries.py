@@ -1,10 +1,12 @@
 """Truncated exact power series q^lead * (c0 + c1 q^step + c2 q^(2*step) + ...).
 
-The leading exponent and the step are rationals whose denominators divide
-the series' lattice constant (24 by default, which covers eta, q^(1/2)
-and q^(1/4) expansions at once).  Truncation is explicit: a series knows
-its coefficients up to, but not including, ``horizon``; reading past the
-horizon raises instead of silently returning zero.
+The leading exponent is any rational and the step any positive one;
+series on different exponent grids add and multiply on their common grid.
+The ``lattice`` a report shows is derived, never stored: lcm(24, the
+denominators of lead and step), so eta, q^(1/2) and q^(1/4) expansions
+all show 24.  Truncation is explicit: a series knows its coefficients up
+to, but not including, ``horizon``; reading past the horizon raises
+instead of silently returning zero.
 
 A zero series keeps ``coeffs == ()`` and records in ``lead`` the exponent
 up to which it is known to vanish.  Coefficients are ``Fraction`` or
@@ -15,7 +17,9 @@ Products, inverses and integer powers run on one exact integer kernel
 (``_split``, ``_iconv``, ``_toeplitz``, ``_lift``, ``_convolve``): the
 coefficients are written over one common denominator, with a sqrt(M)
 part when a ``QuadNum`` is present, convolved as plain ``int`` and
-rebuilt once.  The closed-form route of ``minform`` uses the same kernel.
+rebuilt once.  A series with ``QuadNum`` coefficients is inverted through
+its conjugate, so the one inverse recurrence is rational.  The
+closed-form route of ``minform`` uses the same kernel.
 
 ``to_json`` is the package's one JSON encoder (values, series, dataclasses
 and containers of them), used by every CLI report; ``value_from_json``
@@ -31,7 +35,7 @@ from fractions import Fraction
 from operator import add, mul
 from typing import Union
 
-from .errors import ConfigError, LatticeMismatch, TruncationError
+from .errors import ConfigError, TruncationError
 from .quadratic import FieldElement, QuadNum
 
 Scalar = Union[int, Fraction, QuadNum]
@@ -119,52 +123,31 @@ def _convolve(u: list, v: list, n: int) -> list:
 def _inverse(values: list) -> list:
     """The first len(values) coefficients of 1 / (sum_i values[i] q^i), values[0] != 0.
 
-    With c0 = values[0] factored out, the series is 1 + sum_j Y_j q^j / L
-    with Y_j integral (in Z[sqrt(M)] for a QuadNum input).  The inverse
-    sum_i b_i q^i then has integral B_i = L^i b_i, which obey
+    A series a with a QuadNum coefficient is inverted as conj(a) / (a*conj(a)):
+    the norm a*conj(a) has rational coefficients, so one recurrence serves.
+    For rational values, with c0 = values[0] factored out, the series is
+    1 + sum_j Y_j q^j / L with Y_j integral.  The inverse sum_i b_i q^i
+    then has integral B_i = L^i b_i, which obey
     B_i = -sum_{j <= i} Y_j L^(j-1) B_(i-j); c0 and L^i are divided out
     once per coefficient at the end.
     """
-    L0, parts, M = _split(values)
     n = len(values)
-    if M is None:
-        # c_j / c0 = P_j / P_0
-        norm = parts[0][0]
-        ratios = parts
-    else:
-        # c_j / c0 = c_j * conj(c0) / N(c0) = (R_j + S_j*sqrt(M)) / (P_0^2 - M*Q_0^2)
-        P, Q = parts
-        p0, q0 = P[0], Q[0]
-        norm = p0 * p0 - M * q0 * q0
-        ratios = [
-            [x * p0 - M * y * q0 for x, y in zip(P, Q)],
-            [y * p0 - x * q0 for x, y in zip(P, Q)],
-        ]
-    g = math.gcd(norm, *(x for part in ratios for x in part))
-    L = abs(norm) // g
-    sign = 1 if norm > 0 else -1
+    if any(isinstance(v, QuadNum) for v in values):
+        conj = [v.conjugate() if isinstance(v, QuadNum) else v for v in values]
+        norm = [v.rat for v in _convolve(values, conj, n)]
+        return _convolve(conj, _inverse(norm), n)
+    L0, (P,), _ = _split(values)
+    g = math.gcd(*P)
+    L = P[0] // g
     powers = [1]
     for _ in range(1, n):
         powers.append(powers[-1] * L)
     # z_j = Y_j * L^(j-1), stored from j = 1
-    z = [[sign * (x // g) * w for x, w in zip(part[1:], powers)] for part in ratios]
-    if M is None:
-        (zr,) = z
-        B = [1]
-        for i in range(1, n):
-            B.append(-sum(map(mul, zr[:i], B[::-1])))
-        rat, surd = [b * L0 for b in B], None
-    else:
-        zr, zq = z
-        B, BQ = [1], [0]
-        for i in range(1, n):
-            rP, rQ, a, b = B[::-1], BQ[::-1], zr[:i], zq[:i]
-            B.append(-(sum(map(mul, a, rP)) + M * sum(map(mul, b, rQ))))
-            BQ.append(-(sum(map(mul, a, rQ)) + sum(map(mul, b, rP))))
-        # 1/c0 = (p0 - q0*sqrt(M)) * L0 / norm
-        rat = [(x * p0 - M * y * q0) * L0 for x, y in zip(B, BQ)]
-        surd = [(y * p0 - x * q0) * L0 for x, y in zip(B, BQ)]
-    return _rebuild(rat, surd, [w * norm for w in powers], M)
+    z = [(x // g) * w for x, w in zip(P[1:], powers)]
+    B = [1]
+    for i in range(1, n):
+        B.append(-sum(map(mul, z[:i], B[::-1])))
+    return _rebuild([b * L0 for b in B], None, [w * P[0] for w in powers], None)
 
 
 def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
@@ -181,26 +164,24 @@ def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class PureQSeries:
-    """A pure q-expansion, truncated, with exponents on a fixed lattice."""
+    """A pure q-expansion, truncated: q^lead * (c0 + c1 q^step + ...)."""
 
     lead: Fraction
     step: Fraction
     coeffs: tuple
-    lattice: int = 24
 
     def __post_init__(self):
         if self.step <= 0:
             raise ValueError("step must be positive")
-        if self.lattice % self.lead.denominator != 0:
-            raise LatticeMismatch(
-                f"leading exponent {self.lead} is off the 1/{self.lattice} lattice"
-            )
-        if self.lattice % self.step.denominator != 0:
-            raise LatticeMismatch(f"step {self.step} is off the 1/{self.lattice} lattice")
         if self.coeffs and not self.coeffs[0]:
             raise ValueError("non-normalized series: leading coefficient is zero")
 
     # -- bookkeeping -------------------------------------------------------
+
+    @property
+    def lattice(self) -> int:
+        """The least multiple L of 24 with lead and step on the grid (1/L)Z."""
+        return math.lcm(24, self.lead.denominator, self.step.denominator)
 
     @property
     def is_zero(self) -> bool:
@@ -228,21 +209,10 @@ class PureQSeries:
             return _ZERO
         return self.coeffs[int(rel)]
 
-    def _check_partner(self, other: "PureQSeries"):
-        if self.lattice != other.lattice:
-            raise LatticeMismatch(
-                f"lattice mismatch: 1/{self.lattice} vs 1/{other.lattice}"
-            )
-
     # -- construction helpers ----------------------------------------------
 
     @staticmethod
-    def make(
-        lead: Scalar,
-        coeffs,
-        step: Scalar = 1,
-        lattice: int = 24,
-    ) -> "PureQSeries":
+    def make(lead: Scalar, coeffs, step: Scalar = 1) -> "PureQSeries":
         """Normalize (strip leading zeros, keep the horizon) and build."""
         lead = Fraction(lead)
         step = Fraction(step)
@@ -252,17 +222,17 @@ class PureQSeries:
             k += 1
         horizon = lead + len(cs) * step
         if k == len(cs):
-            return PureQSeries(horizon, step, (), lattice)
-        return PureQSeries(lead + k * step, step, tuple(cs[k:]), lattice)
+            return PureQSeries(horizon, step, ())
+        return PureQSeries(lead + k * step, step, tuple(cs[k:]))
 
     @staticmethod
-    def zero(horizon: Scalar, step: Scalar = 1, lattice: int = 24) -> "PureQSeries":
-        return PureQSeries(Fraction(horizon), Fraction(step), (), lattice)
+    def zero(horizon: Scalar, step: Scalar = 1) -> "PureQSeries":
+        return PureQSeries(Fraction(horizon), Fraction(step), ())
 
     @staticmethod
-    def constant(value: Scalar, count: int, lattice: int = 24) -> "PureQSeries":
+    def constant(value: Scalar, count: int) -> "PureQSeries":
         """value + O(q^count) with integer steps."""
-        return PureQSeries.make(0, [value] + [0] * (count - 1), 1, lattice)
+        return PureQSeries.make(0, [value] + [0] * (count - 1))
 
     # -- grid alignment ----------------------------------------------------
 
@@ -280,10 +250,9 @@ class PureQSeries:
     def __add__(self, other):
         if not isinstance(other, PureQSeries):
             return NotImplemented
-        self._check_partner(other)
         horizon = min(self.horizon, other.horizon)
         if self.is_zero and other.is_zero:
-            return PureQSeries.zero(horizon, self.step, self.lattice)
+            return PureQSeries.zero(horizon, self.step)
         if self.is_zero:
             return other.truncated_at(horizon)
         if other.is_zero:
@@ -294,7 +263,7 @@ class PureQSeries:
         a = self.truncated_at(horizon)._on_grid(base, g, length)
         for i, c in enumerate(other.truncated_at(horizon)._on_grid(base, g, length)):
             a[i] = a[i] + c
-        return PureQSeries.make(base, a, g, self.lattice)
+        return PureQSeries.make(base, a, g)
 
     def __sub__(self, other):
         if not isinstance(other, PureQSeries):
@@ -302,35 +271,30 @@ class PureQSeries:
         return self + (-other)
 
     def __neg__(self):
-        return PureQSeries(self.lead, self.step, tuple(-c for c in self.coeffs), self.lattice)
-
-    def on_lattice(self, lattice: int) -> "PureQSeries":
-        """The same series with its exponents read on the 1/lattice lattice."""
-        return PureQSeries(self.lead, self.step, self.coeffs, lattice)
+        return PureQSeries(self.lead, self.step, tuple(-c for c in self.coeffs))
 
     def truncated_at(self, horizon: Fraction) -> "PureQSeries":
         """Forget knowledge at and beyond the given exponent."""
         if horizon >= self.horizon:
             return self
         if self.is_zero or horizon <= self.lead:
-            return PureQSeries.zero(min(horizon, self.horizon), self.step, self.lattice)
+            return PureQSeries.zero(min(horizon, self.horizon), self.step)
         n = (horizon - self.lead) / self.step
         keep = int(n) + (1 if n.denominator != 1 else 0)
-        return PureQSeries(self.lead, self.step, self.coeffs[:keep], self.lattice)
+        return PureQSeries(self.lead, self.step, self.coeffs[:keep])
 
     def scaled(self, c: Scalar) -> "PureQSeries":
         """Scalar multiple; a zero scalar yields the zero series."""
         c = _num(c)
         if not c:
-            return PureQSeries.zero(self.horizon, self.step, self.lattice)
-        return PureQSeries(self.lead, self.step, tuple(c * x for x in self.coeffs), self.lattice)
+            return PureQSeries.zero(self.horizon, self.step)
+        return PureQSeries(self.lead, self.step, tuple(c * x for x in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QuadNum)):
             return self.scaled(other)
         if not isinstance(other, PureQSeries):
             return NotImplemented
-        self._check_partner(other)
         if self.is_zero or other.is_zero:
             # 0 + O(q^H) times v = O(q^(H + lead_v))
             if self.is_zero and other.is_zero:
@@ -339,7 +303,7 @@ class PureQSeries:
                 h = self.horizon + other.lead
             else:
                 h = other.horizon + self.lead
-            return PureQSeries.zero(h, self.step, self.lattice)
+            return PureQSeries.zero(h, self.step)
         if self.step == other.step:
             a, b, g = self.coeffs, other.coeffs, self.step
         else:
@@ -347,7 +311,7 @@ class PureQSeries:
             a = self._on_grid(self.lead, g, int((self.horizon - self.lead) / g))
             b = other._on_grid(other.lead, g, int((other.horizon - other.lead) / g))
         prod = _convolve(a, b, min(len(a), len(b)))
-        return PureQSeries.make(self.lead + other.lead, prod, g, self.lattice)
+        return PureQSeries.make(self.lead + other.lead, prod, g)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, QuadNum)):
@@ -358,7 +322,7 @@ class PureQSeries:
         """Two-sided inverse to the truncation order."""
         if self.is_zero:
             raise ZeroDivisionError("cannot invert a zero series")
-        return PureQSeries(-self.lead, self.step, tuple(_inverse(self.coeffs)), self.lattice)
+        return PureQSeries(-self.lead, self.step, tuple(_inverse(self.coeffs)))
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -366,7 +330,7 @@ class PureQSeries:
         if n < 0:
             return self.inv() ** (-n)
         if n == 0:
-            return PureQSeries.constant(1, max(len(self.coeffs), 1), self.lattice)
+            return PureQSeries.constant(1, max(len(self.coeffs), 1))
         out = None
         base = self
         while n:
@@ -397,7 +361,7 @@ class PureQSeries:
                 if uk:
                     acc = acc + ((gamma + 1) * k - m) * uk * w[m - k]
             w[m] = acc / m
-        return PureQSeries.make(0, w, self.step, self.lattice)
+        return PureQSeries.make(0, w, self.step)
 
     # -- calculus and substitutions -----------------------------------------
 
@@ -409,7 +373,6 @@ class PureQSeries:
             self.lead,
             [(self.lead + i * self.step) * c for i, c in enumerate(self.coeffs)],
             self.step,
-            self.lattice,
         )
 
     def rescale(self, factor: Scalar) -> "PureQSeries":
@@ -418,13 +381,13 @@ class PureQSeries:
         if f <= 0:
             raise ValueError("rescale factor must be positive")
         if self.is_zero:
-            return PureQSeries.zero(self.lead * f, self.step * f, self.lattice)
-        return PureQSeries(self.lead * f, self.step * f, self.coeffs, self.lattice)
+            return PureQSeries.zero(self.lead * f, self.step * f)
+        return PureQSeries(self.lead * f, self.step * f, self.coeffs)
 
     def shifted(self, delta: Scalar) -> "PureQSeries":
         """Multiply by q^delta."""
         d = Fraction(delta)
-        return PureQSeries(self.lead + d, self.step, self.coeffs, self.lattice)
+        return PureQSeries(self.lead + d, self.step, self.coeffs)
 
     # -- presentation --------------------------------------------------------
 

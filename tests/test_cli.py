@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import vvmf2
-from vvmf2 import forms
+from vvmf2 import cli, forms
 from vvmf2.cli import main, parse_config, value_from_json, value_to_json
 from vvmf2.errors import ConfigError, ConsistencyError
 from vvmf2.qseries import PureQSeries
@@ -367,3 +367,28 @@ def test_minform_runs_on_a_lattice_120_instance(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["components"]["second"]["lattice"] == 120
     assert report["checks"]["mlde_residual_zero"] == [True, True]
+
+
+def test_denoms_refuses_a_single_route_before_building(monkeypatch, capsys):
+    def unexpected(*args, **kwargs):
+        pytest.fail("denoms built a minimal form it was going to refuse")
+
+    monkeypatch.setattr(cli, "minimal_form", unexpected)
+    assert main(["denoms", "--seed-instance", "m2", "--method", "closed"]) == 3
+    assert "method='both'" in capsys.readouterr().err
+
+
+def test_minform_has_no_format_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["minform", "--seed-instance", "m2", "--kmax", "4", "--format", "text"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["minform", "decompose"])
+def test_a_text_format_in_a_json_only_config_exits_2(tmp_path, capsys, command):
+    argv = [command, "--config", write_config(tmp_path, {**M2_CONFIG, "format": "text"})]
+    if command == "decompose":
+        components = Path(__file__).parent / "golden" / "decompose-components-m2.json"
+        argv += ["--components", str(components)]
+    assert main(argv) == 2
+    assert "'format'" in capsys.readouterr().err

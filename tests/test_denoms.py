@@ -1,9 +1,12 @@
 """Prime sets, denominator scans, and the finite-range divisibility laws."""
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vvmf2 import denoms
 from vvmf2.denoms import (
@@ -20,6 +23,7 @@ from vvmf2.errors import ConsistencyError
 from vvmf2.forms import form_monomial
 from vvmf2.minform import decompose, minimal_form, mlde_residual, weight_basis
 from vvmf2.params import ExponentData, params_from_exponents, seed_exponents
+from vvmf2.qseries import equal_through, to_json
 from vvmf2.quadratic import QuadNum, denominator_of, is_p_integral, legendre, primes_upto
 
 M2 = params_from_exponents(seed_exponents("m2"))
@@ -266,7 +270,8 @@ def test_ubd_general_computes_each_denominator_once(monkeypatch):
 def test_combinations_run_on_the_instance_lattice(k0):
     params = lattice_120_instance(k0)
     mf = minimal_form(params, 8, "both")
-    assert mf.comp1.lattice == mf.comp2.lattice == 120
+    assert mf.comp1.lattice == 24
+    assert mf.comp2.lattice == 120
     assert mlde_residual(params, mf.comp1).is_zero and mlde_residual(params, mf.comp2).is_zero
     labels = [b.label for b in weight_basis(mf, k0 + 4)]
     assert labels == ["G^2*E4^0*F'", "G^0*E4^1*F'", "G^1*E4^0*DF'"]
@@ -283,6 +288,35 @@ def test_combinations_run_on_the_instance_lattice(k0):
     report = ubd_general(mf, m1_map, m2_map, k, 8, 60)
     assert [r.p for r in report.rows if r.asserted] == [11, 19, 29]
     assert report.all_asserted_pass
+
+
+@st.composite
+def instances(draw):
+    """Valid instances with v = 2..6, so S != S~ and lattices past 24 occur."""
+    k0 = draw(st.sampled_from([0, 2, 4, 6]))
+    v = draw(st.integers(2, 6))
+    u = draw(st.sampled_from([x for x in range(1 - v, v) if math.gcd(x, v) == 1]))
+    l1 = draw(st.sampled_from([Fraction(x) for x in (0, "1/4", "-1/3", "1/9", "2/5")]))
+    l2 = l1 - Fraction(u, v)
+    M = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    s = draw(st.sampled_from([Fraction(x) for x in (1, -1, "1/2", "-1/2", 2, -2, "3/7", "-1/3")]))
+    r = QuadNum((Fraction(1, 2) - l1 - l2) / 2, s, M)
+    return params_from_exponents(ExponentData(k0, l1, l2, r, r.conjugate()))
+
+
+@given(instances())
+@settings(max_examples=30, deadline=None)
+def test_generated_instances_run_through_the_engine(params):
+    mf = minimal_form(params, 8, "both")
+    assert mlde_residual(params, mf.comp1).is_zero and mlde_residual(params, mf.comp2).is_zero
+    k = params.k0 + 4
+    r1, r2 = decompose(mf, *combination(mf, {(2, 0): 1}, {(1, 0): 3}, k), k)
+    n = len(mf.comp1.coeffs) + 1
+    assert r1.horizon == r2.horizon == 9
+    assert equal_through(r1, form_monomial(2, 0, n), 8)
+    assert equal_through(r2, 3 * form_monomial(1, 0, n), 8)
+    assert verify_ubd(mf).all_asserted_pass
+    assert to_json(mf.comp2)["lattice"] == math.lcm(24, params.leads[1].denominator)
 
 
 def test_verify_ubd_fails_when_a_predicted_denominator_is_cleared():

@@ -134,7 +134,7 @@ def test_identity_suite_fails_on_a_wrong_theta4_coefficient(monkeypatch):
         th4, curly_e = real(N)
         coeffs = list(th4.coeffs)
         coeffs[7] += 1  # r4(7) = 64
-        return PureQSeries(th4.lead, th4.step, tuple(coeffs), th4.lattice), curly_e
+        return PureQSeries(th4.lead, th4.step, tuple(coeffs)), curly_e
 
     monkeypatch.setattr(forms, "theta4_and_E", wrong_theta4)
     failed = {c.name for c in identity_suite(20).checks if not c.passed}

@@ -22,8 +22,14 @@ decompose-v3-k40.json is ``decompose`` at Kmax 40 and weight 8 on the
 v = 3 instance of decompose-config-v3.json (l1 = 0, l2 = 1/3,
 r = 1/12 + sqrt 2) with the components decompose-components-v3.json;
 it was written before ``decompose`` moved from a coefficientwise solve
-to Cramer's rule.  Any change in a single coefficient, denominator or
-verdict shows up as a byte diff.
+to Cramer's rule.  minform-l120-k12.json is ``minform`` on the instance
+of minform-config-l120-k12.json (k0 = 2, l1 = 0, l2 = 1/5,
+r = 3/20 + sqrt 2, Kmax 12), whose second component needs the 1/120
+grid; it was written while each series still stored a lattice, and its
+one edit since sets the first component's lattice from 120 to 24, the
+lcm of 24 and the denominators of that component's lead and step.  Any
+change in a single coefficient, denominator or verdict shows up as a
+byte diff.
 """
 
 from pathlib import Path
@@ -84,6 +90,11 @@ def test_decompose_v3_matches_golden(tmp_path):
         "--components", str(GOLDEN / "decompose-components-v3.json"),
     ]
     _check(tmp_path, argv, "decompose-v3-k40.json")
+
+
+def test_minform_off_lattice_24_matches_golden(tmp_path):
+    argv = ["minform", "--config", str(GOLDEN / "minform-config-l120-k12.json")]
+    _check(tmp_path, argv, "minform-l120-k12.json")
 
 
 def test_probe_matches_golden(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vvmf2.errors import ConfigError, LatticeMismatch, TruncationError
+from vvmf2.errors import ConfigError, TruncationError
 from vvmf2.qseries import PureQSeries, equal_through, int_from_json
 from vvmf2.quadratic import QuadNum, gen_binomial
 
@@ -136,13 +136,11 @@ def test_lead_arithmetic():
     assert w.lead == 0
 
 
-def test_lattice_mismatch_and_truncation():
-    u = PureQSeries.make(0, [1, 1], 1, lattice=24)
-    v = PureQSeries.make(0, [1, 1], 1, lattice=12)
-    with pytest.raises(LatticeMismatch):
-        u * v
-    with pytest.raises(LatticeMismatch):
-        PureQSeries.make(Fraction(1, 5), [1])
+def test_derived_lattice_and_truncation():
+    u = PureQSeries.make(0, [1, 1], 1)
+    v = PureQSeries.make(Fraction(1, 5), [1, 1], 1)
+    assert PureQSeries.make(Fraction(1, 5), [1]).lattice == 120
+    assert (u * v).lattice == 120
     with pytest.raises(TruncationError):
         u.coeff(2)
     assert u.coeff(Fraction(1, 2)) == 0  # off-grid but below the horizon
@@ -290,7 +288,7 @@ def _naive_inv(u):
     for i in range(1, len(c)):
         acc = sum((c[j] * out[i - j] for j in range(1, i + 1)), Fraction(0))
         out.append(-b0 * acc)
-    return PureQSeries(-u.lead, u.step, tuple(out), u.lattice)
+    return PureQSeries(-u.lead, u.step, tuple(out))
 
 
 def _naive_pow(u, n):
