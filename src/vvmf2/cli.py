@@ -32,6 +32,7 @@ from .errors import (
     TruncationError,
 )
 from .minform import (
+    METHODS,
     MinimalForm,
     decompose,
     deriv_components,
@@ -39,6 +40,7 @@ from .minform import (
     mlde_residual,
 )
 from .params import (
+    SEED_FIELDS,
     ExponentData,
     InstanceParams,
     params_from_exponents,
@@ -73,18 +75,26 @@ value_to_json = series_to_json = params_to_json = to_json
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A validated run request: one instance plus computation knobs."""
+    """A validated run request: one instance plus computation knobs, checked before any build."""
 
     exponents: ExponentData
     kmax: int = DEFAULT_KMAX
     method: str = "both"
     factor_bound: int = denoms_mod.DEFAULT_FACTOR_BOUND
-    out: str | None = None
-    format: str = "json"
 
     def __post_init__(self):
+        if self.method not in METHODS:
+            raise ConfigError(f"unknown method {self.method!r}")
         if self.kmax < 1:
             raise ConsistencyError("kmax >= 1")
+        if self.factor_bound < 1:
+            raise ConsistencyError(f"factor bound must be >= 1, got {self.factor_bound}")
+
+
+def _check_keys(spec: dict, allowed: set, where: str):
+    unknown = sorted(set(spec) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown {where} key {unknown[0]!r}; allowed: {sorted(allowed)}")
 
 
 def _exponents_from_spec(spec: dict) -> ExponentData:
@@ -96,6 +106,7 @@ def _exponents_from_spec(spec: dict) -> ExponentData:
         raise ConfigError(
             "instance must carry exactly one of {l1, l2, r} or {a, b, c, M}"
         )
+    _check_keys(spec, {"k0"} | (abc_keys if has_abc else exponent_keys), "instance")
     k0 = int_from_json(spec.get("k0", 0), "k0")
     if has_abc:
         a, b, c = (fraction_from_json(spec[key]) for key in "abc")
@@ -103,6 +114,7 @@ def _exponents_from_spec(spec: dict) -> ExponentData:
     r_spec = spec["r"]
     if not isinstance(r_spec, dict):
         raise ConfigError("instance key 'r' must be an object {rat, surd, M}")
+    _check_keys(r_spec, {"rat", "surd", "M", "conjugate_pair"}, "'r'")
     r1 = value_from_json(r_spec)
     l1, l2 = fraction_from_json(spec["l1"]), fraction_from_json(spec["l2"])
     if isinstance(r1, QuadNum) and r1.surd != 0:
@@ -123,31 +135,22 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"malformed JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("top-level config must be an object")
+    _check_keys(data, {"instance", "kmax", "method", "factor_bound"}, "config")
     instance = data.get("instance")
     if not isinstance(instance, dict):
         raise ConfigError("config needs an 'instance' object")
-    exponents = _exponents_from_spec(instance)
-    kmax = int_from_json(data.get("kmax", DEFAULT_KMAX), "kmax")
-    method = data.get("method", "both")
-    if method not in ("both", "closed", "frobenius"):
-        raise ConfigError(f"unknown method {method!r}")
-    fmt = data.get("format", "json")
-    if fmt not in ("json", "text"):
-        raise ConfigError(f"unknown format {fmt!r}")
     return RunConfig(
-        exponents=exponents,
-        kmax=kmax,
-        method=method,
+        exponents=_exponents_from_spec(instance),
+        kmax=int_from_json(data.get("kmax", DEFAULT_KMAX), "kmax"),
+        method=data.get("method", "both"),
         factor_bound=int_from_json(
             data.get("factor_bound", denoms_mod.DEFAULT_FACTOR_BOUND), "factor_bound"
         ),
-        out=data.get("out"),
-        format=fmt,
     )
 
 
-def _load_config(args, formats=("json",)) -> RunConfig:
-    """The run request of a subcommand that writes a report in one of ``formats``."""
+def _load_config(args) -> RunConfig:
+    """The run request of a subcommand: a seed instance or a config file, then the flags."""
     if getattr(args, "seed_instance", None):
         cfg = RunConfig(seed_exponents(args.seed_instance))
     elif getattr(args, "config", None):
@@ -159,13 +162,10 @@ def _load_config(args, formats=("json",)) -> RunConfig:
         cfg = parse_config(text)
     else:
         raise ConfigError("need --config FILE or --seed-instance NAME")
-    # a flag given on the command line overrides the config
-    flags = ("kmax", "method", "factor_bound", "out", "format")
+    # a flag given on the command line overrides the config; replace re-runs the check
+    flags = ("kmax", "method", "factor_bound")
     updates = {f: getattr(args, f) for f in flags if getattr(args, f, None) is not None}
-    cfg = replace(cfg, **updates)
-    if cfg.format not in formats:
-        raise ConfigError(f"config key 'format': {args.command} has no {cfg.format} report")
-    return cfg
+    return replace(cfg, **updates)
 
 
 def _emit(report, out: str | None):
@@ -264,7 +264,7 @@ def cmd_minform(args) -> int:
             "derivative_formula_matches": True,
         },
     }
-    _emit(payload, cfg.out)
+    _emit(payload, args.out)
     ok = res1.is_zero and res2.is_zero
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -283,12 +283,12 @@ def _ubd_row_json(r: denoms_mod.UbdRow) -> dict:
 
 
 def cmd_denoms(args) -> int:
-    cfg = _load_config(args, ("json", "text"))
+    cfg = _load_config(args)
     if cfg.method != "both":  # verify_ubd refuses it too, but only after the build
         raise ConsistencyError("denominator analysis requires method='both'")
     params, mf = _build_minform(cfg)
     report = denoms_mod.verify_ubd(mf, cfg.kmax, cfg.factor_bound)
-    if cfg.format == "text":
+    if args.format == "text":
         lines = [f"{'K':>4} {'p_K':>6} {'in S':>5} {'divides':>8} {'prior':>6}  verdict"]
         for r in report.rows_d:
             lines.append(
@@ -297,7 +297,7 @@ def cmd_denoms(args) -> int:
                 + (f" ({'; '.join(r.exempt)})" if r.exempt else "")
             )
         lines.append(f"threshold: {report.threshold}  exceptional: {list(report.exceptional)}")
-        _emit("\n".join(lines), cfg.out)
+        _emit("\n".join(lines), args.out)
     else:
         _emit(
             {
@@ -323,7 +323,7 @@ def cmd_denoms(args) -> int:
                 "prime_summary_d_tilde": report.summary_d_tilde,
                 "all_asserted_pass": report.all_asserted_pass,
             },
-            cfg.out,
+            args.out,
         )
     return EXIT_OK if report.all_asserted_pass else EXIT_CHECK_FAILED
 
@@ -366,7 +366,7 @@ def cmd_decompose(args) -> int:
         "m1_monomials": {f"G^{a}*E4^{b}": c for (a, b), c in coords1.items()},
         "m2_monomials": {f"G^{a}*E4^{b}": c for (a, b), c in coords2.items()},
     }
-    _emit(payload, cfg.out)
+    _emit(payload, args.out)
     return EXIT_OK
 
 
@@ -396,11 +396,11 @@ def _add_instance_flags(sub):
     sub.add_argument("--config", help="JSON run configuration file")
     sub.add_argument(
         "--seed-instance",
-        choices=("m2", "m5"),
+        choices=tuple(SEED_FIELDS),
         help="use a built-in worked instance instead of a config file",
     )
     sub.add_argument("--kmax", type=int, default=None)
-    sub.add_argument("--method", choices=("both", "closed", "frobenius"), default=None)
+    sub.add_argument("--method", choices=METHODS, default=None)
     sub.add_argument("--out", default=None, help="write the report here instead of stdout")
 
 
@@ -432,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("denoms", help="finite-range unbounded-denominator report")
     _add_instance_flags(s)
     s.add_argument("--factor-bound", type=int, default=None)
-    s.add_argument("--format", choices=("json", "text"), default=None)
+    s.add_argument("--format", choices=("json", "text"), default="json")
     s.set_defaults(handler=cmd_denoms)
 
     s = subs.add_parser("decompose", help="express a vector in the F', DF' basis")

@@ -140,7 +140,11 @@ def side_condition_audit(params: InstanceParams, p: int, K: int | None = None) -
 
 @dataclass(frozen=True)
 class UbdRow:
-    """Verdict for one index K of one coefficient sequence."""
+    """Verdict for one index K of one coefficient sequence.
+
+    ``first`` is the first index >= 1 whose denominator p divides (None
+    if there is none, or if p is not in the prime set).
+    """
 
     K: int
     p: int
@@ -148,7 +152,14 @@ class UbdRow:
     in_S: bool
     exempt: tuple[str, ...]
     divides: bool | None
-    earlier_integral: bool | None
+    first: int | None
+
+    @property
+    def earlier_integral(self) -> bool | None:
+        """Whether p divides no denominator at indices 1..K-1 (None off the prime set)."""
+        if not self.in_S:
+            return None
+        return self.first is None or self.first >= self.K
 
     @property
     def asserted(self) -> bool:
@@ -207,24 +218,17 @@ def _first_division(dens: list[int], p: int, start: int) -> int | None:
 
 
 def _scan_rows(
-    dens: list[int], params: InstanceParams, Kmax: int, u: int, v: int
+    dens: list[int], params: InstanceParams, Kmax: int, u: int, v: int, S: tuple[int, ...]
 ) -> list[UbdRow]:
-    M = params.field_M
     rows = []
     for K in range(1, Kmax + 1):
         p = u + K * v
-        prime = p >= 2 and is_prime(p)
-        if not prime:
-            rows.append(UbdRow(K, p, False, False, (), None, None))
+        if p not in S:
+            rows.append(UbdRow(K, p, p >= 2 and is_prime(p), False, (), None, None))
             continue
-        in_s = p != 2 and legendre(M, p) == -1
-        exempt = tuple(side_condition_audit(params, p, K)) if in_s else ()
-        divides = earlier = None
-        if in_s:
-            divides = dens[K] % p == 0
-            first = _first_division(dens, p, 1)
-            earlier = first is None or first >= K
-        rows.append(UbdRow(K, p, True, in_s, exempt, divides, earlier))
+        exempt = tuple(side_condition_audit(params, p, K))
+        first = _first_division(dens, p, 1)
+        rows.append(UbdRow(K, p, True, True, exempt, dens[K] % p == 0, first))
     return rows
 
 
@@ -250,25 +254,18 @@ def verify_ubd(
     dens_d, dens_h, dens_dt = (
         [denominator_of(z) for z in seq[: Kmax + 1]] for seq in (t.d, t.h, t.d_tilde)
     )
-    rows_d = _scan_rows(dens_d, p, Kmax, p.u, p.v)
-    rows_h = _scan_rows(dens_h, p, Kmax, p.u, p.v)
-    rows_dt = _scan_rows(dens_dt, p, Kmax, -p.u, p.v)
+    sets = prime_sets(p, abs(p.u) + Kmax * p.v)
+    rows_d = _scan_rows(dens_d, p, Kmax, p.u, p.v, sets.S)
+    rows_h = _scan_rows(dens_h, p, Kmax, p.u, p.v, sets.S)
+    rows_dt = _scan_rows(dens_dt, p, Kmax, -p.u, p.v, sets.S_tilde)
 
     asserted = [r for r in rows_d + rows_h + rows_dt if r.asserted]
     failed = sorted({r.p for r in asserted if not r.passed})
-    threshold = None
-    for candidate in sorted({r.p for r in asserted}):
-        if all(r.passed for r in asserted if r.p >= candidate):
-            threshold = candidate
-            break
+    # the least asserted prime above every failing one
+    threshold = min((r.p for r in asserted if r.p > max(failed, default=0)), default=None)
 
-    def summarize(rows: list[UbdRow], dens: list[int]) -> tuple[PrimeSummary, ...]:
-        out = []
-        for r in rows:
-            if not (r.is_prime and r.in_S):
-                continue
-            out.append(PrimeSummary(r.p, _first_division(dens, r.p, 1), r.K, r.verdict))
-        return tuple(out)
+    def summarize(rows: list[UbdRow]) -> tuple[PrimeSummary, ...]:
+        return tuple(PrimeSummary(r.p, r.first, r.K, r.verdict) for r in rows if r.in_S)
 
     return DenomReport(
         Kmax=Kmax,
@@ -277,8 +274,8 @@ def verify_ubd(
         rows_h=tuple(rows_h),
         rows_d_tilde=tuple(rows_dt),
         scan_d=tuple(_scan_denominators(dens_d, factor_bound)),
-        summary_d=summarize(rows_d, dens_d),
-        summary_d_tilde=summarize(rows_dt, dens_dt),
+        summary_d=summarize(rows_d),
+        summary_d_tilde=summarize(rows_dt),
         threshold=threshold,
         exceptional=tuple(failed),
     )
@@ -313,6 +310,8 @@ def pochhammer_numerator_probe(X: QuadNum, R: Fraction, p: int, tmax: int) -> Pr
     checks the Pochhammer numerators directly.  If p divides y the
     hypothesis fails and the result is inconclusive.
     """
+    if tmax < 1:
+        raise ValueError("tmax >= 1")
     if p == 2 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     if not isinstance(X, QuadNum) or X.surd == 0:

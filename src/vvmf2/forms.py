@@ -179,7 +179,6 @@ def modular_D(k: int, u: PureQSeries) -> PureQSeries:
 class IdentityCheck:
     name: str
     passed: bool
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -190,13 +189,6 @@ class IdentityReport:
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-
-def vanishes_through(s: PureQSeries, exponent) -> bool:
-    e = Fraction(exponent)
-    if s.horizon <= e:
-        raise TruncationError(f"vanishing through q^{e} undecidable at horizon {s.horizon}")
-    return s.is_zero or s.lead > e
 
 
 def identity_suite(N: int) -> IdentityReport:
@@ -221,8 +213,8 @@ def identity_suite(N: int) -> IdentityReport:
 
     checks = []
 
-    def record(name: str, ok: bool, detail: str = ""):
-        checks.append(IdentityCheck(name, ok, detail))
+    def record(name: str, ok: bool):
+        checks.append(IdentityCheck(name, ok))
 
     record("theta-J", equal_through(thJ, (one - J) * g, N))
     record("theta-J-weight6", equal_through((e4 - g2) * thJ, e4 * g - 4 * (g2 * g), N))
@@ -251,28 +243,19 @@ def identity_suite(N: int) -> IdentityReport:
     record("E4-J-ratio", equal_through(e4 * J, g2 * (J + 3 * one), N))
 
     diff = g2 - e4
-    bad = [
-        n
-        for n in range(N + 1)
-        if diff.coeff(n).denominator != 1 or diff.coeff(n) % 192 != 0
-    ]
-    record("192-divisibility", not bad, f"failing orders {bad[:4]}" if bad else "")
+    # x % 192 == 0 holds exactly for the integer multiples of 192
+    record("192-divisibility", all(diff.coeff(n) % 192 == 0 for n in range(N + 1)))
 
     Kq = K.shifted(1)
-    bad = [n for n in range(N + 1) if Kq.coeff(n).denominator != 1]
-    unit = Kq.coeff(0) == 1
-    record(
-        "Kq-integral-unit",
-        not bad and unit,
-        "" if (not bad and unit) else f"non-integer orders {bad[:4]}, c0={Kq.coeff(0)}",
-    )
+    integral = all(Kq.coeff(n).denominator == 1 for n in range(N + 1))
+    record("Kq-integral-unit", integral and Kq.coeff(0) == 1)
 
     record("G-parity-form", equal_through(g, g_parity_form(margin), N))
 
     for k in (-2, 0, 1, 6):
-        eta2k = eta_pow(2 * k, margin)
-        res = modular_D(k, eta2k)
-        record(f"eta-kernel-k={k}", vanishes_through(res, Fraction(k, 12) + N))
+        res = modular_D(k, eta_pow(2 * k, margin))
+        zero = PureQSeries.zero(res.horizon)
+        record(f"eta-kernel-k={k}", equal_through(res, zero, Fraction(k, 12) + N))
 
     eta2 = eta_pow(2, margin)
     record("theta-eta", equal_through(12 * eta2.theta(), e2 * eta2, Fraction(1, 12) + N))
@@ -374,8 +357,9 @@ def monomial_coordinates(f: PureQSeries, k: int) -> dict[tuple[int, int], object
     """Coordinates of f in the basis {G^a E4^b : 2a+4b = k}.
 
     Solves the square system given by the first dim M_k coefficients, then
-    checks every further known coefficient of f; any residual means f is
-    not a form of weight k on Gamma0(2).
+    rebuilds f from the solution and compares it with f through the last
+    known integer exponent; any difference means f is not a form of
+    weight k on Gamma0(2).
     """
     basis = monomial_basis(k)
     r = len(basis)
@@ -390,12 +374,8 @@ def monomial_coordinates(f: PureQSeries, k: int) -> dict[tuple[int, int], object
         raise TruncationError(f"need at least {r} coefficients, have {known}")
     mons = [form_monomial(a, b, known + 1) for a, b in basis]
     rows = [[mon.coeff(n) for mon in mons] for n in range(r)]
-    rhs = [f.coeff(n) for n in range(r)]
-    sol = _solve_exact(rows, rhs)
-    for n in range(r, known):
-        if n >= f.horizon:
-            break
-        predicted = sum((sol[i] * mons[i].coeff(n) for i in range(r)), Fraction(0))
-        if predicted != f.coeff(n):
-            raise NotAFormError(f"residual at order {n}: series is not in M_{k}")
+    sol = _solve_exact(rows, [f.coeff(n) for n in range(r)])
+    built = sum((c * mon for c, mon in zip(sol, mons)), PureQSeries.zero(known + 1))
+    if not equal_through(built, f, known - 1):
+        raise NotAFormError(f"series is not in M_{k}: the solved combination differs from it")
     return {basis[i]: sol[i] for i in range(r) if sol[i]}

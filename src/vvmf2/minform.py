@@ -47,6 +47,7 @@ from .qseries import PureQSeries, _convolve, _iconv, _lift, _toeplitz, equal_thr
 from .quadratic import FieldElement, pochhammer
 
 _ONE = Fraction(1)
+METHODS = ("both", "closed", "frobenius")
 
 
 def gauss_2f1(alpha, beta, gamma, n: int) -> FieldElement:
@@ -227,7 +228,7 @@ def minimal_form(params: InstanceParams, Kmax: int, method: str = "both") -> Min
     recursion, and "both" (the default for anything feeding denominator
     analysis) runs the two and requires exact agreement.
     """
-    if method not in ("closed", "frobenius", "both"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "frobenius":
         h, ht = h_frobenius(params, Kmax)

@@ -264,18 +264,12 @@ def induced_exponent_classes(
 # ---------------------------------------------------------------------------
 
 
+SEED_FIELDS = {"m2": 2, "m5": 5}
+
+
 def seed_exponents(name: str) -> ExponentData:
-    """Built-in instances: 'm2' (field constant 2) and 'm5' (field constant 5)."""
-    if name == "m2":
-        return ExponentData(
-            k0=0, l1=Fraction(0), l2=Fraction(1, 2),
-            r1=QuadNum(Fraction(0), Fraction(1), 2),
-            r2=QuadNum(Fraction(0), Fraction(-1), 2),
-        )
-    if name == "m5":
-        return ExponentData(
-            k0=0, l1=Fraction(0), l2=Fraction(1, 2),
-            r1=QuadNum(Fraction(0), Fraction(1), 5),
-            r2=QuadNum(Fraction(0), Fraction(-1), 5),
-        )
-    raise ValueError(f"unknown seed instance {name!r} (try 'm2' or 'm5')")
+    """Built-in instances k0 = 0, l1 = 0, l2 = 1/2, r = sqrt(M): 'm2' (M = 2) and 'm5' (M = 5)."""
+    if name not in SEED_FIELDS:
+        raise ValueError(f"unknown seed instance {name!r} (try 'm2' or 'm5')")
+    r = QuadNum(Fraction(0), Fraction(1), SEED_FIELDS[name])
+    return ExponentData(k0=0, l1=Fraction(0), l2=Fraction(1, 2), r1=r, r2=r.conjugate())

@@ -305,9 +305,3 @@ def half_form(z: QuadNum) -> HalfForm:
         raise PipelineMismatch(f"numerator of {z} is not half-integral")
     return HalfForm(Z, int(x), int(y), z.M)
 
-
-def divides_in_integers(p: int, z: QuadNum | Rational) -> bool:
-    """True iff an algebraic integer z is divisible by p in the algebraic integers."""
-    if denominator_of(z) != 1:
-        raise ValueError(f"{z} is not an algebraic integer")
-    return denominator_of(z * Fraction(1, p)) == 1

@@ -384,11 +384,55 @@ def test_minform_has_no_format_flag(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("command", ["minform", "decompose"])
-def test_a_text_format_in_a_json_only_config_exits_2(tmp_path, capsys, command):
-    argv = [command, "--config", write_config(tmp_path, {**M2_CONFIG, "format": "text"})]
+def test_denoms_refuses_a_bad_factor_bound_before_building(monkeypatch, capsys):
+    def unexpected(*args, **kwargs):
+        pytest.fail("denoms built a minimal form for a factor bound it was going to refuse")
+
+    monkeypatch.setattr(cli, "minimal_form", unexpected)
+    assert main(["denoms", "--seed-instance", "m2", "--factor-bound", "0"]) == 3
+    assert "factor bound must be >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["format", "out"])
+@pytest.mark.parametrize("command", ["minform", "decompose", "denoms"])
+def test_an_out_or_format_key_in_a_config_exits_2(tmp_path, capsys, command, key):
+    # --out and --format are flags only; a config that sets them is refused, not half obeyed
+    value = "text" if key == "format" else str(tmp_path / "report.json")
+    argv = [command, "--config", write_config(tmp_path, {**M2_CONFIG, key: value})]
     if command == "decompose":
         components = Path(__file__).parent / "golden" / "decompose-components-m2.json"
         argv += ["--components", str(components)]
     assert main(argv) == 2
-    assert "'format'" in capsys.readouterr().err
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def with_instance(config, **keys):
+    return {**config, "instance": {**config["instance"], **keys}}
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({**M2_CONFIG, "kmx": 12}, "unknown config key 'kmx'"),
+        (with_instance(M2_CONFIG, k_0=2), "unknown instance key 'k_0'"),
+        (
+            with_instance(M2_CONFIG, r={**M2_CONFIG["instance"]["r"], "conjugate": True}),
+            "unknown 'r' key 'conjugate'",
+        ),
+        (with_instance(ABC_CONFIG, l1="0"), "unknown instance key 'l1'"),
+    ],
+    ids=["kmx", "k_0", "r-conjugate", "abc-l1"],
+)
+def test_an_unknown_config_key_exits_2(tmp_path, capsys, config, message):
+    # a misspelt key used to fall back to its default: Kmax 40, k0 = 0, conjugate_pair true
+    assert main(["minform", "--config", write_config(tmp_path, config)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tmax", ["0", "-3"])
+def test_probe_refuses_an_empty_range(capsys, tmax):
+    argv = ["probe", "--M", "2", "--rat", "0", "--surd", "1", "--p", "5", "--tmax", tmax]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert "tmax >= 1" in captured.err and captured.out == ""

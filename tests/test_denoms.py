@@ -26,6 +26,8 @@ from vvmf2.params import ExponentData, params_from_exponents, seed_exponents
 from vvmf2.qseries import equal_through, to_json
 from vvmf2.quadratic import QuadNum, denominator_of, is_p_integral, legendre, primes_upto
 
+from plain_series import plain_series_h
+
 M2 = params_from_exponents(seed_exponents("m2"))
 SQRT2 = QuadNum(Fraction(0), Fraction(1), 2)
 # exponent difference -1/3 splits S and S~ into different progressions
@@ -308,6 +310,8 @@ def instances(draw):
 @settings(max_examples=30, deadline=None)
 def test_generated_instances_run_through_the_engine(params):
     mf = minimal_form(params, 8, "both")
+    assert plain_series_h(params, 8, 0) == list(mf.tables.h)
+    assert plain_series_h(params, 8, 1) == list(mf.tables.h_tilde)
     assert mlde_residual(params, mf.comp1).is_zero and mlde_residual(params, mf.comp2).is_zero
     k = params.k0 + 4
     r1, r2 = decompose(mf, *combination(mf, {(2, 0): 1}, {(1, 0): 3}, k), k)
@@ -329,4 +333,5 @@ def test_verify_ubd_fails_when_a_predicted_denominator_is_cleared():
     row = next(r for r in report.rows_d if r.K == 6)
     assert (row.divides, row.passed, row.verdict) == (False, False, "fail")
     assert report.exceptional == (11,)
+    assert report.threshold == 13
     assert not report.all_asserted_pass

@@ -30,6 +30,8 @@ from vvmf2.params import ExponentData, params_from_exponents, seed_exponents
 from vvmf2.qseries import PureQSeries, equal_through
 from vvmf2.quadratic import QuadNum, gen_binomial, pochhammer
 
+from plain_series import plain_series_h
+
 M2 = params_from_exponents(seed_exponents("m2"))
 M5 = params_from_exponents(seed_exponents("m5"))
 SQRT2 = QuadNum(Fraction(0), Fraction(1), 2)
@@ -227,42 +229,12 @@ def test_pipelines_agree(params):
     assert hc[1] == 256 if params is M2 else True
 
 
-def test_h_by_direct_series_arithmetic():
+@pytest.mark.parametrize("component", [0, 1], ids=["h", "h_tilde"])
+@pytest.mark.parametrize("params", [M2, M5, V3], ids=["m2", "m5", "v3"])
+def test_h_by_direct_series_arithmetic(params, component):
     # third route: no tables, no recursion; plain truncated series algebra
     Kmax = 12
-    p = M2
-    K, _ = hauptmodul(Kmax + 2)
-    kinv = K.inv()
-    f, _ = seq_f(p, Kmax)
-    total = PureQSeries.constant(1, len(kinv.coeffs))
-    power = PureQSeries.constant(1, len(kinv.coeffs))
-    for k in range(1, Kmax + 1):
-        power = power * kinv
-        total = total + power * f[k]
-    one_plus_x = kinv.shifted(-1)
-    direct = one_plus_x.pow_binomial(p.l1).shifted(p.l1) * total
-    assert direct.lead == p.l1 and direct.coeff(p.l1) == 1
-    h, _ = h_closed(p, Kmax)
-    for n in range(Kmax + 1):
-        assert direct.coeff(p.l1 + n) == h[n]
-
-
-def test_h_by_direct_series_arithmetic_second_component():
-    Kmax = 10
-    p = M2
-    K, _ = hauptmodul(Kmax + 2)
-    kinv = K.inv()
-    _, ft = seq_f(p, Kmax)
-    total = PureQSeries.constant(1, len(kinv.coeffs))
-    power = PureQSeries.constant(1, len(kinv.coeffs))
-    for k in range(1, Kmax + 1):
-        power = power * kinv
-        total = total + power * ft[k]
-    one_plus_x = kinv.shifted(-1)
-    direct = one_plus_x.pow_binomial(p.l2).shifted(p.l2) * total
-    _, ht = h_closed(p, Kmax)
-    for n in range(Kmax + 1):
-        assert direct.coeff(p.l2 + n) == ht[n]
+    assert plain_series_h(params, Kmax, component) == h_closed(params, Kmax)[component]
 
 
 @pytest.mark.parametrize("params", [M2, M5, k0_two_instance()], ids=["m2", "m5", "k0=2"])

@@ -11,7 +11,6 @@ from vvmf2.quadratic import (
     HalfForm,
     QuadNum,
     denominator_of,
-    divides_in_integers,
     gen_binomial,
     half_form,
     is_p_integral,
@@ -182,20 +181,6 @@ def test_half_form_reconstructs(z):
             assert (hf.x - hf.y) % 2 == 0
         else:
             assert hf.x % 2 == 0 and hf.y % 2 == 0
-
-
-def test_divides_in_integers():
-    assert divides_in_integers(2, QuadNum(Fraction(2), Fraction(4), 3))
-    assert not divides_in_integers(3, QuadNum(Fraction(2), Fraction(4), 3))
-    # sqrt2 * sqrt2 = 2: 2 divides sqrt2^2 but sqrt2 itself is not divisible by 2
-    assert not divides_in_integers(2, SQRT2)
-    # in Q(sqrt5) the integers include (1 + sqrt5)/2, so 2 divides 1 + sqrt5
-    assert divides_in_integers(2, QuadNum(Fraction(1), Fraction(1), 5))
-    assert not divides_in_integers(2, QuadNum(Fraction(1), Fraction(1), 3))
-    assert divides_in_integers(3, 6) and not divides_in_integers(3, Fraction(7))
-    for not_integral in (Fraction(1, 2), QuadNum(Fraction(1, 2), Fraction(1, 2), 3)):
-        with pytest.raises(ValueError, match="not an algebraic integer"):
-            divides_in_integers(2, not_integral)
 
 
 def test_is_prime_small():
