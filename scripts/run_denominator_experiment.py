@@ -4,14 +4,15 @@
 Builds the minimal form by both pipelines, factors every coefficient
 denominator, and prints the prime-by-prime verdict table: for each K
 with p_K = u + K*v prime and inert, does p_K divide the denominator of
-d(K) while all earlier coefficients stay p_K-integral?
+d(K) while all earlier coefficients stay p_K-integral?  Exits 1 if an
+asserted row fails.
 """
 
 import argparse
 
-from vvmf2.denoms import verify_ubd
+from vvmf2.denoms import DEFAULT_FACTOR_BOUND, verify_ubd
 from vvmf2.minform import minimal_form
-from vvmf2.params import params_from_exponents, seed_exponents
+from vvmf2.params import SEED_FIELDS, params_from_exponents, seed_exponents
 
 
 def fmt_factors(factors, cofactor):
@@ -23,9 +24,9 @@ def fmt_factors(factors, cofactor):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--instance", choices=("m2", "m5"), default="m2")
+    ap.add_argument("--instance", choices=tuple(SEED_FIELDS), default="m2")
     ap.add_argument("--kmax", type=int, default=40)
-    ap.add_argument("--factor-bound", type=int, default=10**6)
+    ap.add_argument("--factor-bound", type=int, default=DEFAULT_FACTOR_BOUND)
     args = ap.parse_args()
 
     params = params_from_exponents(seed_exponents(args.instance))
@@ -38,21 +39,14 @@ def main():
     report = verify_ubd(mf, args.kmax, args.factor_bound)
     for r in report.rows_d:
         scan = report.scan_d[r.K]
-        if not r.is_prime:
-            verdict = "-"
-        elif not r.in_S:
-            verdict = "split prime, no claim"
-        elif r.exempt:
-            verdict = "exempt: " + "; ".join(r.exempt)
-        else:
-            verdict = "PASS" if r.passed else "FAIL"
+        verdict = r.verdict + (f" ({'; '.join(r.exempt)})" if r.exempt else "")
         print(f"{r.K:>4} {fmt_factors(scan.factors, scan.cofactor):<40} {r.p:>5}  {verdict}")
 
     print(f"\nempirical threshold: every audited inert prime from {report.threshold} on passes")
     if report.exceptional:
         print(f"non-exempt failures at primes: {list(report.exceptional)}")
-    else:
-        print("no non-exempt failures in range")
+        raise SystemExit(1)
+    print("no non-exempt failures in range")
 
 
 if __name__ == "__main__":

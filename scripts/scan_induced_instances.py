@@ -6,7 +6,8 @@ exponent classes only mod Z; this script searches small integer shifts
 for a combination satisfying the exact consistency constraint, builds
 the instance, runs both pipelines, and checks the denominator law over
 a finite range.  Instances whose exponent data never satisfies the
-constraint within the shift window are reported and skipped.
+constraint within the shift window are reported and skipped.  Exits 1
+if a realized instance has a non-exempt failure.
 """
 
 import argparse
@@ -16,7 +17,7 @@ from fractions import Fraction
 from vvmf2.denoms import verify_ubd
 from vvmf2.errors import ConsistencyError
 from vvmf2.minform import minimal_form
-from vvmf2.params import check_assumptions, induced_exponent_classes, params_from_exponents
+from vvmf2.params import induced_exponent_classes, params_from_exponents
 from vvmf2.quadratic import QuadNum
 
 XI1_CHOICES = [Fraction(0), Fraction(1, 3), Fraction(1, 4), Fraction(1, 6), Fraction(2, 5)]
@@ -42,6 +43,7 @@ def main():
     args = ap.parse_args()
 
     print(f"{'xi1':>6} {'M':>3} {'u/v':>7} {'threshold':>10}  result")
+    realized = failed = 0
     for xi1 in XI1_CHOICES:
         for M in M_CHOICES:
             # the rational part of xi2 must be xi1/2 mod 1/2, else the two
@@ -52,16 +54,18 @@ def main():
             if params is None:
                 print(f"{str(xi1):>6} {M:>3} {'-':>7} {'-':>10}  no consistent shifts in window")
                 continue
-            if not check_assumptions(params).all_pass:
-                print(f"{str(xi1):>6} {M:>3} {'-':>7} {'-':>10}  structural assumptions fail")
-                continue
             mf = minimal_form(params, args.kmax, "both")
             report = verify_ubd(mf, args.kmax)
+            realized += 1
+            failed += not report.all_asserted_pass
             status = "ok" if report.all_asserted_pass else f"FAILURES {list(report.exceptional)}"
             print(
                 f"{str(xi1):>6} {M:>3} {f'{params.u}/{params.v}':>7} "
                 f"{str(report.threshold):>10}  {status}"
             )
+    print(f"\n{realized} instances realized, {failed} with non-exempt failures")
+    if failed:
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from . import denoms as denoms_mod
 from . import forms
@@ -115,16 +114,11 @@ def _exponents_from_spec(spec: dict) -> ExponentData:
     if not isinstance(r_spec, dict):
         raise ConfigError("instance key 'r' must be an object {rat, surd, M}")
     _check_keys(r_spec, {"rat", "surd", "M", "conjugate_pair"}, "'r'")
-    r1 = value_from_json(r_spec)
+    if not r_spec.get("conjugate_pair", True):
+        raise ConsistencyError("r requires conjugate_pair: true (r2 is the conjugate of r1)")
+    r1 = value_from_json(r_spec)  # a QuadNum: r_spec is an object
     l1, l2 = fraction_from_json(spec["l1"]), fraction_from_json(spec["l2"])
-    if isinstance(r1, QuadNum) and r1.surd != 0:
-        if not r_spec.get("conjugate_pair", True):
-            raise ConsistencyError("irrational r requires conjugate_pair: true")
-        r2 = r1.conjugate()
-    else:
-        r1 = r1.rat if isinstance(r1, QuadNum) else r1
-        r2 = Fraction(1, 2) - l1 - l2 - r1
-    return ExponentData(k0=k0, l1=l1, l2=l2, r1=r1, r2=r2)
+    return ExponentData(k0=k0, l1=l1, l2=l2, r1=r1, r2=r1.conjugate())
 
 
 def parse_config(text: str) -> RunConfig:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import ConsistencyError
 from .minform import MinimalForm, combination
-from .params import InstanceParams, check_assumptions
+from .params import InstanceParams
 from .quadratic import (
     QuadNum,
     denominator_of,
@@ -47,9 +47,7 @@ class PrimeSets:
 
 def prime_sets(params: InstanceParams, bound: int) -> PrimeSets:
     """Enumerate S and S~ up to the bound by sieve, Legendre test and congruence."""
-    if not check_assumptions(params).all_pass:
-        raise ConsistencyError("prime sets need the structural assumptions to hold")
-    M, u, v = params.field_M, params.u, params.v
+    M, u, v = params.M, params.u, params.v
     inert = [p for p in primes_upto(bound) if p != 2 and legendre(M, p) == -1]
     return PrimeSets(
         M=M,
@@ -218,11 +216,12 @@ def _first_division(dens: list[int], p: int, start: int) -> int | None:
 
 
 def _scan_rows(
-    dens: list[int], params: InstanceParams, Kmax: int, u: int, v: int, S: tuple[int, ...]
+    dens: list[int], params: InstanceParams, Kmax: int, S: tuple[int, ...]
 ) -> list[UbdRow]:
+    """Rows K = 1..Kmax against p_K = u + K*v of the given instance."""
     rows = []
     for K in range(1, Kmax + 1):
-        p = u + K * v
+        p = params.u + K * params.v
         if p not in S:
             rows.append(UbdRow(K, p, p >= 2 and is_prime(p), False, (), None, None))
             continue
@@ -240,8 +239,9 @@ def verify_ubd(
     """Check the prime-by-prime denominator prediction over a finite range.
 
     Scans the d-sequence and the h-sequence against p_K = u + K*v and the
-    tilde sequence against -u + K*v.  Rows failing an audited side
-    condition are informational; any other failure is a real failure.
+    tilde sequence against the mirrored instance (-u + K*v, audited with
+    2B).  Rows failing an audited side condition are informational; any
+    other failure is a real failure.
     """
     p = mf.params
     t = mf.tables
@@ -255,9 +255,9 @@ def verify_ubd(
         [denominator_of(z) for z in seq[: Kmax + 1]] for seq in (t.d, t.h, t.d_tilde)
     )
     sets = prime_sets(p, abs(p.u) + Kmax * p.v)
-    rows_d = _scan_rows(dens_d, p, Kmax, p.u, p.v, sets.S)
-    rows_h = _scan_rows(dens_h, p, Kmax, p.u, p.v, sets.S)
-    rows_dt = _scan_rows(dens_dt, p, Kmax, -p.u, p.v, sets.S_tilde)
+    rows_d = _scan_rows(dens_d, p, Kmax, sets.S)
+    rows_h = _scan_rows(dens_h, p, Kmax, sets.S)
+    rows_dt = _scan_rows(dens_dt, p.mirrored(), Kmax, sets.S_tilde)
 
     asserted = [r for r in rows_d + rows_h + rows_dt if r.asserted]
     failed = sorted({r.p for r in asserted if not r.passed})
@@ -414,33 +414,32 @@ def ubd_general(
     For every audited prime in S the first component must show a
     coefficient whose denominator the prime divides within Kmax steps of
     its leading exponent; the second component is scanned against S~.
-    A prime is asserted only in the components whose predicted index
-    (p = u + K*v for S, p = -u + K*v for S~) lies within the scan.
+    Each component is scanned as its own instance: the first as the
+    instance, the second as the mirrored one.  A prime is asserted only in
+    the components whose predicted index (p = u + K*v of that instance)
+    lies within the scan, and it is exempt if it fails the audit of any
+    component whose set holds it.
     """
     p = mf.params
     z1, z2 = combination(mf, m1_map, m2_map, k)
     sets = prime_sets(p, prime_bound)
-    components = tuple(zip((z1, z2), p.leads))
+    series = tuple(zip((z1, z2), p.leads))
     # coefficients lead + n are known for n < horizon - lead
-    scanned_to = min(Kmax, *(math.ceil(z.horizon - lead) - 1 for z, lead in components))
+    scanned_to = min(Kmax, *(math.ceil(z.horizon - lead) - 1 for z, lead in series))
     # one denominator per scanned coefficient, shared by every prime
     dens1, dens2 = (
-        [denominator_of(z.coeff(lead + n)) for n in range(scanned_to + 1)]
-        for z, lead in components
+        [denominator_of(z.coeff(lead + n)) for n in range(scanned_to + 1)] for z, lead in series
     )
+    components = ((p, sets.S, dens1), (p.mirrored(), sets.S_tilde, dens2))
     rows = []
     for prime in sorted(set(sets.S) | set(sets.S_tilde)):
-        exempt = tuple(side_condition_audit(p, prime))
-        in_s, in_st = prime in sets.S, prime in sets.S_tilde
-        rows.append(
-            GeneralWeightRow(
-                p=prime,
-                exempt=exempt,
-                first_hit_1=_first_division(dens1, prime, 0) if in_s else None,
-                first_hit_2=_first_division(dens2, prime, 0) if in_st else None,
-                expected_1=(prime - p.u) // p.v if in_s else None,
-                expected_2=(prime + p.u) // p.v if in_st else None,
-                scanned_to=scanned_to,
-            )
-        )
+        exempt: dict[str, None] = {}  # the audit reasons, in order and without repeats
+        hits, expected = [], []
+        for inst, S, dens in components:
+            held = prime in S
+            if held:
+                exempt.update(dict.fromkeys(side_condition_audit(inst, prime)))
+            hits.append(_first_division(dens, prime, 0) if held else None)
+            expected.append((prime - inst.u) // inst.v if held else None)
+        rows.append(GeneralWeightRow(prime, tuple(exempt), *hits, *expected, scanned_to))
     return GeneralWeightReport(k=k, Kmax=Kmax, rows=tuple(rows))

@@ -42,7 +42,7 @@ from .forms import (
     sigma,
     weight2_G,
 )
-from .params import InstanceParams, check_assumptions
+from .params import InstanceParams
 from .qseries import PureQSeries, _convolve, _iconv, _lift, _toeplitz, equal_through
 from .quadratic import FieldElement, pochhammer
 
@@ -105,27 +105,21 @@ def tables_DC(Kmax: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, 
     return _power_rows(w, Kmax + 1), _power_rows(w[1:], Kmax + 1)
 
 
-def _f_list(A, first_minus_second: Fraction, r, Kmax: int) -> list:
+def _f_list(params: InstanceParams, Kmax: int) -> list:
     """f(k) = sum over m+n=k of C(r,n) (-1)^n 2^(4m+6n) (2A)_{2m} / ((1+A-B)_m m!)."""
-    shifted = 1 + first_minus_second
-    two_A = 2 * A
+    shifted = 1 + params.l1 - params.l2  # 1 + A - B
+    two_A = 2 * params.A
     a: list = [_ONE]  # 2^(4m) (2A)_{2m} / ((1+A-B)_m m!)
     for m in range(1, Kmax + 1):
         step = 16 * (two_A + (2 * m - 2)) * (two_A + (2 * m - 1))
         a.append(a[-1] * step / ((shifted + (m - 1)) * m))
-    b = [(-64) ** n * c for n, c in enumerate(_binomials(r, Kmax + 1))]
+    b = [(-64) ** n * c for n, c in enumerate(_binomials(params.r, Kmax + 1))]
     return _convolve(a, b, Kmax + 1)
 
 
 def seq_f(params: InstanceParams, Kmax: int) -> tuple[list, list]:
-    """The pair of f-sequences (plain and tilde, i.e. with A and B swapped)."""
-    flags = check_assumptions(params)
-    if not flags.all_pass:
-        raise ConsistencyError(f"instance fails structural assumptions: {flags}")
-    diff = params.l1 - params.l2
-    f = _f_list(params.A, diff, params.r, Kmax)
-    f_tilde = _f_list(params.B, -diff, params.r, Kmax)
-    return f, f_tilde
+    """The pair of f-sequences: the instance's and its mirror's (the tilde, A and B swapped)."""
+    return _f_list(params, Kmax), _f_list(params.mirrored(), Kmax)
 
 
 def h_closed(params: InstanceParams, Kmax: int) -> tuple[list, list]:

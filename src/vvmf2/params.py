@@ -2,8 +2,8 @@
 
 A representation instance is described by its minimal weight k0, the two
 leading exponents l1, l2 of the weight-zero system at infinity, and the
-two indicial roots r1, r2 at the cusp 0 (a conjugate pair when
-irrational).  From those the coefficients a, b, c of the differential
+two indicial roots r1, r2 at the cusp 0 (a conjugate pair in
+Q(sqrt(M))).  From those the coefficients a, b, c of the differential
 equation, the hypergeometric parameters A, B, the quadratic field
 constant M and the reduced difference u/v = A - B all follow by exact
 algebra:
@@ -12,13 +12,14 @@ algebra:
     r1 + r2 = a + 1/3        r1*r2 = b + 4c
     A = r + l1,  B = r + l2,  r = r1
 
-with the consistency constraint l1 + l2 + r1 + r2 = 1/2.
+with the consistency constraint l1 + l2 + r1 + r2 = 1/2.  Only instances
+of the paper's class (r irrational, l1 - l2 not an integer) are built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .errors import ConsistencyError
@@ -38,19 +39,6 @@ def _rational_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
-def _as_value(x) -> FieldValue:
-    return Fraction(x) if isinstance(x, int) else x
-
-
-def _rational_part(x: FieldValue, relation: str) -> Fraction:
-    """Extract a Fraction from a value that must be rational."""
-    if isinstance(x, QuadNum):
-        if x.surd != 0:
-            raise ConsistencyError(f"{relation} must be rational, got {x}")
-        return x.rat
-    return x
-
-
 @dataclass(frozen=True)
 class ExponentData:
     """Leading exponents at infinity and indicial roots at the cusp 0."""
@@ -64,7 +52,11 @@ class ExponentData:
 
 @dataclass(frozen=True)
 class InstanceParams:
-    """The full parameter pack of one representation instance."""
+    """The full parameter pack of one representation instance of the paper's class.
+
+    Building one runs ``check_assumptions``; an instance outside the
+    class raises ``ConsistencyError`` naming each failed flag.
+    """
 
     k0: int
     a: Fraction
@@ -72,12 +64,17 @@ class InstanceParams:
     c: Fraction
     l1: Fraction
     l2: Fraction
-    r: FieldValue
-    A: FieldValue
-    B: FieldValue
-    M: int | None
+    r: QuadNum
+    A: QuadNum
+    B: QuadNum
+    M: int
     u: int
     v: int
+
+    def __post_init__(self):
+        failed = check_assumptions(self).failed
+        if failed:
+            raise ConsistencyError(f"instance outside the paper's class: {', '.join(failed)}")
 
     @property
     def leads(self) -> tuple[Fraction, Fraction]:
@@ -85,45 +82,39 @@ class InstanceParams:
         shift = Fraction(self.k0, 12)
         return shift + self.l1, shift + self.l2
 
-    @property
-    def field_M(self) -> int:
-        if self.M is None:
-            raise ConsistencyError("instance has rational r: no quadratic field attached")
-        return self.M
+    def mirrored(self) -> InstanceParams:
+        """The instance with l1 and l2 exchanged: the same equation with its components swapped.
+
+        A and B swap and u goes to -u, so the paper's tilde data (B, -u, S~)
+        is the untilded data of the mirror.
+        """
+        return params_from_exponents(
+            ExponentData(self.k0, self.l2, self.l1, self.r, self.r.conjugate())
+        )
 
 
 def params_from_exponents(e: ExponentData) -> InstanceParams:
     """Solve the indicial relations for (a, b, c, A, B, u, v, M)."""
     l1, l2 = Fraction(e.l1), Fraction(e.l2)
-    r1, r2 = _as_value(e.r1), _as_value(e.r2)
+    r = e.r1
 
     if (l1 - l2).denominator == 1:
         raise ConsistencyError("l1 - l2 in Z")
-
-    if isinstance(r1, QuadNum) and r1.surd != 0:
-        if not (isinstance(r2, QuadNum) and r2 == r1.conjugate()):
-            raise ConsistencyError("r1, r2 must be a conjugate pair")
-    else:
-        r1 = _rational_part(r1, "r1")
-        r2 = _rational_part(r2, "r2")
-
-    total = l1 + l2 + r1 + r2
+    if isinstance(r, QuadNum) and e.r2 != r.conjugate():
+        raise ConsistencyError("r1, r2 must be a conjugate pair")
+    total = l1 + l2 + r + e.r2
     if total != Fraction(1, 2):
         raise ConsistencyError(f"l1+l2+r1+r2 = {total} != 1/2")
+    if not isinstance(r, QuadNum):
+        raise ConsistencyError(f"r1 = {r} must be given in a quadratic field Q(sqrt(M))")
 
     a = Fraction(1, 6) - l1 - l2
-    r_product = _rational_part(r1 * r2, "r1*r2")
-    c = (r_product - l1 * l2) / 3
+    c = (r.norm() - l1 * l2) / 3
     b = l1 * l2 - c
-
-    r = r1
-    A = r + l1
-    B = r + l2
     diff = l1 - l2
-    M = r.M if isinstance(r, QuadNum) and r.surd != 0 else None
     return InstanceParams(
-        k0=e.k0, a=a, b=b, c=c, l1=l1, l2=l2, r=r, A=A, B=B,
-        M=M, u=diff.numerator, v=diff.denominator,
+        k0=e.k0, a=a, b=b, c=c, l1=l1, l2=l2, r=r, A=r + l1, B=r + l2,
+        M=r.M, u=diff.numerator, v=diff.denominator,
     )
 
 
@@ -132,10 +123,10 @@ def roots_from_abc(
 ) -> ExponentData:
     """Invert params_from_exponents: solve both indicial quadratics exactly.
 
-    The exponent quadratic must split over Q; the root quadratic must
-    split over Q or over Q(sqrt(M)).  l1 is the root with the smaller
-    denominator (ties broken by smaller absolute value); r1 is the root
-    with positive surd when irrational.
+    The exponent quadratic must split over Q and the root quadratic over
+    Q(sqrt(M)) but not over Q: a rational r is outside the paper's class.
+    l1 is the root with the smaller denominator (ties broken by smaller
+    absolute value); r1 is the root with positive surd.
     """
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     disc_l = (a - Fraction(1, 6)) ** 2 - 4 * (b + c)
@@ -151,23 +142,16 @@ def roots_from_abc(
     )
     l1, l2 = roots[0], roots[1]
 
-    half_sum = (a + Fraction(1, 3)) / 2
     disc_r = (a + Fraction(1, 3)) ** 2 - 4 * (b + 4 * c)
-    t = _rational_sqrt(disc_r)
-    if t is not None:
-        r1: FieldValue = half_sum + t / 2
-        r2: FieldValue = half_sum - t / 2
-    else:
-        if M in (0, 1) or not is_square_free(M):
-            raise ConsistencyError(f"M must be square-free and not 0 or 1, got {M}")
-        t = _rational_sqrt(disc_r / M)
-        if t is None:
-            raise ConsistencyError(
-                f"root discriminant {disc_r} is not M={M} times a rational square"
-            )
-        r1 = QuadNum(half_sum, t / 2, M)
-        r2 = r1.conjugate()
-    return ExponentData(k0=k0, l1=l1, l2=l2, r1=r1, r2=r2)
+    if _rational_sqrt(disc_r) is not None:
+        raise ConsistencyError(f"root discriminant {disc_r} is a rational square: r is rational")
+    if M in (0, 1) or not is_square_free(M):
+        raise ConsistencyError(f"M must be square-free and not 0 or 1, got {M}")
+    t = _rational_sqrt(disc_r / M)
+    if t is None:
+        raise ConsistencyError(f"root discriminant {disc_r} is not M={M} times a rational square")
+    r1 = QuadNum((a + Fraction(1, 3)) / 2, t / 2, M)
+    return ExponentData(k0=k0, l1=l1, l2=l2, r1=r1, r2=r1.conjugate())
 
 
 @dataclass(frozen=True)
@@ -181,17 +165,17 @@ class AssumptionReport:
     v_greater_one: bool
 
     @property
+    def failed(self) -> tuple[str, ...]:
+        """Names of the flags that do not hold."""
+        return tuple(f.name for f in fields(self) if not getattr(self, f.name))
+
+    @property
     def all_pass(self) -> bool:
-        return (
-            self.difference_nonintegral
-            and self.exponents_rational
-            and self.c_rational
-            and self.r_quadratic
-            and self.v_greater_one
-        )
+        return not self.failed
 
 
 def check_assumptions(p: InstanceParams) -> AssumptionReport:
+    """The flags that place an instance in the paper's class (``InstanceParams`` needs them all)."""
     diff = p.l1 - p.l2
     return AssumptionReport(
         difference_nonintegral=diff.denominator > 1,

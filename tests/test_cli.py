@@ -104,7 +104,7 @@ def test_exit_codes(tmp_path, capsys):
         },
         "violated.json",
     )
-    # rational r with r2 inferred: sum rule holds but HYP fails in seq_f
+    # rational r with r2 = conj(r1) = r1: the sum rule fails when the instance is built
     assert main(["minform", "--config", violated]) == 3
     err = capsys.readouterr().err
     assert "assumption" in err or "validation" in err
@@ -391,6 +391,23 @@ def test_denoms_refuses_a_bad_factor_bound_before_building(monkeypatch, capsys):
     monkeypatch.setattr(cli, "minimal_form", unexpected)
     assert main(["denoms", "--seed-instance", "m2", "--factor-bound", "0"]) == 3
     assert "factor bound must be >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", cli.METHODS)
+@pytest.mark.parametrize("rat", ["1/7", "0"])
+def test_an_instance_outside_the_class_exits_3_before_building(
+    tmp_path, monkeypatch, capsys, rat, method
+):
+    # r with surd 0 and r2 = conj(r1): 1/7 breaks the sum rule, 0 keeps it and fails the class
+    def unexpected(*args, **kwargs):
+        pytest.fail("minform built a minimal form for an instance outside the paper's class")
+
+    monkeypatch.setattr(cli, "minimal_form", unexpected)
+    instance = {**M2_CONFIG["instance"], "r": {"rat": rat, "surd": "0", "M": 2}}
+    cfg = write_config(tmp_path, {"instance": instance, "kmax": 6, "method": method})
+    assert main(["minform", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert ("!= 1/2" if rat == "1/7" else "outside the paper's class: r_quadratic") in err
 
 
 @pytest.mark.parametrize("key", ["format", "out"])

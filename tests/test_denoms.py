@@ -228,6 +228,43 @@ def test_ubd_general_v3_checks_only_own_component():
         assert rows[p].out_of_range and not rows[p].asserted and rows[p].passed is None
 
 
+def mirror_pair(l1):
+    """The instances (l1, 0) and (0, l1), r = (1/2 - l1)/2 + sqrt(2): each the other's mirror."""
+    r = QuadNum((Fraction(1, 2) - l1) / 2, Fraction(1), 2)
+    return tuple(
+        params_from_exponents(ExponentData(0, a, b, r, r.conjugate()))
+        for a, b in ((l1, Fraction(0)), (Fraction(0), l1))
+    )
+
+
+@pytest.mark.parametrize("l1", [Fraction(7, 2), Fraction(8, 3)], ids=["7/2", "8/3"])
+def test_the_second_component_follows_the_mirrored_instance(l1):
+    # exchanging l1 and l2 keeps the equation and swaps the components, so the
+    # tilde rows of one instance are the plain rows of its mirror, audit included
+    p, q = mirror_pair(l1)
+    assert p.mirrored() == q and q.mirrored() == p
+    assert (q.A, q.B, q.u, q.v) == (p.B, p.A, -p.u, p.v)
+    built = {x: minimal_form(x, 30, "both") for x in (p, q)}
+
+    def key(rows):
+        return [(r.K, r.p, r.verdict, r.exempt) for r in rows]
+
+    for x, y in ((p, q), (q, p)):
+        assert key(verify_ubd(built[x]).rows_d) == key(verify_ubd(built[y]).rows_d_tilde)
+
+    def general(x):
+        # m1 = G^4 + E4^2 and m2 = G*E4 at weight 8; the exempt reasons as a set,
+        # since their order follows the component order
+        report = ubd_general(built[x], {(4, 0): 1, (0, 2): 1}, {(1, 1): 1}, 8, 30, 60)
+        return [
+            (r.p, set(r.exempt), r.first_hit_1, r.first_hit_2, r.expected_1, r.expected_2)
+            for r in report.rows
+        ]
+
+    swapped = [(pr, ex, h2, h1, e2, e1) for pr, ex, h1, h2, e1, e2 in general(q)]
+    assert general(p) == swapped
+
+
 def test_ubd_general_out_of_range_beyond_computed_terms():
     # a Kmax past the computed coefficients scans only what is known
     mf = minimal_form(M2, 10, "both")

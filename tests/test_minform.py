@@ -206,11 +206,14 @@ def test_seq_f_spot_values():
 
 
 def test_seq_f_requires_assumptions():
-    bad = params_from_exponents(
-        ExponentData(0, Fraction(0), Fraction(1, 2), Fraction(1, 4), Fraction(-1, 4))
-    )
-    with pytest.raises(ConsistencyError):
-        seq_f(bad, 3)
+    # an instance outside the paper's class is refused when it is built, so seq_f never sees one
+    with pytest.raises(ConsistencyError, match="quadratic field"):
+        params_from_exponents(
+            ExponentData(0, Fraction(0), Fraction(1, 2), Fraction(1, 4), Fraction(-1, 4))
+        )
+    rational = QuadNum(Fraction(0), Fraction(0), 2)
+    with pytest.raises(ConsistencyError, match="class: r_quadratic$"):
+        params_from_exponents(ExponentData(0, Fraction(0), Fraction(1, 2), rational, rational))
 
 
 def test_indicial_roots():

@@ -62,6 +62,12 @@ def test_roots_from_abc_example():
         roots_from_abc(Fraction(-1, 3), Fraction(1, 3), Fraction(0), 2)
 
 
+def test_roots_from_abc_refuses_a_rational_r():
+    # l = 0, 1/2 and r = 1/4, -1/4: the root discriminant is (1/2)^2, so r is outside the class
+    with pytest.raises(ConsistencyError, match="root discriminant 1/4 is a rational square"):
+        roots_from_abc(Fraction(-1, 3), Fraction(1, 48), Fraction(-1, 48), 2)
+
+
 exponent_instances = st.builds(
     lambda l1, l2, surd, M, k0: ExponentData(
         k0=k0,
@@ -108,19 +114,18 @@ def test_abc_roundtrip(e):
 
 def test_check_assumptions():
     p = params_from_exponents(seed_exponents("m2"))
-    assert check_assumptions(p).all_pass
-    rational_r = InstanceParams(
-        k0=0, a=p.a, b=p.b, c=p.c, l1=p.l1, l2=p.l2,
-        r=Fraction(1, 3), A=Fraction(1, 3), B=Fraction(5, 6), M=None, u=-1, v=2,
-    )
-    flags = check_assumptions(rational_r)
-    assert not flags.r_quadratic and not flags.all_pass
-    integral_diff = InstanceParams(
-        k0=0, a=p.a, b=p.b, c=p.c, l1=Fraction(1), l2=Fraction(0),
-        r=p.r, A=p.A, B=p.B, M=2, u=1, v=1,
-    )
-    flags = check_assumptions(integral_diff)
-    assert not flags.difference_nonintegral and not flags.v_greater_one
+    assert check_assumptions(p).all_pass and check_assumptions(p).failed == ()
+    # building an instance outside the paper's class raises, naming each failed flag
+    with pytest.raises(ConsistencyError, match="class: r_quadratic$"):
+        InstanceParams(
+            k0=0, a=p.a, b=p.b, c=p.c, l1=p.l1, l2=p.l2,
+            r=Fraction(1, 3), A=Fraction(1, 3), B=Fraction(5, 6), M=2, u=-1, v=2,
+        )
+    with pytest.raises(ConsistencyError, match="class: difference_nonintegral, v_greater_one$"):
+        InstanceParams(
+            k0=0, a=p.a, b=p.b, c=p.c, l1=Fraction(1), l2=Fraction(0),
+            r=p.r, A=p.A, B=p.B, M=2, u=1, v=1,
+        )
 
 
 def test_induced_classes_m2():

@@ -1,0 +1,33 @@
+"""The scripts under scripts/ run end to end and print their verdicts."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPTS = {
+    "compare_pipelines.py": (["--kmax", "6"], "h and h~ agree exactly through Kmax 6"),
+    "run_denominator_experiment.py": (["--kmax", "10"], "no non-exempt failures in range"),
+    "scan_induced_instances.py": (
+        ["--kmax", "6"],
+        "20 instances realized, 0 with non-exempt failures",
+    ),
+}
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_script_runs_and_prints_its_verdict(script):
+    args, verdict = SCRIPTS[script]
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == verdict
