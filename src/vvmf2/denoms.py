@@ -3,12 +3,14 @@
 For an instance with field constant M and reduced exponent difference
 u/v, the relevant primes are the odd p with (M/p) = -1 lying in the
 arithmetic progressions u mod v (set S) and -u mod v (set S~, equal to S
-when v = 2).  The prediction under test: writing p_K = u + K*v, once K
-is large enough that the proof's side conditions hold, p_K divides the
-denominator of the K-th coefficient of the first component while all
-earlier coefficients stay p_K-integral; the tilde component behaves the
-same against S~.  "Large enough" is not effective, so primes failing an
-auditable side condition are reported as exempt instead of asserted.
+when v = 2).  The prediction under test: writing p_K = u + K*v, p_K
+first divides a denominator of the first component at index K once K is
+large enough for the proof's side conditions; the tilde component,
+scanned as the mirrored instance, behaves the same against S~.  In
+Z = m1*F' + m2*DF' that coefficient is (c1 + c2*(K + l1))*d(K) up to
+p-integral terms, c1 and c2 the constant terms of m1 and m2.  "Large
+enough" is not effective, so primes failing an auditable side condition,
+or whose leading factor is not a p-unit, are reported as exempt.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .quadratic import (
     half_form,
     is_prime,
     legendre,
+    norm_trace,
     pochhammer,
     primes_upto,
 )
@@ -37,10 +40,6 @@ DEFAULT_FACTOR_BOUND = 10**6
 class PrimeSets:
     """The prime sets S and S~ truncated at a search bound."""
 
-    M: int
-    u: int
-    v: int
-    bound: int
     S: tuple[int, ...]
     S_tilde: tuple[int, ...]
 
@@ -50,12 +49,7 @@ def prime_sets(params: InstanceParams, bound: int) -> PrimeSets:
     M, u, v = params.M, params.u, params.v
     inert = [p for p in primes_upto(bound) if p != 2 and legendre(M, p) == -1]
     return PrimeSets(
-        M=M,
-        u=u,
-        v=v,
-        bound=bound,
-        S=tuple(p for p in inert if (p - u) % v == 0),
-        S_tilde=tuple(p for p in inert if (p + u) % v == 0),
+        tuple(p for p in inert if (p - u) % v == 0), tuple(p for p in inert if (p + u) % v == 0)
     )
 
 
@@ -71,10 +65,9 @@ def factor_trial(n: int, bound: int) -> tuple[dict[int, int], int]:
             factors[d] = factors.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        if n <= bound * bound:
-            factors[n] = factors.get(n, 0) + 1
-            n = 1
+    if 1 < n <= bound * bound:
+        factors[n] = factors.get(n, 0) + 1
+        n = 1
     return factors, n
 
 
@@ -141,7 +134,8 @@ class UbdRow:
     """Verdict for one index K of one coefficient sequence.
 
     ``first`` is the first index >= 1 whose denominator p divides (None
-    if there is none, or if p is not in the prime set).
+    if there is none, or if p is not in the prime set).  An asserted row
+    passes only when ``first`` is K; ``exempt`` names why it is not asserted.
     """
 
     K: int
@@ -210,24 +204,34 @@ class DenomReport:
         return all(r.passed for r in rows if r.asserted)
 
 
-def _first_division(dens: list[int], p: int, start: int) -> int | None:
-    """The first index i >= start with p | dens[i], or None."""
-    return next((i for i in range(start, len(dens)) if dens[i] % p == 0), None)
-
-
 def _scan_rows(
-    dens: list[int], params: InstanceParams, Kmax: int, S: tuple[int, ...]
+    dens: list[int], params: InstanceParams, Kmax: int, S: tuple[int, ...], c=(1, 0), map_den=1
 ) -> list[UbdRow]:
-    """Rows K = 1..Kmax against p_K = u + K*v of the given instance."""
+    """Rows K = 1..Kmax against p_K = u + K*v of the given instance.
+
+    dens are the denominators of one component of m1*F' + m2*DF' (of F'
+    by default), with c = (c1, c2) the constant terms of m1 and m2 and
+    map_den the common denominator of their coefficients.  The K-th
+    coefficient is (c1 + c2*(K + l1))*d(K) up to p-integral terms, so a
+    row is exempt when p divides map_den or that leading factor is not a
+    p-unit (read off its norm, as p is inert).
+    """
+    c1, c2 = c
     rows = []
     for K in range(1, Kmax + 1):
         p = params.u + K * params.v
         if p not in S:
             rows.append(UbdRow(K, p, p >= 2 and is_prime(p), False, (), None, None))
             continue
-        exempt = tuple(side_condition_audit(params, p, K))
-        first = _first_division(dens, p, 1)
-        rows.append(UbdRow(K, p, True, True, exempt, dens[K] % p == 0, first))
+        exempt = side_condition_audit(params, p, K)
+        if map_den % p == 0:
+            exempt.append("p divides denominator of a map coefficient")
+        factor = c1 + c2 * (K + params.l1)
+        norm = norm_trace(factor)[0]
+        if norm.numerator % p == 0 or norm.denominator % p == 0:
+            exempt.append(f"leading factor {factor}")
+        first = next((i for i in range(1, len(dens)) if dens[i] % p == 0), None)
+        rows.append(UbdRow(K, p, True, True, tuple(exempt), dens[K] % p == 0, first))
     return rows
 
 
@@ -354,46 +358,48 @@ def pochhammer_numerator_probe(X: QuadNum, R: Fraction, p: int, tmax: int) -> Pr
 
 @dataclass(frozen=True)
 class GeneralWeightRow:
-    """First denominator hits of one prime in the components whose prime set holds it.
+    """One prime's rows in the two components of a combination.
 
-    expected_1 is the K with p = u + K*v when p is in S, expected_2 the K
-    with p = -u + K*v when p is in S~; None when p is not in that set.
-    Only components whose expected index lies within the scanned indices
-    0..scanned_to are checked; a prime with none is out of range, not
-    asserted.
+    row_1 scans the instance against S, row_2 the mirrored instance against
+    S~; either is None when its set lacks p or its K is outside 1..scanned_to
+    (out of range).  The prime is asserted in each component whose row is,
+    and passes when every asserted row does; exempt joins their reasons.
     """
 
     p: int
-    exempt: tuple[str, ...]
-    first_hit_1: int | None
-    first_hit_2: int | None
-    expected_1: int | None
-    expected_2: int | None
-    scanned_to: int
-
-    def _checked_hits(self) -> list[int | None]:
-        pairs = ((self.expected_1, self.first_hit_1), (self.expected_2, self.first_hit_2))
-        return [hit for K, hit in pairs if K is not None and K <= self.scanned_to]
+    row_1: UbdRow | None
+    row_2: UbdRow | None
 
     @property
-    def out_of_range(self) -> bool:
-        return not self._checked_hits()
+    def rows(self) -> tuple[UbdRow, ...]:
+        return tuple(r for r in (self.row_1, self.row_2) if r is not None)
+
+    @property
+    def exempt(self) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(reason for r in self.rows for reason in r.exempt))
+
+    @property
+    def first_hit_1(self) -> int | None:
+        return self.row_1.first if self.row_1 else None
+
+    @property
+    def first_hit_2(self) -> int | None:
+        return self.row_2.first if self.row_2 else None
 
     @property
     def asserted(self) -> bool:
-        return not self.exempt and not self.out_of_range
+        return any(r.asserted for r in self.rows)
 
     @property
     def passed(self) -> bool | None:
         if not self.asserted:
             return None
-        return all(hit is not None for hit in self._checked_hits())
+        return all(r.passed for r in self.rows if r.asserted)
 
 
 @dataclass(frozen=True)
 class GeneralWeightReport:
-    k: int
-    Kmax: int
+    scanned_to: int
     rows: tuple[GeneralWeightRow, ...]
 
     @property
@@ -409,16 +415,11 @@ def ubd_general(
     Kmax: int,
     prime_bound: int,
 ) -> GeneralWeightReport:
-    """Scan a general-weight combination for denominator hits, prime by prime.
+    """verify_ubd's scan on each component of Z = m1*F' + m2*DF', prime by prime.
 
-    For every audited prime in S the first component must show a
-    coefficient whose denominator the prime divides within Kmax steps of
-    its leading exponent; the second component is scanned against S~.
-    Each component is scanned as its own instance: the first as the
-    instance, the second as the mirrored one.  A prime is asserted only in
-    the components whose predicted index (p = u + K*v of that instance)
-    lies within the scan, and it is exempt if it fails the audit of any
-    component whose set holds it.
+    K runs over 1..scanned_to (Kmax, or less where a component's known
+    coefficients end).  Each monomial G^a E4^b has constant term 1, so the
+    constant terms c1 and c2 of m1 and m2 are the sums of the maps' values.
     """
     p = mf.params
     z1, z2 = combination(mf, m1_map, m2_map, k)
@@ -426,20 +427,17 @@ def ubd_general(
     series = tuple(zip((z1, z2), p.leads))
     # coefficients lead + n are known for n < horizon - lead
     scanned_to = min(Kmax, *(math.ceil(z.horizon - lead) - 1 for z, lead in series))
-    # one denominator per scanned coefficient, shared by every prime
+    # one denominator per scanned coefficient and per map coefficient
     dens1, dens2 = (
         [denominator_of(z.coeff(lead + n)) for n in range(scanned_to + 1)] for z, lead in series
     )
-    components = ((p, sets.S, dens1), (p.mirrored(), sets.S_tilde, dens2))
-    rows = []
-    for prime in sorted(set(sets.S) | set(sets.S_tilde)):
-        exempt: dict[str, None] = {}  # the audit reasons, in order and without repeats
-        hits, expected = [], []
-        for inst, S, dens in components:
-            held = prime in S
-            if held:
-                exempt.update(dict.fromkeys(side_condition_audit(inst, prime)))
-            hits.append(_first_division(dens, prime, 0) if held else None)
-            expected.append((prime - inst.u) // inst.v if held else None)
-        rows.append(GeneralWeightRow(prime, tuple(exempt), *hits, *expected, scanned_to))
-    return GeneralWeightReport(k=k, Kmax=Kmax, rows=tuple(rows))
+    constants = (sum(m1_map.values()), sum(m2_map.values()))
+    map_den = math.lcm(*map(denominator_of, (*m1_map.values(), *m2_map.values())))
+    rows_1, rows_2 = (
+        {r.p: r for r in _scan_rows(dens, inst, scanned_to, S, constants, map_den) if r.in_S}
+        for inst, S, dens in ((p, sets.S, dens1), (p.mirrored(), sets.S_tilde, dens2))
+    )
+    primes = sorted(set(sets.S) | set(sets.S_tilde))
+    return GeneralWeightReport(
+        scanned_to, tuple(GeneralWeightRow(q, rows_1.get(q), rows_2.get(q)) for q in primes)
+    )

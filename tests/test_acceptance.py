@@ -189,6 +189,7 @@ def test_criterion_9_general_weight_ubd(mf60_m2):
             if not any(m1.values()) and not any(m2.values()):
                 m1[weight8[0]] = 1
             report = ubd_general(mf60_m2, m1, m2, M2.k0 + 8, 60, 37)
+            assert report.all_asserted_pass, trial
             rows = {r.p: r for r in report.rows}
             for p in audited:
                 assert rows[p].first_hit_1 is not None, (trial, p)

@@ -5,12 +5,19 @@ and the ``PureQSeries`` methods in ``SERIES_METHODS``, and
 ``perfbench/worker.py`` calls module attributes such as
 ``minform.weight_basis`` and ``cli.series_to_json`` directly.  A refactor
 that renames or moves one of them would break the traced benchmark run,
-so this test reads both files and checks every name.
+so this test reads both files and checks every name.  The worker also
+reads report fields such as ``GeneralWeightRow.first_hit_1``, which no
+name check sees, so one ``general-v3-k40`` operation is run and checked
+as the benchmark runs it.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import vvmf2
@@ -62,3 +69,20 @@ def test_every_module_attribute_the_worker_uses_resolves():
     assert len(used) > 20
     missing = sorted(f"{mod}.{attr}" for mod, attr in used if not hasattr(modules[mod], attr))
     assert missing == []
+
+
+def test_a_general_weight_operation_passes_the_benchmark_check(monkeypatch):
+    # as perfbench/run.py launches it: a fresh interpreter, vvmf2 from the checkout's src
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    inputs = workloads.WORKLOADS["general-v3-k40"].make_inputs(1)
+    root = PERFBENCH.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "worker.py"), "general-v3-k40", "op", json.dumps(inputs)],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert workloads.check_general(inputs, result) == []
+    assert result["outcomes"] == [True, True]

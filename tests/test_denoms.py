@@ -218,14 +218,18 @@ def test_ubd_general_v3_checks_only_own_component():
     assert report.all_asserted_pass
     rows = {r.p: r for r in report.rows}
     for p in (5, 11, 29, 53, 59, 83):
-        assert rows[p].passed and rows[p].first_hit_1 == rows[p].expected_1 == (p + 1) // 3
+        assert rows[p].passed and rows[p].first_hit_1 == rows[p].row_1.K == (p + 1) // 3
         assert rows[p].first_hit_2 is None
     for p in (13, 19, 37, 43, 61, 67):
-        assert rows[p].passed and rows[p].first_hit_2 == rows[p].expected_2 == (p - 1) // 3
+        assert rows[p].passed and rows[p].first_hit_2 == rows[p].row_2.K == (p - 1) // 3
         assert rows[p].first_hit_1 is None
     # predicted at K = 34, 36, 36 > 30: reported out of range, not asserted
     for p in (101, 107, 109):
-        assert rows[p].out_of_range and not rows[p].asserted and rows[p].passed is None
+        assert rows[p].rows == () and not rows[p].asserted and rows[p].passed is None
+
+
+def row_K(row):
+    return row.K if row else None
 
 
 def mirror_pair(l1):
@@ -257,12 +261,126 @@ def test_the_second_component_follows_the_mirrored_instance(l1):
         # since their order follows the component order
         report = ubd_general(built[x], {(4, 0): 1, (0, 2): 1}, {(1, 1): 1}, 8, 30, 60)
         return [
-            (r.p, set(r.exempt), r.first_hit_1, r.first_hit_2, r.expected_1, r.expected_2)
+            (r.p, set(r.exempt), r.first_hit_1, r.first_hit_2, row_K(r.row_1), row_K(r.row_2))
             for r in report.rows
         ]
 
     swapped = [(pr, ex, h2, h1, e2, e1) for pr, ex, h1, h2, e1, e2 in general(q)]
     assert general(p) == swapped
+
+
+# (p, exempt, first_hit_1, first_hit_2, asserted, passed) of ubd_general with
+# m1 = G^4 + E4^2, m2 = G*E4, k = 8, Kmax 30 and prime bound 60
+GENERAL_ROWS = {
+    "v3": [
+        (5, (), 2, None, True, True),
+        (11, (), 4, None, True, True),
+        (13, (), None, 4, True, True),
+        (19, (), None, 6, True, True),
+        (29, (), 10, None, True, True),
+        (37, (), None, 12, True, True),
+        (43, (), None, 14, True, True),
+        (53, (), 18, None, True, True),
+        (59, (), 20, None, True, True),
+    ],
+    "7/2": [
+        (3, ("p divides 12", "p <= K", "p divides negative progression member -3"),
+         None, 2, False, None),
+        (5, ("p <= K", "p divides negative progression member -5"), None, 1, False, None),
+        (11, ("leading factor 11",), 2, 10, True, True),
+        (13, (), 3, 10, True, True),
+        (19, (), 6, 13, True, True),
+        (29, (), 11, 18, True, True),
+        (37, (), 15, 22, True, True),
+        (43, (), 18, 25, True, True),
+        (53, (), 23, 30, True, True),
+        (59, (), 26, None, True, True),
+    ],
+    "8/3": [
+        (5, (), None, None, False, None),
+        (11, (), 1, None, True, True),
+        (13, (), None, 7, True, True),
+        (19, (), None, 9, True, True),
+        (29, (), 7, None, True, True),
+        (37, (), None, 15, True, True),
+        (43, (), None, 17, True, True),
+        (53, (), 15, None, True, True),
+        (59, (), 17, None, True, True),
+    ],
+}
+
+
+def general_instance(name):
+    return V3 if name == "v3" else mirror_pair(Fraction(name))[0]
+
+
+@pytest.mark.parametrize("name", list(GENERAL_ROWS))
+def test_ubd_general_pins_the_component_rows(name):
+    mf = minimal_form(general_instance(name), 30, "both")
+    report = ubd_general(mf, {(4, 0): 1, (0, 2): 1}, {(1, 1): 1}, 8, 30, 60)
+    got = [(r.p, r.exempt, r.first_hit_1, r.first_hit_2, r.asserted, r.passed) for r in report.rows]
+    assert got == GENERAL_ROWS[name]
+    assert report.scanned_to == 30 and report.all_asserted_pass
+    rows = {r.p: r for r in report.rows}
+    if name == "8/3":
+        # 5 = 8 + K*3 at K = -1: before the scan, so neither component asserts it
+        assert rows[5].rows == () and not rows[5].asserted
+    if name == "7/2":
+        # 2 + (K + 0) vanishes mod 11 at K = 9: exempt, and the first hit comes later
+        row = rows[11].row_2
+        assert (row.K, row.exempt, row.first, row.passed) == (9, ("leading factor 11",), 10, None)
+        assert rows[11].row_1.passed
+
+
+def test_ubd_general_fails_when_an_asserted_coefficient_is_scaled_by_p(monkeypatch):
+    # p = 11 is asserted at K = 4 in the first component; 11*z(4) is 11-integral
+    mf = minimal_form(V3, 30, "both")
+    m1, m2 = {(4, 0): 1, (0, 2): 1}, {(1, 1): 1}
+    lead = V3.leads[0]
+
+    def scaled(mf, m1_map, m2_map, k):
+        z1, z2 = combination(mf, m1_map, m2_map, k)
+        assert (z1.lead, z1.step) == (lead, 1)
+        coeffs = list(z1.coeffs)
+        coeffs[4] *= 11
+        return replace(z1, coeffs=tuple(coeffs)), z2
+
+    assert ubd_general(mf, m1, m2, 8, 30, 60).all_asserted_pass
+    monkeypatch.setattr(denoms, "combination", scaled)
+    report = ubd_general(mf, m1, m2, 8, 30, 60)
+    row = next(r for r in report.rows if r.p == 11)
+    assert (row.row_1.K, row.row_1.divides, row.asserted, row.passed) == (4, False, True, False)
+    assert not report.all_asserted_pass
+
+
+def test_ubd_general_exempts_a_vanishing_leading_factor():
+    # Z = DF' on m2: the second component's leading factor is K + 1/2 = p/2
+    mf = minimal_form(M2, 16, "both")
+    report = ubd_general(mf, {}, {(0, 0): 1}, M2.k0 + 2, 16, 30)
+    rows = [r for r in report.rows if r.p != 3]  # p = 3 divides 12
+    assert [r.p for r in rows] == [5, 11, 13, 19, 29]
+    for r in rows:
+        assert r.row_2.exempt == (f"leading factor {r.p}/2",) and r.row_2.passed is None
+        assert r.row_1.passed and r.row_1.first == r.row_1.K
+
+
+def test_ubd_general_exempts_a_prime_in_a_map_denominator():
+    # Z = F'/5: every coefficient has 5 in its denominator, so p = 5 predicts nothing
+    mf = minimal_form(M2, 16, "both")
+    rows = {r.p: r for r in ubd_general(mf, {(0, 0): Fraction(1, 5)}, {}, M2.k0, 16, 14).rows}
+    row = rows[5].row_1
+    assert row.exempt == ("p divides denominator of a map coefficient", "leading factor 1/5")
+    assert (row.K, row.first, rows[5].asserted) == (3, 1, False)
+    assert rows[11].passed and rows[13].passed
+
+
+def test_ubd_general_asserts_nothing_for_a_cusp_form_multiplier():
+    # m1 = E4 - G^2 and m2 = 0 have constant terms c1 = c2 = 0: no row is predicted
+    mf = minimal_form(M2, 16, "both")
+    report = ubd_general(mf, {(0, 1): 1, (2, 0): -1}, {}, M2.k0 + 4, 16, 30)
+    assert len(report.rows) == 6
+    assert not any(r.asserted for r in report.rows)
+    assert all("leading factor 0" in r.exempt for r in report.rows)
 
 
 def test_ubd_general_out_of_range_beyond_computed_terms():
@@ -272,7 +390,7 @@ def test_ubd_general_out_of_range_beyond_computed_terms():
     rows = {r.p: r for r in report.rows}
     assert report.all_asserted_pass
     assert rows[19].passed and rows[19].first_hit_2 == 9
-    assert rows[29].out_of_range and rows[29].passed is None
+    assert rows[29].rows == () and rows[29].passed is None
 
 
 def test_verify_ubd_computes_each_denominator_once(monkeypatch):
@@ -300,9 +418,10 @@ def test_ubd_general_computes_each_denominator_once(monkeypatch):
     mf = minimal_form(V3, 20, "both")
     report = ubd_general(mf, {(4, 0): 1, (0, 2): 1}, {(1, 1): 1}, V3.k0 + 8, 20, 60)
     assert report.all_asserted_pass and len(report.rows) > 2
-    scanned_to = report.rows[0].scanned_to
+    scanned_to = report.scanned_to
     assert scanned_to == 20
-    assert len(calls) == 2 * (scanned_to + 1)  # both components, once per coefficient
+    # both components, once per coefficient, and once per map coefficient
+    assert len(calls) == 2 * (scanned_to + 1) + 3
 
 
 @pytest.mark.parametrize("k0", [0, 2])
