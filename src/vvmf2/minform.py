@@ -10,10 +10,12 @@ two agree coefficient by coefficient; any disagreement is a bug, not
 data, and raises ``PipelineMismatch``.  The closed-form sums run on the exact
 integer kernel of ``qseries`` (coefficients over one common denominator,
 plain-``int`` convolutions), which also builds the Hauptmodul K behind
-the integer tables.  The Frobenius recursion itself still runs on
-``Fraction``, but its G^2 now comes from the same shared series product,
-just as the closed route's K does; a fault in that kernel reaches the
-two routes by different paths and shows as a disagreement.
+the integer tables; the f-sequence factors are running products of small
+steps in Z[sqrt(M)].  The Frobenius recursion runs fraction-free on its
+own plain-``int`` Horner loop and calls none of that kernel; only its
+G^2 comes from the shared series product, just as the closed route's K
+does, so a fault in the kernel reaches the two routes by different paths
+and shows as a disagreement.
 
 The minimal form F' and its modular derivative DF' generate everything
 of higher weight.  ``combination`` is the one builder of m1*F' + m2*DF'
@@ -44,10 +46,16 @@ from .forms import (
 )
 from .params import InstanceParams
 from .qseries import PureQSeries, _convolve, _iconv, _lift, _toeplitz, equal_through
-from .quadratic import FieldElement, pochhammer
+from .quadratic import FieldElement, QuadNum, pochhammer
 
 _ONE = Fraction(1)
 METHODS = ("both", "closed", "frobenius")
+
+
+def check_kmax(Kmax: int) -> None:
+    """The one rule on a relative order: index 0 is the normalized 1, so Kmax >= 0."""
+    if Kmax < 0:
+        raise ValueError(f"Kmax must be >= 0, got {Kmax}")
 
 
 def gauss_2f1(alpha, beta, gamma, n: int) -> FieldElement:
@@ -105,25 +113,55 @@ def tables_DC(Kmax: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, 
     return _power_rows(w, Kmax + 1), _power_rows(w[1:], Kmax + 1)
 
 
+def _running_products(steps, M: int) -> list:
+    """1 and the prefix products of steps (x, y, d) = (x + y*sqrt(M))/d, kept as integers.
+
+    Each entry is rebuilt once, so a step costs two small-by-big integer
+    products in place of a field division.
+    """
+    out: list = [_ONE]
+    x, y, d = 1, 0, 1
+    for sx, sy, sd in steps:
+        x, y, d = x * sx + M * y * sy, x * sy + y * sx, d * sd
+        out.append(QuadNum(Fraction(x, d), Fraction(y, d), M))
+    return out
+
+
 def _f_list(params: InstanceParams, Kmax: int) -> list:
-    """f(k) = sum over m+n=k of C(r,n) (-1)^n 2^(4m+6n) (2A)_{2m} / ((1+A-B)_m m!)."""
-    shifted = 1 + params.l1 - params.l2  # 1 + A - B
+    """f(k) = sum over m+n=k of C(r,n) (-1)^n 2^(4m+6n) (2A)_{2m} / ((1+A-B)_m m!).
+
+    Both factor sequences are running products of small steps in Z[sqrt(M)]:
+    with 2A = (al + be*sqrt(M))/de, 1+A-B = sn/sd and r = (rho + tau*sqrt(M))/ep,
+    a_m / a_(m-1) = 16 sd (2A + 2m-2)(2A + 2m-1) / ((sn + (m-1) sd) m) and
+    b_n / b_(n-1) = -64 (r - (n-1)) / n.
+    """
+    M = params.M
+    shifted = 1 + params.l1 - params.l2  # 1 + A - B, rational
+    sn, sd = shifted.numerator, shifted.denominator
     two_A = 2 * params.A
-    a: list = [_ONE]  # 2^(4m) (2A)_{2m} / ((1+A-B)_m m!)
+    de = math.lcm(two_A.rat.denominator, two_A.surd.denominator)
+    al, be = int(two_A.rat * de), int(two_A.surd * de)
+    a_steps = []
     for m in range(1, Kmax + 1):
-        step = 16 * (two_A + (2 * m - 2)) * (two_A + (2 * m - 1))
-        a.append(a[-1] * step / ((shifted + (m - 1)) * m))
-    b = [(-64) ** n * c for n, c in enumerate(_binomials(params.r, Kmax + 1))]
-    return _convolve(a, b, Kmax + 1)
+        u1, u2 = al + (2 * m - 2) * de, al + (2 * m - 1) * de
+        den = de * de * (sn + (m - 1) * sd) * m
+        a_steps.append((16 * sd * (u1 * u2 + M * be * be), 16 * sd * be * (u1 + u2), den))
+    r = params.r
+    ep = math.lcm(r.rat.denominator, r.surd.denominator)
+    rho, tau = int(r.rat * ep), int(r.surd * ep)
+    b_steps = [(-64 * (rho - (n - 1) * ep), -64 * tau, ep * n) for n in range(1, Kmax + 1)]
+    return _convolve(_running_products(a_steps, M), _running_products(b_steps, M), Kmax + 1)
 
 
 def seq_f(params: InstanceParams, Kmax: int) -> tuple[list, list]:
     """The pair of f-sequences: the instance's and its mirror's (the tilde, A and B swapped)."""
+    check_kmax(Kmax)
     return _f_list(params, Kmax), _f_list(params.mirrored(), Kmax)
 
 
 def h_closed(params: InstanceParams, Kmax: int) -> tuple[list, list]:
     """The h-sequences by the closed double-sum formula (h(0) = 1 normalized)."""
+    check_kmax(Kmax)
     d_table, c_table = tables_DC(Kmax)
     f, f_tilde = seq_f(params, Kmax)
     n = Kmax + 1
@@ -152,28 +190,54 @@ def h_frobenius(params: InstanceParams, Kmax: int) -> tuple[list, list]:
 
     where I is the indicial polynomial; I(l) = 0 and the other root
     differs by a non-integer, so every step divides by a nonzero value.
+
+    The recursion runs fraction-free.  With lambda = den(l) and
+    X_m = lambda (l + m), one integer D writes D (p_j (l + m) + q_j) as
+    U_j X_m + V_j, and one integer E makes N_n = E I(l + n) integral.
+    Then c_n = C_n / Delta_n with Delta_n = Delta_(n-1) D N_n and
+
+        C_n = -E sum_{j=1..n} (U_j X_(n-j) + V_j) C_(n-j) prod_{i=n-j+1..n-1} D N_i,
+
+    evaluated by Horner in i (acc = acc * D N_i + T * C_i for i = 0..n-1),
+    so every product is big by small.  Each c_n is reduced once.  The
+    series come in as their coefficient lists: this route shares no
+    kernel call with the closed one beyond the product behind G^2.
     """
-    e2 = eisenstein_E2(Kmax)
-    e4 = eisenstein_E4(Kmax)
-    g = weight2_G(Kmax)
-    g2 = g * g
+    check_kmax(Kmax)
     count = Kmax + 1
-    p = [params.a * g.coeff(j) - e2.coeff(j) / 6 for j in range(count)]
-    q = [params.b * g2.coeff(j) + params.c * e4.coeff(j) for j in range(count)]
+    G = weight2_G(Kmax)
+    g, g2 = G.coeffs, (G * G).coeffs
+    e2 = eisenstein_E2(Kmax).coeffs
+    e4 = eisenstein_E4(Kmax).coeffs
+    p = [params.a * g[j] - e2[j] / 6 for j in range(count)]
+    q = [params.b * g2[j] + params.c * e4[j] for j in range(count)]
 
     def run(l: Fraction) -> list:
-        if indicial(params, l) != 0:
+        values = [indicial(params, l + n) for n in range(count)]
+        if values[0] != 0:
             raise ConsistencyError(f"{l} is not an indicial root")
-        cs = [Fraction(1)]
-        for n in range(1, count):
-            rhs = Fraction(0)
-            for j in range(1, n + 1):
-                rhs -= (p[j] * (l + n - j) + q[j]) * cs[n - j]
-            den = indicial(params, l + n)
-            if den == 0:
+        for n, value in enumerate(values[1:], 1):
+            if value == 0:
                 raise ConsistencyError(f"indicial value vanishes at {l + n}")
-            cs.append(rhs / den)
-        return cs
+        lam = l.denominator
+        E = math.lcm(*(v.denominator for v in values))
+        pl = [x / lam for x in p]
+        D = math.lcm(*(x.denominator for x in pl), *(x.denominator for x in q))
+        U = [x.numerator * (D // x.denominator) for x in pl]
+        V = [x.numerator * (D // x.denominator) for x in q]
+        X = [l.numerator + lam * m for m in range(count)]
+        DN = [D * v.numerator * (E // v.denominator) for v in values]
+        C = [1]
+        out = [_ONE]
+        delta = 1
+        for n in range(1, count):
+            acc = 0
+            for i in range(n):
+                acc = acc * DN[i] + (U[n - i] * X[i] + V[n - i]) * C[i]
+            C.append(-E * acc)
+            delta *= DN[n]
+            out.append(Fraction(C[n], delta))
+        return out
 
     return run(params.l1), run(params.l2)
 
@@ -224,6 +288,7 @@ def minimal_form(params: InstanceParams, Kmax: int, method: str = "both") -> Min
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
+    check_kmax(Kmax)
     if method == "frobenius":
         h, ht = h_frobenius(params, Kmax)
     else:

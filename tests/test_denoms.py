@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from vvmf2 import denoms
 from vvmf2.denoms import (
@@ -26,6 +25,7 @@ from vvmf2.params import ExponentData, params_from_exponents, seed_exponents
 from vvmf2.qseries import equal_through, to_json
 from vvmf2.quadratic import QuadNum, denominator_of, is_p_integral, legendre, primes_upto
 
+from instance_strategy import instances
 from plain_series import plain_series_h
 
 M2 = params_from_exponents(seed_exponents("m2"))
@@ -446,20 +446,6 @@ def test_combinations_run_on_the_instance_lattice(k0):
     report = ubd_general(mf, m1_map, m2_map, k, 8, 60)
     assert [r.p for r in report.rows if r.asserted] == [11, 19, 29]
     assert report.all_asserted_pass
-
-
-@st.composite
-def instances(draw):
-    """Valid instances with v = 2..6, so S != S~ and lattices past 24 occur."""
-    k0 = draw(st.sampled_from([0, 2, 4, 6]))
-    v = draw(st.integers(2, 6))
-    u = draw(st.sampled_from([x for x in range(1 - v, v) if math.gcd(x, v) == 1]))
-    l1 = draw(st.sampled_from([Fraction(x) for x in (0, "1/4", "-1/3", "1/9", "2/5")]))
-    l2 = l1 - Fraction(u, v)
-    M = draw(st.sampled_from([2, 3, 5, 7, 11]))
-    s = draw(st.sampled_from([Fraction(x) for x in (1, -1, "1/2", "-1/2", 2, -2, "3/7", "-1/3")]))
-    r = QuadNum((Fraction(1, 2) - l1 - l2) / 2, s, M)
-    return params_from_exponents(ExponentData(k0, l1, l2, r, r.conjugate()))
 
 
 @given(instances())

@@ -1,6 +1,8 @@
 """The minimal form: closed-form sequences against the series recursion."""
 
+import inspect
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,14 @@ from hypothesis import strategies as st
 
 from vvmf2 import denoms, forms, minform, qseries
 from vvmf2.errors import ConsistencyError, NotAFormError, PipelineMismatch
-from vvmf2.forms import form_monomial, hauptmodul, modular_D
+from vvmf2.forms import (
+    eisenstein_E2,
+    eisenstein_E4,
+    form_monomial,
+    hauptmodul,
+    modular_D,
+    weight2_G,
+)
 from vvmf2.minform import (
     _convolve,
     _matvec,
@@ -30,6 +39,7 @@ from vvmf2.params import ExponentData, params_from_exponents, seed_exponents
 from vvmf2.qseries import PureQSeries, equal_through
 from vvmf2.quadratic import QuadNum, gen_binomial, pochhammer
 
+from instance_strategy import instances
 from plain_series import plain_series_h
 
 M2 = params_from_exponents(seed_exponents("m2"))
@@ -40,10 +50,52 @@ R_V3 = QuadNum(Fraction(1, 12), Fraction(1), 2)
 V3 = params_from_exponents(ExponentData(0, Fraction(0), Fraction(1, 3), R_V3, R_V3.conjugate()))
 
 
-def k0_two_instance():
+# l2 = 1/5: lambda = 5 for the second component, and lattice 120
+R_L120 = QuadNum(Fraction(3, 20), Fraction(1), 2)
+L120 = params_from_exponents(
+    ExponentData(0, Fraction(0), Fraction(1, 5), R_L120, R_L120.conjugate())
+)
+
+
+def k0_two_instance(k0=2):
     return params_from_exponents(
-        ExponentData(2, Fraction(0), Fraction(1, 2), SQRT2, -SQRT2)
+        ExponentData(k0, Fraction(0), Fraction(1, 2), SQRT2, -SQRT2)
     )
+
+
+def reference_h_frobenius(params, Kmax):
+    """The Frobenius recursion term by term on Fraction, one gcd per operation."""
+    e2 = eisenstein_E2(Kmax)
+    e4 = eisenstein_E4(Kmax)
+    g = weight2_G(Kmax)
+    g2 = g * g
+    count = Kmax + 1
+    p = [params.a * g.coeff(j) - e2.coeff(j) / 6 for j in range(count)]
+    q = [params.b * g2.coeff(j) + params.c * e4.coeff(j) for j in range(count)]
+
+    def run(l: Fraction) -> list:
+        if indicial(params, l) != 0:
+            raise ConsistencyError(f"{l} is not an indicial root")
+        cs = [Fraction(1)]
+        for n in range(1, count):
+            rhs = Fraction(0)
+            for j in range(1, n + 1):
+                rhs -= (p[j] * (l + n - j) + q[j]) * cs[n - j]
+            den = indicial(params, l + n)
+            if den == 0:
+                raise ConsistencyError(f"indicial value vanishes at {l + n}")
+            cs.append(rhs / den)
+        return cs
+
+    return run(params.l1), run(params.l2)
+
+
+def f_by_definition(params, Kmax):
+    """f as defined: 64^m 2F1(A, A+1/2; 1+A-B)_m convolved with (-64)^n C(r, n)."""
+    A, B = params.A, params.B
+    a = [64**m * gauss_2f1(A, A + Fraction(1, 2), 1 + A - B, m) for m in range(Kmax + 1)]
+    b = [(-64) ** n * gen_binomial(params.r, n) for n in range(Kmax + 1)]
+    return _naive_convolve(a, b, Kmax + 1)
 
 
 def test_gauss_2f1_basics():
@@ -230,6 +282,95 @@ def test_pipelines_agree(params):
     assert hc == hf
     assert hct == hft
     assert hc[1] == 256 if params is M2 else True
+
+
+NAMED = {
+    "m2": M2,
+    "m5": M5,
+    "v3": V3,
+    "k0=2": k0_two_instance(2),
+    "k0=-2": k0_two_instance(-2),
+    "l2=1/5": L120,
+}
+
+
+@pytest.mark.parametrize("params", list(NAMED.values()), ids=list(NAMED))
+def test_h_frobenius_matches_the_fraction_recursion(params):
+    want_h, want_ht = reference_h_frobenius(params, 30)
+    for Kmax in range(31):
+        assert h_frobenius(params, Kmax) == (want_h[: Kmax + 1], want_ht[: Kmax + 1])
+
+
+@pytest.mark.parametrize("params", list(NAMED.values()), ids=list(NAMED))
+def test_seq_f_matches_its_definition(params):
+    want = (f_by_definition(params, 16), f_by_definition(params.mirrored(), 16))
+    assert seq_f(params, 16) == want
+
+
+@given(instances())
+@settings(max_examples=30, deadline=None)
+def test_generated_instances_match_the_reference_sequences(params):
+    assert h_frobenius(params, 12) == reference_h_frobenius(params, 12)
+    want = (f_by_definition(params, 10), f_by_definition(params.mirrored(), 10))
+    assert seq_f(params, 10) == want
+
+
+def test_the_frobenius_route_calls_no_closed_route_kernel():
+    names = set(re.findall(r"\w+", inspect.getsource(h_frobenius)))
+    assert not names & {"_iconv", "_split", "_convolve", "_lift", "_matvec", "_toeplitz"}
+
+
+@pytest.mark.parametrize(
+    "entry", [minimal_form, h_closed, h_frobenius, seq_f], ids=lambda f: f.__name__
+)
+def test_a_negative_kmax_is_refused(entry):
+    forms.clear_cache()  # a cold series cache once made minimal_form raise IndexError here
+    with pytest.raises(ValueError, match="Kmax must be >= 0, got -1"):
+        entry(M2, -1)
+
+
+def test_kmax_zero_is_the_normalized_one_on_both_routes():
+    assert h_closed(M2, 0) == h_frobenius(M2, 0) == ([1], [1])
+    assert minimal_form(M2, 0, "both").tables.h == (1,)
+
+
+def test_a_faulty_E4_fails_the_frobenius_route_alone(monkeypatch):
+    closed = minimal_form(M2, 8, "closed").tables
+    real = minform.eisenstein_E4
+
+    def faulty(N):
+        s = real(N)
+        return PureQSeries.make(s.lead, [c + 1 if j == 3 else c for j, c in enumerate(s.coeffs)])
+
+    monkeypatch.setattr(minform, "eisenstein_E4", faulty)
+    assert minimal_form(M2, 8, "closed").tables == closed
+    with pytest.raises(PipelineMismatch, match="K=3"):
+        minimal_form(M2, 8, "both")
+
+
+def test_a_faulty_indicial_value_breaks_agreement(monkeypatch):
+    real = minform.indicial
+
+    def one_off(params, x):
+        return real(params, x) + 1 if x == params.l1 + 3 else real(params, x)
+
+    monkeypatch.setattr(minform, "indicial", one_off)
+    assert one_off(M2, M2.l1) == 0
+    with pytest.raises(PipelineMismatch, match="K=3"):
+        minimal_form(M2, 8, "both")
+
+
+def test_a_vanishing_indicial_value_is_refused(monkeypatch):
+    real = minform.indicial
+
+    def vanishing(params, x):
+        return Fraction(0) if x == params.l1 + 2 else real(params, x)
+
+    monkeypatch.setattr(minform, "indicial", vanishing)
+    with pytest.raises(ConsistencyError, match="indicial value vanishes at 2"):
+        h_frobenius(M2, 8)
+    with pytest.raises(ConsistencyError, match="indicial value vanishes at 2"):
+        minimal_form(M2, 8, "both")
 
 
 @pytest.mark.parametrize("component", [0, 1], ids=["h", "h_tilde"])
