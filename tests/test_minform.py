@@ -57,7 +57,8 @@ L120 = params_from_exponents(
 )
 
 
-def k0_two_instance(k0=2):
+def sqrt2_instance(k0):
+    """(l1, l2) = (0, 1/2) and r = sqrt(2) at minimal weight k0."""
     return params_from_exponents(
         ExponentData(k0, Fraction(0), Fraction(1, 2), SQRT2, -SQRT2)
     )
@@ -288,8 +289,8 @@ NAMED = {
     "m2": M2,
     "m5": M5,
     "v3": V3,
-    "k0=2": k0_two_instance(2),
-    "k0=-2": k0_two_instance(-2),
+    "k0=2": sqrt2_instance(2),
+    "k0=-2": sqrt2_instance(-2),
     "l2=1/5": L120,
 }
 
@@ -381,7 +382,7 @@ def test_h_by_direct_series_arithmetic(params, component):
     assert plain_series_h(params, Kmax, component) == h_closed(params, Kmax)[component]
 
 
-@pytest.mark.parametrize("params", [M2, M5, k0_two_instance()], ids=["m2", "m5", "k0=2"])
+@pytest.mark.parametrize("params", [M2, M5, sqrt2_instance(2)], ids=["m2", "m5", "k0=2"])
 def test_minimal_form_and_residual(params):
     mf = minimal_form(params, 15, "both")
     lead1 = Fraction(params.k0, 12) + params.l1
@@ -406,7 +407,7 @@ def test_minimal_form_methods_match():
         minimal_form(M2, 10, "numerology")
 
 
-@pytest.mark.parametrize("params", [M2, k0_two_instance()], ids=["k0=0", "k0=2"])
+@pytest.mark.parametrize("params", [M2, sqrt2_instance(2)], ids=["k0=0", "k0=2"])
 def test_deriv_components(params):
     mf = minimal_form(params, 12, "both")
     d1, d2 = deriv_components(mf)  # raises PipelineMismatch if formula drifts
@@ -503,9 +504,7 @@ def test_sequence_values_live_in_the_field():
 
 
 def test_negative_minimal_weight():
-    params = params_from_exponents(
-        ExponentData(-2, Fraction(0), Fraction(1, 2), SQRT2, -SQRT2)
-    )
+    params = sqrt2_instance(-2)
     mf = minimal_form(params, 10, "both")
     assert mf.comp1.lead == Fraction(-1, 6)
     assert mlde_residual(params, mf.comp1).is_zero

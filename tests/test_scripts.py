@@ -19,28 +19,26 @@ SCRIPTS = {
 }
 
 
-@pytest.mark.parametrize("script", SCRIPTS)
-def test_script_runs_and_prints_its_verdict(script):
-    args, verdict = SCRIPTS[script]
-    proc = subprocess.run(
+def run_script(script: str, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_script_runs_and_prints_its_verdict(script):
+    args, verdict = SCRIPTS[script]
+    proc = run_script(script, *args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == verdict
 
 
 def test_compare_pipelines_refuses_a_negative_kmax():
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "compare_pipelines.py"), "--kmax", "4", "-1"],
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_script("compare_pipelines.py", "--kmax", "4", "-1")
     assert proc.returncode == 2
     assert "Kmax must be >= 0, got -1" in proc.stderr
     assert proc.stdout == ""
