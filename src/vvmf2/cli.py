@@ -33,6 +33,7 @@ from .errors import (
 from .minform import (
     METHODS,
     MinimalForm,
+    check_kmax,
     decompose,
     deriv_components,
     minimal_form,
@@ -84,8 +85,7 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
-        if self.kmax < 1:
-            raise ConsistencyError("kmax >= 1")
+        check_kmax(self.kmax)
         if self.factor_bound < 1:
             raise ConsistencyError(f"factor bound must be >= 1, got {self.factor_bound}")
 

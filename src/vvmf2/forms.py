@@ -49,16 +49,12 @@ def clear_cache():
     _CACHE.clear()
 
 
-def _prefix(s: PureQSeries, count: int) -> PureQSeries:
-    return PureQSeries(s.lead, s.step, s.coeffs[:count])
-
-
 def _cached(name: str, count: int, builder) -> PureQSeries:
     """Longest-prefix cache: builder(count) must yield >= count coefficients."""
     s = _CACHE.get(name)
-    if s is None or len(s.coeffs) < count:
+    if s is None or s.length < count:
         s = _CACHE[name] = builder(count)
-    return _prefix(s, count)
+    return s.truncated_at(s.lead + count * s.step)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +161,7 @@ def modular_D(k: int, u: PureQSeries) -> PureQSeries:
     th = u.theta()
     if k == 0:
         return th
-    span = len(u.coeffs) * u.step
+    span = u.length * u.step
     e2 = eisenstein_E2(int(span) + 1)
     return th - Fraction(k, 12) * (e2 * u)
 

@@ -100,16 +100,20 @@ def tables_DC(Kmax: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, 
     the q^d coefficient of the t-th power of its normalized deviation
     from q^-1.  With K^-1 = q*w, these are the powers of w and of
     (w - 1)/q; a non-integer coefficient of w signals a series bug
-    upstream.
+    upstream.  The check reads the stored integers of K^-1 (denominator 1,
+    leading numerator 1); values are built only to name a failure.
     """
     K, _ = hauptmodul(Kmax + 2)
-    w = K.inv().coeffs[: Kmax + 1]
-    for s, c in enumerate(w):
-        if c.denominator != 1 or (s == 0 and c != 1):
-            raise PipelineMismatch(
-                f"K^-1/q has coefficient {c} at q^{s}; it must be integral with constant term 1"
-            )
-    w = [int(c) for c in w]
+    kinv = K.inv().truncated_at(Fraction(Kmax + 2))
+    den, parts, _ = kinv.integer_form()
+    if den != 1 or parts[0][0] != 1:
+        s, c = next(
+            (s, c) for s, c in enumerate(kinv.coeffs) if c.denominator != 1 or (s == 0 and c != 1)
+        )
+        raise PipelineMismatch(
+            f"K^-1/q has coefficient {c} at q^{s}; it must be integral with constant term 1"
+        )
+    w = parts[0]
     return _power_rows(w, Kmax + 1), _power_rows(w[1:], Kmax + 1)
 
 
@@ -322,7 +326,7 @@ def minimal_form(params: InstanceParams, Kmax: int, method: str = "both") -> Min
 def mlde_residual(params: InstanceParams, u: PureQSeries) -> PureQSeries:
     """Apply the full weight-k0 operator; exact zero certifies a solution."""
     k0 = params.k0
-    order = len(u.coeffs)
+    order = u.length
     e4 = eisenstein_E4(order)
     g = weight2_G(order)
     du = modular_D(k0, u)
@@ -396,7 +400,7 @@ def combination(
                 raise ConsistencyError(
                     f"monomial G^{a}E4^{b} has weight {2 * a + 4 * b}, need {want}"
                 )
-    n = len(mf.comp1.coeffs) + 1
+    n = mf.comp1.length + 1
 
     def scalar_form(coeff_map) -> PureQSeries | None:
         total = None

@@ -9,17 +9,27 @@ to, but not including, ``horizon``; reading past the horizon raises
 instead of silently returning zero.
 
 A zero series keeps ``coeffs == ()`` and records in ``lead`` the exponent
-up to which it is known to vanish.  Coefficients are ``Fraction`` or
-``QuadNum`` and may be mixed; sums and scalar multiples promote through
-the coefficient operators themselves.
+up to which it is known to vanish.
 
-Products, inverses and integer powers run on one exact integer kernel
-(``_split``, ``_iconv``, ``_toeplitz``, ``_lift``, ``_convolve``): the
-coefficients are written over one common denominator, with a sqrt(M)
-part when a ``QuadNum`` is present, convolved as plain ``int`` and
-rebuilt once.  A series with ``QuadNum`` coefficients is inverted through
-its conjugate, so the one inverse recurrence is rational.  The
-closed-form route of ``minform`` uses the same kernel.
+What a series stores is integers over one common denominator: the i-th
+coefficient is (rat[i] + surd[i]*sqrt(M)) / den, where den > 0 is the
+least common denominator (gcd(den, *rat, *surd) == 1) and surd and M are
+absent for a rational series.  The ``Fraction``/``QuadNum`` values of
+``coeffs`` are derived from them on first read and then kept; when M is
+set every value is a ``QuadNum``.  A series built from values (``make``,
+the constructor) keeps them and derives its integers only when an
+operation needs them, so a series that is only read or written out never
+pays for them.
+
+Every operation works on plain ``int`` lists and reduces its result by
+one multi-argument gcd, never one gcd per coefficient: sums rescale to
+the lcm of the two denominators (``_lincomb``), scalar multiples and
+theta multiply entrywise (``_iscale``, ``_iweigh``), and products,
+inverses and integer powers run on one convolution kernel (``_iconv``
+over ``_toeplitz``, combined by ``_kernel``).  A series with ``QuadNum``
+coefficients is inverted through its conjugate, so the one inverse
+recurrence is rational.  The list-level ``_lift`` and ``_convolve`` that
+the closed-form route of ``minform`` uses call the same kernel.
 
 ``to_json`` is the package's one JSON encoder (values, series, dataclasses
 and containers of them), used by every CLI report; ``value_from_json``
@@ -30,7 +40,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from operator import add, mul
 from typing import Union
@@ -53,8 +63,15 @@ def _num(x: Scalar) -> FieldElement:
 # ---------------------------------------------------------------------------
 
 
+def _field(Ma: int | None, Mb: int | None) -> int | None:
+    """The one quadratic field of two operands (None when both are rational)."""
+    if Ma is not None and Mb is not None and Ma != Mb:
+        raise ValueError(f"mixed quadratic fields: M={Ma} vs M={Mb}")
+    return Mb if Ma is None else Ma
+
+
 def _split(values) -> tuple[int, list[list[int]], int | None]:
-    """Write field elements over one common denominator L.
+    """Write field elements over their least common denominator L.
 
     Returns (L, parts, M) with values[i] = (parts[0][i] + parts[1][i]*sqrt(M)) / L;
     parts has the single rational list, and M is None, when no value is a QuadNum.
@@ -69,6 +86,28 @@ def _split(values) -> tuple[int, list[list[int]], int | None]:
         comps.append([v.surd if isinstance(v, QuadNum) else _ZERO for v in values])
     L = math.lcm(*(c.denominator for comp in comps for c in comp))
     return L, [[c.numerator * (L // c.denominator) for c in comp] for comp in comps], M
+
+
+def _rebuild(parts: list[list[int]], den: int, M: int | None) -> list:
+    """Field values (parts[0][i] + parts[1][i]*sqrt(M)) / den; Fraction when M is None."""
+    if M is None:
+        return [Fraction(x, den) for x in parts[0]]
+    return [QuadNum(Fraction(x, den), Fraction(y, den), M) for x, y in zip(*parts)]
+
+
+def _lincomb(x: list[int], fx: int, y: list[int], fy: int) -> list[int]:
+    """The integer core of a sum: x[i]*fx + y[i]*fy."""
+    return [u * fx + v * fy for u, v in zip(x, y)]
+
+
+def _iscale(x: list[int], c: int) -> list[int]:
+    """The integer core of a scalar multiple: x[i]*c."""
+    return [u * c for u in x]
+
+
+def _iweigh(x: list[int], a0: int, s: int) -> list[int]:
+    """The integer core of theta: x[i]*(a0 + i*s), s > 0."""
+    return list(map(mul, x, range(a0, a0 + s * len(x), s)))
 
 
 def _iconv(a: list[int], cols) -> list[int]:
@@ -86,11 +125,21 @@ def _toeplitz(b: list, n: int) -> list:
     return [padded[s::-1] for s in range(n)]
 
 
-def _rebuild(rat: list[int], surd: list[int] | None, dens: list[int], M: int | None) -> list:
-    """Field values (rat[i] + surd[i]*sqrt(M)) / dens[i]; Fraction when M is None."""
-    if M is None:
-        return [Fraction(x, d) for x, d in zip(rat, dens)]
-    return [QuadNum(Fraction(x, d), Fraction(y, d), M) for x, y, d in zip(rat, surd, dens)]
+def _kernel(parts: list[list[int]], cols_parts: list, M: int | None) -> list[list[int]]:
+    """Integer parts of (parts[0] + parts[1]*sqrt(M)) * (cols_parts[0] + cols_parts[1]*sqrt(M)).
+
+    Each column part is a list of integer columns for ``_iconv``; the
+    result has a sqrt(M) part exactly when one of the factors has.
+    """
+    sums: list = [None, None, None]  # coefficients of sqrt(M)^0, ^1, ^2
+    for i, a in enumerate(parts):
+        for j, cols in enumerate(cols_parts):
+            c = _iconv(a, cols)
+            sums[i + j] = c if sums[i + j] is None else list(map(add, sums[i + j], c))
+    rat, surd, both = sums
+    if both is not None:
+        rat = [x + M * z for x, z in zip(rat, both)]
+    return [rat] if surd is None else [rat, surd]
 
 
 def _lift(values, cols_parts: list, L: int, M: int | None) -> list:
@@ -100,18 +149,8 @@ def _lift(values, cols_parts: list, L: int, M: int | None) -> list:
     rebuilt as Fraction or QuadNum values over the common denominator.
     """
     Lv, parts, Mv = _split(values)
-    if Mv is not None and M is not None and Mv != M:
-        raise ValueError(f"mixed quadratic fields: M={Mv} vs M={M}")
-    M = Mv if Mv is not None else M
-    sums: list = [None, None, None]  # coefficients of sqrt(M)^0, ^1, ^2
-    for i, a in enumerate(parts):
-        for j, cols in enumerate(cols_parts):
-            c = _iconv(a, cols)
-            sums[i + j] = c if sums[i + j] is None else list(map(add, sums[i + j], c))
-    rat, surd, both = sums
-    if both is not None:
-        rat = [x + M * z for x, z in zip(rat, both)]
-    return _rebuild(rat, surd, [L * Lv] * len(rat), M)
+    M = _field(Mv, M)
+    return _rebuild(_kernel(parts, cols_parts, M), L * Lv, M)
 
 
 def _convolve(u: list, v: list, n: int) -> list:
@@ -120,23 +159,15 @@ def _convolve(u: list, v: list, n: int) -> list:
     return _lift(u, [_toeplitz(p, n) for p in parts], L, M)
 
 
-def _inverse(values: list) -> list:
-    """The first len(values) coefficients of 1 / (sum_i values[i] q^i), values[0] != 0.
+def _inverse(den: int, P: list[int]) -> tuple[int, list[int]]:
+    """(D, Q) with sum_i Q[i]/D q^i = 1 / (sum_i P[i]/den q^i) to len(P) terms, P[0] != 0.
 
-    A series a with a QuadNum coefficient is inverted as conj(a) / (a*conj(a)):
-    the norm a*conj(a) has rational coefficients, so one recurrence serves.
-    For rational values, with c0 = values[0] factored out, the series is
-    1 + sum_j Y_j q^j / L with Y_j integral.  The inverse sum_i b_i q^i
-    then has integral B_i = L^i b_i, which obey
-    B_i = -sum_{j <= i} Y_j L^(j-1) B_(i-j); c0 and L^i are divided out
-    once per coefficient at the end.
+    With c0 = P[0]/den factored out, the series is 1 + sum_j Y_j q^j / L
+    with Y_j integral.  The inverse sum_i b_i q^i then has integral
+    B_i = L^i b_i c0, which obey B_i = -sum_{j <= i} Y_j L^(j-1) B_(i-j),
+    so b_i = B_i den L^(n-1-i) / (L^(n-1) P[0]) over one denominator.
     """
-    n = len(values)
-    if any(isinstance(v, QuadNum) for v in values):
-        conj = [v.conjugate() if isinstance(v, QuadNum) else v for v in values]
-        norm = [v.rat for v in _convolve(values, conj, n)]
-        return _convolve(conj, _inverse(norm), n)
-    L0, (P,), _ = _split(values)
+    n = len(P)
     g = math.gcd(*P)
     L = P[0] // g
     powers = [1]
@@ -147,7 +178,9 @@ def _inverse(values: list) -> list:
     B = [1]
     for i in range(1, n):
         B.append(-sum(map(mul, z[:i], B[::-1])))
-    return _rebuild([b * L0 for b in B], None, [w * P[0] for w in powers], None)
+    D = powers[-1] * P[0]
+    sign = -1 if D < 0 else 1
+    return sign * D, [sign * den * b * w for b, w in zip(B, reversed(powers))]
 
 
 def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
@@ -162,21 +195,83 @@ def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
+def _reduced(den: int, parts: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """den and parts divided by gcd(den, *parts), found by one multi-argument gcd."""
+    if den == 1:
+        return den, parts
+    g = math.gcd(den, *(x for p in parts for x in p))
+    if g == 1:
+        return den, parts
+    return den // g, [[x // g for x in p] for p in parts]
+
+
 class PureQSeries:
-    """A pure q-expansion, truncated: q^lead * (c0 + c1 q^step + ...)."""
+    """A pure q-expansion, truncated: q^lead * (c0 + c1 q^step + ...).
 
-    lead: Fraction
-    step: Fraction
-    coeffs: tuple
+    Stored as integers over one denominator: c_i = (rat[i] + surd[i]*sqrt(M))
+    / den with ``_den``, ``_parts`` = [rat] or [rat, surd] and ``_M``; the
+    values of ``coeffs`` are derived from them on first read.  A series
+    built from values keeps those instead and derives the integers on
+    first use (``integer_form``).  Either form, once present, is kept, and
+    prefixes, rescalings and shifts share it.  A series is never modified
+    after it is built.
+    """
 
-    def __post_init__(self):
-        if self.step <= 0:
+    __slots__ = ("lead", "step", "_values", "_den", "_parts", "_M")
+
+    def __init__(self, lead: Fraction, step: Fraction, coeffs: tuple):
+        if step <= 0:
             raise ValueError("step must be positive")
-        if self.coeffs and not self.coeffs[0]:
+        if coeffs and not coeffs[0]:
             raise ValueError("non-normalized series: leading coefficient is zero")
+        self.lead, self.step = lead, step
+        self._values, self._den, self._parts, self._M = coeffs, None, None, None
+
+    @staticmethod
+    def _of(lead, step, values, den, parts, M) -> "PureQSeries":
+        """A series from forms already known to be normalized (either may be None)."""
+        s = object.__new__(PureQSeries)
+        s.lead, s.step = lead, step
+        s._values, s._den, s._parts, s._M = values, den, parts, M
+        return s
+
+    @staticmethod
+    def _from_ints(lead, step, den: int, parts: list[list[int]], M) -> "PureQSeries":
+        """Normalize integer parts over den: strip leading zeros (keep the horizon) and reduce."""
+        n = len(parts[0])
+        k = 0
+        while k < n and not any(p[k] for p in parts):
+            k += 1
+        if k == n:
+            return PureQSeries.zero(lead + n * step, step)
+        if k:
+            lead = lead + k * step
+            parts = [p[k:] for p in parts]
+        den, parts = _reduced(den, parts)
+        return PureQSeries._of(lead, step, None, den, parts, M)
+
+    def integer_form(self) -> tuple[int, list[list[int]], int | None]:
+        """(den, parts, M): the integer form, derived from the values on first use.
+
+        The lists are the series' own, shared with its prefixes: read them, never modify them.
+        """
+        if self._parts is None:
+            self._den, self._parts, self._M = _split(self._values)
+        return self._den, self._parts, self._M
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fraction or QuadNum values, derived on first read."""
+        if self._values is None:
+            self._values = tuple(_rebuild(self._parts, self._den, self._M))
+        return self._values
 
     # -- bookkeeping -------------------------------------------------------
+
+    @property
+    def length(self) -> int:
+        """Number of known coefficients c0, c1, ...; read without deriving values."""
+        return len(self._values) if self._values is not None else len(self._parts[0])
 
     @property
     def lattice(self) -> int:
@@ -185,17 +280,17 @@ class PureQSeries:
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.length
 
     @property
     def horizon(self) -> Fraction:
         """First exponent about which nothing is known (exclusive bound)."""
-        return self.lead + len(self.coeffs) * self.step
+        return self.lead + self.length * self.step
 
     @property
     def order(self) -> int:
         """Truncation order N: coefficients c0..cN are known."""
-        return len(self.coeffs) - 1
+        return self.length - 1
 
     def coeff(self, exponent: Scalar) -> FieldElement:
         """Coefficient of q^exponent; 0 off the support, error past the horizon."""
@@ -207,7 +302,18 @@ class PureQSeries:
         rel = (e - self.lead) / self.step
         if rel.denominator != 1:
             return _ZERO
-        return self.coeffs[int(rel)]
+        i = int(rel)
+        if self._values is not None:
+            return self._values[i]
+        return _rebuild([p[i : i + 1] for p in self._parts], self._den, self._M)[0]
+
+    def __eq__(self, other):
+        if not isinstance(other, PureQSeries):
+            return NotImplemented
+        return (self.lead, self.step, self.coeffs) == (other.lead, other.step, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.lead, self.step, self.coeffs))
 
     # -- construction helpers ----------------------------------------------
 
@@ -236,13 +342,20 @@ class PureQSeries:
 
     # -- grid alignment ----------------------------------------------------
 
-    def _on_grid(self, base: Fraction, g: Fraction, length: int) -> list:
-        """Coefficients re-indexed on the grid base + i*g, i < length."""
-        out = [_ZERO] * length
-        if self.coeffs:
-            start = int((self.lead - base) / g)
-            stride = int(self.step / g)
-            out[start : start + stride * len(self.coeffs) : stride] = self.coeffs
+    def _on_grid(self, base: Fraction, g: Fraction, length: int) -> list[list[int]]:
+        """Integer parts re-indexed on the grid base + i*g, i < length (the rest dropped)."""
+        _, parts, _ = self.integer_form()
+        start = int((self.lead - base) / g)
+        stride = int(self.step / g)
+        if start == 0 and stride == 1 and len(parts[0]) == length:
+            return parts
+        keep = max(0, -(-(length - start) // stride))
+        out = []
+        for p in parts:
+            row = [0] * length
+            p = p[:keep]
+            row[start : start + stride * len(p) : stride] = p
+            out.append(row)
         return out
 
     # -- ring operations ----------------------------------------------------
@@ -250,45 +363,82 @@ class PureQSeries:
     def __add__(self, other):
         if not isinstance(other, PureQSeries):
             return NotImplemented
-        horizon = min(self.horizon, other.horizon)
-        if self.is_zero and other.is_zero:
-            return PureQSeries.zero(horizon, self.step)
-        if self.is_zero:
-            return other.truncated_at(horizon)
-        if other.is_zero:
-            return self.truncated_at(horizon)
-        g = _frac_gcd(_frac_gcd(self.step, other.step), self.lead - other.lead)
-        base = min(self.lead, other.lead)
-        length = int((horizon - base) / g)
-        a = self.truncated_at(horizon)._on_grid(base, g, length)
-        for i, c in enumerate(other.truncated_at(horizon)._on_grid(base, g, length)):
-            a[i] = a[i] + c
-        return PureQSeries.make(base, a, g)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, PureQSeries):
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def _combine(self, other: "PureQSeries", sign: int) -> "PureQSeries":
+        """self + sign*other on the common grid, known up to the nearer horizon."""
+        horizon = min(self.horizon, other.horizon)
+        if self.is_zero and other.is_zero:
+            return PureQSeries.zero(horizon, self.step)
+        if other.is_zero:
+            return self.truncated_at(horizon)
+        if self.is_zero:
+            rest = other.truncated_at(horizon)
+            return rest if sign == 1 else -rest
+        g = _frac_gcd(_frac_gcd(self.step, other.step), self.lead - other.lead)
+        base = min(self.lead, other.lead)
+        length = int((horizon - base) / g)
+        da, _, Ma = self.integer_form()
+        db, _, Mb = other.integer_form()
+        M = _field(Ma, Mb)
+        pa = self._on_grid(base, g, length)
+        pb = other._on_grid(base, g, length)
+        if M is not None:
+            pa, pb = (p if len(p) == 2 else p + [[0] * length] for p in (pa, pb))
+        den = math.lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        parts = [_lincomb(x, fa, y, fb) for x, y in zip(pa, pb)]
+        return PureQSeries._from_ints(base, g, den, parts, M)
 
     def __neg__(self):
-        return PureQSeries(self.lead, self.step, tuple(-c for c in self.coeffs))
+        if self.is_zero:
+            return self
+        den, parts, M = self.integer_form()
+        return PureQSeries._of(self.lead, self.step, None, den, [_iscale(p, -1) for p in parts], M)
 
     def truncated_at(self, horizon: Fraction) -> "PureQSeries":
-        """Forget knowledge at and beyond the given exponent."""
+        """Forget knowledge at and beyond the given exponent.
+
+        The prefix shares whichever forms the series holds: its values are
+        sliced, never re-derived, and its integers re-reduced by one gcd.
+        """
         if horizon >= self.horizon:
             return self
         if self.is_zero or horizon <= self.lead:
             return PureQSeries.zero(min(horizon, self.horizon), self.step)
         n = (horizon - self.lead) / self.step
         keep = int(n) + (1 if n.denominator != 1 else 0)
-        return PureQSeries(self.lead, self.step, self.coeffs[:keep])
+        values = None if self._values is None else self._values[:keep]
+        if self._parts is None:
+            return PureQSeries(self.lead, self.step, values)
+        den, parts = _reduced(self._den, [p[:keep] for p in self._parts])
+        return PureQSeries._of(self.lead, self.step, values, den, parts, self._M)
 
     def scaled(self, c: Scalar) -> "PureQSeries":
         """Scalar multiple; a zero scalar yields the zero series."""
         c = _num(c)
         if not c:
             return PureQSeries.zero(self.horizon, self.step)
-        return PureQSeries(self.lead, self.step, tuple(c * x for x in self.coeffs))
+        if self.is_zero:
+            return self
+        den, parts, M = self.integer_form()
+        if isinstance(c, Fraction):
+            out = [_iscale(p, c.numerator) for p in parts]
+            return PureQSeries._from_ints(self.lead, self.step, den * c.denominator, out, M)
+        M = _field(M, c.M)
+        e = math.lcm(c.rat.denominator, c.surd.denominator)
+        x, y = int(c.rat * e), int(c.surd * e)
+        if len(parts) == 1:
+            out = [_iscale(parts[0], x), _iscale(parts[0], y)]
+        else:
+            rat, surd = parts
+            out = [_lincomb(rat, x, surd, M * y), _lincomb(rat, y, surd, x)]
+        return PureQSeries._from_ints(self.lead, self.step, den * e, out, M)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QuadNum)):
@@ -304,14 +454,18 @@ class PureQSeries:
             else:
                 h = other.horizon + self.lead
             return PureQSeries.zero(h, self.step)
+        da, a, Ma = self.integer_form()
+        db, b, Mb = other.integer_form()
         if self.step == other.step:
-            a, b, g = self.coeffs, other.coeffs, self.step
+            g = self.step
         else:
             g = _frac_gcd(self.step, other.step)
             a = self._on_grid(self.lead, g, int((self.horizon - self.lead) / g))
             b = other._on_grid(other.lead, g, int((other.horizon - other.lead) / g))
-        prod = _convolve(a, b, min(len(a), len(b)))
-        return PureQSeries.make(self.lead + other.lead, prod, g)
+        M = _field(Ma, Mb)
+        n = min(len(a[0]), len(b[0]))
+        prod = _kernel(a, [_toeplitz(p, n) for p in b], M)
+        return PureQSeries._from_ints(self.lead + other.lead, g, da * db, prod, M)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, QuadNum)):
@@ -319,10 +473,26 @@ class PureQSeries:
         return NotImplemented
 
     def inv(self) -> "PureQSeries":
-        """Two-sided inverse to the truncation order."""
+        """Two-sided inverse to the truncation order.
+
+        A series a with a sqrt(M) part is inverted as conj(a) / (a*conj(a)):
+        the norm a*conj(a) is rational, so one recurrence serves.
+        """
         if self.is_zero:
             raise ZeroDivisionError("cannot invert a zero series")
-        return PureQSeries(-self.lead, self.step, tuple(_inverse(self.coeffs)))
+        den, parts, M = self.integer_form()
+        if M is None:
+            iden, inv_rat = _inverse(den, parts[0])
+            return PureQSeries._from_ints(-self.lead, self.step, iden, [inv_rat], None)
+        rat, surd = parts
+        n = len(rat)
+        # the norm rat^2 - M*surd^2, rational
+        norm = list(
+            map(add, _iconv(rat, _toeplitz(rat, n)), _iconv(surd, _toeplitz(_iscale(surd, -M), n)))
+        )
+        iden, inv_norm = _inverse(den * den, norm)
+        out = _kernel([rat, _iscale(surd, -1)], [_toeplitz(inv_norm, n)], M)
+        return PureQSeries._from_ints(-self.lead, self.step, den * iden, out, M)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -330,7 +500,7 @@ class PureQSeries:
         if n < 0:
             return self.inv() ** (-n)
         if n == 0:
-            return PureQSeries.constant(1, max(len(self.coeffs), 1))
+            return PureQSeries.constant(1, max(self.length, 1))
         out = None
         base = self
         while n:
@@ -352,12 +522,13 @@ class PureQSeries:
         if self.is_zero or self.lead != 0 or self.coeffs[0] != 1:
             raise ValueError("binomial power needs a series with leading term exactly 1 at q^0")
         gamma = _num(gamma)
-        n = len(self.coeffs)
+        u = self.coeffs
+        n = len(u)
         w: list = [_ONE] + [_ZERO] * (n - 1)
         for m in range(1, n):
             acc = _ZERO
             for k in range(1, m + 1):
-                uk = self.coeffs[k]
+                uk = u[k]
                 if uk:
                     acc = acc + ((gamma + 1) * k - m) * uk * w[m - k]
             w[m] = acc / m
@@ -366,28 +537,33 @@ class PureQSeries:
     # -- calculus and substitutions -----------------------------------------
 
     def theta(self) -> "PureQSeries":
-        """The operator q d/dq: the coefficient of q^e picks up a factor e."""
+        """The operator q d/dq: the coefficient of q^e picks up a factor e.
+
+        With lam = lcm of the denominators of lead and step, c_i becomes
+        c_i * lam*(lead + i*step) over the denominator den*lam.
+        """
         if self.is_zero:
             return self
-        return PureQSeries.make(
-            self.lead,
-            [(self.lead + i * self.step) * c for i, c in enumerate(self.coeffs)],
-            self.step,
-        )
+        lam = math.lcm(self.lead.denominator, self.step.denominator)
+        a0, s = int(self.lead * lam), int(self.step * lam)
+        den, parts, M = self.integer_form()
+        out = [_iweigh(p, a0, s) for p in parts]
+        return PureQSeries._from_ints(self.lead, self.step, den * lam, out, M)
+
+    def _moved(self, lead: Fraction, step: Fraction) -> "PureQSeries":
+        """The same coefficients (both forms shared) on the grid lead + i*step."""
+        return PureQSeries._of(lead, step, self._values, self._den, self._parts, self._M)
 
     def rescale(self, factor: Scalar) -> "PureQSeries":
         """Substitute q -> q^factor (replace tau by factor*tau)."""
         f = Fraction(factor)
         if f <= 0:
             raise ValueError("rescale factor must be positive")
-        if self.is_zero:
-            return PureQSeries.zero(self.lead * f, self.step * f)
-        return PureQSeries(self.lead * f, self.step * f, self.coeffs)
+        return self._moved(self.lead * f, self.step * f)
 
     def shifted(self, delta: Scalar) -> "PureQSeries":
         """Multiply by q^delta."""
-        d = Fraction(delta)
-        return PureQSeries(self.lead + d, self.step, self.coeffs)
+        return self._moved(self.lead + Fraction(delta), self.step)
 
     # -- presentation --------------------------------------------------------
 
@@ -403,7 +579,7 @@ class PureQSeries:
                 parts.append(f"{c}")
             else:
                 parts.append(f"({c})*q^({e})")
-        tail = " + ..." if len(self.coeffs) > terms else ""
+        tail = " + ..." if self.length > terms else ""
         return " + ".join(parts or ["0"]) + tail + f" + O(q^{self.horizon})"
 
     def __repr__(self):

@@ -393,6 +393,29 @@ def test_denoms_refuses_a_bad_factor_bound_before_building(monkeypatch, capsys):
     assert "factor bound must be >= 1, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["minform", "denoms"])
+def test_kmax_zero_reports_the_normalized_one(capsys, command):
+    assert main([command, "--seed-instance", "m2", "--kmax", "0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["kmax"] == 0
+    if command == "minform":
+        assert report["components"]["first"]["coefficients"] == ["1"]
+        assert report["components"]["second"]["coefficients"] == ["1"]
+    else:
+        assert [row["K"] for row in report["denominators_d"]] == [0]
+        assert report["rows_d"] == report["rows_h"] == report["rows_d_tilde"] == []
+
+
+@pytest.mark.parametrize("command", ["minform", "denoms"])
+def test_a_negative_kmax_exits_3_before_building(monkeypatch, capsys, command):
+    def unexpected(*args, **kwargs):
+        pytest.fail(f"{command} built a minimal form for a Kmax it was going to refuse")
+
+    monkeypatch.setattr(cli, "minimal_form", unexpected)
+    assert main([command, "--seed-instance", "m2", "--kmax", "-1"]) == 3
+    assert "Kmax must be >= 0, got -1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("method", cli.METHODS)
 @pytest.mark.parametrize("rat", ["1/7", "0"])
 def test_an_instance_outside_the_class_exits_3_before_building(

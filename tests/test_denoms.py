@@ -22,7 +22,7 @@ from vvmf2.errors import ConsistencyError
 from vvmf2.forms import form_monomial
 from vvmf2.minform import decompose, minimal_form, mlde_residual, weight_basis
 from vvmf2.params import ExponentData, params_from_exponents, seed_exponents
-from vvmf2.qseries import equal_through, to_json
+from vvmf2.qseries import PureQSeries, equal_through, to_json
 from vvmf2.quadratic import QuadNum, denominator_of, is_p_integral, legendre, primes_upto
 
 from instance_strategy import instances
@@ -343,7 +343,7 @@ def test_ubd_general_fails_when_an_asserted_coefficient_is_scaled_by_p(monkeypat
         assert (z1.lead, z1.step) == (lead, 1)
         coeffs = list(z1.coeffs)
         coeffs[4] *= 11
-        return replace(z1, coeffs=tuple(coeffs)), z2
+        return PureQSeries(z1.lead, z1.step, tuple(coeffs)), z2
 
     assert ubd_general(mf, m1, m2, 8, 30, 60).all_asserted_pass
     monkeypatch.setattr(denoms, "combination", scaled)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vvmf2 import forms
+from vvmf2 import forms, qseries
+from vvmf2.cli import main
 from vvmf2.errors import NotAFormError
 from vvmf2.forms import (
     eisenstein_E2,
@@ -139,6 +140,27 @@ def test_identity_suite_fails_on_a_wrong_theta4_coefficient(monkeypatch):
     monkeypatch.setattr(forms, "theta4_and_E", wrong_theta4)
     failed = {c.name for c in identity_suite(20).checks if not c.passed}
     assert failed == {"four-squares-counts", "G-theta4-16E"}
+
+
+@pytest.mark.parametrize("core", ["_lincomb", "_iscale", "_iweigh"])
+def test_a_faulty_linear_core_fails_the_identity_suite(monkeypatch, capsys, core):
+    # the integer cores of sums, scalar multiples and theta, each with one entry off by one
+    real = getattr(qseries, core)
+
+    def off_by_one(*args):
+        out = real(*args)
+        if len(out) > 3:
+            out[3] += 1
+        return out
+
+    monkeypatch.setattr(qseries, core, off_by_one)
+    forms.clear_cache()
+    try:
+        assert not identity_suite(30).all_passed
+        assert main(["verify-identities", "--order", "30"]) == 1
+        assert '"all_passed": false' in capsys.readouterr().out
+    finally:
+        forms.clear_cache()
 
 
 def test_identity_suite_builds_each_named_series_once(monkeypatch):

@@ -265,11 +265,15 @@ def _kernel_series(draw, M, min_size=0):
 _fields = st.sampled_from([None, 2, 5, -1])
 
 
+def _qgcd(a, b):
+    """Positive generator of the group Z*a + Z*b inside Q."""
+    return Fraction(math.gcd(a.numerator * b.denominator, b.numerator * a.denominator),
+                    a.denominator * b.denominator)
+
+
 def _naive_mul(u, v):
     """Schoolbook product on the finest common grid, with the same truncation."""
-    a, b = u.step, v.step
-    g = Fraction(math.gcd(a.numerator * b.denominator, b.numerator * a.denominator),
-                 a.denominator * b.denominator)
+    g = _qgcd(u.step, v.step)
     lead = u.lead + v.lead
     horizon = min(u.horizon + v.lead, v.horizon + u.lead)
     out = [Fraction(0)] * int((horizon - lead) / g)
@@ -368,3 +372,198 @@ def test_int_from_json_takes_integers_and_digit_strings_only():
     for value in (6.9, 8.0, True, False, None, "ten", [3]):
         with pytest.raises(ConfigError, match="kmax must be an integer"):
             int_from_json(value, "kmax")
+
+
+# -- the stored integer form against schoolbook field arithmetic -------------
+#
+# A series stores its coefficients as integers over one least common
+# denominator and derives the Fraction/QuadNum values from them.  Each
+# operation is compared with a reference that works value by value, on
+# inputs that hold only values, only integers, or both, and every result
+# must keep the invariant of the integer form.
+
+_steps = st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 4)])
+_leads = st.sampled_from(
+    [Fraction(0), Fraction(-1), Fraction(1, 2), Fraction(1, 5), Fraction(-7, 5), Fraction(3, 4)]
+)
+_forms = st.sampled_from(["values", "ints", "both"])
+
+
+def _held_as(u, form):
+    """u built so that it holds only its values, only its integers, or both."""
+    if form == "values":
+        return PureQSeries(u.lead, u.step, u.coeffs)
+    v = u.scaled(1)
+    if form == "both":
+        v.coeffs
+    return v
+
+
+@st.composite
+def _stored_series(draw, M=None):
+    M = draw(st.sampled_from([None, 2])) if M is None else M
+    coeffs = draw(st.lists(_field_values(M), max_size=8))
+    u = PureQSeries.make(draw(_leads), coeffs, draw(_steps))
+    return _held_as(u, draw(_forms))
+
+
+def _assert_reduced(s):
+    den, parts, M = s.integer_form()
+    assert den > 0
+    assert math.gcd(den, *(x for p in parts for x in p)) == 1
+    assert (M is None) == (len(parts) == 1)
+
+
+def _ref_combine(u, v, sign):
+    """u + sign*v term by term on the grid of both, known below the nearer horizon."""
+    horizon = min(u.horizon, v.horizon)
+    live = [s for s in (u, v) if not s.is_zero]
+    if not live:
+        return PureQSeries.zero(horizon, u.step)
+    lead = min(s.lead for s in live)
+    g = live[0].step
+    for s in live:
+        g = _qgcd(_qgcd(g, s.step), s.lead - lead)
+    terms = {}
+    for s, f in ((u, 1), (v, sign)):
+        for i, c in enumerate(s.coeffs):
+            e = s.lead + i * s.step
+            if e < horizon:
+                terms[e] = terms.get(e, Fraction(0)) + f * c
+    if horizon <= lead:
+        return PureQSeries.zero(horizon, g)
+    n = math.ceil((horizon - lead) / g)
+    return PureQSeries.make(lead, [terms.get(lead + i * g, Fraction(0)) for i in range(n)], g)
+
+
+def _ref_scaled(u, c):
+    if u.is_zero or not c:
+        return PureQSeries.zero(u.horizon, u.step)
+    return PureQSeries.make(u.lead, [c * x for x in u.coeffs], u.step)
+
+
+def _ref_theta(u):
+    if u.is_zero:
+        return u
+    return PureQSeries.make(
+        u.lead, [(u.lead + i * u.step) * x for i, x in enumerate(u.coeffs)], u.step
+    )
+
+
+def _ref_truncated(u, h):
+    if h >= u.horizon:
+        return u
+    if u.is_zero or h <= u.lead:
+        return PureQSeries.zero(min(h, u.horizon), u.step)
+    return PureQSeries(u.lead, u.step, u.coeffs[: math.ceil((h - u.lead) / u.step)])
+
+
+def _ref_pow(u, n):
+    return PureQSeries.constant(1, max(len(u.coeffs), 1)) if n == 0 else _naive_pow(u, n)
+
+
+_scalars = st.one_of(
+    st.integers(-5, 5),
+    _kernel_fracs,
+    st.builds(lambda a, b: QuadNum(a, b, 2), _kernel_fracs, _kernel_fracs),
+)
+
+# name -> (operation, reference), both called with (u, v, extras)
+_STORED_OPS = {
+    "add": (lambda u, v, x: u + v, lambda u, v, x: _ref_combine(u, v, 1)),
+    "sub": (lambda u, v, x: u - v, lambda u, v, x: _ref_combine(u, v, -1)),
+    "neg": (lambda u, v, x: -u, lambda u, v, x: _ref_scaled(u, -1)),
+    "scaled": (lambda u, v, x: u.scaled(x["c"]), lambda u, v, x: _ref_scaled(u, x["c"])),
+    "theta": (lambda u, v, x: u.theta(), lambda u, v, x: _ref_theta(u)),
+    "mul": (lambda u, v, x: u * v, lambda u, v, x: _naive_mul(u, v)),
+    "inv": (lambda u, v, x: u.inv(), lambda u, v, x: _naive_inv(u)),
+    "pow": (lambda u, v, x: u ** x["n"], lambda u, v, x: _ref_pow(u, x["n"])),
+    "truncated_at": (
+        lambda u, v, x: u.truncated_at(x["h"]),
+        lambda u, v, x: _ref_truncated(u, x["h"]),
+    ),
+    "rescale": (
+        lambda u, v, x: u.rescale(x["f"]),
+        lambda u, v, x: PureQSeries(u.lead * x["f"], u.step * x["f"], u.coeffs),
+    ),
+    "shifted": (
+        lambda u, v, x: u.shifted(x["d"]),
+        lambda u, v, x: PureQSeries(u.lead + x["d"], u.step, u.coeffs),
+    ),
+}
+
+
+@st.composite
+def _stored_case(draw):
+    u = draw(_stored_series())
+    v = draw(_stored_series())
+    if draw(st.booleans()):
+        # v shares u's leading terms, so u - v (and u + (-v)) cancels them
+        w = draw(_stored_series())
+        v = _held_as(u + w, draw(_forms))
+    extras = {
+        "c": draw(_scalars),
+        "n": draw(st.sampled_from([-2, -1, 0, 1, 2, 3])),
+        "h": draw(st.fractions(min_value=-2, max_value=6, max_denominator=10)),
+        "f": draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3, 5)])),
+        "d": draw(st.sampled_from([Fraction(0), Fraction(1, 5), Fraction(-3, 4), Fraction(2)])),
+    }
+    return u, v, extras
+
+
+@pytest.mark.parametrize("name", list(_STORED_OPS))
+@given(case=_stored_case())
+@settings(max_examples=80, deadline=None)
+def test_stored_integers_match_schoolbook(name, case):
+    u, v, extras = case
+    op, ref = _STORED_OPS[name]
+    if name in ("inv", "pow") and u.is_zero:
+        return
+    got = op(u, v, extras)
+    _assert_reduced(got)
+    if name == "mul" and (u.is_zero or v.is_zero):
+        assert got.is_zero
+        return
+    _same(got, ref(u, v, extras))
+
+
+@given(_stored_series(), _stored_series())
+@settings(max_examples=120, deadline=None)
+def test_cancelled_leading_terms_keep_the_horizon(u, w):
+    s = u + w
+    diff = s - u
+    if not (s.is_zero or u.is_zero):
+        assert diff.horizon == min(s.horizon, u.horizon)
+    _same(diff, _ref_combine(s, u, -1))
+    _assert_reduced(diff)
+    zero = s - s
+    assert zero.is_zero and zero.horizon == s.horizon
+    _assert_reduced(zero)
+
+
+def test_two_fields_do_not_mix_in_sums_products_or_scalars():
+    r2 = PureQSeries.make(0, [1, QuadNum(0, 1, 2)])
+    r5 = PureQSeries.make(Fraction(1, 5), [QuadNum(1, 1, 5), 3])
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(ValueError, match="mixed quadratic fields"):
+            op(r2, r5)
+        with pytest.raises(ValueError, match="mixed quadratic fields"):
+            op(r5.scaled(1), r2.scaled(1))
+    with pytest.raises(ValueError, match="mixed quadratic fields"):
+        r2.scaled(QuadNum(0, 1, 5))
+
+
+def test_values_are_derived_once_and_prefixes_share_both_forms():
+    u = PureQSeries.make(Fraction(1, 5), [Fraction(1, 2), Fraction(1, 3), 5, 7], Fraction(1, 2))
+    s = u.scaled(1)  # holds its integers only
+    assert s._values is None
+    head = s.truncated_at(u.lead + 1)
+    assert head._values is None and head.integer_form() == (6, [[3, 2]], None)
+    assert s.coeffs is s.coeffs  # derived on first read, then kept
+    both = s.truncated_at(u.lead + 1)
+    assert both._values == (Fraction(1, 2), Fraction(1, 3))
+    assert both.integer_form() == (6, [[3, 2]], None)
+    moved = s.rescale(2).shifted(1)
+    assert moved.coeffs is s.coeffs and moved.integer_form()[1] is s.integer_form()[1]
+    quad = PureQSeries.make(0, [1, 2]).scaled(QuadNum(0, 1, 2))
+    assert all(isinstance(c, QuadNum) for c in quad.coeffs)
