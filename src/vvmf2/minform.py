@@ -7,15 +7,15 @@ symbols, and the double convolution producing h(K).  The independent
 route runs a Frobenius power-series recursion directly on the weight-zero
 differential equation.  ``minimal_form(..., method="both")`` insists the
 two agree coefficient by coefficient; any disagreement is a bug, not
-data, and raises ``PipelineMismatch``.  The closed-form sums run on the exact
-integer kernel of ``qseries`` (coefficients over one common denominator,
-plain-``int`` convolutions), which also builds the Hauptmodul K behind
-the integer tables; the f-sequence factors are running products of small
-steps in Z[sqrt(M)].  The Frobenius recursion runs fraction-free on its
-own plain-``int`` Horner loop and calls none of that kernel; only its
-G^2 comes from the shared series product, just as the closed route's K
-does, so a fault in the kernel reaches the two routes by different paths
-and shows as a disagreement.
+data, and raises ``PipelineMismatch``.  Every sequence is a ``PureQSeries``
+(lead 0, step 1): f, the binomials and h are products on the integer
+kernel of ``qseries``, which also builds the Hauptmodul K behind the
+tables, and a component is eta^(2 k0) * q^l * h(q), as the paper writes
+it.  The Frobenius recursion runs fraction-free on its own plain-``int``
+Horner loop and calls none of that kernel; only its G^2 comes from the
+shared series product, just as the closed route's K does, so a fault in
+the kernel reaches the two routes by different paths and shows as a
+disagreement.
 
 The minimal form F' and its modular derivative DF' generate everything
 of higher weight.  ``combination`` is the one builder of m1*F' + m2*DF'
@@ -35,7 +35,7 @@ from .errors import ConsistencyError, PipelineMismatch
 from .forms import (
     eisenstein_E2,
     eisenstein_E4,
-    eta_tail_coeffs,
+    eta_pow,
     form_monomial,
     hauptmodul,
     modular_D,
@@ -45,10 +45,10 @@ from .forms import (
     weight2_G,
 )
 from .params import InstanceParams
-from .qseries import PureQSeries, _convolve, _iconv, _lift, _toeplitz, equal_through
-from .quadratic import FieldElement, QuadNum, pochhammer
+from .qseries import PureQSeries, _iconv, _toeplitz, equal_through
+from .quadratic import FieldElement, pochhammer
 
-_ONE = Fraction(1)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 METHODS = ("both", "closed", "frobenius")
 
 
@@ -68,18 +68,12 @@ def gauss_2f1(alpha, beta, gamma, n: int) -> FieldElement:
     return pochhammer(alpha, n) * pochhammer(beta, n) / den / math.factorial(n)
 
 
-def _matvec(u: list, table, n: int) -> list:
-    """out[s] = sum_{k <= s} u[k] * table[k][s] for s < n, table integral."""
-    cols = [col[: s + 1] for s, col in zip(range(n), zip(*table))]
-    return _lift(u, [cols], 1, None)
-
-
-def _binomials(z, count: int) -> list:
-    """C(z, t) for t < count, each built from the last as C(z, t-1) (z - t + 1) / t."""
-    out: list = [_ONE]
-    for t in range(1, count):
-        out.append(out[-1] * (z - (t - 1)) / t)
-    return out
+def _matvec(u: PureQSeries, table) -> PureQSeries:
+    """sum_s (sum_{k <= s} u_k table[k][s]) q^s below u's horizon, u read on the q^0 grid."""
+    den, parts, M = u.integer_form()
+    start = int(u.lead)
+    cols = [col[start : s + 1] for s, col in zip(range(int(u.horizon)), zip(*table))]
+    return PureQSeries.from_integers(_ZERO, _ONE, den, [_iconv(p, cols) for p in parts], M)
 
 
 def _power_rows(g: list[int], n: int) -> tuple[tuple[int, ...], ...]:
@@ -117,21 +111,24 @@ def tables_DC(Kmax: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, 
     return _power_rows(w, Kmax + 1), _power_rows(w[1:], Kmax + 1)
 
 
-def _running_products(steps, M: int) -> list:
-    """1 and the prefix products of steps (x, y, d) = (x + y*sqrt(M))/d, kept as integers.
+def _running_products(steps, M: int | None) -> PureQSeries:
+    """The series 1 + sum_i (step_1 ... step_i) q^i for steps (x, y, d) = (x + y*sqrt(M))/d.
 
-    Each entry is rebuilt once, so a step costs two small-by-big integer
-    products in place of a field division.
+    Each product is kept as integers over its running denominator, so a
+    step costs two small-by-big products; the last denominator is a
+    multiple of every earlier one, so it is the series' denominator.
     """
-    out: list = [_ONE]
-    x, y, d = 1, 0, 1
+    rows = [(1, 0, 1)]
     for sx, sy, sd in steps:
-        x, y, d = x * sx + M * y * sy, x * sy + y * sx, d * sd
-        out.append(QuadNum(Fraction(x, d), Fraction(y, d), M))
-    return out
+        x, y, d = rows[-1]
+        rows.append((x * sx + (M or 0) * y * sy, x * sy + y * sx, d * sd))
+    d = rows[-1][2]
+    cofactors = [d // r[2] for r in rows]
+    parts = [[r[i] * c for r, c in zip(rows, cofactors)] for i in ((0,) if M is None else (0, 1))]
+    return PureQSeries.from_integers(_ZERO, _ONE, d, parts, M)
 
 
-def _f_list(params: InstanceParams, Kmax: int) -> list:
+def _f_list(params: InstanceParams, Kmax: int) -> PureQSeries:
     """f(k) = sum over m+n=k of C(r,n) (-1)^n 2^(4m+6n) (2A)_{2m} / ((1+A-B)_m m!).
 
     Both factor sequences are running products of small steps in Z[sqrt(M)]:
@@ -154,26 +151,26 @@ def _f_list(params: InstanceParams, Kmax: int) -> list:
     ep = math.lcm(r.rat.denominator, r.surd.denominator)
     rho, tau = int(r.rat * ep), int(r.surd * ep)
     b_steps = [(-64 * (rho - (n - 1) * ep), -64 * tau, ep * n) for n in range(1, Kmax + 1)]
-    return _convolve(_running_products(a_steps, M), _running_products(b_steps, M), Kmax + 1)
+    return _running_products(a_steps, M) * _running_products(b_steps, M)
 
 
-def seq_f(params: InstanceParams, Kmax: int) -> tuple[list, list]:
+def seq_f(params: InstanceParams, Kmax: int) -> tuple[PureQSeries, PureQSeries]:
     """The pair of f-sequences: the instance's and its mirror's (the tilde, A and B swapped)."""
     check_kmax(Kmax)
     return _f_list(params, Kmax), _f_list(params.mirrored(), Kmax)
 
 
-def h_closed(params: InstanceParams, Kmax: int) -> tuple[list, list]:
+def h_closed(params: InstanceParams, Kmax: int) -> tuple[PureQSeries, PureQSeries]:
     """The h-sequences by the closed double-sum formula (h(0) = 1 normalized)."""
     check_kmax(Kmax)
     d_table, c_table = tables_DC(Kmax)
     f, f_tilde = seq_f(params, Kmax)
-    n = Kmax + 1
 
-    def assemble(f_seq: list, exponent: Fraction) -> list:
-        inner_fd = _matvec(f_seq, d_table, n)
-        inner_cb = _matvec(_binomials(exponent, n), c_table, n)
-        return _convolve(inner_cb, inner_fd, n)
+    def assemble(f_seq: PureQSeries, l: Fraction) -> PureQSeries:
+        # the binomials C(l, t), by the steps C(l, t) / C(l, t - 1) = (l - t + 1) / t
+        p, q = l.numerator, l.denominator
+        steps = [(p - (t - 1) * q, 0, q * t) for t in range(1, Kmax + 1)]
+        return _matvec(_running_products(steps, None), c_table) * _matvec(f_seq, d_table)
 
     return assemble(f, params.l1), assemble(f_tilde, params.l2)
 
@@ -183,7 +180,7 @@ def indicial(params: InstanceParams, x: Fraction) -> Fraction:
     return x * x + (params.a - Fraction(1, 6)) * x + (params.b + params.c)
 
 
-def h_frobenius(params: InstanceParams, Kmax: int) -> tuple[list, list]:
+def h_frobenius(params: InstanceParams, Kmax: int) -> tuple[PureQSeries, PureQSeries]:
     """The h-sequences by power-series recursion on the weight-zero equation.
 
     Writing the equation as theta^2 f + P theta f + Q f = 0 with
@@ -204,8 +201,8 @@ def h_frobenius(params: InstanceParams, Kmax: int) -> tuple[list, list]:
 
     evaluated by Horner in i (acc = acc * D N_i + T * C_i for i = 0..n-1),
     so every product is big by small.  Each c_n is reduced once.  The
-    series come in as their coefficient lists: this route shares no
-    kernel call with the closed one beyond the product behind G^2.
+    series come in as coefficient lists and h leaves through ``make``:
+    no kernel call is shared with the closed route but the one for G^2.
     """
     check_kmax(Kmax)
     count = Kmax + 1
@@ -216,7 +213,7 @@ def h_frobenius(params: InstanceParams, Kmax: int) -> tuple[list, list]:
     p = [params.a * g[j] - e2[j] / 6 for j in range(count)]
     q = [params.b * g2[j] + params.c * e4[j] for j in range(count)]
 
-    def run(l: Fraction) -> list:
+    def run(l: Fraction) -> PureQSeries:
         values = [indicial(params, l + n) for n in range(count)]
         if values[0] != 0:
             raise ConsistencyError(f"{l} is not an indicial root")
@@ -241,14 +238,17 @@ def h_frobenius(params: InstanceParams, Kmax: int) -> tuple[list, list]:
             C.append(-E * acc)
             delta *= DN[n]
             out.append(Fraction(C[n], delta))
-        return out
+        return PureQSeries.make(0, out)
 
     return run(params.l1), run(params.l2)
 
 
 @dataclass(frozen=True)
 class SeqTables:
-    """The sequences the reports and scans read: h, the eta tail e and d = e*h."""
+    """The sequences the reports and scans read: h, the eta tail e and d = e*h.
+
+    Each is the ``coeffs`` tuple of a series: h, eta^(2 k0) or a component.
+    """
 
     Kmax: int
     h: tuple
@@ -299,26 +299,24 @@ def minimal_form(params: InstanceParams, Kmax: int, method: str = "both") -> Min
         h, ht = h_closed(params, Kmax)
     if method == "both":
         hf, htf = h_frobenius(params, Kmax)
-        for K in range(Kmax + 1):
-            if h[K] != hf[K] or ht[K] != htf[K]:
-                raise PipelineMismatch(
-                    f"closed-form and recursion disagree at K={K}: "
-                    f"{h[K]} vs {hf[K]} / {ht[K]} vs {htf[K]}"
-                )
+        # the difference of two routes leads at their first disagreement
+        K = min((h - hf).lead, (ht - htf).lead)
+        if K <= Kmax:
+            raise PipelineMismatch(
+                f"closed-form and recursion disagree at K={K}: "
+                f"{h.coeff(K)} vs {hf.coeff(K)} / {ht.coeff(K)} vs {htf.coeff(K)}"
+            )
 
-    e = eta_tail_coeffs(2 * params.k0, Kmax)
-    d = _convolve(e, h, Kmax + 1)
-    dt = _convolve(e, ht, Kmax + 1)
-    lead1, lead2 = params.leads
-    comp1 = PureQSeries.make(lead1, d)
-    comp2 = PureQSeries.make(lead2, dt)
+    eta = eta_pow(2 * params.k0, Kmax)
+    comp1 = eta * h.shifted(params.l1)
+    comp2 = eta * ht.shifted(params.l2)
     tables = SeqTables(
         Kmax=Kmax,
-        h=tuple(h),
-        h_tilde=tuple(ht),
-        e=tuple(e),
-        d=tuple(d),
-        d_tilde=tuple(dt),
+        h=h.coeffs,
+        h_tilde=ht.coeffs,
+        e=eta.coeffs,
+        d=comp1.coeffs,
+        d_tilde=comp2.coeffs,
     )
     return MinimalForm(params, comp1, comp2, tables, method)
 

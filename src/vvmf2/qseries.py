@@ -28,8 +28,8 @@ theta multiply entrywise (``_iscale``, ``_iweigh``), and products,
 inverses and integer powers run on one convolution kernel (``_iconv``
 over ``_toeplitz``, combined by ``_kernel``).  A series with ``QuadNum``
 coefficients is inverted through its conjugate, so the one inverse
-recurrence is rational.  The list-level ``_lift`` and ``_convolve`` that
-the closed-form route of ``minform`` uses call the same kernel.
+recurrence is rational.  ``from_integers``, the inverse of
+``integer_form``, builds a series from integers another module computed.
 
 ``to_json`` is the package's one JSON encoder (values, series, dataclasses
 and containers of them), used by every CLI report; ``value_from_json``
@@ -142,23 +142,6 @@ def _kernel(parts: list[list[int]], cols_parts: list, M: int | None) -> list[lis
     return [rat] if surd is None else [rat, surd]
 
 
-def _lift(values, cols_parts: list, L: int, M: int | None) -> list:
-    """The products of field-valued ``values`` with (cols_parts[0] + cols_parts[1]*sqrt(M)) / L.
-
-    Each part is a list of integer columns for ``_iconv``; the result is
-    rebuilt as Fraction or QuadNum values over the common denominator.
-    """
-    Lv, parts, Mv = _split(values)
-    M = _field(Mv, M)
-    return _rebuild(_kernel(parts, cols_parts, M), L * Lv, M)
-
-
-def _convolve(u: list, v: list, n: int) -> list:
-    """The first n coefficients of the product of two coefficient lists."""
-    L, parts, M = _split(v)
-    return _lift(u, [_toeplitz(p, n) for p in parts], L, M)
-
-
 def _inverse(den: int, P: list[int]) -> tuple[int, list[int]]:
     """(D, Q) with sum_i Q[i]/D q^i = 1 / (sum_i P[i]/den q^i) to len(P) terms, P[0] != 0.
 
@@ -236,8 +219,8 @@ class PureQSeries:
         return s
 
     @staticmethod
-    def _from_ints(lead, step, den: int, parts: list[list[int]], M) -> "PureQSeries":
-        """Normalize integer parts over den: strip leading zeros (keep the horizon) and reduce."""
+    def from_integers(lead, step, den: int, parts: list[list[int]], M) -> "PureQSeries":
+        """The series of an integer form; leading zeros stripped (horizon kept), den reduced."""
         n = len(parts[0])
         k = 0
         while k < n and not any(p[k] for p in parts):
@@ -375,11 +358,17 @@ class PureQSeries:
         horizon = min(self.horizon, other.horizon)
         if self.is_zero and other.is_zero:
             return PureQSeries.zero(horizon, self.step)
-        if other.is_zero:
-            return self.truncated_at(horizon)
-        if self.is_zero:
-            rest = other.truncated_at(horizon)
-            return rest if sign == 1 else -rest
+        if self.is_zero or other.is_zero:
+            live, f = (other, sign) if self.is_zero else (self, 1)
+            span = horizon - live.lead
+            if span <= 0 or (span / live.step).denominator == 1:
+                rest = live.truncated_at(horizon)
+                return rest if f == 1 else -rest
+            # an off-grid horizon refines the grid; rounding it up would claim unknown terms
+            g = _frac_gcd(live.step, span)
+            den, _, M = live.integer_form()
+            parts = [_iscale(p, f) for p in live._on_grid(live.lead, g, int(span / g))]
+            return PureQSeries.from_integers(live.lead, g, den, parts, M)
         g = _frac_gcd(_frac_gcd(self.step, other.step), self.lead - other.lead)
         base = min(self.lead, other.lead)
         length = int((horizon - base) / g)
@@ -393,7 +382,7 @@ class PureQSeries:
         den = math.lcm(da, db)
         fa, fb = den // da, sign * (den // db)
         parts = [_lincomb(x, fa, y, fb) for x, y in zip(pa, pb)]
-        return PureQSeries._from_ints(base, g, den, parts, M)
+        return PureQSeries.from_integers(base, g, den, parts, M)
 
     def __neg__(self):
         if self.is_zero:
@@ -429,7 +418,7 @@ class PureQSeries:
         den, parts, M = self.integer_form()
         if isinstance(c, Fraction):
             out = [_iscale(p, c.numerator) for p in parts]
-            return PureQSeries._from_ints(self.lead, self.step, den * c.denominator, out, M)
+            return PureQSeries.from_integers(self.lead, self.step, den * c.denominator, out, M)
         M = _field(M, c.M)
         e = math.lcm(c.rat.denominator, c.surd.denominator)
         x, y = int(c.rat * e), int(c.surd * e)
@@ -438,7 +427,7 @@ class PureQSeries:
         else:
             rat, surd = parts
             out = [_lincomb(rat, x, surd, M * y), _lincomb(rat, y, surd, x)]
-        return PureQSeries._from_ints(self.lead, self.step, den * e, out, M)
+        return PureQSeries.from_integers(self.lead, self.step, den * e, out, M)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QuadNum)):
@@ -465,7 +454,7 @@ class PureQSeries:
         M = _field(Ma, Mb)
         n = min(len(a[0]), len(b[0]))
         prod = _kernel(a, [_toeplitz(p, n) for p in b], M)
-        return PureQSeries._from_ints(self.lead + other.lead, g, da * db, prod, M)
+        return PureQSeries.from_integers(self.lead + other.lead, g, da * db, prod, M)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, QuadNum)):
@@ -483,7 +472,7 @@ class PureQSeries:
         den, parts, M = self.integer_form()
         if M is None:
             iden, inv_rat = _inverse(den, parts[0])
-            return PureQSeries._from_ints(-self.lead, self.step, iden, [inv_rat], None)
+            return PureQSeries.from_integers(-self.lead, self.step, iden, [inv_rat], None)
         rat, surd = parts
         n = len(rat)
         # the norm rat^2 - M*surd^2, rational
@@ -492,7 +481,7 @@ class PureQSeries:
         )
         iden, inv_norm = _inverse(den * den, norm)
         out = _kernel([rat, _iscale(surd, -1)], [_toeplitz(inv_norm, n)], M)
-        return PureQSeries._from_ints(-self.lead, self.step, den * iden, out, M)
+        return PureQSeries.from_integers(-self.lead, self.step, den * iden, out, M)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -548,7 +537,7 @@ class PureQSeries:
         a0, s = int(self.lead * lam), int(self.step * lam)
         den, parts, M = self.integer_form()
         out = [_iweigh(p, a0, s) for p in parts]
-        return PureQSeries._from_ints(self.lead, self.step, den * lam, out, M)
+        return PureQSeries.from_integers(self.lead, self.step, den * lam, out, M)
 
     def _moved(self, lead: Fraction, step: Fraction) -> "PureQSeries":
         """The same coefficients (both forms shared) on the grid lead + i*step."""

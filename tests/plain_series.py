@@ -14,7 +14,7 @@ from vvmf2.qseries import PureQSeries
 def plain_series_h(params, Kmax: int, component: int) -> list:
     """h (component 0) or h~ (component 1) through index Kmax."""
     kinv = hauptmodul(Kmax + 2)[0].inv()
-    f = seq_f(params, Kmax)[component]
+    f = seq_f(params, Kmax)[component].coeffs
     total = PureQSeries.constant(1, len(kinv.coeffs))
     power = PureQSeries.constant(1, len(kinv.coeffs))
     for k in range(1, Kmax + 1):

@@ -121,8 +121,8 @@ def test_criterion_4_oracle_equivalence():
     with criterion(4, "closed form equals recursion through K=40"):
         for params in (M2, M5):
             start = time.monotonic()
-            hc, hct = h_closed(params, 40)
-            hf, hft = h_frobenius(params, 40)
+            hc, hct = (s.coeffs for s in h_closed(params, 40))
+            hf, hft = (s.coeffs for s in h_frobenius(params, 40))
             elapsed = time.monotonic() - start
             for K in range(41):
                 assert hc[K] == hf[K], (params.M, K)
@@ -155,8 +155,8 @@ def test_criterion_7_spot_value(mf40):
         mf = mf40["m2"]  # built with method="both", so the pipelines agreed
         assert mf.method == "both"
         assert mf.tables.d[1] == 256
-        assert h_closed(M2, 1)[0][1] == 256
-        assert h_frobenius(M2, 1)[0][1] == 256
+        assert h_closed(M2, 1)[0].coeffs[1] == 256
+        assert h_frobenius(M2, 1)[0].coeffs[1] == 256
 
 
 def test_criterion_8_minimal_weight_ubd(mf40):

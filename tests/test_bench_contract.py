@@ -6,9 +6,9 @@ and the ``PureQSeries`` methods in ``SERIES_METHODS``, and
 ``minform.weight_basis`` and ``cli.series_to_json`` directly.  A refactor
 that renames or moves one of them would break the traced benchmark run,
 so this test reads both files and checks every name.  The worker also
-reads report fields such as ``GeneralWeightRow.first_hit_1``, which no
-name check sees, so one ``general-v3-k40`` operation is run and checked
-as the benchmark runs it.
+reads report fields such as ``GeneralWeightRow.first_hit_1`` and the
+``mf.tables`` tuples, which no name check sees, so one operation of each
+workload is run and checked as the benchmark runs it.
 """
 
 import ast
@@ -19,6 +19,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import vvmf2
 from vvmf2.qseries import PureQSeries
@@ -71,18 +73,28 @@ def test_every_module_attribute_the_worker_uses_resolves():
     assert missing == []
 
 
-def test_a_general_weight_operation_passes_the_benchmark_check(monkeypatch):
+# the outcomes of one operation when every verdict holds (general-v3-k40 returns two)
+OUTCOMES = {
+    "denoms-m2-k80": [True],
+    "identities-o200": [True],
+    "induced-sweep-k20": [True],
+    "general-v3-k40": [True, True],
+}
+
+
+@pytest.mark.parametrize("name", list(OUTCOMES))
+def test_an_operation_of_each_workload_passes_its_benchmark_check(monkeypatch, name):
     # as perfbench/run.py launches it: a fresh interpreter, vvmf2 from the checkout's src
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    workloads = importlib.import_module("workloads")
-    inputs = workloads.WORKLOADS["general-v3-k40"].make_inputs(1)
+    workload = importlib.import_module("workloads").WORKLOADS[name]
+    inputs = workload.make_inputs(1)
     root = PERFBENCH.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
     proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "worker.py"), "general-v3-k40", "op", json.dumps(inputs)],
+        [sys.executable, str(PERFBENCH / "worker.py"), name, "op", json.dumps(inputs)],
         cwd=root, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert workloads.check_general(inputs, result) == []
-    assert result["outcomes"] == [True, True]
+    assert workload.check(inputs, result) == []
+    assert result["outcomes"] == OUTCOMES[name]

@@ -318,7 +318,7 @@ def test_a_perturbed_closed_route_exits_4(monkeypatch, capsys):
 
     def perturbed(params, Kmax):
         h, h_tilde = real_h_closed(params, Kmax)
-        h[3] += 1
+        h = PureQSeries.make(0, [c + 1 if K == 3 else c for K, c in enumerate(h.coeffs)])
         return h, h_tilde
 
     monkeypatch.setattr(minform, "h_closed", perturbed)

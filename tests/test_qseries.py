@@ -415,7 +415,11 @@ def _assert_reduced(s):
 
 
 def _ref_combine(u, v, sign):
-    """u + sign*v term by term on the grid of both, known below the nearer horizon."""
+    """u + sign*v term by term, known below the nearer horizon.
+
+    The grid holds the terms of both and the horizon itself, so a zero
+    summand known only below an off-grid exponent refines the grid.
+    """
     horizon = min(u.horizon, v.horizon)
     live = [s for s in (u, v) if not s.is_zero]
     if not live:
@@ -424,6 +428,8 @@ def _ref_combine(u, v, sign):
     g = live[0].step
     for s in live:
         g = _qgcd(_qgcd(g, s.step), s.lead - lead)
+    if horizon > lead:
+        g = _qgcd(g, horizon - lead)
     terms = {}
     for s, f in ((u, 1), (v, sign)):
         for i, c in enumerate(s.coeffs):
@@ -432,7 +438,7 @@ def _ref_combine(u, v, sign):
                 terms[e] = terms.get(e, Fraction(0)) + f * c
     if horizon <= lead:
         return PureQSeries.zero(horizon, g)
-    n = math.ceil((horizon - lead) / g)
+    n = int((horizon - lead) / g)
     return PureQSeries.make(lead, [terms.get(lead + i * g, Fraction(0)) for i in range(n)], g)
 
 
@@ -539,6 +545,19 @@ def test_cancelled_leading_terms_keep_the_horizon(u, w):
     zero = s - s
     assert zero.is_zero and zero.horizon == s.horizon
     _assert_reduced(zero)
+
+
+def test_a_zero_summand_lends_no_knowledge_past_its_horizon():
+    # the zero summand is known only below q^(-2/5), between two grid points of the other
+    s = PureQSeries.zero(Fraction(-2, 5), Fraction(1, 4)) + PureQSeries.make(
+        Fraction(-1, 2), [1], Fraction(1, 4)
+    )
+    assert s.horizon == Fraction(-2, 5)
+    assert s.coeff(Fraction(-1, 2)) == 1
+    with pytest.raises(TruncationError):
+        s.coeff(Fraction(-3, 10))
+    half = PureQSeries.zero(Fraction(1, 2)) - PureQSeries.make(0, [1])
+    assert (half.lead, half.horizon, half.coeffs) == (0, Fraction(1, 2), (-1,))
 
 
 def test_two_fields_do_not_mix_in_sums_products_or_scalars():
