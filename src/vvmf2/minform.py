@@ -2,16 +2,17 @@
 
 The closed-form route evaluates the hypergeometric sequence formulas:
 integer tables D(s,k) and C(t,d) coming from powers of the integral
-Hauptmodul, the quadratic-field sequence f(k) built out of Pochhammer
-symbols, and the double convolution producing h(K).  The independent
-route runs a Frobenius power-series recursion directly on the weight-zero
-differential equation.  ``minimal_form(..., method="both")`` insists the
-two agree coefficient by coefficient; any disagreement is a bug, not
-data, and raises ``PipelineMismatch``.  Every sequence is a ``PureQSeries``
-(lead 0, step 1): f, the binomials and h are products on the integer
-kernel of ``qseries``, which also builds the Hauptmodul K behind the
-tables, and a component is eta^(2 k0) * q^l * h(q), as the paper writes
-it.  The Frobenius recursion runs fraction-free on its own plain-``int``
+Hauptmodul, the sequence f(k) of a 2F1 times (1 - z)^r, and the double
+convolution producing h(K).  The independent route runs a Frobenius
+power-series recursion directly on the weight-zero differential
+equation.  ``minimal_form(..., method="both")`` insists the two agree
+coefficient by coefficient; any disagreement is a bug, not data, and
+raises ``PipelineMismatch``.  Every sequence is a ``PureQSeries`` (lead
+0, step 1): f and the binomials come from fraction-free three-term
+recurrences on plain ints, h is a product on the integer kernel of
+``qseries``, which also builds the Hauptmodul K behind the tables, and a
+component is eta^(2 k0) * q^l * h(q), as the paper writes it.  The
+Frobenius recursion runs fraction-free on its own plain-``int``
 Horner loop and calls none of that kernel; only its G^2 comes from the
 shared series product, just as the closed route's K does, so a fault in
 the kernel reaches the two routes by different paths and shows as a
@@ -111,47 +112,55 @@ def tables_DC(Kmax: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, 
     return _power_rows(w, Kmax + 1), _power_rows(w[1:], Kmax + 1)
 
 
-def _running_products(steps, M: int | None) -> PureQSeries:
-    """The series 1 + sum_i (step_1 ... step_i) q^i for steps (x, y, d) = (x + y*sqrt(M))/d.
+def _recurrence(steps, M: int | None = None) -> PureQSeries:
+    """The series sum_k y_k q^k with y_0 = 1, y_-1 = 0 and a_k y_(k+1) = b_k y_k - g_k y_(k-1).
 
-    Each product is kept as integers over its running denominator, so a
-    step costs two small-by-big products; the last denominator is a
-    multiple of every earlier one, so it is the series' denominator.
+    The steps (a, b, g) are integers.  Row k keeps y_k = x_k / Delta_k with
+    Delta_(k+1) = Delta_k a_k, so y_(k-1) = a_(k-1) x_(k-1) / Delta_k and a step costs
+    big-by-small products.  The last Delta is a multiple of every earlier one: it is the
+    series' denominator, reduced once.  Given M, the series is one of Q(sqrt(M)) whose
+    sqrt(M) parts are zero.
     """
-    rows = [(1, 0, 1)]
-    for sx, sy, sd in steps:
-        x, y, d = rows[-1]
-        rows.append((x * sx + (M or 0) * y * sy, x * sy + y * sx, d * sd))
-    d = rows[-1][2]
-    cofactors = [d // r[2] for r in rows]
-    parts = [[r[i] * c for r, c in zip(rows, cofactors)] for i in ((0,) if M is None else (0, 1))]
-    return PureQSeries.from_integers(_ZERO, _ONE, d, parts, M)
+    xs, ds = [1], [1]
+    px = pa = 0  # x_(k-1) and a_(k-1)
+    for a, b, g in steps:
+        x = xs[-1]
+        xs.append(b * x - g * pa * px)
+        ds.append(ds[-1] * a)
+        px, pa = x, a
+    d = ds[-1]
+    xs = [x * (d // dk) for x, dk in zip(xs, ds)]
+    return PureQSeries.from_integers(_ZERO, _ONE, d, [xs] if M is None else [xs, [0] * len(xs)], M)
 
 
 def _f_list(params: InstanceParams, Kmax: int) -> PureQSeries:
-    """f(k) = sum over m+n=k of C(r,n) (-1)^n 2^(4m+6n) (2A)_{2m} / ((1+A-B)_m m!).
+    """f(k) = 64^k y_k for y = (1 - z)^r 2F1(A, A + 1/2; c; z), c = 1 + A - B = 1 + l1 - l2.
 
-    Both factor sequences are running products of small steps in Z[sqrt(M)]:
-    with 2A = (al + be*sqrt(M))/de, 1+A-B = sn/sd and r = (rho + tau*sqrt(M))/ep,
-    a_m / a_(m-1) = 16 sd (2A + 2m-2)(2A + 2m-1) / ((sn + (m-1) sd) m) and
-    b_n / b_(n-1) = -64 (r - (n-1)) / n.
+    Euler's equation z(1-z)F'' + (c - (2A + 3/2) z)F' - A(A + 1/2)F = 0 for the 2F1
+    turns, for y = (1 - z)^r F and A - r = l1, into a second-order equation whose
+    coefficients give
+
+        (k+1)(k+c) y_(k+1) = (2k(k-1) + (5/2 + 3 l1 - l2) k - e) y_k
+                             - (k-1+l1)(k-1/2+l1) y_(k-1),
+        e = r c - (r + l1)(r + l1 + 1/2).
+
+    The sqrt(M) part of e is that of r times c - 2 l1 - 1/2 - (r + r~), which is 0 since
+    r + r~ = 1/2 - l1 - l2; so f is rational.  Each coefficient is a quadratic in k,
+    scaled by one D to integers; k + c never vanishes, since l1 - l2 is not an integer.
     """
-    M = params.M
-    shifted = 1 + params.l1 - params.l2  # 1 + A - B, rational
-    sn, sd = shifted.numerator, shifted.denominator
-    two_A = 2 * params.A
-    de = math.lcm(two_A.rat.denominator, two_A.surd.denominator)
-    al, be = int(two_A.rat * de), int(two_A.surd * de)
-    a_steps = []
-    for m in range(1, Kmax + 1):
-        u1, u2 = al + (2 * m - 2) * de, al + (2 * m - 1) * de
-        den = de * de * (sn + (m - 1) * sd) * m
-        a_steps.append((16 * sd * (u1 * u2 + M * be * be), 16 * sd * be * (u1 + u2), den))
-    r = params.r
-    ep = math.lcm(r.rat.denominator, r.surd.denominator)
-    rho, tau = int(r.rat * ep), int(r.surd * ep)
-    b_steps = [(-64 * (rho - (n - 1) * ep), -64 * tau, ep * n) for n in range(1, Kmax + 1)]
-    return _running_products(a_steps, M) * _running_products(b_steps, M)
+    l1, l2, r, half = params.l1, params.l2, params.r, Fraction(1, 2)
+    c = 1 + l1 - l2
+    e = r * c - (r + l1) * (r + l1 + half)
+    if e.surd:
+        raise ConsistencyError(f"r + r~ must be 1/2 - l1 - l2, but e = {e} is irrational")
+    polys = [  # the k^2, k, 1 coefficients of a, b and g, for f(k) = 64^k y_k
+        (1, 1 + c, c),
+        (128, 64 * (half + 3 * l1 - l2), -64 * e.rat),
+        (4096, 4096 * (2 * l1 - 3 * half), 4096 * (l1 - 1) * (l1 - half)),
+    ]
+    D = math.lcm(*(Fraction(x).denominator for p in polys for x in p))
+    polys = [[int(x * D) for x in p] for p in polys]
+    return _recurrence([[(u * k + v) * k + w for u, v, w in polys] for k in range(Kmax)], params.M)
 
 
 def seq_f(params: InstanceParams, Kmax: int) -> tuple[PureQSeries, PureQSeries]:
@@ -169,8 +178,8 @@ def h_closed(params: InstanceParams, Kmax: int) -> tuple[PureQSeries, PureQSerie
     def assemble(f_seq: PureQSeries, l: Fraction) -> PureQSeries:
         # the binomials C(l, t), by the steps C(l, t) / C(l, t - 1) = (l - t + 1) / t
         p, q = l.numerator, l.denominator
-        steps = [(p - (t - 1) * q, 0, q * t) for t in range(1, Kmax + 1)]
-        return _matvec(_running_products(steps, None), c_table) * _matvec(f_seq, d_table)
+        steps = [(q * t, p - (t - 1) * q, 0) for t in range(1, Kmax + 1)]
+        return _matvec(_recurrence(steps), c_table) * _matvec(f_seq, d_table)
 
     return assemble(f, params.l1), assemble(f_tilde, params.l2)
 

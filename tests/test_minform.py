@@ -1,5 +1,6 @@
 """The minimal form: closed-form sequences against the series recursion."""
 
+import dataclasses
 import inspect
 import math
 import re
@@ -304,16 +305,55 @@ def test_h_frobenius_matches_the_fraction_recursion(params):
 
 @pytest.mark.parametrize("params", list(NAMED.values()), ids=list(NAMED))
 def test_seq_f_matches_its_definition(params):
-    want = (f_by_definition(params, 16), f_by_definition(params.mirrored(), 16))
-    assert _lists(seq_f(params, 16)) == want
+    want = (f_by_definition(params, 32), f_by_definition(params.mirrored(), 32))
+    assert _lists(seq_f(params, 32)) == want
+
+
+@pytest.mark.parametrize("params", [M2, V3], ids=["m2", "v3"])
+@pytest.mark.parametrize("Kmax", [0, 1])
+def test_seq_f_first_steps_match_its_definition(params, Kmax):
+    # the step to f(1) is the only one with no f(k-1) term
+    for p in (params, params.mirrored()):
+        assert list(seq_f(p, Kmax)[0].coeffs) == f_by_definition(p, Kmax)
 
 
 @given(instances())
 @settings(max_examples=30, deadline=None)
 def test_generated_instances_match_the_reference_sequences(params):
     assert _lists(h_frobenius(params, 12)) == reference_h_frobenius(params, 12)
-    want = (f_by_definition(params, 10), f_by_definition(params.mirrored(), 10))
-    assert _lists(seq_f(params, 10)) == want
+    want = (f_by_definition(params, 20), f_by_definition(params.mirrored(), 20))
+    assert _lists(seq_f(params, 20)) == want
+
+
+def test_seq_f_calls_no_series_product_or_kernel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("seq_f reached a convolution")
+
+    stubs = [(qseries, "_kernel"), (qseries, "_iconv"), (qseries, "_toeplitz"), (minform, "_iconv")]
+    for module, name in stubs:
+        monkeypatch.setattr(module, name, refuse)
+    f, f_tilde = seq_f(V3, 40)
+    assert f.length == f_tilde.length == 41
+
+
+def test_seq_f_refuses_an_r_off_the_trace_relation():
+    # f is rational because r + r~ = 1/2 - l1 - l2; a pack that breaks it is refused
+    off = dataclasses.replace(M2, r=M2.r + 1, A=M2.A + 1, B=M2.B + 1)
+    with pytest.raises(ConsistencyError, match="r \\+ r~ must be 1/2 - l1 - l2"):
+        seq_f(off, 3)
+
+
+def test_a_perturbed_f_sequence_is_a_pipeline_mismatch(monkeypatch):
+    real_seq_f = minform.seq_f
+
+    def perturbed(params, Kmax):
+        f, f_tilde = real_seq_f(params, Kmax)
+        f = PureQSeries.make(0, [c + 1 if k == 7 else c for k, c in enumerate(f.coeffs)])
+        return f, f_tilde
+
+    monkeypatch.setattr(minform, "seq_f", perturbed)
+    with pytest.raises(PipelineMismatch, match="K=7:"):
+        minimal_form(M2, 10, "both")
 
 
 def test_the_frobenius_route_calls_no_closed_route_kernel():
