@@ -1,22 +1,20 @@
 """Two independent constructions of the normalized minimal-weight form.
 
-The closed-form route evaluates the hypergeometric sequence formulas:
-integer tables D(s,k) and C(t,d) coming from powers of the integral
-Hauptmodul, the sequence f(k) of a 2F1 times (1 - z)^r, and the double
-convolution producing h(K).  The independent route runs a Frobenius
-power-series recursion directly on the weight-zero differential
-equation.  ``minimal_form(..., method="both")`` insists the two agree
-coefficient by coefficient; any disagreement is a bug, not data, and
-raises ``PipelineMismatch``.  Every sequence is a ``PureQSeries`` (lead
-0, step 1): f and the binomials come from fraction-free three-term
-recurrences on plain ints, h is a product on the integer kernel of
-``qseries``, which also builds the Hauptmodul K behind the tables, and a
-component is eta^(2 k0) * q^l * h(q), as the paper writes it.  The
-Frobenius recursion runs fraction-free on its own plain-``int``
-Horner loop and calls none of that kernel; only its G^2 comes from the
-shared series product, just as the closed route's K does, so a fault in
-the kernel reaches the two routes by different paths and shows as a
-disagreement.
+The closed-form route evaluates the paper's 2F1 at a Hauptmodul of
+Gamma0(2) in Pfaff form.  With eps = eta(2 tau)^24 / eta(tau)^24 = q E,
+E = prod (1 + q^n)^24, and 1/eps = K - 64, each sequence is
+h = E^l * sum_k g_k eps^k for a two-term hypergeometric sequence g.  One
+integer table (the powers of eps) and E^l come from J.C.P. Miller's
+power recurrence on plain ints; the route reads no named series, only
+divisor sums.  The independent route runs a Frobenius recursion on the
+weight-zero differential equation, from G, E2 and E4, on its own
+plain-``int`` Horner loop.  A fault in a named series thus reaches one
+route only, and a fault in the shared series product reaches both by
+different paths (the closed route's E^l * sum, the Frobenius G^2).
+``minimal_form(..., method="both")`` insists the two agree coefficient
+by coefficient; any disagreement is a bug, not data, and raises
+``PipelineMismatch``.  Every sequence is a ``PureQSeries`` (lead 0, step
+1), and a component is eta^(2 k0) * q^l * h(q), as the paper writes it.
 
 The minimal form F' and its modular derivative DF' generate everything
 of higher weight.  ``combination`` is the one builder of m1*F' + m2*DF'
@@ -38,7 +36,6 @@ from .forms import (
     eisenstein_E4,
     eta_pow,
     form_monomial,
-    hauptmodul,
     modular_D,
     monomial_basis,
     monomial_coordinates,
@@ -88,100 +85,87 @@ def _power_rows(g: list[int], n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def tables_DC(Kmax: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Integer tables D[k][s] and C[t][d] for 0 <= s, d, t, k <= Kmax.
+def _over_last(xs: list[int], ds: list[int], M: int | None = None) -> PureQSeries:
+    """sum_k (xs[k] / ds[k]) q^k over the last ds, which every ds[k] divides; reduced once.
 
-    D(s,k) is the q^s coefficient of the (-k)-th Hauptmodul power, C(t,d)
-    the q^d coefficient of the t-th power of its normalized deviation
-    from q^-1.  With K^-1 = q*w, these are the powers of w and of
-    (w - 1)/q; a non-integer coefficient of w signals a series bug
-    upstream.  The check reads the stored integers of K^-1 (denominator 1,
-    leading numerator 1); values are built only to name a failure.
+    Given M, the series is one of Q(sqrt(M)) whose sqrt(M) parts are zero.
     """
-    K, _ = hauptmodul(Kmax + 2)
-    kinv = K.inv().truncated_at(Fraction(Kmax + 2))
-    den, parts, _ = kinv.integer_form()
-    if den != 1 or parts[0][0] != 1:
-        s, c = next(
-            (s, c) for s, c in enumerate(kinv.coeffs) if c.denominator != 1 or (s == 0 and c != 1)
-        )
-        raise PipelineMismatch(
-            f"K^-1/q has coefficient {c} at q^{s}; it must be integral with constant term 1"
-        )
-    w = parts[0]
-    return _power_rows(w, Kmax + 1), _power_rows(w[1:], Kmax + 1)
-
-
-def _recurrence(steps, M: int | None = None) -> PureQSeries:
-    """The series sum_k y_k q^k with y_0 = 1, y_-1 = 0 and a_k y_(k+1) = b_k y_k - g_k y_(k-1).
-
-    The steps (a, b, g) are integers.  Row k keeps y_k = x_k / Delta_k with
-    Delta_(k+1) = Delta_k a_k, so y_(k-1) = a_(k-1) x_(k-1) / Delta_k and a step costs
-    big-by-small products.  The last Delta is a multiple of every earlier one: it is the
-    series' denominator, reduced once.  Given M, the series is one of Q(sqrt(M)) whose
-    sqrt(M) parts are zero.
-    """
-    xs, ds = [1], [1]
-    px = pa = 0  # x_(k-1) and a_(k-1)
-    for a, b, g in steps:
-        x = xs[-1]
-        xs.append(b * x - g * pa * px)
-        ds.append(ds[-1] * a)
-        px, pa = x, a
     d = ds[-1]
     xs = [x * (d // dk) for x, dk in zip(xs, ds)]
     return PureQSeries.from_integers(_ZERO, _ONE, d, [xs] if M is None else [xs, [0] * len(xs)], M)
 
 
-def _f_list(params: InstanceParams, Kmax: int) -> PureQSeries:
-    """f(k) = 64^k y_k for y = (1 - z)^r 2F1(A, A + 1/2; c; z), c = 1 + A - B = 1 + l1 - l2.
+def _e_power(beta: Fraction, Kmax: int) -> PureQSeries:
+    """E^beta through q^Kmax, for E = prod (1 + q^n)^24 and any rational beta.
 
-    Euler's equation z(1-z)F'' + (c - (2A + 3/2) z)F' - A(A + 1/2)F = 0 for the 2F1
-    turns, for y = (1 - z)^r F and A - r = l1, into a second-order equation whose
-    coefficients give
+    theta E / E = 24 sum_j s_j q^j with s_j = sum_(d | j) (-1)^(j/d + 1) d, so
+    P = E^beta obeys J.C.P. Miller's m P_m = 24 beta sum_(j=1..m) s_j P_(m-j).
+    With 24 beta = p/q, P_m = X_m / Delta_m with Delta_m = Delta_(m-1) m q, and
+    X_m = p sum_(i < m) s_(m-i) X_i prod_(t=i+1..m-1) t q runs by Horner in i.
+    """
+    p, q = (24 * beta).as_integer_ratio()
+    s = [0] + [sigma(j) - (2 * sigma(j // 2) if j % 2 == 0 else 0) for j in range(1, Kmax + 1)]
+    xs, ds = [1], [1]
+    for m in range(1, Kmax + 1):
+        acc = 0
+        for i in range(m):
+            acc = acc * (i * q) + s[m - i] * xs[i]
+        xs.append(p * acc)
+        ds.append(ds[-1] * m * q)
+    return _over_last(xs, ds)
 
-        (k+1)(k+c) y_(k+1) = (2k(k-1) + (5/2 + 3 l1 - l2) k - e) y_k
-                             - (k-1+l1)(k-1/2+l1) y_(k-1),
-        e = r c - (r + l1)(r + l1 + 1/2).
 
-    The sqrt(M) part of e is that of r times c - 2 l1 - 1/2 - (r + r~), which is 0 since
-    r + r~ = 1/2 - l1 - l2; so f is rational.  Each coefficient is a quadratic in k,
-    scaled by one D to integers; k + c never vanishes, since l1 - l2 is not an integer.
+def tables_DC(Kmax: int) -> tuple[tuple[int, ...], ...]:
+    """The integer table T[k][s] = [q^s] eps^k for 0 <= s, k <= Kmax, eps = q E."""
+    _, (e,), _ = _e_power(Fraction(1), Kmax).integer_form()
+    return _power_rows(e, Kmax + 1)
+
+
+def _recurrence(steps, M: int | None = None) -> PureQSeries:
+    """sum_k y_k q^k with y_0 = 1 and a_k y_(k+1) = b_k y_k, for integer steps (a, b)."""
+    xs, ds = [1], [1]
+    for a, b in steps:
+        xs.append(xs[-1] * b)
+        ds.append(ds[-1] * a)
+    return _over_last(xs, ds, M)
+
+
+def _g_list(params: InstanceParams, Kmax: int) -> PureQSeries:
+    """g(k) = (-64)^k (a)_k (b)_k / ((c)_k k!) with a = l1 + r, b = c - a - 1/2, c = 1 + l1 - l2.
+
+    Pfaff's 2F1(a, a + 1/2; c; z) = (1 - z)^-a 2F1(a, b; c; z / (z - 1)) at
+    z = 64/K, where z / (z - 1) = -64 eps, turns the paper's (qK)^-l1 (1 - z)^r
+    2F1(a, a + 1/2; c; z) into E^l1 sum_k g_k eps^k.  The steps (k+1)(k+c) g(k+1)
+    = -64 (k^2 + (c - 1/2) k + a b) g(k) are scaled by one D to integers; k + c
+    never vanishes, as l1 - l2 is not an integer.  b = l1 + r~ exactly when
+    r + r~ = 1/2 - l1 - l2; then a b is a norm, and otherwise it is irrational.
     """
     l1, l2, r, half = params.l1, params.l2, params.r, Fraction(1, 2)
     c = 1 + l1 - l2
-    e = r * c - (r + l1) * (r + l1 + half)
-    if e.surd:
-        raise ConsistencyError(f"r + r~ must be 1/2 - l1 - l2, but e = {e} is irrational")
-    polys = [  # the k^2, k, 1 coefficients of a, b and g, for f(k) = 64^k y_k
-        (1, 1 + c, c),
-        (128, 64 * (half + 3 * l1 - l2), -64 * e.rat),
-        (4096, 4096 * (2 * l1 - 3 * half), 4096 * (l1 - 1) * (l1 - half)),
-    ]
+    ab = (l1 + r) * (c - l1 - r - half)
+    if ab.surd:
+        raise ConsistencyError(f"r + r~ must be 1/2 - l1 - l2, but a*b = {ab} is irrational")
+    polys = [(1, 1 + c, c), (-64, -64 * (c - half), -64 * ab.rat)]  # k^2, k, 1 of each step
     D = math.lcm(*(Fraction(x).denominator for p in polys for x in p))
     polys = [[int(x * D) for x in p] for p in polys]
     return _recurrence([[(u * k + v) * k + w for u, v, w in polys] for k in range(Kmax)], params.M)
 
 
 def seq_f(params: InstanceParams, Kmax: int) -> tuple[PureQSeries, PureQSeries]:
-    """The pair of f-sequences: the instance's and its mirror's (the tilde, A and B swapped)."""
+    """The pair of g-sequences: the instance's and its mirror's (the tilde, l1 and l2 swapped)."""
     check_kmax(Kmax)
-    return _f_list(params, Kmax), _f_list(params.mirrored(), Kmax)
+    return _g_list(params, Kmax), _g_list(params.mirrored(), Kmax)
 
 
 def h_closed(params: InstanceParams, Kmax: int) -> tuple[PureQSeries, PureQSeries]:
-    """The h-sequences by the closed double-sum formula (h(0) = 1 normalized)."""
+    """The h-sequences in Pfaff form, h = E^l * sum_k g_k eps^k (h(0) = 1 normalized)."""
     check_kmax(Kmax)
-    d_table, c_table = tables_DC(Kmax)
-    f, f_tilde = seq_f(params, Kmax)
-
-    def assemble(f_seq: PureQSeries, l: Fraction) -> PureQSeries:
-        # the binomials C(l, t), by the steps C(l, t) / C(l, t - 1) = (l - t + 1) / t
-        p, q = l.numerator, l.denominator
-        steps = [(q * t, p - (t - 1) * q, 0) for t in range(1, Kmax + 1)]
-        return _matvec(_recurrence(steps), c_table) * _matvec(f_seq, d_table)
-
-    return assemble(f, params.l1), assemble(f_tilde, params.l2)
+    table = tables_DC(Kmax)
+    g, g_tilde = seq_f(params, Kmax)
+    return (
+        _e_power(params.l1, Kmax) * _matvec(g, table),
+        _e_power(params.l2, Kmax) * _matvec(g_tilde, table),
+    )
 
 
 def indicial(params: InstanceParams, x: Fraction) -> Fraction:

@@ -326,16 +326,33 @@ def test_a_perturbed_closed_route_exits_4(monkeypatch, capsys):
     assert "closed-form and recursion disagree at K=3" in capsys.readouterr().err
 
 
-def test_a_non_integral_hauptmodul_inverse_exits_4(monkeypatch, capsys):
+def _perturbed_table(real):
+    def perturbed(Kmax):
+        rows = [list(row) for row in real(Kmax)]
+        rows[1][7] += 1  # the q^7 coefficient of eps
+        return tuple(map(tuple, rows))
+
+    return perturbed
+
+
+def _perturbed_g(real):
+    def perturbed(params, Kmax):
+        g, g_tilde = real(params, Kmax)
+        g = PureQSeries.make(0, [c + 1 if k == 7 else c for k, c in enumerate(g.coeffs)])
+        return g, g_tilde
+
+    return perturbed
+
+
+@pytest.mark.parametrize(
+    "name, fault", [("tables_DC", _perturbed_table), ("seq_f", _perturbed_g)], ids=["table", "g"]
+)
+def test_a_perturbed_closed_route_input_exits_4(monkeypatch, capsys, name, fault):
     from vvmf2 import minform
 
-    def fake_hauptmodul(N):
-        K = PureQSeries.make(-1, [1, Fraction(1, 2)] + [0] * (N + 2))
-        return K, K * Fraction(1, 64)
-
-    monkeypatch.setattr(minform, "hauptmodul", fake_hauptmodul)
-    assert main(["denoms", "--seed-instance", "m2", "--kmax", "6"]) == 4
-    assert "K^-1/q has coefficient -1/2" in capsys.readouterr().err
+    monkeypatch.setattr(minform, name, fault(getattr(minform, name)))
+    assert main(["denoms", "--seed-instance", "m2", "--kmax", "10"]) == 4
+    assert "closed-form and recursion disagree at K=7:" in capsys.readouterr().err
 
 
 def test_a_cache_directory_variable_is_inert(tmp_path, monkeypatch, capsys):

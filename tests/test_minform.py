@@ -37,10 +37,10 @@ from vvmf2.minform import (
 )
 from vvmf2.params import ExponentData, params_from_exponents, seed_exponents
 from vvmf2.qseries import PureQSeries, equal_through
-from vvmf2.quadratic import QuadNum, gen_binomial, pochhammer
+from vvmf2.quadratic import QuadNum, pochhammer
 
 from instance_strategy import instances
-from plain_series import plain_series_h
+from plain_series import f_by_definition, plain_series_h
 
 M2 = params_from_exponents(seed_exponents("m2"))
 M5 = params_from_exponents(seed_exponents("m5"))
@@ -96,12 +96,10 @@ def reference_h_frobenius(params, Kmax):
     return run(params.l1), run(params.l2)
 
 
-def f_by_definition(params, Kmax):
-    """f as defined: 64^m 2F1(A, A+1/2; 1+A-B)_m convolved with (-64)^n C(r, n)."""
-    A, B = params.A, params.B
-    a = [64**m * gauss_2f1(A, A + Fraction(1, 2), 1 + A - B, m) for m in range(Kmax + 1)]
-    b = [(-64) ** n * gen_binomial(params.r, n) for n in range(Kmax + 1)]
-    return _naive_convolve(a, b, Kmax + 1)
+def g_by_definition(params, Kmax):
+    """g as defined: (-64)^k 2F1(l1 + r, l1 + r~; 1 + l1 - l2)_k, r~ the conjugate of r."""
+    a, b, c = params.l1 + params.r, params.l1 + params.r.conjugate(), 1 + params.l1 - params.l2
+    return [(-64) ** k * gauss_2f1(a, b, c, k) for k in range(Kmax + 1)]
 
 
 def test_gauss_2f1_basics():
@@ -126,52 +124,43 @@ def test_halving_identity(rat, surd, m):
 
 
 def test_tables():
-    D, C = tables_DC(8)
+    T = tables_DC(8)
     for k in range(9):
-        assert D[k][k] == 1
-        for s in range(k):
-            assert D[k][s] == 0
-    for t in range(1, 9):
-        for d in range(t):
-            assert C[t][d] == 0
-    assert C[0][0] == 1 and all(C[0][d] == 0 for d in range(1, 9))
-    assert C[1][1] == -40
-    assert C[1][2] == 1324
+        assert T[k][k] == 1
+        assert all(T[k][s] == 0 for s in range(k))
+    # eps = q prod (1 + q^n)^24 = q + 24 q^2 + 300 q^3 + 2624 q^4 + ...
+    assert T[1][:5] == (0, 1, 24, 300, 2624)
+    assert T[2][:5] == (0, 0, 1, 48, 1176)
 
 
 def test_tables_match_series_powers():
-    # reference: the tables read off truncated PureQSeries powers of K^-1
+    # reference: eps = eta(2 tau)^24 / eta(tau)^24 and its powers on the series kernel
     Kmax = 12
-    kinv = hauptmodul(Kmax + 2)[0].inv()
-    one = PureQSeries.constant(1, len(kinv.coeffs))
-    x = kinv.shifted(-1) - one
-    D, C = tables_DC(Kmax)
-    dpow = cpow = one
+    eps = forms.eta_pow(24, Kmax).rescale(2) * forms.eta_pow(-24, Kmax)
+    T = tables_DC(Kmax)
+    power = PureQSeries.constant(1, Kmax + 1)
     for k in range(Kmax + 1):
-        assert D[k] == tuple(dpow.coeff(s) if s >= k else 0 for s in range(Kmax + 1))
-        assert C[k] == tuple(cpow.coeff(s) if s >= k else 0 for s in range(Kmax + 1))
-        dpow, cpow = dpow * kinv, cpow * x
+        assert T[k] == tuple(power.coeff(s) if s >= k else 0 for s in range(Kmax + 1))
+        power = power * eps
 
 
-def test_tables_reject_non_integral_inverse(monkeypatch):
-    # K = q^-1 (1 + q/2) has K^-1 = q - q^2/2 + ..., which no table may absorb
-    def fake_hauptmodul(N):
-        K = PureQSeries.make(-1, [1, Fraction(1, 2)] + [0] * (N + 2))
-        return K, K * Fraction(1, 64)
-
-    monkeypatch.setattr(minform, "hauptmodul", fake_hauptmodul)
-    with pytest.raises(PipelineMismatch, match="K\\^-1/q has coefficient -1/2"):
-        tables_DC(6)
+def test_the_hauptmodul_is_one_over_eps_plus_64():
+    # K = 192 G^2 / (E4 - G^2) and eps = q E are built by unrelated code
+    N = 200
+    K = hauptmodul(N)[0]
+    eps = minform._e_power(Fraction(1), N + 1).shifted(1)
+    assert equal_through(K, eps.inv() + PureQSeries.constant(64, N + 1), N)
 
 
-def _naive_convolve(u, v, n):
-    return [
-        sum(
-            (u[i] * v[k - i] for i in range(k + 1) if i < len(u) and k - i < len(v)),
-            Fraction(0),
-        )
-        for k in range(n)
-    ]
+@pytest.mark.parametrize("beta", [Fraction(1), Fraction(1, 2), Fraction(-3), Fraction(2, 45)])
+def test_e_powers_match_the_series_kernel(beta):
+    # E^beta = U^(24 beta) for U = prod (1 + q^n), so (E^beta)^(2q) = (U^2)^p for 24 beta = p/q
+    Kmax = 16
+    p, q = (24 * beta).as_integer_ratio()
+    u2 = (forms.eta_pow(2, Kmax).rescale(2) * forms.eta_pow(-2, Kmax)).shifted(Fraction(-1, 12))
+    got = minform._e_power(beta, Kmax)
+    assert got.horizon == Kmax + 1
+    assert equal_through(got ** (2 * q), u2**p, Kmax)
 
 
 _fractions = st.fractions(min_value=-50, max_value=50, max_denominator=40)
@@ -220,8 +209,9 @@ def perturbed_series_kernel(monkeypatch):
     """The shared qseries kernel with the q^5 entry of every product scaled by 193.
 
     193 = 1 (mod 192) keeps integral products integral and (E4 - G^2)/192
-    integral, so the Hauptmodul still passes the integrality check of
-    tables_DC and the fault reaches both routes of minimal_form.
+    integral.  The fault reaches both routes of minimal_form by different
+    paths: the Frobenius route through G^2, the closed route through its
+    last product E^l * sum_k g_k eps^k.
     """
     real = qseries._iconv
 
@@ -249,14 +239,14 @@ def test_perturbed_series_kernel_breaks_agreement(perturbed_series_kernel):
 
 
 def test_seq_f_spot_values():
-    f, ft = (s.coeffs for s in seq_f(M2, 3))
-    assert f[0] == 1 and ft[0] == 1
-    # hand-evaluable pieces: g(1,0) and g(0,1)
-    g10 = 16 * pochhammer(2 * M2.A, 2) / (Fraction(1, 2) * 1)
-    g01 = gen_binomial(M2.r, 1) * (-1) * 64
-    assert g10 == QuadNum(Fraction(256), Fraction(64), 2)
-    assert g01 == QuadNum(Fraction(0), Fraction(-64), 2)
-    assert f[1] == g10 + g01 == 256
+    g, gt = (s.coeffs for s in seq_f(M2, 3))
+    assert g[0] == 1 and gt[0] == 1
+    # m2 has l1 = 0, l2 = 1/2 and r = sqrt(2): c = 1/2 and a b = N(r) = -2
+    assert g[1] == -64 * -2 / Fraction(1, 2) == 256
+    # its mirror has l1 = 1/2, l2 = 0: c = 3/2 and a b = (1/2 + r)(1/2 - r) = -7/4
+    assert gt[1] == -64 * Fraction(-7, 4) / Fraction(3, 2) == Fraction(224, 3)
+    # eps = q + ..., E^(1/2) = 1 + 12 q + ...: h~(1) = 12 + g~(1)
+    assert h_closed(M2, 1)[1].coeffs[1] == 12 + gt[1] == Fraction(260, 3)
 
 
 def test_seq_f_requires_assumptions():
@@ -305,23 +295,23 @@ def test_h_frobenius_matches_the_fraction_recursion(params):
 
 @pytest.mark.parametrize("params", list(NAMED.values()), ids=list(NAMED))
 def test_seq_f_matches_its_definition(params):
-    want = (f_by_definition(params, 32), f_by_definition(params.mirrored(), 32))
+    want = (g_by_definition(params, 32), g_by_definition(params.mirrored(), 32))
     assert _lists(seq_f(params, 32)) == want
 
 
 @pytest.mark.parametrize("params", [M2, V3], ids=["m2", "v3"])
 @pytest.mark.parametrize("Kmax", [0, 1])
 def test_seq_f_first_steps_match_its_definition(params, Kmax):
-    # the step to f(1) is the only one with no f(k-1) term
+    # no step at all, and the first one
     for p in (params, params.mirrored()):
-        assert list(seq_f(p, Kmax)[0].coeffs) == f_by_definition(p, Kmax)
+        assert list(seq_f(p, Kmax)[0].coeffs) == g_by_definition(p, Kmax)
 
 
 @given(instances())
 @settings(max_examples=30, deadline=None)
 def test_generated_instances_match_the_reference_sequences(params):
     assert _lists(h_frobenius(params, 12)) == reference_h_frobenius(params, 12)
-    want = (f_by_definition(params, 20), f_by_definition(params.mirrored(), 20))
+    want = (g_by_definition(params, 20), g_by_definition(params.mirrored(), 20))
     assert _lists(seq_f(params, 20)) == want
 
 
@@ -337,9 +327,11 @@ def test_seq_f_calls_no_series_product_or_kernel(monkeypatch):
 
 
 def test_seq_f_refuses_an_r_off_the_trace_relation():
-    # f is rational because r + r~ = 1/2 - l1 - l2; a pack that breaks it is refused
+    # g is rational because b = 1/2 - l2 - r is l1 + r~; a pack that breaks r + r~ = 1/2 - l1 - l2
+    # gives an irrational a*b and is refused
     off = dataclasses.replace(M2, r=M2.r + 1, A=M2.A + 1, B=M2.B + 1)
-    with pytest.raises(ConsistencyError, match="r \\+ r~ must be 1/2 - l1 - l2"):
+    message = "r \\+ r~ must be 1/2 - l1 - l2, but a\\*b = .* is irrational"
+    with pytest.raises(ConsistencyError, match=message):
         seq_f(off, 3)
 
 
@@ -347,11 +339,24 @@ def test_a_perturbed_f_sequence_is_a_pipeline_mismatch(monkeypatch):
     real_seq_f = minform.seq_f
 
     def perturbed(params, Kmax):
-        f, f_tilde = real_seq_f(params, Kmax)
-        f = PureQSeries.make(0, [c + 1 if k == 7 else c for k, c in enumerate(f.coeffs)])
-        return f, f_tilde
+        g, g_tilde = real_seq_f(params, Kmax)
+        g = PureQSeries.make(0, [c + 1 if k == 7 else c for k, c in enumerate(g.coeffs)])
+        return g, g_tilde
 
     monkeypatch.setattr(minform, "seq_f", perturbed)
+    with pytest.raises(PipelineMismatch, match="K=7:"):
+        minimal_form(M2, 10, "both")
+
+
+def test_a_perturbed_table_entry_is_a_pipeline_mismatch(monkeypatch):
+    real_tables = minform.tables_DC
+
+    def perturbed(Kmax):
+        rows = [list(row) for row in real_tables(Kmax)]
+        rows[1][7] += 1  # the q^7 coefficient of eps
+        return tuple(map(tuple, rows))
+
+    monkeypatch.setattr(minform, "tables_DC", perturbed)
     with pytest.raises(PipelineMismatch, match="K=7:"):
         minimal_form(M2, 10, "both")
 
@@ -361,6 +366,20 @@ def test_the_frobenius_route_calls_no_closed_route_kernel():
     assert not names & {
         "_iconv", "_toeplitz", "_kernel", "_matvec", "_split", "integer_form", "from_integers"
     }
+
+
+def test_the_closed_route_reads_no_named_series(monkeypatch):
+    want = _lists(h_frobenius(V3, 20))
+
+    def refuse(*args):
+        raise AssertionError("the closed route read a named series")
+
+    names = ("hauptmodul", "eisenstein_E2", "eisenstein_E4", "weight2_G", "eta_pow")
+    for module in (forms, minform):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert _lists(h_closed(V3, 20)) == want
 
 
 @pytest.mark.parametrize(
@@ -419,7 +438,7 @@ def test_a_vanishing_indicial_value_is_refused(monkeypatch):
 @pytest.mark.parametrize("component", [0, 1], ids=["h", "h_tilde"])
 @pytest.mark.parametrize("params", [M2, M5, V3], ids=["m2", "m5", "v3"])
 def test_h_by_direct_series_arithmetic(params, component):
-    # third route: no tables, no recursion; plain truncated series algebra
+    # third route: no tables, no recursion, K^-1 and f by definition; plain series algebra
     Kmax = 12
     closed = h_closed(params, Kmax)[component]
     assert plain_series_h(params, Kmax, component) == list(closed.coeffs)
@@ -513,26 +532,18 @@ def test_decompose_rejects_off_grid():
 
 
 def test_2f1_reformulation():
-    # the hypergeometric coefficients at (A, 1/2+A, 1+A-B), rescaled by the
-    # Hauptmodul normalization 64^m, are exactly the n = 0 slice of g
-    A, B = M2.A, M2.B
-    one_plus_diff = 1 + A - B
-    for m in range(13):
-        lhs = gauss_2f1(A, A + Fraction(1, 2), one_plus_diff, m) * 2 ** (6 * m)
-        rhs = (
-            2 ** (4 * m)
-            * pochhammer(2 * A, 2 * m)
-            / (pochhammer(one_plus_diff, m) * math.factorial(m))
-        )
-        assert lhs == rhs
-    f = seq_f(M2, 12)[0].coeffs
-    # subtracting the pure 2F1 slice leaves the binomial-tail contributions
-    g_m0 = [
-        gauss_2f1(A, A + Fraction(1, 2), one_plus_diff, m) * 2 ** (6 * m)
-        for m in range(13)
-    ]
-    assert f[0] == g_m0[0]
-    assert f[1] - g_m0[1] == gen_binomial(M2.r, 1) * (-64)
+    # Pfaff's transformation at x = 1/K: with f the coefficients of the paper's
+    # (1 - 64x)^r 2F1(A, A + 1/2; 1 + A - B; 64x), by definition,
+    #   sum_n f_n x^n = (1 - 64x)^-l1 sum_k g_k (x / (1 - 64x))^k
+    n_max = 12
+    for params in (M2, V3, V3.mirrored()):
+        f = f_by_definition(params, n_max)
+        g = seq_f(params, n_max)[0].coeffs
+        for n in range(n_max + 1):
+            assert f[n] == sum(
+                g[k] * 64 ** (n - k) * pochhammer(params.l1 + k, n - k) / math.factorial(n - k)
+                for k in range(n + 1)
+            )
 
 
 def test_sequence_values_live_in_the_field():
@@ -541,8 +552,8 @@ def test_sequence_values_live_in_the_field():
         assert isinstance(value, (Fraction, QuadNum))
         if isinstance(value, QuadNum):
             assert value.M == 2
-    # empirical and provable: h and d are rational (the recursion is rational)
-    for value in (*mf.tables.h, *mf.tables.d):
+    # provable: h and d are rational (the recursion is rational), and so is g (a b is a norm)
+    for value in (*mf.tables.h, *mf.tables.d, *seq_f(M2, 12)[0].coeffs):
         assert value == (value.conjugate() if isinstance(value, QuadNum) else value)
 
 
