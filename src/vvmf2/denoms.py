@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ConsistencyError
 from .minform import MinimalForm, combination
@@ -112,21 +113,26 @@ def side_condition_audit(params: InstanceParams, p: int, K: int | None = None) -
         failed.append("p <= K")
     if params.v % p == 0:
         failed.append("p divides v")
+    failed.extend(name for name, n in _instance_conditions(params) if n % p == 0)
+    return failed
+
+
+@lru_cache(maxsize=16)
+def _instance_conditions(params: InstanceParams) -> tuple[tuple[str, int], ...]:
+    """(name, n) for each side condition that fails exactly when p divides the integer n."""
+    conditions = []
     for label, value in (("2A", 2 * params.A), ("-r", -params.r)):
         hf = half_form(value)
-        if hf.y % p == 0:
-            failed.append(f"p divides y-part of {label}")
-        if hf.Z % p == 0:
-            failed.append(f"p divides denominator of {label}")
+        conditions.append((f"p divides y-part of {label}", hf.y))
+        conditions.append((f"p divides denominator of {label}", hf.Z))
     for label, value in (("l1", params.l1), ("l2", params.l2)):
-        if value.denominator % p == 0:
-            failed.append(f"p divides denominator of {label}")
+        conditions.append((f"p divides denominator of {label}", value.denominator))
     j = 1
     while params.u + j * params.v < 0:
-        if (params.u + j * params.v) % p == 0:
-            failed.append(f"p divides negative progression member {params.u + j * params.v}")
+        member = params.u + j * params.v
+        conditions.append((f"p divides negative progression member {member}", member))
         j += 1
-    return failed
+    return tuple(conditions)
 
 
 @dataclass(frozen=True)

@@ -25,11 +25,15 @@ Every operation works on plain ``int`` lists and reduces its result by
 one multi-argument gcd, never one gcd per coefficient: sums rescale to
 the lcm of the two denominators (``_lincomb``), scalar multiples and
 theta multiply entrywise (``_iscale``, ``_iweigh``), and products,
-inverses and integer powers run on one convolution kernel (``_iconv``
-over ``_toeplitz``, combined by ``_kernel``).  A series with ``QuadNum``
-coefficients is inverted through its conjugate, so the one inverse
-recurrence is rational.  ``from_integers``, the inverse of
-``integer_form``, builds a series from integers another module computed.
+inverses and integer powers run on one product entry point (``_conv``,
+combined over the sqrt(M) parts by ``_kernel``).  ``_conv`` runs a long
+product with narrow entries by Kronecker substitution (each operand
+packed into one int, one CPython multiplication) and every other product
+schoolbook (``_iconv`` over ``_toeplitz``); its two cutoffs are measured.
+A series with ``QuadNum`` coefficients is inverted through its
+conjugate, so the one inverse recurrence is rational.  ``from_integers``,
+the inverse of ``integer_form``, builds a series from integers another
+module computed.
 
 ``to_json`` is the package's one JSON encoder (values, series, dataclasses
 and containers of them), used by every CLI report; ``value_from_json``
@@ -125,16 +129,59 @@ def _toeplitz(b: list, n: int) -> list:
     return [padded[s::-1] for s in range(n)]
 
 
-def _kernel(parts: list[list[int]], cols_parts: list, M: int | None) -> list[list[int]]:
-    """Integer parts of (parts[0] + parts[1]*sqrt(M)) * (cols_parts[0] + cols_parts[1]*sqrt(M)).
+# Kronecker substitution wins from about this many terms on (at 21 terms with entries of
+# 1 to 20 bits it took 1.3-1.5x schoolbook's time) and up to about this slot width in bits
+# (a 194-bit by 960-bit product of 210 terms took 1.4x); CPython 3.11, 2-core x86-64 VM
+_KRONECKER_MIN_LEN = 40
+_KRONECKER_MAX_BITS = 320
 
-    Each column part is a list of integer columns for ``_iconv``; the
-    result has a sqrt(M) part exactly when one of the factors has.
+
+def _conv(a: list[int], b: list[int], n: int) -> list[int]:
+    """The first n coefficients of the product of the integer polynomials a and b.
+
+    Long products whose coefficients fit narrow slots run by Kronecker
+    substitution, every other product schoolbook.
+    """
+    a, b = a[:n], b[:n]
+    if n >= _KRONECKER_MIN_LEN:
+        bound = max(map(abs, a), default=0) * max(map(abs, b), default=0) * min(len(a), len(b))
+        if not bound:
+            return [0] * n
+        w = (bound.bit_length() + 8) // 8  # bytes per slot, so that |coefficient| < 2^(8w - 1)
+        if 8 * w <= _KRONECKER_MAX_BITS:
+            return _kronecker(a, b, n, w)
+    return _iconv(a, _toeplitz(b, n))
+
+
+def _pack(a: list[int], w: int) -> int:
+    """sum_i a[i] 2^(8wi): entries in signed slots of w bytes, less each negative one's borrow."""
+    x = int.from_bytes(b"".join([c.to_bytes(w, "little", signed=True) for c in a]), "little")
+    if min(a) < 0:
+        one, zero = b"\x01" + bytes(w - 1), bytes(w)
+        x -= int.from_bytes(b"".join([one if c < 0 else zero for c in a]), "little") << 8 * w
+    return x
+
+
+def _kronecker(a: list[int], b: list[int], n: int, w: int) -> list[int]:
+    """``_conv`` by one int product, in slots of w bytes that hold every coefficient."""
+    prod = _pack(a, w) * _pack(b, w)
+    buf = (prod & ((1 << 8 * w * n) - 1)).to_bytes(w * n, "little")
+    digits = [int.from_bytes(buf[i : i + w], "little", signed=True) for i in range(0, w * n, w)]
+    # balanced digits: a slot read as negative borrowed 1 from the slot above it
+    return [d + (low < 0) for low, d in zip([0] + digits, digits)]
+
+
+def _kernel(
+    parts: list[list[int]], other: list[list[int]], n: int, M: int | None
+) -> list[list[int]]:
+    """The first n integer parts of (parts[0] + parts[1]*sqrt(M)) * (other[0] + other[1]*sqrt(M)).
+
+    The result has a sqrt(M) part exactly when one of the factors has.
     """
     sums: list = [None, None, None]  # coefficients of sqrt(M)^0, ^1, ^2
     for i, a in enumerate(parts):
-        for j, cols in enumerate(cols_parts):
-            c = _iconv(a, cols)
+        for j, b in enumerate(other):
+            c = _conv(a, b, n)
             sums[i + j] = c if sums[i + j] is None else list(map(add, sums[i + j], c))
     rat, surd, both = sums
     if both is not None:
@@ -453,7 +500,7 @@ class PureQSeries:
             b = other._on_grid(other.lead, g, int((other.horizon - other.lead) / g))
         M = _field(Ma, Mb)
         n = min(len(a[0]), len(b[0]))
-        prod = _kernel(a, [_toeplitz(p, n) for p in b], M)
+        prod = _kernel(a, b, n, M)
         return PureQSeries.from_integers(self.lead + other.lead, g, da * db, prod, M)
 
     def __rmul__(self, other):
@@ -476,11 +523,9 @@ class PureQSeries:
         rat, surd = parts
         n = len(rat)
         # the norm rat^2 - M*surd^2, rational
-        norm = list(
-            map(add, _iconv(rat, _toeplitz(rat, n)), _iconv(surd, _toeplitz(_iscale(surd, -M), n)))
-        )
+        norm = list(map(add, _conv(rat, rat, n), _conv(surd, _iscale(surd, -M), n)))
         iden, inv_norm = _inverse(den * den, norm)
-        out = _kernel([rat, _iscale(surd, -1)], [_toeplitz(inv_norm, n)], M)
+        out = _kernel([rat, _iscale(surd, -1)], [inv_norm], n, M)
         return PureQSeries.from_integers(-self.lead, self.step, den * iden, out, M)
 
     def __pow__(self, n: int):

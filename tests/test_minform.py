@@ -204,33 +204,56 @@ def test_perturbed_kernel_breaks_agreement(monkeypatch):
         minimal_form(M2, 6, "both")
 
 
+def _recording(fn, log, entry):
+    def recorded(*args):
+        log.append(entry)
+        return fn(*args)
+
+    return recorded
+
+
 @pytest.fixture
 def perturbed_series_kernel(monkeypatch):
-    """The shared qseries kernel with the q^5 entry of every product scaled by 193.
+    """The shared series product with the q^5 entry of every product scaled by 193.
 
-    193 = 1 (mod 192) keeps integral products integral and (E4 - G^2)/192
+    The fault sits in ``qseries._conv``, the one entry point, so it reaches
+    products run schoolbook and by Kronecker substitution alike.  193 = 1
+    (mod 192) keeps integral products integral and (E4 - G^2)/192
     integral.  The fault reaches both routes of minimal_form by different
     paths: the Frobenius route through G^2, the closed route through its
     last product E^l * sum_k g_k eps^k.
     """
-    real = qseries._iconv
+    real = qseries._conv
 
-    def perturbed(a, cols):
-        out = real(a, cols)
+    def perturbed(a, b, n):
+        out = real(a, b, n)
         if len(out) > 5:
             out[5] *= 193
         return out
 
-    monkeypatch.setattr(qseries, "_iconv", perturbed)
+    paths = []  # the path each product took, as "kronecker" or "schoolbook"
+    for name, path in (("_kronecker", "kronecker"), ("_iconv", "schoolbook")):
+        monkeypatch.setattr(qseries, name, _recording(getattr(qseries, name), paths, path))
+    monkeypatch.setattr(qseries, "_conv", perturbed)
     forms.clear_cache()
-    yield
+    yield paths
     forms.clear_cache()
+
+
+def _fails_theta_J(order):
+    report = forms.identity_suite(order)
+    assert not report.all_passed
+    assert not next(c for c in report.checks if c.name == "theta-J").passed
 
 
 def test_perturbed_series_kernel_fails_the_identity_suite(perturbed_series_kernel):
-    report = forms.identity_suite(20)
-    assert not report.all_passed
-    assert not next(c for c in report.checks if c.name == "theta-J").passed
+    _fails_theta_J(20)
+    assert set(perturbed_series_kernel) == {"schoolbook"}
+
+
+def test_perturbed_series_kernel_fails_the_identity_suite_on_both_paths(perturbed_series_kernel):
+    _fails_theta_J(200)
+    assert set(perturbed_series_kernel) == {"schoolbook", "kronecker"}
 
 
 def test_perturbed_series_kernel_breaks_agreement(perturbed_series_kernel):
@@ -319,7 +342,8 @@ def test_seq_f_calls_no_series_product_or_kernel(monkeypatch):
     def refuse(*args):
         raise AssertionError("seq_f reached a convolution")
 
-    stubs = [(qseries, "_kernel"), (qseries, "_iconv"), (qseries, "_toeplitz"), (minform, "_iconv")]
+    stubs = [(qseries, "_kernel"), (qseries, "_conv"), (qseries, "_iconv"), (qseries, "_toeplitz")]
+    stubs.append((minform, "_iconv"))
     for module, name in stubs:
         monkeypatch.setattr(module, name, refuse)
     f, f_tilde = seq_f(V3, 40)
@@ -364,7 +388,8 @@ def test_a_perturbed_table_entry_is_a_pipeline_mismatch(monkeypatch):
 def test_the_frobenius_route_calls_no_closed_route_kernel():
     names = set(re.findall(r"\w+", inspect.getsource(h_frobenius)))
     assert not names & {
-        "_iconv", "_toeplitz", "_kernel", "_matvec", "_split", "integer_form", "from_integers"
+        "_conv", "_iconv", "_toeplitz", "_kernel", "_matvec", "_split", "integer_form",
+        "from_integers",
     }
 
 

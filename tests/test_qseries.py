@@ -1,14 +1,16 @@
 """Truncated pure q-expansion arithmetic."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vvmf2 import qseries
 from vvmf2.errors import ConfigError, TruncationError
-from vvmf2.qseries import PureQSeries, equal_through, int_from_json
+from vvmf2.qseries import PureQSeries, _conv, _iconv, _toeplitz, equal_through, int_from_json
 from vvmf2.quadratic import QuadNum, gen_binomial
 
 small_fracs = st.fractions(
@@ -363,6 +365,127 @@ def test_kernel_rejects_mixed_fields():
         PureQSeries.make(0, [1, r2]) * PureQSeries.make(0, [1, r5])
     with pytest.raises(ValueError, match="mixed quadratic fields"):
         PureQSeries.make(0, [1, r2, r5]).inv()
+
+
+# -- long products: Kronecker substitution against schoolbook -----------------
+#
+# ``_conv`` packs long products with narrow entries into one int each.  The
+# hypothesis strategies above draw at most 9 coefficients and never reach
+# that path; these cases sit on both sides of its two cutoffs.
+
+_MIN_LEN, _MAX_BITS = qseries._KRONECKER_MIN_LEN, qseries._KRONECKER_MAX_BITS
+
+
+@pytest.fixture
+def slot_widths(monkeypatch):
+    """The slot width in bits of every Kronecker product run while the fixture is active."""
+    widths = []
+    real = qseries._kronecker
+
+    def spy(a, b, n, w):
+        widths.append(8 * w)
+        return real(a, b, n, w)
+
+    monkeypatch.setattr(qseries, "_kronecker", spy)
+    return widths
+
+
+def _schoolbook(a, b, n):
+    return _iconv(a[:n], _toeplitz(b[:n], n))
+
+
+def _entries(rng, length, bits, shape):
+    top = 2**bits
+    if shape == "all-negative":
+        return [-rng.randint(1, top) for _ in range(length)]
+    if shape == "zero-runs":
+        # three entries, then a run of 22 zeros, repeated
+        return [rng.randint(-top, top) if i % 25 < 3 else 0 for i in range(length)]
+    return [rng.choice((0, rng.randint(-top, top))) for _ in range(length)]
+
+
+@pytest.mark.parametrize("shape", ["mixed", "all-negative", "zero-runs"])
+@pytest.mark.parametrize(
+    "length, bits, narrow",
+    [
+        (_MIN_LEN - 1, 8, True),  # too short at n = length, long enough at n = length + 7
+        (_MIN_LEN, 8, True),
+        (_MIN_LEN + 1, 1, True),
+        (150, 140, True),  # slot just under the bit cutoff
+        (150, 160, False),  # slot just over it
+        (210, 35, True),
+    ],
+)
+def test_conv_matches_schoolbook_across_both_cutoffs(slot_widths, length, bits, narrow, shape):
+    rng = random.Random(length * 1000 + bits)
+    a = _entries(rng, length, bits, shape)
+    b = _entries(rng, length, bits, "mixed")
+    half = b[: length // 2]
+    for x, y, n in ((a, b, length), (b, a, length + 7), (a, a, length), (a, half, length)):
+        slot_widths.clear()
+        assert _conv(x, y, n) == _schoolbook(x, y, n)
+        assert bool(slot_widths) == (narrow and n >= _MIN_LEN and any(x[:n]) and any(y[:n]))
+        assert all(w <= _MAX_BITS for w in slot_widths)
+
+
+def test_conv_reaches_past_both_operands(slot_widths):
+    a, b = [3, -1, 0, 7] * 12, [-2, 5] * 20
+    for n in (len(a) + len(b), 150):
+        got = _conv(a, b, n)
+        assert got == _schoolbook(a, b, n)
+        assert len(got) == n and not any(got[len(a) + len(b) - 1 :])
+    assert slot_widths
+
+
+@pytest.mark.parametrize("w", [1, 2, 8, _MAX_BITS // 8])
+def test_conv_fills_each_slot_to_its_extremes(slot_widths, w):
+    # entries at +-(2^(8w - 1) - 1) times a unit: the bound is exactly the largest slot value
+    top = 2 ** (8 * w - 1) - 1
+    a = [top, -top, 0, -top, top, top, -top, -top] * (_MIN_LEN // 4)
+    for unit in ([1], [-1]):
+        n = len(a)
+        assert _conv(a, unit, n) == _schoolbook(a, unit, n)
+        assert slot_widths[-1] == 8 * w
+    # m^2 * length is both the bound and the reached coefficient, of either sign
+    m = 2**29 - 1
+    for sign in (1, -1):
+        a, b = [sign * m] * _MIN_LEN, [m] * _MIN_LEN
+        got = _conv(a, b, _MIN_LEN)
+        assert got == _schoolbook(a, b, _MIN_LEN) and got[-1] == sign * m * m * _MIN_LEN
+
+
+def test_conv_of_a_zero_operand_is_zero():
+    assert _conv([0] * 50, [2**400] * 50, 50) == [0] * 50
+    assert _conv([], [1] * 50, 45) == [0] * 45
+
+
+def _long_series(rng, M, length, zero_run=False):
+    def value():
+        x = Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+        if M is None or rng.random() < 0.3:
+            return x
+        return QuadNum(x, Fraction(rng.randint(-20, 20), rng.randint(1, 12)), M)
+
+    coeffs = [value() for _ in range(length)]
+    coeffs[0] = coeffs[0] or Fraction(1)
+    if zero_run:
+        coeffs[5:length - 5] = [Fraction(0)] * (length - 10)
+    return PureQSeries.make(Fraction(rng.choice([0, -1, 1])), coeffs)
+
+
+@pytest.mark.parametrize("M", [None, 2, -1])
+@pytest.mark.parametrize("zero_run", [False, True])
+def test_long_series_products_inverses_and_powers_match_schoolbook(slot_widths, M, zero_run):
+    rng = random.Random(7 if M is None else M)
+    u = _long_series(rng, M, 2 * _MIN_LEN, zero_run)
+    v = _long_series(rng, M, _MIN_LEN + 5)
+    _same(u * v, _naive_mul(u, v))
+    w = u.shifted(Fraction(1, 2)).rescale(2)  # on the grid 1 + 2Z, so v * w runs on v's grid
+    _same(v * w, _naive_mul(v, w))
+    _same(u.inv(), _naive_inv(u))
+    _same(v**3, _naive_pow(v, 3))
+    _same(v**-2, _naive_pow(v, -2))
+    assert slot_widths
 
 
 def test_int_from_json_takes_integers_and_digit_strings_only():
