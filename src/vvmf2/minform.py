@@ -15,12 +15,14 @@ different paths (the closed route's E^l * sum, the Frobenius G^2).
 by coefficient; any disagreement is a bug, not data, and raises
 ``PipelineMismatch``.  Every sequence is a ``PureQSeries`` (lead 0, step
 1), and a component is eta^(2 k0) * q^l * h(q), as the paper writes it.
+Whatever the field of r, h, F', DF' and the Wronskian are rational series:
+a, b and c are rational, and so is g, whose (a)_k (b)_k is a norm.
 
 The minimal form F' and its modular derivative DF' generate everything
 of higher weight.  ``combination`` is the one builder of m1*F' + m2*DF'
 from monomials G^a E4^b, ``weight_basis`` lists the one-monomial
 multiples, and ``decompose`` inverts that construction exactly, by
-Cramer's rule with the Wronskian of the two on the same series kernel.
+Cramer's rule with the Wronskian of the two, one rational inverse.
 """
 
 from __future__ import annotations
@@ -85,14 +87,11 @@ def _power_rows(g: list[int], n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _over_last(xs: list[int], ds: list[int], M: int | None = None) -> PureQSeries:
-    """sum_k (xs[k] / ds[k]) q^k over the last ds, which every ds[k] divides; reduced once.
-
-    Given M, the series is one of Q(sqrt(M)) whose sqrt(M) parts are zero.
-    """
+def _over_last(xs: list[int], ds: list[int]) -> PureQSeries:
+    """The rational sum_k (xs[k] / ds[k]) q^k over the last ds, which every ds[k] divides."""
     d = ds[-1]
     xs = [x * (d // dk) for x, dk in zip(xs, ds)]
-    return PureQSeries.from_integers(_ZERO, _ONE, d, [xs] if M is None else [xs, [0] * len(xs)], M)
+    return PureQSeries.from_integers(_ZERO, _ONE, d, [xs], None)
 
 
 def _e_power(beta: Fraction, Kmax: int) -> PureQSeries:
@@ -121,13 +120,13 @@ def tables_DC(Kmax: int) -> tuple[tuple[int, ...], ...]:
     return _power_rows(e, Kmax + 1)
 
 
-def _recurrence(steps, M: int | None = None) -> PureQSeries:
-    """sum_k y_k q^k with y_0 = 1 and a_k y_(k+1) = b_k y_k, for integer steps (a, b)."""
+def _recurrence(steps) -> PureQSeries:
+    """sum_k y_k q^k with y_0 = 1 and a_k y_(k+1) = b_k y_k: rational, for integer steps (a, b)."""
     xs, ds = [1], [1]
     for a, b in steps:
         xs.append(xs[-1] * b)
         ds.append(ds[-1] * a)
-    return _over_last(xs, ds, M)
+    return _over_last(xs, ds)
 
 
 def _g_list(params: InstanceParams, Kmax: int) -> PureQSeries:
@@ -148,7 +147,7 @@ def _g_list(params: InstanceParams, Kmax: int) -> PureQSeries:
     polys = [(1, 1 + c, c), (-64, -64 * (c - half), -64 * ab.rat)]  # k^2, k, 1 of each step
     D = math.lcm(*(Fraction(x).denominator for p in polys for x in p))
     polys = [[int(x * D) for x in p] for p in polys]
-    return _recurrence([[(u * k + v) * k + w for u, v, w in polys] for k in range(Kmax)], params.M)
+    return _recurrence([[(u * k + v) * k + w for u, v, w in polys] for k in range(Kmax)])
 
 
 def seq_f(params: InstanceParams, Kmax: int) -> tuple[PureQSeries, PureQSeries]:

@@ -13,13 +13,13 @@ up to which it is known to vanish.
 
 What a series stores is integers over one common denominator: the i-th
 coefficient is (rat[i] + surd[i]*sqrt(M)) / den, where den > 0 is the
-least common denominator (gcd(den, *rat, *surd) == 1) and surd and M are
-absent for a rational series.  The ``Fraction``/``QuadNum`` values of
-``coeffs`` are derived from them on first read and then kept; when M is
-set every value is a ``QuadNum``.  A series built from values (``make``,
-the constructor) keeps them and derives its integers only when an
-operation needs them, so a series that is only read or written out never
-pays for them.
+least common denominator (gcd(den, *rat, *surd) == 1).  M is set exactly
+when some coefficient is irrational, so a result whose sqrt(M) part
+comes out zero (a norm, a difference, a prefix) is rational.  Every
+series holds this integer form from the start: the constructor and
+``make`` split their values at once and keep them as the cache of
+``coeffs``, which otherwise derives the ``Fraction``/``QuadNum`` values
+on first read and keeps them.
 
 Every operation works on plain ``int`` lists and reduces its result by
 one multi-argument gcd, never one gcd per coefficient: sums rescale to
@@ -30,8 +30,8 @@ combined over the sqrt(M) parts by ``_kernel``).  ``_conv`` runs a long
 product with narrow entries by Kronecker substitution (each operand
 packed into one int, one CPython multiplication) and every other product
 schoolbook (``_iconv`` over ``_toeplitz``); its two cutoffs are measured.
-A series with ``QuadNum`` coefficients is inverted through its
-conjugate, so the one inverse recurrence is rational.  ``from_integers``,
+An irrational series is inverted through its conjugate, so the one
+inverse recurrence is rational.  ``from_integers``,
 the inverse of ``integer_form``, builds a series from integers another
 module computed.
 
@@ -59,7 +59,10 @@ _ONE = Fraction(1)
 
 
 def _num(x: Scalar) -> FieldElement:
-    return Fraction(x) if isinstance(x, int) else x
+    """x as a field value: an int, or a QuadNum with zero surd, becomes a Fraction."""
+    if isinstance(x, int):
+        return Fraction(x)
+    return x.rat if isinstance(x, QuadNum) and not x.surd else x
 
 
 # ---------------------------------------------------------------------------
@@ -78,9 +81,9 @@ def _split(values) -> tuple[int, list[list[int]], int | None]:
     """Write field elements over their least common denominator L.
 
     Returns (L, parts, M) with values[i] = (parts[0][i] + parts[1][i]*sqrt(M)) / L;
-    parts has the single rational list, and M is None, when no value is a QuadNum.
+    parts has the single rational list, and M is None, when every value is rational.
     """
-    fields = {v.M for v in values if isinstance(v, QuadNum)}
+    fields = {v.M for v in values if isinstance(v, QuadNum) and v.surd}
     if len(fields) > 1:
         raise ValueError(f"mixed quadratic fields: M in {sorted(fields)}")
     M = fields.pop() if fields else None
@@ -239,12 +242,11 @@ class PureQSeries:
     """A pure q-expansion, truncated: q^lead * (c0 + c1 q^step + ...).
 
     Stored as integers over one denominator: c_i = (rat[i] + surd[i]*sqrt(M))
-    / den with ``_den``, ``_parts`` = [rat] or [rat, surd] and ``_M``; the
-    values of ``coeffs`` are derived from them on first read.  A series
-    built from values keeps those instead and derives the integers on
-    first use (``integer_form``).  Either form, once present, is kept, and
-    prefixes, rescalings and shifts share it.  A series is never modified
-    after it is built.
+    / den with ``_den``, ``_parts`` = [rat] or [rat, surd] and ``_M``, M
+    set only when some c_i is irrational.  The values of ``coeffs`` are a
+    cache beside them: the values a series was built from, or derived on
+    first read.  Prefixes, rescalings and shifts share both.  A series is
+    never modified after it is built.
     """
 
     __slots__ = ("lead", "step", "_values", "_den", "_parts", "_M")
@@ -255,11 +257,14 @@ class PureQSeries:
         if coeffs and not coeffs[0]:
             raise ValueError("non-normalized series: leading coefficient is zero")
         self.lead, self.step = lead, step
-        self._values, self._den, self._parts, self._M = coeffs, None, None, None
+        self._den, self._parts, self._M = _split(coeffs)
+        self._values = coeffs
 
     @staticmethod
-    def _of(lead, step, values, den, parts, M) -> "PureQSeries":
-        """A series from forms already known to be normalized (either may be None)."""
+    def _of(lead, step, den, parts, M, values=None) -> "PureQSeries":
+        """A series from a normalized, reduced integer form; an all-zero sqrt(M) part is dropped."""
+        if M is not None and not any(parts[1]):
+            parts, M, values = parts[:1], None, None
         s = object.__new__(PureQSeries)
         s.lead, s.step = lead, step
         s._values, s._den, s._parts, s._M = values, den, parts, M
@@ -278,15 +283,10 @@ class PureQSeries:
             lead = lead + k * step
             parts = [p[k:] for p in parts]
         den, parts = _reduced(den, parts)
-        return PureQSeries._of(lead, step, None, den, parts, M)
+        return PureQSeries._of(lead, step, den, parts, M)
 
     def integer_form(self) -> tuple[int, list[list[int]], int | None]:
-        """(den, parts, M): the integer form, derived from the values on first use.
-
-        The lists are the series' own, shared with its prefixes: read them, never modify them.
-        """
-        if self._parts is None:
-            self._den, self._parts, self._M = _split(self._values)
+        """(den, parts, M), the series' own lists, shared with its prefixes: never modify them."""
         return self._den, self._parts, self._M
 
     @property
@@ -300,8 +300,8 @@ class PureQSeries:
 
     @property
     def length(self) -> int:
-        """Number of known coefficients c0, c1, ...; read without deriving values."""
-        return len(self._values) if self._values is not None else len(self._parts[0])
+        """Number of known coefficients c0, c1, ..."""
+        return len(self._parts[0])
 
     @property
     def lattice(self) -> int:
@@ -435,13 +435,13 @@ class PureQSeries:
         if self.is_zero:
             return self
         den, parts, M = self.integer_form()
-        return PureQSeries._of(self.lead, self.step, None, den, [_iscale(p, -1) for p in parts], M)
+        return PureQSeries._of(self.lead, self.step, den, [_iscale(p, -1) for p in parts], M)
 
     def truncated_at(self, horizon: Fraction) -> "PureQSeries":
         """Forget knowledge at and beyond the given exponent.
 
-        The prefix shares whichever forms the series holds: its values are
-        sliced, never re-derived, and its integers re-reduced by one gcd.
+        The prefix shares the series' forms: its cached values are sliced,
+        never re-derived, and its integers re-reduced by one gcd.
         """
         if horizon >= self.horizon:
             return self
@@ -450,10 +450,8 @@ class PureQSeries:
         n = (horizon - self.lead) / self.step
         keep = int(n) + (1 if n.denominator != 1 else 0)
         values = None if self._values is None else self._values[:keep]
-        if self._parts is None:
-            return PureQSeries(self.lead, self.step, values)
         den, parts = _reduced(self._den, [p[:keep] for p in self._parts])
-        return PureQSeries._of(self.lead, self.step, values, den, parts, self._M)
+        return PureQSeries._of(self.lead, self.step, den, parts, self._M, values)
 
     def scaled(self, c: Scalar) -> "PureQSeries":
         """Scalar multiple; a zero scalar yields the zero series."""
@@ -511,8 +509,8 @@ class PureQSeries:
     def inv(self) -> "PureQSeries":
         """Two-sided inverse to the truncation order.
 
-        A series a with a sqrt(M) part is inverted as conj(a) / (a*conj(a)):
-        the norm a*conj(a) is rational, so one recurrence serves.
+        An irrational series a is inverted as conj(a) / (a*conj(a)): the
+        norm a*conj(a) is rational, so one recurrence serves.
         """
         if self.is_zero:
             raise ZeroDivisionError("cannot invert a zero series")
@@ -586,7 +584,7 @@ class PureQSeries:
 
     def _moved(self, lead: Fraction, step: Fraction) -> "PureQSeries":
         """The same coefficients (both forms shared) on the grid lead + i*step."""
-        return PureQSeries._of(lead, step, self._values, self._den, self._parts, self._M)
+        return PureQSeries._of(lead, step, self._den, self._parts, self._M, self._values)
 
     def rescale(self, factor: Scalar) -> "PureQSeries":
         """Substitute q -> q^factor (replace tau by factor*tau)."""

@@ -452,6 +452,7 @@ def test_combinations_run_on_the_instance_lattice(k0):
 @settings(max_examples=30, deadline=None)
 def test_generated_instances_run_through_the_engine(params):
     mf = minimal_form(params, 8, "both")
+    assert mf.comp1.integer_form()[2] is None and mf.comp2.integer_form()[2] is None
     assert plain_series_h(params, 8, 0) == list(mf.tables.h)
     assert plain_series_h(params, 8, 1) == list(mf.tables.h_tilde)
     assert mlde_residual(params, mf.comp1).is_zero and mlde_residual(params, mf.comp2).is_zero

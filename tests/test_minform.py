@@ -22,6 +22,7 @@ from vvmf2.forms import (
 )
 from vvmf2.minform import (
     _matvec,
+    combination,
     decompose,
     deriv_components,
     gauss_2f1,
@@ -571,15 +572,41 @@ def test_2f1_reformulation():
             )
 
 
-def test_sequence_values_live_in_the_field():
-    mf = minimal_form(M2, 12, "both")
-    for value in (*mf.tables.h, *mf.tables.d, *seq_f(M2, 12)[0].coeffs):
-        assert isinstance(value, (Fraction, QuadNum))
-        if isinstance(value, QuadNum):
-            assert value.M == 2
-    # provable: h and d are rational (the recursion is rational), and so is g (a b is a norm)
-    for value in (*mf.tables.h, *mf.tables.d, *seq_f(M2, 12)[0].coeffs):
-        assert value == (value.conjugate() if isinstance(value, QuadNum) else value)
+@pytest.mark.parametrize("params", list(NAMED.values()), ids=list(NAMED))
+def test_the_minimal_form_is_rational(params, monkeypatch):
+    # the recursion's a, b and c are rational, and g is too, as (a)_k (b)_k is a norm
+    products, zero_operands = [], []
+    real_conv = qseries._conv
+
+    def spying_conv(a, b, n):
+        products.append(n)
+        if not any(a) or not any(b):
+            zero_operands.append(n)
+        return real_conv(a, b, n)
+
+    monkeypatch.setattr(qseries, "_conv", spying_conv)
+    forms.clear_cache()
+    mf = minimal_form(params, 20, "both")
+    k = params.k0 + 4
+    decompose(mf, *combination(mf, {(2, 0): 1}, {(1, 0): 3}, k), k)
+    assert products and not zero_operands
+    F1, F2 = mf.comp1, mf.comp2
+    D1, D2 = deriv_components(mf)
+    rational = {
+        "h closed": h_closed(params, 20),
+        "h frobenius": h_frobenius(params, 20),
+        "g": seq_f(params, 20),
+        "F'": (F1, F2),
+        "DF'": (D1, D2),
+        "W": (F1 * D2 - F2 * D1,),
+        "residual": (mlde_residual(params, F1), mlde_residual(params, F2)),
+    }
+    for name, series in rational.items():
+        for s in series:
+            assert s.integer_form()[2] is None, name
+    t, (g, g_tilde) = mf.tables, rational["g"]
+    for value in (*t.h, *t.h_tilde, *t.d, *t.d_tilde, *g.coeffs, *g_tilde.coeffs):
+        assert isinstance(value, Fraction)
 
 
 def test_negative_minimal_weight():

@@ -500,22 +500,20 @@ def test_int_from_json_takes_integers_and_digit_strings_only():
 # -- the stored integer form against schoolbook field arithmetic -------------
 #
 # A series stores its coefficients as integers over one least common
-# denominator and derives the Fraction/QuadNum values from them.  Each
+# denominator and caches the Fraction/QuadNum values beside them.  Each
 # operation is compared with a reference that works value by value, on
-# inputs that hold only values, only integers, or both, and every result
-# must keep the invariant of the integer form.
+# inputs that hold their integers only or their values too, and every
+# result must keep the invariants of the integer form.
 
 _steps = st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 4)])
 _leads = st.sampled_from(
     [Fraction(0), Fraction(-1), Fraction(1, 2), Fraction(1, 5), Fraction(-7, 5), Fraction(3, 4)]
 )
-_forms = st.sampled_from(["values", "ints", "both"])
+_forms = st.sampled_from(["ints", "both"])
 
 
 def _held_as(u, form):
-    """u built so that it holds only its values, only its integers, or both."""
-    if form == "values":
-        return PureQSeries(u.lead, u.step, u.coeffs)
+    """u built so that it holds its integers only, or its values cached beside them."""
     v = u.scaled(1)
     if form == "both":
         v.coeffs
@@ -535,6 +533,7 @@ def _assert_reduced(s):
     assert den > 0
     assert math.gcd(den, *(x for p in parts for x in p)) == 1
     assert (M is None) == (len(parts) == 1)
+    assert M is None or any(parts[1])  # the field is Q(sqrt(M)) only for an irrational series
 
 
 def _ref_combine(u, v, sign):
@@ -693,6 +692,43 @@ def test_two_fields_do_not_mix_in_sums_products_or_scalars():
             op(r5.scaled(1), r2.scaled(1))
     with pytest.raises(ValueError, match="mixed quadratic fields"):
         r2.scaled(QuadNum(0, 1, 5))
+
+
+def test_a_series_is_irrational_exactly_when_a_coefficient_is():
+    x = PureQSeries.make(Fraction(1, 3), [1, QuadNum(Fraction(1, 2), 1, 2), Fraction(-2, 7)])
+    x_bar = PureQSeries.make(x.lead, [1, QuadNum(Fraction(1, 2), -1, 2), Fraction(-2, 7)])
+    one = PureQSeries.constant(1, 3).shifted(x.lead)
+    r5 = PureQSeries.make(0, [QuadNum(1, 1, 5), 3])
+    rational = {
+        "x*conj(x)": x * x_bar,
+        "x - x": x - x,
+        "x - (x + 1)": x - (x + one),
+        "prefix": x.truncated_at(x.lead + 1),
+        "rational scaled": one.scaled(QuadNum(3, 0, 2)),
+        "built": PureQSeries(Fraction(0), Fraction(1), (QuadNum(1, 0, 2), QuadNum(5, 0, 2))),
+        "made": PureQSeries.make(0, [QuadNum(1, 0, 2), QuadNum(2, 0, 5)]),
+    }
+    for name, s in rational.items():
+        assert s.integer_form()[2] is None, name
+    assert (x * x_bar).coeffs == (1, 1, Fraction(-65, 28))
+    assert all(isinstance(c, Fraction) for c in (x * x_bar).coeffs)
+    # a zero-surd scalar is rational, so it scales a series of any field
+    assert r5.scaled(QuadNum(3, 0, 2)).integer_form() == (1, [[3, 9], [3, 0]], 5)
+    assert PureQSeries.make(0, [QuadNum(1, 0, 2), QuadNum(0, 1, 5)]).integer_form() == (
+        1,
+        [[1, 0], [0, 1]],
+        5,
+    )
+
+
+def test_a_series_built_from_values_holds_its_integers_at_once():
+    values = (Fraction(1, 2), Fraction(1, 3), QuadNum(0, 1, 2))
+    for s in (
+        PureQSeries(Fraction(1, 5), Fraction(1, 2), values),
+        PureQSeries.make(Fraction(1, 5), values, Fraction(1, 2)),
+    ):
+        assert (s._den, s._parts, s._M) == (6, [[3, 2, 0], [0, 0, 6]], 2)
+        assert s._values == values
 
 
 def test_values_are_derived_once_and_prefixes_share_both_forms():
