@@ -12,24 +12,15 @@ the tests, tests/plain_series.py.)
 import argparse
 import time
 
+from vvmf2.cli import checked_int
 from vvmf2.minform import check_kmax, h_closed, h_frobenius
 from vvmf2.params import SEED_FIELDS, params_from_exponents, seed_exponents
-
-
-def kmax_arg(text: str) -> int:
-    """A relative order; one that check_kmax refuses is a usage error (exit 2)."""
-    try:
-        value = int(text)
-        check_kmax(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--instance", choices=tuple(SEED_FIELDS), default="m2")
-    ap.add_argument("--kmax", type=kmax_arg, nargs="+", default=[10, 20, 40])
+    ap.add_argument("--kmax", type=checked_int(check_kmax), nargs="+", default=[10, 20, 40])
     args = ap.parse_args()
 
     params = params_from_exponents(seed_exponents(args.instance))

@@ -5,13 +5,14 @@ Builds the minimal form by both pipelines, factors every coefficient
 denominator, and prints the prime-by-prime verdict table: for each K
 with p_K = u + K*v prime and inert, does p_K divide the denominator of
 d(K) while all earlier coefficients stay p_K-integral?  Exits 1 if an
-asserted row fails.
+asserted row fails, 2 on a bad argument.
 """
 
 import argparse
 
-from vvmf2.denoms import DEFAULT_FACTOR_BOUND, verify_ubd
-from vvmf2.minform import minimal_form
+from vvmf2.cli import checked_int
+from vvmf2.denoms import DEFAULT_FACTOR_BOUND, check_factor_bound, verify_ubd
+from vvmf2.minform import check_kmax, minimal_form
 from vvmf2.params import SEED_FIELDS, params_from_exponents, seed_exponents
 
 
@@ -25,8 +26,10 @@ def fmt_factors(factors, cofactor):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--instance", choices=tuple(SEED_FIELDS), default="m2")
-    ap.add_argument("--kmax", type=int, default=40)
-    ap.add_argument("--factor-bound", type=int, default=DEFAULT_FACTOR_BOUND)
+    ap.add_argument("--kmax", type=checked_int(check_kmax), default=40)
+    ap.add_argument(
+        "--factor-bound", type=checked_int(check_factor_bound), default=DEFAULT_FACTOR_BOUND
+    )
     args = ap.parse_args()
 
     params = params_from_exponents(seed_exponents(args.instance))

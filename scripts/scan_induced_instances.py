@@ -7,16 +7,17 @@ for a combination satisfying the exact consistency constraint, builds
 the instance, runs both pipelines, and checks the denominator law over
 a finite range.  Instances whose exponent data never satisfies the
 constraint within the shift window are reported and skipped.  Exits 1
-if a realized instance has a non-exempt failure.
+if a realized instance has a non-exempt failure, 2 on a bad argument.
 """
 
 import argparse
 import itertools
 from fractions import Fraction
 
+from vvmf2.cli import checked_int
 from vvmf2.denoms import verify_ubd
 from vvmf2.errors import ConsistencyError
-from vvmf2.minform import minimal_form
+from vvmf2.minform import check_kmax, minimal_form
 from vvmf2.params import induced_exponent_classes, params_from_exponents
 from vvmf2.quadratic import QuadNum
 
@@ -37,7 +38,7 @@ def realize(classes, window=2):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--kmax", type=int, default=20)
+    ap.add_argument("--kmax", type=checked_int(check_kmax), default=20)
     ap.add_argument("--k0", type=int, default=0)
     ap.add_argument("--shift-sign", choices=("plus", "minus"), default="minus")
     args = ap.parse_args()

@@ -86,8 +86,20 @@ class RunConfig:
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
         check_kmax(self.kmax)
-        if self.factor_bound < 1:
-            raise ConsistencyError(f"factor bound must be >= 1, got {self.factor_bound}")
+        denoms_mod.check_factor_bound(self.factor_bound)
+
+
+def checked_int(check):
+    """An argparse type: an int that check accepts; one it refuses is a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            check(int(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return int(text)
+
+    return parse
 
 
 def _check_keys(spec: dict, allowed: set, where: str):

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConsistencyError
-from .minform import MinimalForm, combination
+from .minform import MinimalForm, check_kmax, combination
 from .params import InstanceParams
 from .quadratic import (
     QuadNum,
@@ -54,10 +54,15 @@ def prime_sets(params: InstanceParams, bound: int) -> PrimeSets:
     )
 
 
-def factor_trial(n: int, bound: int) -> tuple[dict[int, int], int]:
-    """Trial-divide |n| up to the bound; returns (factors, unfactored cofactor)."""
+def check_factor_bound(bound: int) -> None:
+    """The one rule on a trial-division bound: bound >= 1."""
     if bound < 1:
         raise ValueError(f"factor bound must be >= 1, got {bound}")
+
+
+def factor_trial(n: int, bound: int) -> tuple[dict[int, int], int]:
+    """Trial-divide |n| up to the bound; returns (factors, unfactored cofactor)."""
+    check_factor_bound(bound)
     n = abs(n)
     factors: dict[int, int] = {}
     d = 2
@@ -257,6 +262,7 @@ def verify_ubd(
     t = mf.tables
     if Kmax is None:
         Kmax = t.Kmax
+    check_kmax(Kmax)
     if Kmax > t.Kmax:
         raise ConsistencyError(f"minimal form only computed through K={t.Kmax}")
     if mf.method != "both":
@@ -427,6 +433,7 @@ def ubd_general(
     coefficients end).  Each monomial G^a E4^b has constant term 1, so the
     constant terms c1 and c2 of m1 and m2 are the sums of the maps' values.
     """
+    check_kmax(Kmax)
     p = mf.params
     z1, z2 = combination(mf, m1_map, m2_map, k)
     sets = prime_sets(p, prime_bound)

@@ -326,11 +326,14 @@ def g_slash_S(N: int) -> PureQSeries:
 # ---------------------------------------------------------------------------
 
 
+def dim_M(k: int) -> int:
+    """dim M_k(Gamma0(2)) = k//4 + 1 for even k >= 0, else 0: the number of monomials."""
+    return 0 if k < 0 or k % 2 else k // 4 + 1
+
+
 def monomial_basis(k: int) -> list[tuple[int, int]]:
     """All (a, b) with 2a + 4b = k, a, b >= 0; empty for odd or negative k."""
-    if k < 0 or k % 2 != 0:
-        return []
-    return [((k - 4 * b) // 2, b) for b in range(k // 4 + 1)]
+    return [((k - 4 * b) // 2, b) for b in range(dim_M(k))]
 
 
 def form_monomial(a: int, b: int, N: int) -> PureQSeries:
@@ -362,10 +365,9 @@ def monomial_coordinates(f: PureQSeries, k: int) -> dict[tuple[int, int], object
     Solves the square system given by the first dim M_k coefficients, then
     rebuilds f from the solution and compares it with f through the last
     known integer exponent; any difference means f is not a form of
-    weight k on Gamma0(2).
+    weight k on Gamma0(2).  A huge k is refused before any basis is built.
     """
-    basis = monomial_basis(k)
-    r = len(basis)
+    r = dim_M(k)
     if r == 0:
         if f.is_zero:
             return {}
@@ -375,6 +377,7 @@ def monomial_coordinates(f: PureQSeries, k: int) -> dict[tuple[int, int], object
     known = int(f.horizon) if f.horizon == int(f.horizon) else int(f.horizon) + 1
     if known < r:
         raise TruncationError(f"need at least {r} coefficients, have {known}")
+    basis = monomial_basis(k)
     mons = [form_monomial(a, b, known + 1) for a, b in basis]
     rows = [[mon.coeff(n) for mon in mons] for n in range(r)]
     sol = _solve_exact(rows, [f.coeff(n) for n in range(r)])

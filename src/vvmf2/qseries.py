@@ -15,11 +15,10 @@ What a series stores is integers over one common denominator: the i-th
 coefficient is (rat[i] + surd[i]*sqrt(M)) / den, where den > 0 is the
 least common denominator (gcd(den, *rat, *surd) == 1).  M is set exactly
 when some coefficient is irrational, so a result whose sqrt(M) part
-comes out zero (a norm, a difference, a prefix) is rational.  Every
-series holds this integer form from the start: the constructor and
-``make`` split their values at once and keep them as the cache of
-``coeffs``, which otherwise derives the ``Fraction``/``QuadNum`` values
-on first read and keeps them.
+comes out zero (a norm, a difference, a prefix) is rational.  This
+integer form is all a series holds: the constructor and ``make`` split
+their values at once, and ``coeffs`` and ``coeff`` derive the
+``Fraction``/``QuadNum`` values from it on each read.
 
 Every operation works on plain ``int`` lists and reduces its result by
 one multi-argument gcd, never one gcd per coefficient: sums rescale to
@@ -243,13 +242,13 @@ class PureQSeries:
 
     Stored as integers over one denominator: c_i = (rat[i] + surd[i]*sqrt(M))
     / den with ``_den``, ``_parts`` = [rat] or [rat, surd] and ``_M``, M
-    set only when some c_i is irrational.  The values of ``coeffs`` are a
-    cache beside them: the values a series was built from, or derived on
-    first read.  Prefixes, rescalings and shifts share both.  A series is
-    never modified after it is built.
+    set only when some c_i is irrational.  The form is canonical, so two
+    series are equal exactly when their forms are.  ``coeffs`` derives
+    the values on each read.  Prefixes, rescalings and shifts share the
+    integer lists.  A series is never modified after it is built.
     """
 
-    __slots__ = ("lead", "step", "_values", "_den", "_parts", "_M")
+    __slots__ = ("lead", "step", "_den", "_parts", "_M")
 
     def __init__(self, lead: Fraction, step: Fraction, coeffs: tuple):
         if step <= 0:
@@ -258,31 +257,25 @@ class PureQSeries:
             raise ValueError("non-normalized series: leading coefficient is zero")
         self.lead, self.step = lead, step
         self._den, self._parts, self._M = _split(coeffs)
-        self._values = coeffs
 
     @staticmethod
-    def _of(lead, step, den, parts, M, values=None) -> "PureQSeries":
+    def _of(lead, step, den, parts, M) -> "PureQSeries":
         """A series from a normalized, reduced integer form; an all-zero sqrt(M) part is dropped."""
         if M is not None and not any(parts[1]):
-            parts, M, values = parts[:1], None, None
+            parts, M = parts[:1], None
         s = object.__new__(PureQSeries)
         s.lead, s.step = lead, step
-        s._values, s._den, s._parts, s._M = values, den, parts, M
+        s._den, s._parts, s._M = den, parts, M
         return s
 
     @staticmethod
     def from_integers(lead, step, den: int, parts: list[list[int]], M) -> "PureQSeries":
         """The series of an integer form; leading zeros stripped (horizon kept), den reduced."""
         n = len(parts[0])
-        k = 0
-        while k < n and not any(p[k] for p in parts):
-            k += 1
-        if k == n:
-            return PureQSeries.zero(lead + n * step, step)
+        k = next((i for i in range(n) if any(p[i] for p in parts)), n)
         if k:
-            lead = lead + k * step
-            parts = [p[k:] for p in parts]
-        den, parts = _reduced(den, parts)
+            lead, parts = lead + k * step, [p[k:] for p in parts]
+        den, parts = _reduced(den, parts)  # all zero: den 1 and empty lists, the zero series
         return PureQSeries._of(lead, step, den, parts, M)
 
     def integer_form(self) -> tuple[int, list[list[int]], int | None]:
@@ -291,10 +284,8 @@ class PureQSeries:
 
     @property
     def coeffs(self) -> tuple:
-        """The coefficients as Fraction or QuadNum values, derived on first read."""
-        if self._values is None:
-            self._values = tuple(_rebuild(self._parts, self._den, self._M))
-        return self._values
+        """The coefficients as Fraction or QuadNum values, derived from the integer form."""
+        return tuple(_rebuild(self._parts, self._den, self._M))
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -333,33 +324,27 @@ class PureQSeries:
         if rel.denominator != 1:
             return _ZERO
         i = int(rel)
-        if self._values is not None:
-            return self._values[i]
         return _rebuild([p[i : i + 1] for p in self._parts], self._den, self._M)[0]
 
     def __eq__(self, other):
         if not isinstance(other, PureQSeries):
             return NotImplemented
-        return (self.lead, self.step, self.coeffs) == (other.lead, other.step, other.coeffs)
+        # the integer form is canonical: equal forms are exactly equal coefficients
+        return (self.lead, self.step, self._den, self._parts, self._M) == (
+            other.lead, other.step, other._den, other._parts, other._M
+        )
 
     def __hash__(self):
-        return hash((self.lead, self.step, self.coeffs))
+        return hash((self.lead, self.step, self._den, tuple(map(tuple, self._parts)), self._M))
 
     # -- construction helpers ----------------------------------------------
 
     @staticmethod
     def make(lead: Scalar, coeffs, step: Scalar = 1) -> "PureQSeries":
         """Normalize (strip leading zeros, keep the horizon) and build."""
-        lead = Fraction(lead)
-        step = Fraction(step)
-        cs = [_num(c) for c in coeffs]
-        k = 0
-        while k < len(cs) and not cs[k]:
-            k += 1
-        horizon = lead + len(cs) * step
-        if k == len(cs):
-            return PureQSeries(horizon, step, ())
-        return PureQSeries(lead + k * step, step, tuple(cs[k:]))
+        cs, step = tuple(coeffs), Fraction(step)
+        k = next((i for i, c in enumerate(cs) if c), len(cs))
+        return PureQSeries(Fraction(lead) + k * step, step, cs[k:])
 
     @staticmethod
     def zero(horizon: Scalar, step: Scalar = 1) -> "PureQSeries":
@@ -432,34 +417,28 @@ class PureQSeries:
         return PureQSeries.from_integers(base, g, den, parts, M)
 
     def __neg__(self):
-        if self.is_zero:
-            return self
-        den, parts, M = self.integer_form()
-        return PureQSeries._of(self.lead, self.step, den, [_iscale(p, -1) for p in parts], M)
+        parts = [_iscale(p, -1) for p in self._parts]
+        return PureQSeries._of(self.lead, self.step, self._den, parts, self._M)
 
     def truncated_at(self, horizon: Fraction) -> "PureQSeries":
         """Forget knowledge at and beyond the given exponent.
 
-        The prefix shares the series' forms: its cached values are sliced,
-        never re-derived, and its integers re-reduced by one gcd.
+        The prefix slices the series' integer lists and re-reduces them by
+        one gcd.
         """
         if horizon >= self.horizon:
             return self
         if self.is_zero or horizon <= self.lead:
             return PureQSeries.zero(min(horizon, self.horizon), self.step)
-        n = (horizon - self.lead) / self.step
-        keep = int(n) + (1 if n.denominator != 1 else 0)
-        values = None if self._values is None else self._values[:keep]
+        keep = math.ceil((horizon - self.lead) / self.step)
         den, parts = _reduced(self._den, [p[:keep] for p in self._parts])
-        return PureQSeries._of(self.lead, self.step, den, parts, self._M, values)
+        return PureQSeries._of(self.lead, self.step, den, parts, self._M)
 
     def scaled(self, c: Scalar) -> "PureQSeries":
         """Scalar multiple; a zero scalar yields the zero series."""
         c = _num(c)
         if not c:
             return PureQSeries.zero(self.horizon, self.step)
-        if self.is_zero:
-            return self
         den, parts, M = self.integer_form()
         if isinstance(c, Fraction):
             out = [_iscale(p, c.numerator) for p in parts]
@@ -551,10 +530,10 @@ class PureQSeries:
         It serves fractional and quadratic exponents; integer powers are
         faster through ``**`` on the integer kernel.
         """
-        if self.is_zero or self.lead != 0 or self.coeffs[0] != 1:
+        u = self.coeffs
+        if not u or self.lead != 0 or u[0] != 1:
             raise ValueError("binomial power needs a series with leading term exactly 1 at q^0")
         gamma = _num(gamma)
-        u = self.coeffs
         n = len(u)
         w: list = [_ONE] + [_ZERO] * (n - 1)
         for m in range(1, n):
@@ -574,8 +553,6 @@ class PureQSeries:
         With lam = lcm of the denominators of lead and step, c_i becomes
         c_i * lam*(lead + i*step) over the denominator den*lam.
         """
-        if self.is_zero:
-            return self
         lam = math.lcm(self.lead.denominator, self.step.denominator)
         a0, s = int(self.lead * lam), int(self.step * lam)
         den, parts, M = self.integer_form()
@@ -583,8 +560,8 @@ class PureQSeries:
         return PureQSeries.from_integers(self.lead, self.step, den * lam, out, M)
 
     def _moved(self, lead: Fraction, step: Fraction) -> "PureQSeries":
-        """The same coefficients (both forms shared) on the grid lead + i*step."""
-        return PureQSeries._of(lead, step, self._den, self._parts, self._M, self._values)
+        """The same coefficients (the integer lists shared) on the grid lead + i*step."""
+        return PureQSeries._of(lead, step, self._den, self._parts, self._M)
 
     def rescale(self, factor: Scalar) -> "PureQSeries":
         """Substitute q -> q^factor (replace tau by factor*tau)."""

@@ -200,6 +200,20 @@ def test_decompose_rejects_a_components_file_of_the_wrong_shape(tmp_path, capsys
     assert key in capsys.readouterr().err
 
 
+def test_decompose_refuses_a_huge_weight_before_building_a_basis(tmp_path, monkeypatch, capsys):
+    # dim M_k is 2.5e11 here; the basis, a list of that many pairs, must never be built
+    def unexpected(k):
+        pytest.fail(f"decompose built the monomial basis of weight {k}")
+
+    monkeypatch.setattr(forms, "monomial_basis", unexpected)
+    golden = Path(__file__).parent / "golden" / "decompose-components-m2.json"
+    comp_file = tmp_path / "components.json"
+    comp_file.write_text(json.dumps({**json.loads(golden.read_text()), "k": 10**12}))
+    argv = ["decompose", "--seed-instance", "m2", "--kmax", "8", "--components", str(comp_file)]
+    assert main(argv) == 3
+    assert "need at least 250000000001 coefficients" in capsys.readouterr().err
+
+
 def test_probe_command(capsys):
     assert (
         main(["probe", "--M", "2", "--rat", "0", "--surd", "1", "--p", "5", "--tmax", "15"])

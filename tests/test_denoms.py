@@ -126,6 +126,14 @@ def test_verify_ubd_requires_both():
         verify_ubd(mf, 12)
 
 
+def test_the_verifiers_refuse_a_negative_kmax():
+    mf = minimal_form(M2, 6, "both")
+    with pytest.raises(ValueError, match="Kmax must be >= 0, got -3"):
+        verify_ubd(mf, -3)
+    with pytest.raises(ValueError, match="Kmax must be >= 0, got -3"):
+        ubd_general(mf, {(0, 0): 1}, {}, M2.k0, -3, 14)
+
+
 def test_probe_examples():
     verdict = pochhammer_numerator_probe(SQRT2, Fraction(0), 5, 20)
     assert verdict.status == "pass"

@@ -500,32 +500,20 @@ def test_int_from_json_takes_integers_and_digit_strings_only():
 # -- the stored integer form against schoolbook field arithmetic -------------
 #
 # A series stores its coefficients as integers over one least common
-# denominator and caches the Fraction/QuadNum values beside them.  Each
-# operation is compared with a reference that works value by value, on
-# inputs that hold their integers only or their values too, and every
-# result must keep the invariants of the integer form.
+# denominator and nothing else.  Each operation is compared with a
+# reference that works value by value, and every result must keep the
+# invariants of the integer form.
 
 _steps = st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 4)])
 _leads = st.sampled_from(
     [Fraction(0), Fraction(-1), Fraction(1, 2), Fraction(1, 5), Fraction(-7, 5), Fraction(3, 4)]
 )
-_forms = st.sampled_from(["ints", "both"])
-
-
-def _held_as(u, form):
-    """u built so that it holds its integers only, or its values cached beside them."""
-    v = u.scaled(1)
-    if form == "both":
-        v.coeffs
-    return v
-
 
 @st.composite
 def _stored_series(draw, M=None):
     M = draw(st.sampled_from([None, 2])) if M is None else M
     coeffs = draw(st.lists(_field_values(M), max_size=8))
-    u = PureQSeries.make(draw(_leads), coeffs, draw(_steps))
-    return _held_as(u, draw(_forms))
+    return PureQSeries.make(draw(_leads), coeffs, draw(_steps))
 
 
 def _assert_reduced(s):
@@ -628,7 +616,7 @@ def _stored_case(draw):
     if draw(st.booleans()):
         # v shares u's leading terms, so u - v (and u + (-v)) cancels them
         w = draw(_stored_series())
-        v = _held_as(u + w, draw(_forms))
+        v = u + w
     extras = {
         "c": draw(_scalars),
         "n": draw(st.sampled_from([-2, -1, 0, 1, 2, 3])),
@@ -722,26 +710,66 @@ def test_a_series_is_irrational_exactly_when_a_coefficient_is():
 
 
 def test_a_series_built_from_values_holds_its_integers_at_once():
+    assert PureQSeries.__slots__ == ("lead", "step", "_den", "_parts", "_M")
     values = (Fraction(1, 2), Fraction(1, 3), QuadNum(0, 1, 2))
     for s in (
         PureQSeries(Fraction(1, 5), Fraction(1, 2), values),
         PureQSeries.make(Fraction(1, 5), values, Fraction(1, 2)),
     ):
         assert (s._den, s._parts, s._M) == (6, [[3, 2, 0], [0, 0, 6]], 2)
-        assert s._values == values
+        assert s.coeffs == values
 
 
-def test_values_are_derived_once_and_prefixes_share_both_forms():
-    u = PureQSeries.make(Fraction(1, 5), [Fraction(1, 2), Fraction(1, 3), 5, 7], Fraction(1, 2))
-    s = u.scaled(1)  # holds its integers only
-    assert s._values is None
-    head = s.truncated_at(u.lead + 1)
-    assert head._values is None and head.integer_form() == (6, [[3, 2]], None)
-    assert s.coeffs is s.coeffs  # derived on first read, then kept
-    both = s.truncated_at(u.lead + 1)
-    assert both._values == (Fraction(1, 2), Fraction(1, 3))
-    assert both.integer_form() == (6, [[3, 2]], None)
+def test_prefixes_and_shifts_reuse_the_integer_form():
+    s = PureQSeries.make(Fraction(1, 5), [Fraction(1, 2), Fraction(1, 3), 5, 7], Fraction(1, 2))
+    head = s.truncated_at(s.lead + 1)
+    assert head.integer_form() == (6, [[3, 2]], None)
+    assert head.coeffs == (Fraction(1, 2), Fraction(1, 3))
     moved = s.rescale(2).shifted(1)
-    assert moved.coeffs is s.coeffs and moved.integer_form()[1] is s.integer_form()[1]
+    assert moved.integer_form()[1] is s.integer_form()[1] and moved.coeffs == s.coeffs
     quad = PureQSeries.make(0, [1, 2]).scaled(QuadNum(0, 1, 2))
     assert all(isinstance(c, QuadNum) for c in quad.coeffs)
+
+
+@pytest.mark.parametrize(
+    "values", [(1, 2, 3), (QuadNum(1, 0, 2), QuadNum(2, 0, 2), QuadNum(3, 0, 5))]
+)
+def test_int_and_zero_surd_values_read_back_as_fractions(values):
+    s = PureQSeries(Fraction(0), Fraction(1), values)
+    for t in (s, s.shifted(Fraction(1, 2)), s.truncated_at(Fraction(2)), -(-s)):
+        assert all(type(c) is Fraction for c in t.coeffs)
+        assert type(t.coeff(t.lead + 1)) is Fraction
+        assert qseries.to_json(t)["coefficients"] == ["1", "2", "3"][: t.length]
+
+
+@st.composite
+def _equality_case(draw):
+    """Two series that often have the same coefficients, built along different paths."""
+    u = draw(_kernel_series(draw(_fields)))
+    c = draw(st.sampled_from([Fraction(3), Fraction(-2, 7), QuadNum(1, 1, 2)]))
+    f, d = draw(st.sampled_from([Fraction(2), Fraction(1, 3)])), Fraction(1, 5)
+    builds = {
+        "drawn": lambda: draw(_kernel_series(draw(_fields))),
+        "from values": lambda: PureQSeries(u.lead, u.step, u.coeffs),
+        "zero-surd values": lambda: PureQSeries.make(
+            u.lead, [x if isinstance(x, QuadNum) else QuadNum(x, 0, 5) for x in u.coeffs], u.step
+        ),
+        "negated twice": lambda: -(-u),
+        "scaled back": lambda: u.scaled(c).scaled(1 / c) if u.integer_form()[2] in (None, 2) else u,
+        "moved back": lambda: u.rescale(f).shifted(d).shifted(-d).rescale(1 / f),
+        "times one": lambda: u * PureQSeries.constant(1, max(u.length, 1)),
+        "prefix": lambda: u.truncated_at(u.horizon - u.step),
+        "off-grid horizon": lambda: u + PureQSeries.zero(u.horizon - u.step / 2, u.step),
+    }
+    return u, builds[draw(st.sampled_from(sorted(builds)))]()
+
+
+@given(_equality_case())
+@settings(max_examples=300, deadline=None)
+def test_equality_and_hash_follow_the_coefficients(case):
+    u, v = case
+    same = (u.lead, u.step, u.coeffs) == (v.lead, v.step, v.coeffs)
+    assert (u == v) == (v == u) == same
+    assert len({u, v}) == (1 if same else 2)
+    if same:
+        assert hash(u) == hash(v)

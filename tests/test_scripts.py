@@ -37,8 +37,17 @@ def test_script_runs_and_prints_its_verdict(script):
     assert proc.stdout.splitlines()[-1] == verdict
 
 
-def test_compare_pipelines_refuses_a_negative_kmax():
-    proc = run_script("compare_pipelines.py", "--kmax", "4", "-1")
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_scripts_refuse_a_negative_kmax(script):
+    # exit 2 is a usage error; 1 would claim that an asserted row failed
+    proc = run_script(script, "--kmax", "-1")
     assert proc.returncode == 2
     assert "Kmax must be >= 0, got -1" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_run_denominator_experiment_refuses_a_factor_bound_below_one():
+    proc = run_script("run_denominator_experiment.py", "--factor-bound", "0")
+    assert proc.returncode == 2
+    assert "factor bound must be >= 1, got 0" in proc.stderr
     assert proc.stdout == ""
