@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
 
 from . import denoms as denoms_mod
 from . import forms
@@ -55,6 +54,7 @@ from .qseries import (
     value_from_json,
 )
 from .quadratic import QuadNum
+from .record import Record, replace
 
 DEFAULT_KMAX = 40
 
@@ -73,8 +73,7 @@ value_to_json = series_to_json = params_to_json = to_json
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """A validated run request: one instance plus computation knobs, checked before any build."""
 
     exponents: ExponentData

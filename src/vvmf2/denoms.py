@@ -16,7 +16,6 @@ or whose leading factor is not a p-unit, are reported as exempt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -33,12 +32,12 @@ from .quadratic import (
     pochhammer,
     primes_upto,
 )
+from .record import Record
 
 DEFAULT_FACTOR_BOUND = 10**6
 
 
-@dataclass(frozen=True)
-class PrimeSets:
+class PrimeSets(Record):
     """The prime sets S and S~ truncated at a search bound."""
 
     S: tuple[int, ...]
@@ -77,8 +76,7 @@ def factor_trial(n: int, bound: int) -> tuple[dict[int, int], int]:
     return factors, n
 
 
-@dataclass(frozen=True)
-class ScanRecord:
+class ScanRecord(Record):
     """Denominator data for a single sequence entry."""
 
     index: int
@@ -140,8 +138,7 @@ def _instance_conditions(params: InstanceParams) -> tuple[tuple[str, int], ...]:
     return tuple(conditions)
 
 
-@dataclass(frozen=True)
-class UbdRow:
+class UbdRow(Record):
     """Verdict for one index K of one coefficient sequence.
 
     ``first`` is the first index >= 1 whose denominator p divides (None
@@ -184,8 +181,7 @@ class UbdRow:
         return "pass" if self.passed else "fail"
 
 
-@dataclass(frozen=True)
-class PrimeSummary:
+class PrimeSummary(Record):
     """Per-prime digest: where the prime first divides a denominator."""
 
     p: int
@@ -194,8 +190,7 @@ class PrimeSummary:
     verdict: str  # "pass", "fail" or "exempt"
 
 
-@dataclass(frozen=True)
-class DenomReport:
+class DenomReport(Record):
     """Finite-range unbounded-denominator report for one instance."""
 
     Kmax: int
@@ -302,8 +297,7 @@ def verify_ubd(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProbeVerdict:
+class ProbeVerdict(Record):
     """Outcome of probing Pochhammer numerators against an inert prime."""
 
     status: str  # "pass", "fail" or "inconclusive"
@@ -368,8 +362,7 @@ def pochhammer_numerator_probe(X: QuadNum, R: Fraction, p: int, tmax: int) -> Pr
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneralWeightRow:
+class GeneralWeightRow(Record):
     """One prime's rows in the two components of a combination.
 
     row_1 scans the instance against S, row_2 the mirrored instance against
@@ -409,8 +402,7 @@ class GeneralWeightRow:
         return all(r.passed for r in self.rows if r.asserted)
 
 
-@dataclass(frozen=True)
-class GeneralWeightReport:
+class GeneralWeightReport(Record):
     scanned_to: int
     rows: tuple[GeneralWeightRow, ...]
 

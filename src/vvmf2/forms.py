@@ -13,12 +13,12 @@ accessor (``eisenstein_E2``, ``weight2_G``, ``hauptmodul``, ...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NotAFormError, TruncationError
 from .qseries import PureQSeries, equal_through
+from .record import Record
 
 
 @lru_cache(maxsize=None)
@@ -171,14 +171,12 @@ def modular_D(k: int, u: PureQSeries) -> PureQSeries:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(Record):
     name: str
     passed: bool
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Record):
     order: int
     checks: tuple[IdentityCheck, ...]
 

@@ -28,7 +28,6 @@ Cramer's rule with the Wronskian of the two, one rational inverse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -47,6 +46,7 @@ from .forms import (
 from .params import InstanceParams
 from .qseries import PureQSeries, _iconv, _toeplitz, equal_through
 from .quadratic import FieldElement, pochhammer
+from .record import Record
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 METHODS = ("both", "closed", "frobenius")
@@ -235,8 +235,7 @@ def h_frobenius(params: InstanceParams, Kmax: int) -> tuple[PureQSeries, PureQSe
     return run(params.l1), run(params.l2)
 
 
-@dataclass(frozen=True)
-class SeqTables:
+class SeqTables(Record):
     """The sequences the reports and scans read: h, the eta tail e and d = e*h.
 
     Each is the ``coeffs`` tuple of a series: h, eta^(2 k0) or a component.
@@ -250,8 +249,7 @@ class SeqTables:
     d_tilde: tuple
 
 
-@dataclass(frozen=True)
-class MinimalForm:
+class MinimalForm(Record):
     """The normalized minimal-weight vector: two pure q-expansions.
 
     Its modular derivative is computed on first use and then kept, so
@@ -360,8 +358,7 @@ def deriv_components(mf: MinimalForm) -> tuple[PureQSeries, PureQSeries]:
     return mf.derivative
 
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(Record):
     """One member of the weight-k basis: a monomial times F' or its derivative."""
 
     a: int

@@ -19,11 +19,11 @@ of the paper's class (r irrational, l1 - l2 not an integer) are built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .errors import ConsistencyError
 from .quadratic import QuadNum, is_square_free
+from .record import Record
 
 FieldValue = Fraction | QuadNum
 
@@ -39,8 +39,7 @@ def _rational_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True)
-class ExponentData:
+class ExponentData(Record):
     """Leading exponents at infinity and indicial roots at the cusp 0."""
 
     k0: int
@@ -50,8 +49,7 @@ class ExponentData:
     r2: FieldValue
 
 
-@dataclass(frozen=True)
-class InstanceParams:
+class InstanceParams(Record):
     """The full parameter pack of one representation instance of the paper's class.
 
     Building one runs ``check_assumptions``; an instance outside the
@@ -86,11 +84,17 @@ class InstanceParams:
         """The instance with l1 and l2 exchanged: the same equation with its components swapped.
 
         A and B swap and u goes to -u, so the paper's tilde data (B, -u, S~)
-        is the untilded data of the mirror.
+        is the untilded data of the mirror.  It is built once per instance
+        and kept beside the fields.
         """
-        return params_from_exponents(
-            ExponentData(self.k0, self.l2, self.l1, self.r, self.r.conjugate())
-        )
+        mirror = getattr(self, "_mirror", None)
+        if mirror is None:
+            mirror = params_from_exponents(
+                ExponentData(self.k0, self.l2, self.l1, self.r, self.r.conjugate())
+            )
+            # not through __dict__ (as cached_property would), which slows every later read
+            object.__setattr__(self, "_mirror", mirror)
+        return mirror
 
 
 def params_from_exponents(e: ExponentData) -> InstanceParams:
@@ -154,8 +158,7 @@ def roots_from_abc(
     return ExponentData(k0=k0, l1=l1, l2=l2, r1=r1, r2=r1.conjugate())
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
+class AssumptionReport(Record):
     """Structural flags the denominator theory depends on."""
 
     difference_nonintegral: bool
@@ -167,7 +170,7 @@ class AssumptionReport:
     @property
     def failed(self) -> tuple[str, ...]:
         """Names of the flags that do not hold."""
-        return tuple(f.name for f in fields(self) if not getattr(self, f.name))
+        return tuple(n for n in self._fields if not getattr(self, n))
 
     @property
     def all_pass(self) -> bool:
@@ -191,8 +194,7 @@ def check_assumptions(p: InstanceParams) -> AssumptionReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InducedClasses:
+class InducedClasses(Record):
     """Congruence classes mod Z of the exponents of an induced instance."""
 
     k0: int

@@ -34,7 +34,7 @@ inverse recurrence is rational.  ``from_integers``,
 the inverse of ``integer_form``, builds a series from integers another
 module computed.
 
-``to_json`` is the package's one JSON encoder (values, series, dataclasses
+``to_json`` is the package's one JSON encoder (values, series, records
 and containers of them), used by every CLI report; ``value_from_json``
 decodes the field values of configs and components files.
 """
@@ -43,13 +43,13 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from operator import add, mul
 from typing import Union
 
 from .errors import ConfigError, TruncationError
 from .quadratic import FieldElement, QuadNum
+from .record import Record
 
 Scalar = Union[int, Fraction, QuadNum]
 
@@ -621,7 +621,7 @@ def to_json(x):
     A rational is a "p/q" string and a quadratic value a {"rat", "surd",
     "M"} object (a QuadNum with zero surd is written as its rational part).
     A series is {"lead", "step", "lattice", "coefficients"}, any other
-    dataclass an object keyed by its field names.  Lists and tuples become
+    record an object keyed by its field names.  Lists and tuples become
     lists, dicts keep their keys, and anything else passes through.
     """
     if x is None or isinstance(x, (str, int)):  # the bulk of a report, so tested first
@@ -643,8 +643,8 @@ def to_json(x):
             "lattice": x.lattice,
             "coefficients": to_json(x.coeffs),
         }
-    if is_dataclass(x):
-        return {f.name: to_json(getattr(x, f.name)) for f in fields(x)}
+    if isinstance(x, Record):
+        return {n: to_json(getattr(x, n)) for n in x._fields}
     return x
 
 

@@ -14,11 +14,11 @@ positive ``Z`` with ``Z*z`` an algebraic integer).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import PipelineMismatch
+from .record import Record
 
 Rational = int | Fraction
 
@@ -88,23 +88,27 @@ def is_square_free(m: int) -> bool:
     return True
 
 
+_set = object.__setattr__
+
+
 def _as_fraction(x: Rational) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
-class QuadNum:
+class QuadNum(Record):
     """An element rat + surd*sqrt(M) of Q(sqrt(M)), M square-free and not 0 or 1."""
 
     rat: Fraction
     surd: Fraction
     M: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "rat", _as_fraction(self.rat))
-        object.__setattr__(self, "surd", _as_fraction(self.surd))
-        if self.M in (0, 1) or not is_square_free(self.M):
-            raise ValueError(f"M must be square-free and not 0 or 1, got {self.M}")
+    def __init__(self, rat: Rational, surd: Rational, M: int):
+        # its own __init__: this is the hot value type, and it needs no generic binding
+        if M in (0, 1) or not is_square_free(M):
+            raise ValueError(f"M must be square-free and not 0 or 1, got {M}")
+        _set(self, "rat", _as_fraction(rat))
+        _set(self, "surd", _as_fraction(surd))
+        _set(self, "M", M)
 
     # -- structure ---------------------------------------------------------
 
@@ -284,8 +288,7 @@ def is_p_integral(z: QuadNum | Rational, p: int) -> bool:
     return denominator_of(z) % p != 0
 
 
-@dataclass(frozen=True)
-class HalfForm:
+class HalfForm(Record):
     """Z*z written as (x + y*sqrt(M))/2 with Z the denominator of z."""
 
     Z: int

@@ -1,7 +1,6 @@
 """Prime sets, denominator scans, and the finite-range divisibility laws."""
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -24,6 +23,7 @@ from vvmf2.minform import decompose, minimal_form, mlde_residual, weight_basis
 from vvmf2.params import ExponentData, params_from_exponents, seed_exponents
 from vvmf2.qseries import PureQSeries, equal_through, to_json
 from vvmf2.quadratic import QuadNum, denominator_of, is_p_integral, legendre, primes_upto
+from vvmf2.record import replace
 
 from instance_strategy import instances
 from plain_series import plain_series_h

@@ -1,6 +1,5 @@
 """The minimal form: closed-form sequences against the series recursion."""
 
-import dataclasses
 import inspect
 import math
 import re
@@ -39,6 +38,7 @@ from vvmf2.minform import (
 from vvmf2.params import ExponentData, params_from_exponents, seed_exponents
 from vvmf2.qseries import PureQSeries, equal_through
 from vvmf2.quadratic import QuadNum, pochhammer
+from vvmf2.record import replace
 
 from instance_strategy import instances
 from plain_series import f_by_definition, plain_series_h
@@ -354,7 +354,7 @@ def test_seq_f_calls_no_series_product_or_kernel(monkeypatch):
 def test_seq_f_refuses_an_r_off_the_trace_relation():
     # g is rational because b = 1/2 - l2 - r is l1 + r~; a pack that breaks r + r~ = 1/2 - l1 - l2
     # gives an irrational a*b and is refused
-    off = dataclasses.replace(M2, r=M2.r + 1, A=M2.A + 1, B=M2.B + 1)
+    off = replace(M2, r=M2.r + 1, A=M2.A + 1, B=M2.B + 1)
     message = "r \\+ r~ must be 1/2 - l1 - l2, but a\\*b = .* is irrational"
     with pytest.raises(ConsistencyError, match=message):
         seq_f(off, 3)

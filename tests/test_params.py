@@ -16,7 +16,9 @@ from vvmf2.params import (
     roots_from_abc,
     seed_exponents,
 )
+from vvmf2.qseries import to_json
 from vvmf2.quadratic import QuadNum
+from vvmf2.record import replace
 
 SQRT2 = QuadNum(Fraction(0), Fraction(1), 2)
 SQRT5 = QuadNum(Fraction(0), Fraction(1), 5)
@@ -110,6 +112,18 @@ def test_abc_roundtrip(e):
     assert (p2.a, p2.b, p2.c) == (p.a, p.b, p.c)
     assert {back.l1, back.l2} == {e.l1, e.l2}
     assert {back.r1, back.r2} == {e.r1, e.r2}
+
+
+def test_the_mirror_is_built_once_and_stays_out_of_the_fields():
+    p = params_from_exponents(seed_exponents("m2"))
+    before = (hash(p), to_json(p))
+    mirror = p.mirrored()
+    assert mirror is p.mirrored()
+    assert mirror == params_from_exponents(ExponentData(p.k0, p.l2, p.l1, p.r, p.r.conjugate()))
+    # kept beside the fields: equality, hash, JSON and replace do not see it
+    assert p == params_from_exponents(seed_exponents("m2")) and (hash(p), to_json(p)) == before
+    copy = replace(p)
+    assert copy == p and copy.mirrored() == mirror and copy.mirrored() is not mirror
 
 
 def test_check_assumptions():
