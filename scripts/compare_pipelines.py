@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Timing and agreement of the two routes to the minimal-form coefficients.
 
-Route A: the closed form in Pfaff form, E^l * sum_k g_k eps^k over the
-integer table of powers of eps = eta(2 tau)^24 / eta(tau)^24.
+Route A: the closed form, the 2F1 equation pulled back along the
+Hauptmodul z = -64 eta(2 tau)^24 / eta(tau)^24.
 Route B: the Frobenius recursion on the weight-zero differential equation.
 Both must agree exactly on h and on h~, the second component's sequence.
-(The plain-series route w^l * sum f_k K^(-k) is checked against both in
-the tests, tests/plain_series.py.)
+(The plain-series routes w^l * sum f_k K^(-k) and E^l * sum g_k eps^k are
+checked against both in the tests, tests/plain_series.py.)
 """
 
 import argparse

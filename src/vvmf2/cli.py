@@ -404,7 +404,7 @@ def _add_instance_flags(sub):
         choices=tuple(SEED_FIELDS),
         help="use a built-in worked instance instead of a config file",
     )
-    sub.add_argument("--kmax", type=int, default=None)
+    sub.add_argument("--kmax", type=checked_int(check_kmax), default=None)
     sub.add_argument("--method", choices=METHODS, default=None)
     sub.add_argument("--out", default=None, help="write the report here instead of stdout")
 
@@ -436,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("denoms", help="finite-range unbounded-denominator report")
     _add_instance_flags(s)
-    s.add_argument("--factor-bound", type=int, default=None)
+    s.add_argument("--factor-bound", type=checked_int(denoms_mod.check_factor_bound), default=None)
     s.add_argument("--format", choices=("json", "text"), default="json")
     s.set_defaults(handler=cmd_denoms)
 

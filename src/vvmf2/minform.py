@@ -1,22 +1,16 @@
 """Two independent constructions of the normalized minimal-weight form.
 
-The closed-form route evaluates the paper's 2F1 at a Hauptmodul of
-Gamma0(2) in Pfaff form.  With eps = eta(2 tau)^24 / eta(tau)^24 = q E,
-E = prod (1 + q^n)^24, and 1/eps = K - 64, each sequence is
-h = E^l * sum_k g_k eps^k for a two-term hypergeometric sequence g.  One
-integer table (the powers of eps) and E^l come from J.C.P. Miller's
-power recurrence on plain ints; the route reads no named series, only
-divisor sums.  The independent route runs a Frobenius recursion on the
-weight-zero differential equation, from G, E2 and E4, on its own
-plain-``int`` Horner loop.  A fault in a named series thus reaches one
-route only, and a fault in the shared series product reaches both by
-different paths (the closed route's E^l * sum, the Frobenius G^2).
-``minimal_form(..., method="both")`` insists the two agree coefficient
-by coefficient; any disagreement is a bug, not data, and raises
-``PipelineMismatch``.  Every sequence is a ``PureQSeries`` (lead 0, step
-1), and a component is eta^(2 k0) * q^l * h(q), as the paper writes it.
-Whatever the field of r, h, F', DF' and the Wronskian are rational series:
-a, b and c are rational, and so is g, whose (a)_k (b)_k is a norm.
+A component is eta^(2 k0) q^l h(q), as the paper writes it.  Both routes
+solve a linear theta-equation (theta = q d/dq) for h on one fraction-free
+kernel, ``_solve_theta``.  The closed-form route pulls the paper's 2F1
+back along the Hauptmodul z = -64 q E of Gamma0(2), E = prod (1 + q^n)^24;
+its coefficients are integer series in z and the divisor sums
+psi = theta E / E, so it reads no named series.  The other route is the
+weight-zero equation's Frobenius recursion, from G, E2 and E4.  A fault in
+a named series reaches one route, one in the kernel or the series product
+both, through different equations; ``minimal_form(..., method="both")``
+raises ``PipelineMismatch`` at the first coefficient where they disagree.
+Every h is a rational ``PureQSeries`` (lead 0, step 1), whatever r's field.
 
 The minimal form F' and its modular derivative DF' generate everything
 of higher weight.  ``combination`` is the one builder of m1*F' + m2*DF'
@@ -44,11 +38,11 @@ from .forms import (
     weight2_G,
 )
 from .params import InstanceParams
-from .qseries import PureQSeries, _iconv, _toeplitz, equal_through
+from .qseries import PureQSeries, _conv, equal_through
 from .quadratic import FieldElement, pochhammer
 from .record import Record
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO, _ONE, _HALF = Fraction(0), Fraction(1), Fraction(1, 2)
 METHODS = ("both", "closed", "frobenius")
 
 
@@ -68,169 +62,162 @@ def gauss_2f1(alpha, beta, gamma, n: int) -> FieldElement:
     return pochhammer(alpha, n) * pochhammer(beta, n) / den / math.factorial(n)
 
 
-def _matvec(u: PureQSeries, table) -> PureQSeries:
-    """sum_s (sum_{k <= s} u_k table[k][s]) q^s below u's horizon, u read on the q^0 grid."""
-    den, parts, M = u.integer_form()
-    start = int(u.lead)
-    cols = [col[start : s + 1] for s, col in zip(range(int(u.horizon)), zip(*table))]
-    return PureQSeries.from_integers(_ZERO, _ONE, den, [_iconv(p, cols) for p in parts], M)
+def _solve_theta(A: list[int], B: list[int], C: list[int], n: int) -> PureQSeries:
+    """The y = 1 + O(q) through q^n with sum_j T_j(m - j) y_(m-j) = 0 for 0 < m <= n.
+
+    T_j(x) = A_j x^2 + B_j x + C_j for integer series A, B and C.  This is
+    the one indicial check: N_m = T_0(m) must vanish at m = 0 and nowhere
+    after.  Fraction-free, y_m = Y_m / Delta_m with Delta_m = Delta_(m-1) N_m
+    and Y_m = -sum_(i < m) T_(m-i)(i) Y_i prod_(t=i+1..m-1) N_t, by Horner in
+    i, so every product is big by small.  A step reads j only below the
+    longest series' length (a two-term recurrence costs O(1) per step), and
+    y is reduced once, at the end.
+    """
+    L = max(len(A), len(B), len(C))
+    A, B, C = ([*s, *[0] * (L - len(s))] for s in (A, B, C))
+    N = [(A[0] * m + B[0]) * m + C[0] for m in range(n + 1)]
+    if N[0]:
+        raise ConsistencyError(f"not an indicial root: the indicial value at 0 is {N[0]}")
+    if 0 in N[1:]:
+        raise ConsistencyError(f"indicial value vanishes at step {N.index(0, 1)}")
+    Y, ds = [1], [1]
+    for m in range(1, n + 1):
+        lo, k = max(0, m - L + 1), min(m, L - 1)
+        acc = 0
+        terms = zip(range(lo, m), A[k:0:-1], B[k:0:-1], C[k:0:-1], N[lo:m], Y[lo:])
+        for i, a, b, c, Ni, Yi in terms:
+            acc = acc * Ni + ((a * i + b) * i + c) * Yi
+        Y.append(-acc)
+        ds.append(ds[-1] * N[m])
+    d = abs(ds[-1])  # every ds[m] divides it
+    Y = [x * (d // dm) for x, dm in zip(Y, ds)]
+    return PureQSeries.from_integers(_ZERO, _ONE, d, [Y], None)
 
 
-def _power_rows(g: list[int], n: int) -> tuple[tuple[int, ...], ...]:
-    """Rows k < n of the q^0..q^(n-1) coefficients of (q*g)^k, by integer convolution."""
-    cols = _toeplitz(g, n)
-    rows = []
-    power = [1] + [0] * (n - 1)
-    for k in range(n):
-        rows.append(tuple([0] * k + power[: n - k]))
-        power = _iconv(power, cols[: n - k - 1])
-    return tuple(rows)
-
-
-def _over_last(xs: list[int], ds: list[int]) -> PureQSeries:
-    """The rational sum_k (xs[k] / ds[k]) q^k over the last ds, which every ds[k] divides."""
-    d = ds[-1]
-    xs = [x * (d // dk) for x, dk in zip(xs, ds)]
-    return PureQSeries.from_integers(_ZERO, _ONE, d, [xs], None)
+def _divisor_sums(Kmax: int) -> list[int]:
+    """s_j = sum_(d | j) (-1)^(j/d + 1) d for j <= Kmax (s_0 = 0): theta E / E = 24 sum s_j q^j."""
+    return [0] + [sigma(j) - (2 * sigma(j // 2) if j % 2 == 0 else 0) for j in range(1, Kmax + 1)]
 
 
 def _e_power(beta: Fraction, Kmax: int) -> PureQSeries:
-    """E^beta through q^Kmax, for E = prod (1 + q^n)^24 and any rational beta.
+    """E^beta through q^Kmax for rational beta, by J.C.P. Miller's theta P = beta psi P.
 
-    theta E / E = 24 sum_j s_j q^j with s_j = sum_(d | j) (-1)^(j/d + 1) d, so
-    P = E^beta obeys J.C.P. Miller's m P_m = 24 beta sum_(j=1..m) s_j P_(m-j).
-    With 24 beta = p/q, P_m = X_m / Delta_m with Delta_m = Delta_(m-1) m q, and
-    X_m = p sum_(i < m) s_(m-i) X_i prod_(t=i+1..m-1) t q runs by Horner in i.
+    m P_m = 24 beta sum_(j=1..m) s_j P_(m-j) is, for 24 beta = p/q, A = 0, B = q, C = -p s.
     """
     p, q = (24 * beta).as_integer_ratio()
-    s = [0] + [sigma(j) - (2 * sigma(j // 2) if j % 2 == 0 else 0) for j in range(1, Kmax + 1)]
-    xs, ds = [1], [1]
-    for m in range(1, Kmax + 1):
-        acc = 0
-        for i in range(m):
-            acc = acc * (i * q) + s[m - i] * xs[i]
-        xs.append(p * acc)
-        ds.append(ds[-1] * m * q)
-    return _over_last(xs, ds)
+    return _solve_theta([0], [q], [-p * s for s in _divisor_sums(Kmax)], Kmax)
 
 
-def tables_DC(Kmax: int) -> tuple[tuple[int, ...], ...]:
-    """The integer table T[k][s] = [q^s] eps^k for 0 <= s, k <= Kmax, eps = q E."""
-    _, (e,), _ = _e_power(Fraction(1), Kmax).integer_form()
-    return _power_rows(e, Kmax + 1)
+def tables_DC(Kmax: int) -> tuple[list[int], ...]:
+    """The closed route's instance-independent integer series through q^Kmax.
 
-
-def _recurrence(steps) -> PureQSeries:
-    """sum_k y_k q^k with y_0 = 1 and a_k y_(k+1) = b_k y_k: rational, for integer steps (a, b)."""
-    xs, ds = [1], [1]
-    for a, b in steps:
-        xs.append(xs[-1] * b)
-        ds.append(ds[-1] * a)
-    return _over_last(xs, ds)
-
-
-def _g_list(params: InstanceParams, Kmax: int) -> PureQSeries:
-    """g(k) = (-64)^k (a)_k (b)_k / ((c)_k k!) with a = l1 + r, b = c - a - 1/2, c = 1 + l1 - l2.
-
-    Pfaff's 2F1(a, a + 1/2; c; z) = (1 - z)^-a 2F1(a, b; c; z / (z - 1)) at
-    z = 64/K, where z / (z - 1) = -64 eps, turns the paper's (qK)^-l1 (1 - z)^r
-    2F1(a, a + 1/2; c; z) into E^l1 sum_k g_k eps^k.  The steps (k+1)(k+c) g(k+1)
-    = -64 (k^2 + (c - 1/2) k + a b) g(k) are scaled by one D to integers; k + c
-    never vanishes, as l1 - l2 is not an integer.  b = l1 + r~ exactly when
-    r + r~ = 1/2 - l1 - l2; then a b is a norm, and otherwise it is irrational.
+    From psi = theta E / E, phi = 1 + psi and z = -64 q E (so theta z = z phi):
+    (1 - z) phi, phi^2, z phi^2, (1 - z) theta psi, (1 - z) phi psi,
+    (1 - z) phi psi^2, psi phi^2, z psi phi^2 and z phi^3, in that order.
     """
-    l1, l2, r, half = params.l1, params.l2, params.r, Fraction(1, 2)
-    c = 1 + l1 - l2
-    ab = (l1 + r) * (c - l1 - r - half)
-    if ab.surd:
-        raise ConsistencyError(f"r + r~ must be 1/2 - l1 - l2, but a*b = {ab} is irrational")
-    polys = [(1, 1 + c, c), (-64, -64 * (c - half), -64 * ab.rat)]  # k^2, k, 1 of each step
-    D = math.lcm(*(Fraction(x).denominator for p in polys for x in p))
-    polys = [[int(x * D) for x in p] for p in polys]
-    return _recurrence([[(u * k + v) * k + w for u, v, w in polys] for k in range(Kmax)])
-
-
-def seq_f(params: InstanceParams, Kmax: int) -> tuple[PureQSeries, PureQSeries]:
-    """The pair of g-sequences: the instance's and its mirror's (the tilde, l1 and l2 swapped)."""
-    check_kmax(Kmax)
-    return _g_list(params, Kmax), _g_list(params.mirrored(), Kmax)
-
-
-def h_closed(params: InstanceParams, Kmax: int) -> tuple[PureQSeries, PureQSeries]:
-    """The h-sequences in Pfaff form, h = E^l * sum_k g_k eps^k (h(0) = 1 normalized)."""
-    check_kmax(Kmax)
-    table = tables_DC(Kmax)
-    g, g_tilde = seq_f(params, Kmax)
+    n = Kmax + 1
+    psi = [24 * s for s in _divisor_sums(Kmax)]
+    _, (e,), _ = _e_power(_ONE, Kmax).integer_form()
+    phi, z = [1, *psi[1:]], [0, *(-64 * x for x in e[:Kmax])]
+    one_z = [1, *(-x for x in z[1:])]
+    phi2, phi_1z = _conv(phi, phi, n), _conv(phi, one_z, n)
+    psi_phi_1z, psi_phi2, z_phi2 = _conv(psi, phi_1z, n), _conv(psi, phi2, n), _conv(z, phi2, n)
+    theta_psi_1z = _conv([j * x for j, x in enumerate(psi)], one_z, n)
     return (
-        _e_power(params.l1, Kmax) * _matvec(g, table),
-        _e_power(params.l2, Kmax) * _matvec(g_tilde, table),
+        phi_1z, phi2, z_phi2, theta_psi_1z, psi_phi_1z,
+        _conv(psi, psi_phi_1z, n), psi_phi2, _conv(z, psi_phi2, n), _conv(z_phi2, phi, n),
     )
 
 
-def indicial(params: InstanceParams, x: Fraction) -> Fraction:
-    """The indicial polynomial at infinity of the weight-zero equation."""
-    return x * x + (params.a - Fraction(1, 6)) * x + (params.b + params.c)
+def _hypergeometric(params: InstanceParams) -> tuple[Fraction, Fraction]:
+    """(c, a b) for h = E^l1 2F1(a, b; c; z): a = l1 + r, b = c - a - 1/2, c = 1 + l1 - l2.
+
+    This is Pfaff's form of the paper's 2F1(a, a + 1/2; c; 64/K).  a b is a
+    norm, as b = l1 + r~, exactly when r + r~ = 1/2 - l1 - l2.
+    """
+    c, a = 1 + params.l1 - params.l2, params.l1 + params.r
+    ab = a * (c - a - _HALF)
+    if ab.surd:
+        raise ConsistencyError(f"r + r~ must be 1/2 - l1 - l2, but a*b = {ab} is irrational")
+    return c, ab.rat
+
+
+def _scaled(rows) -> list[list[int]]:
+    """Rational rows times the least common denominator of all their entries."""
+    D = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[int(x * D) for x in row] for row in rows]
+
+
+def seq_f(params: InstanceParams, Kmax: int) -> tuple[PureQSeries, PureQSeries]:
+    """g(k) = (-64)^k (a)_k (b)_k / ((c)_k k!) for the instance and its mirror (l1, l2 swapped).
+
+    (k+1)(k+c) g(k+1) = -64 (k^2 + (c - 1/2) k + a b) g(k) is a theta-equation
+    of two terms; k + c never vanishes, as l1 - l2 is not an integer.
+    """
+    check_kmax(Kmax)
+
+    def run(p: InstanceParams) -> PureQSeries:
+        c, ab = _hypergeometric(p)
+        return _solve_theta(*_scaled([(1, 64), (c - 1, 64 * (c - _HALF)), (0, 64 * ab)]), Kmax)
+
+    return run(params), run(params.mirrored())
+
+
+def h_closed(params: InstanceParams, Kmax: int) -> tuple[PureQSeries, PureQSeries]:
+    """The h-sequences from the 2F1 equation pulled back along z (h(0) = 1 normalized).
+
+    As delta = z d/dz = phi^-1 theta, phi^3 times delta(delta + c - 1) F =
+    z (delta + a)(delta + b) F reads A theta^2 F + B_F theta F + C_F F = 0 with
+    A = (1 - z) phi, B_F = (c - 1) phi^2 - (c - 1/2) z phi^2 - (1 - z) theta psi
+    and C_F = -a b z phi^3.  F = E^-l h then gives
+    A theta^2 h + (B_F - 2 l psi A) theta h + (A (l^2 psi^2 - l theta psi)
+    - l psi B_F + C_F) h = 0, whose theta psi terms add up to -l (1 - z) theta psi
+    as phi - psi = 1.  Its indicial values are D m (m + c - 1).
+    """
+    check_kmax(Kmax)
+    (phi_1z, phi2, z_phi2, th_1z, psi_phi_1z, psi2_phi_1z, psi_phi2, z_psi_phi2,
+     z_phi3) = tables_DC(Kmax)
+
+    def run(p: InstanceParams) -> PureQSeries:
+        c, ab = _hypergeometric(p)
+        l = p.l1
+        ((D, w_c1, w_c2, w_l, w_l2, w_lc1, w_lc2, w_ab),) = _scaled(
+            [(1, c - 1, c - _HALF, l, l * l, l * (c - 1), l * (c - _HALF), ab)]
+        )
+        B = [
+            w_c1 * x - w_c2 * y - D * t - 2 * w_l * u
+            for x, y, t, u in zip(phi2, z_phi2, th_1z, psi_phi_1z)
+        ]
+        C = [
+            w_l2 * v - w_l * t - w_lc1 * x + w_lc2 * y - w_ab * w
+            for v, t, x, y, w in zip(psi2_phi_1z, th_1z, psi_phi2, z_psi_phi2, z_phi3)
+        ]
+        return _solve_theta([D * x for x in phi_1z], B, C, Kmax)
+
+    return run(params), run(params.mirrored())
 
 
 def h_frobenius(params: InstanceParams, Kmax: int) -> tuple[PureQSeries, PureQSeries]:
     """The h-sequences by power-series recursion on the weight-zero equation.
 
-    Writing the equation as theta^2 f + P theta f + Q f = 0 with
-    P = a*G - E2/6 and Q = b*G^2 + c*E4, the substitution
-    f = q^l (1 + sum c_n q^n) forces
-
-        I(l + n) c_n = - sum_{j=1..n} (p_j (l + n - j) + q_j) c_{n-j}
-
-    where I is the indicial polynomial; I(l) = 0 and the other root
-    differs by a non-integer, so every step divides by a nonzero value.
-
-    The recursion runs fraction-free.  With lambda = den(l) and
-    X_m = lambda (l + m), one integer D writes D (p_j (l + m) + q_j) as
-    U_j X_m + V_j, and one integer E makes N_n = E I(l + n) integral.
-    Then c_n = C_n / Delta_n with Delta_n = Delta_(n-1) D N_n and
-
-        C_n = -E sum_{j=1..n} (U_j X_(n-j) + V_j) C_(n-j) prod_{i=n-j+1..n-1} D N_i,
-
-    evaluated by Horner in i (acc = acc * D N_i + T * C_i for i = 0..n-1),
-    so every product is big by small.  Each c_n is reduced once.  The
-    series come in as coefficient lists and h leaves through ``make``:
-    no kernel call is shared with the closed route but the one for G^2.
+    With the equation as theta^2 f + P theta f + Q f = 0, P = a*G - E2/6 and
+    Q = b*G^2 + c*E4, f = q^l h puts l + x for theta on q^(l + x): h solves
+    the theta-equation A = 1, B = P + 2l, C = Q + l P + l^2, over one D.  Its
+    indicial values D (x^2 + (a - 1/6) x + b + c) at x = l + m vanish at
+    m = 0 only, as the other root is l1 + l2 - l.  The route shares
+    ``_solve_theta`` with the closed route, and the series product only for G^2.
     """
     check_kmax(Kmax)
-    count = Kmax + 1
     G = weight2_G(Kmax)
     g, g2 = G.coeffs, (G * G).coeffs
-    e2 = eisenstein_E2(Kmax).coeffs
-    e4 = eisenstein_E4(Kmax).coeffs
-    p = [params.a * g[j] - e2[j] / 6 for j in range(count)]
-    q = [params.b * g2[j] + params.c * e4[j] for j in range(count)]
+    e2, e4 = eisenstein_E2(Kmax).coeffs, eisenstein_E4(Kmax).coeffs
+    P = [params.a * g[j] - e2[j] / 6 for j in range(Kmax + 1)]
+    Q = [params.b * g2[j] + params.c * e4[j] for j in range(Kmax + 1)]
 
     def run(l: Fraction) -> PureQSeries:
-        values = [indicial(params, l + n) for n in range(count)]
-        if values[0] != 0:
-            raise ConsistencyError(f"{l} is not an indicial root")
-        for n, value in enumerate(values[1:], 1):
-            if value == 0:
-                raise ConsistencyError(f"indicial value vanishes at {l + n}")
-        lam = l.denominator
-        E = math.lcm(*(v.denominator for v in values))
-        pl = [x / lam for x in p]
-        D = math.lcm(*(x.denominator for x in pl), *(x.denominator for x in q))
-        U = [x.numerator * (D // x.denominator) for x in pl]
-        V = [x.numerator * (D // x.denominator) for x in q]
-        X = [l.numerator + lam * m for m in range(count)]
-        DN = [D * v.numerator * (E // v.denominator) for v in values]
-        C = [1]
-        out = [_ONE]
-        delta = 1
-        for n in range(1, count):
-            acc = 0
-            for i in range(n):
-                acc = acc * DN[i] + (U[n - i] * X[i] + V[n - i]) * C[i]
-            C.append(-E * acc)
-            delta *= DN[n]
-            out.append(Fraction(C[n], delta))
-        return PureQSeries.make(0, out)
+        C = [q + l * p for p, q in zip(P, Q)]
+        C[0] += l * l
+        return _solve_theta(*_scaled([[1], [P[0] + 2 * l, *P[1:]], C]), Kmax)
 
     return run(params.l1), run(params.l2)
 

@@ -1,17 +1,18 @@
-"""The plain-series route to the h-sequences, shared by the minimal-form tests.
+"""Plain-series routes to the h-sequences, shared by the minimal-form tests.
 
-No tables and no recursion: a component with leading exponent l is
-w^l * sum_k f_k w^k, with w = 1/K the inverse Hauptmodul and f the
-coefficients of (1 - 64x)^r 2F1(A, A + 1/2; 1 + A - B; 64x), taken from
-their definition.  It is built by truncated series algebra alone (w^l as
-(1 + x)^l q^l through ``pow_binomial``), and shares neither K nor f with
-the engine's closed route, which works in Pfaff form over eps.
+Truncated series algebra only.  ``plain_series_h`` writes a component with
+leading exponent l as w^l * sum_k f_k w^k, with w = 1/K and f the coefficients
+of (1 - 64x)^r 2F1(A, A + 1/2; 1 + A - B; 64x) by their definition (w^l as
+(1 + x)^l q^l through ``pow_binomial``).  ``pfaff_series_h`` writes it in Pfaff
+form, E^l * sum_k g_k eps^k with eps = eta(2 tau)^24 / eta(tau)^24 = q E and g
+from ``seq_f``.  Neither shares a series with the closed route, which solves
+the 2F1 equation pulled back along z = -64 eps.
 """
 
 from fractions import Fraction
 
-from vvmf2.forms import hauptmodul
-from vvmf2.minform import gauss_2f1
+from vvmf2.forms import eta_pow, hauptmodul
+from vvmf2.minform import gauss_2f1, seq_f
 from vvmf2.qseries import PureQSeries
 from vvmf2.quadratic import gen_binomial
 
@@ -37,3 +38,14 @@ def plain_series_h(params, Kmax: int, component: int) -> list:
     series = kinv.shifted(-1).pow_binomial(l).shifted(l) * total
     assert series.lead == l
     return [series.coeff(l + n) for n in range(Kmax + 1)]
+
+
+def pfaff_series_h(params, Kmax: int, component: int) -> list:
+    """h (component 0) or h~ (component 1) through index Kmax, as E^l * sum_k g_k eps^k."""
+    eps = eta_pow(24, Kmax + 1).rescale(2) * eta_pow(-24, Kmax + 1)
+    total = PureQSeries.zero(Kmax + 1)
+    for g in reversed(seq_f(params, Kmax)[component].coeffs):  # Horner's rule in eps
+        total = total * eps + PureQSeries.constant(g, Kmax + 1)
+    l = (params.l1, params.l2)[component]
+    series = eps.shifted(-1).pow_binomial(l) * total
+    return [series.coeff(n) for n in range(Kmax + 1)]

@@ -274,11 +274,10 @@ def test_abc_config_with_an_unusable_M_exits_3(tmp_path, capsys, M):
 
 
 def test_factor_bound_below_one_exits_3(tmp_path, capsys):
-    argv = ["denoms", "--seed-instance", "m2", "--kmax", "12", "--factor-bound", "-1000"]
-    assert main(argv) == 3
+    # in a config file; the flag is a usage error (test_denoms_refuses_a_bad_factor_bound_...)
     cfg = write_config(tmp_path, {**M2_CONFIG, "factor_bound": 0})
     assert main(["denoms", "--config", cfg]) == 3
-    assert capsys.readouterr().err.count("factor bound must be >= 1") == 2
+    assert "factor bound must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["E2", "E4", "G", "K", "J", "theta4", "E", "GslashS", "eta^2"])
@@ -342,31 +341,55 @@ def test_a_perturbed_closed_route_exits_4(monkeypatch, capsys):
 
 def _perturbed_table(real):
     def perturbed(Kmax):
-        rows = [list(row) for row in real(Kmax)]
-        rows[1][7] += 1  # the q^7 coefficient of eps
-        return tuple(map(tuple, rows))
+        tables = [list(series) for series in real(Kmax)]
+        tables[8][7] += 1  # the q^7 coefficient of z phi^3
+        return tuple(tables)
 
     return perturbed
 
 
-def _perturbed_g(real):
-    def perturbed(params, Kmax):
-        g, g_tilde = real(params, Kmax)
-        g = PureQSeries.make(0, [c + 1 if k == 7 else c for k, c in enumerate(g.coeffs)])
-        return g, g_tilde
+def _perturbed_psi(real):
+    def perturbed(Kmax):
+        s = real(Kmax)
+        s[7] += 7  # psi_7, and E becomes E exp(24 q^7), integral through q^34
+        return s
+
+    return perturbed
+
+
+def _perturbed_e(real):
+    def perturbed(beta, Kmax):
+        den, (e,), M = real(beta, Kmax).integer_form()
+        e = [x + den if k == 6 else x for k, x in enumerate(e)]  # E_6, so z_7
+        return PureQSeries.from_integers(Fraction(0), Fraction(1), den, [e], M)
+
+    return perturbed
+
+
+def _perturbed_ab(real):
+    def perturbed(params):
+        c, ab = real(params)
+        return c, ab + 1
 
     return perturbed
 
 
 @pytest.mark.parametrize(
-    "name, fault", [("tables_DC", _perturbed_table), ("seq_f", _perturbed_g)], ids=["table", "g"]
+    "name, fault, K",
+    [
+        ("tables_DC", _perturbed_table, 7),
+        ("_divisor_sums", _perturbed_psi, 7),
+        ("_e_power", _perturbed_e, 7),
+        ("_hypergeometric", _perturbed_ab, 1),
+    ],
+    ids=["table", "psi", "E", "ab"],
 )
-def test_a_perturbed_closed_route_input_exits_4(monkeypatch, capsys, name, fault):
+def test_a_perturbed_closed_route_input_exits_4(monkeypatch, capsys, name, fault, K):
     from vvmf2 import minform
 
     monkeypatch.setattr(minform, name, fault(getattr(minform, name)))
     assert main(["denoms", "--seed-instance", "m2", "--kmax", "10"]) == 4
-    assert "closed-form and recursion disagree at K=7:" in capsys.readouterr().err
+    assert f"closed-form and recursion disagree at K={K}:" in capsys.readouterr().err
 
 
 def test_a_cache_directory_variable_is_inert(tmp_path, monkeypatch, capsys):
@@ -420,7 +443,9 @@ def test_denoms_refuses_a_bad_factor_bound_before_building(monkeypatch, capsys):
         pytest.fail("denoms built a minimal form for a factor bound it was going to refuse")
 
     monkeypatch.setattr(cli, "minimal_form", unexpected)
-    assert main(["denoms", "--seed-instance", "m2", "--factor-bound", "0"]) == 3
+    with pytest.raises(SystemExit) as exc:
+        main(["denoms", "--seed-instance", "m2", "--factor-bound", "0"])
+    assert exc.value.code == 2
     assert "factor bound must be >= 1, got 0" in capsys.readouterr().err
 
 
@@ -438,12 +463,27 @@ def test_kmax_zero_reports_the_normalized_one(capsys, command):
 
 
 @pytest.mark.parametrize("command", ["minform", "denoms"])
-def test_a_negative_kmax_exits_3_before_building(monkeypatch, capsys, command):
+def test_a_negative_kmax_exits_3_before_building(tmp_path, monkeypatch, capsys, command):
+    # in a config file: a validation error
     def unexpected(*args, **kwargs):
         pytest.fail(f"{command} built a minimal form for a Kmax it was going to refuse")
 
     monkeypatch.setattr(cli, "minimal_form", unexpected)
-    assert main([command, "--seed-instance", "m2", "--kmax", "-1"]) == 3
+    cfg = write_config(tmp_path, {**M2_CONFIG, "kmax": -1})
+    assert main([command, "--config", cfg]) == 3
+    assert "Kmax must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["minform", "denoms"])
+def test_a_negative_kmax_flag_exits_2_before_building(monkeypatch, capsys, command):
+    # a flag is a usage error, as the module docstring and the scripts have it
+    def unexpected(*args, **kwargs):
+        pytest.fail(f"{command} built a minimal form for a Kmax it was going to refuse")
+
+    monkeypatch.setattr(cli, "minimal_form", unexpected)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed-instance", "m2", "--kmax", "-1"])
+    assert exc.value.code == 2
     assert "Kmax must be >= 0, got -1" in capsys.readouterr().err
 
 

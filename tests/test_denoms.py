@@ -104,6 +104,16 @@ def test_verify_ubd_m2():
     assert tilde_by_K[5].p == 11 and tilde_by_K[5].passed
 
 
+def test_verify_ubd_m2_at_kmax_320():
+    # the verdict of both routes at Kmax 320: 58 asserted rows in each of d, h and d~, all passing
+    report = verify_ubd(minimal_form(M2, 320, "both"))
+    components = (report.rows_d, report.rows_h, report.rows_d_tilde)
+    asserted = [[r for r in rows if r.asserted] for rows in components]
+    assert [len(rows) for rows in asserted] == [58, 58, 58]
+    assert all(r.passed for rows in asserted for r in rows)
+    assert (report.threshold, report.exceptional) == (5, ())
+
+
 def test_verify_ubd_h_and_d_first_hits_agree():
     # the eta tail is integral, so h and d go non-integral at the same K
     mf = minimal_form(M2, 16, "both")

@@ -20,14 +20,13 @@ from vvmf2.forms import (
     weight2_G,
 )
 from vvmf2.minform import (
-    _matvec,
+    _solve_theta,
     combination,
     decompose,
     deriv_components,
     gauss_2f1,
     h_closed,
     h_frobenius,
-    indicial,
     minimal_form,
     mlde_residual,
     seq_f,
@@ -41,7 +40,7 @@ from vvmf2.quadratic import QuadNum, pochhammer
 from vvmf2.record import replace
 
 from instance_strategy import instances
-from plain_series import f_by_definition, plain_series_h
+from plain_series import f_by_definition, pfaff_series_h, plain_series_h
 
 M2 = params_from_exponents(seed_exponents("m2"))
 M5 = params_from_exponents(seed_exponents("m5"))
@@ -68,6 +67,11 @@ def sqrt2_instance(k0):
 def _lists(pair):
     """The coefficient lists of a pair of sequence series."""
     return tuple(list(s.coeffs) for s in pair)
+
+
+def indicial(params, x):
+    """The indicial polynomial at infinity of the weight-zero equation."""
+    return x * x + (params.a - Fraction(1, 6)) * x + (params.b + params.c)
 
 
 def reference_h_frobenius(params, Kmax):
@@ -124,25 +128,44 @@ def test_halving_identity(rat, surd, m):
     assert lhs == rhs
 
 
+def _closed_route_series(Kmax):
+    """psi, phi, z and theta psi by series algebra: E = eta(2 tau)^24 / eta(tau)^24 / q."""
+    n = Kmax + 1
+    E = (forms.eta_pow(24, n).rescale(2) * forms.eta_pow(-24, n)).shifted(-1)
+    psi = E.theta() * E.inv()
+    one = PureQSeries.constant(1, n)
+    return psi, one + psi, E.shifted(1) * -64, psi.theta()
+
+
 def test_tables():
-    T = tables_DC(8)
-    for k in range(9):
-        assert T[k][k] == 1
-        assert all(T[k][s] == 0 for s in range(k))
-    # eps = q prod (1 + q^n)^24 = q + 24 q^2 + 300 q^3 + 2624 q^4 + ...
-    assert T[1][:5] == (0, 1, 24, 300, 2624)
-    assert T[2][:5] == (0, 0, 1, 48, 1176)
+    # E = 1 + 24 q + 300 q^2 + 2624 q^3 + ..., so z = -64 q - 1536 q^2 - 19200 q^3 - ...;
+    # psi = 24 sum_j s_j q^j with s_j = sum_(d | j) (-1)^(j/d + 1) d: 24 q + 24 q^2 + 96 q^3 + ...
+    (phi_1z, phi2, z_phi2, theta_psi_1z, psi_phi_1z, psi2_phi_1z, psi_phi2, z_psi_phi2,
+     z_phi3) = tables_DC(3)
+    assert phi_1z == [1, 24 + 64, 24 + 64 * 24 + 1536, 96 + 64 * 24 + 1536 * 24 + 19200]
+    assert phi2 == [1, 48, 24 * 24 + 48, 2 * 96 + 2 * 24 * 24]
+    assert z_phi2 == [0, -64, -64 * 48 - 1536, -64 * (24 * 24 + 48) - 1536 * 48 - 19200]
+    assert theta_psi_1z == [0, 24, 48 + 64 * 24, 288 + 64 * 48 + 1536 * 24]
+    assert psi_phi_1z[:3] == [0, 24, 24 + 24 * 88]
+    assert psi2_phi_1z[:3] == [0, 0, 576]
+    assert psi_phi2[:3] == [0, 24, 24 + 24 * 48]
+    assert z_psi_phi2[:3] == [0, 0, -64 * 24]
+    assert z_phi3[:3] == [0, -64, -64 * 72 - 1536]
 
 
 def test_tables_match_series_powers():
-    # reference: eps = eta(2 tau)^24 / eta(tau)^24 and its powers on the series kernel
+    # every fixed series of the closed route against products and powers on the series kernel
     Kmax = 12
-    eps = forms.eta_pow(24, Kmax).rescale(2) * forms.eta_pow(-24, Kmax)
-    T = tables_DC(Kmax)
-    power = PureQSeries.constant(1, Kmax + 1)
-    for k in range(Kmax + 1):
-        assert T[k] == tuple(power.coeff(s) if s >= k else 0 for s in range(Kmax + 1))
-        power = power * eps
+    psi, phi, z, theta_psi = _closed_route_series(Kmax)
+    one_z = PureQSeries.constant(1, Kmax + 1) - z
+    want = (
+        one_z * phi, phi**2, z * phi**2, one_z * theta_psi, one_z * phi * psi,
+        one_z * phi * psi**2, psi * phi**2, z * psi * phi**2, z * phi**3,
+    )
+    got = tables_DC(Kmax)
+    assert len(got) == len(want)
+    for table, series in zip(got, want):
+        assert table == [series.coeff(s) for s in range(Kmax + 1)]
 
 
 def test_the_hauptmodul_is_one_over_eps_plus_64():
@@ -164,43 +187,56 @@ def test_e_powers_match_the_series_kernel(beta):
     assert equal_through(got ** (2 * q), u2**p, Kmax)
 
 
-_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=40)
-_field_values = st.one_of(
-    st.just(Fraction(0)),
-    _fractions,
-    st.builds(lambda a, b: QuadNum(a, b, 2), _fractions, _fractions),
-)
+def _theta_by_fractions(A, B, C, n):
+    """y_m = -sum_(j >= 1) T_j(m - j) y_(m-j) / T_0(m) term by term on Fraction."""
+    T = lambda S, j: S[j] if j < len(S) else 0  # noqa: E731
+    y = [Fraction(1)]
+    for m in range(1, n + 1):
+        rhs = sum(
+            ((T(A, j) * (m - j) + T(B, j)) * (m - j) + T(C, j)) * y[m - j]
+            for j in range(1, m + 1)
+        )
+        y.append(-rhs / ((T(A, 0) * m + T(B, 0)) * m + T(C, 0)))
+    return y
 
 
-_TABLE_7 = [[(3 * k + 2 * s) % 11 - 5 for s in range(7)] for k in range(7)]
+_small = st.lists(st.integers(-50, 50), min_size=1, max_size=6)
 
 
-@given(
-    st.lists(_field_values, min_size=1, max_size=7),
-    st.lists(st.lists(st.integers(-10**6, 10**6), min_size=7, max_size=7), min_size=7, max_size=7),
-)
-@example([Fraction(0)] * 5, _TABLE_7)
-@example([Fraction(0), Fraction(0), Fraction(3, 4), SQRT2, Fraction(-1, 6)], _TABLE_7)
-@settings(max_examples=100, deadline=None)
-def test_kernel_matvec_matches_naive(u, table):
-    # make strips leading zeros; _matvec must still read u on the q^0 grid
-    n = len(u)
-    want = [sum((u[k] * table[k][s] for k in range(s + 1)), Fraction(0)) for s in range(n)]
-    got = _matvec(PureQSeries.make(0, u), table)
-    assert got.horizon == n
-    assert [got.coeff(s) for s in range(n)] == want
+@given(st.integers(-3, 3), st.integers(-6, 6), _small, _small, _small, st.integers(0, 9))
+@example(0, 1, [0], [0], [0, -24, -24, -96], 5)  # Miller's E: A = 0, B = 1, C = -24 s
+@example(1, 2, [1, 64], [2, 5], [0, 7], 9)  # two terms, as g's recurrence
+@example(-1, 1, [0], [0], [0, 3, 1], 6)  # indicial values m (1 - m) vanish at m = 1
+@settings(max_examples=150, deadline=None)
+def test_kernel_solve_theta_matches_naive(a0, b0, A, B, C, n):
+    # T_0(m) = m (a0 m + b0); the kernel refuses a vanishing one and agrees with Fractions otherwise
+    A, B, C = [a0, *A[1:]], [b0, *B[1:]], [0, *C[1:]]
+    if any(a0 * m + b0 == 0 for m in range(1, n + 1)):
+        with pytest.raises(ConsistencyError, match="indicial value vanishes at step"):
+            _solve_theta(A, B, C, n)
+        return
+    got = _solve_theta(A, B, C, n)
+    assert got.horizon == n + 1
+    assert [got.coeff(m) for m in range(n + 1)] == _theta_by_fractions(A, B, C, n)
+    # the integer form is canonical: the same series from Fractions compares equal
+    assert got == PureQSeries.make(0, _theta_by_fractions(A, B, C, n))
+
+
+def test_kernel_solve_theta_needs_an_indicial_root():
+    with pytest.raises(ConsistencyError, match="not an indicial root"):
+        _solve_theta([1], [0], [1, 2], 4)
 
 
 def test_perturbed_kernel_breaks_agreement(monkeypatch):
-    real = minform._iconv
+    real = minform._conv
 
-    def off_by_one(a, cols):
-        out = real(a, cols)
+    def off_by_one(a, b, n):
+        out = real(a, b, n)
         if out:
             out[-1] += 1
         return out
 
-    monkeypatch.setattr(minform, "_iconv", off_by_one)
+    monkeypatch.setattr(minform, "_conv", off_by_one)
     with pytest.raises(PipelineMismatch):
         minimal_form(M2, 6, "both")
 
@@ -221,8 +257,8 @@ def perturbed_series_kernel(monkeypatch):
     products run schoolbook and by Kronecker substitution alike.  193 = 1
     (mod 192) keeps integral products integral and (E4 - G^2)/192
     integral.  The fault reaches both routes of minimal_form by different
-    paths: the Frobenius route through G^2, the closed route through its
-    last product E^l * sum_k g_k eps^k.
+    paths: the Frobenius route through G^2, the closed route through the
+    fixed products of ``tables_DC``.
     """
     real = qseries._conv
 
@@ -337,6 +373,8 @@ def test_generated_instances_match_the_reference_sequences(params):
     assert _lists(h_frobenius(params, 12)) == reference_h_frobenius(params, 12)
     want = (g_by_definition(params, 20), g_by_definition(params.mirrored(), 20))
     assert _lists(seq_f(params, 20)) == want
+    want = tuple(pfaff_series_h(params, 12, component) for component in (0, 1))
+    assert _lists(h_closed(params, 12)) == want
 
 
 def test_seq_f_calls_no_series_product_or_kernel(monkeypatch):
@@ -344,7 +382,7 @@ def test_seq_f_calls_no_series_product_or_kernel(monkeypatch):
         raise AssertionError("seq_f reached a convolution")
 
     stubs = [(qseries, "_kernel"), (qseries, "_conv"), (qseries, "_iconv"), (qseries, "_toeplitz")]
-    stubs.append((minform, "_iconv"))
+    stubs.append((minform, "_conv"))
     for module, name in stubs:
         monkeypatch.setattr(module, name, refuse)
     f, f_tilde = seq_f(V3, 40)
@@ -360,16 +398,16 @@ def test_seq_f_refuses_an_r_off_the_trace_relation():
         seq_f(off, 3)
 
 
-def test_a_perturbed_f_sequence_is_a_pipeline_mismatch(monkeypatch):
-    real_seq_f = minform.seq_f
+def test_a_perturbed_ab_is_a_pipeline_mismatch(monkeypatch):
+    # a*b enters the closed route's C series; a perturbed g no longer reaches that route
+    real = minform._hypergeometric
 
-    def perturbed(params, Kmax):
-        g, g_tilde = real_seq_f(params, Kmax)
-        g = PureQSeries.make(0, [c + 1 if k == 7 else c for k, c in enumerate(g.coeffs)])
-        return g, g_tilde
+    def perturbed(params):
+        c, ab = real(params)
+        return c, ab + 1
 
-    monkeypatch.setattr(minform, "seq_f", perturbed)
-    with pytest.raises(PipelineMismatch, match="K=7:"):
+    monkeypatch.setattr(minform, "_hypergeometric", perturbed)
+    with pytest.raises(PipelineMismatch, match="K=1:"):
         minimal_form(M2, 10, "both")
 
 
@@ -377,20 +415,82 @@ def test_a_perturbed_table_entry_is_a_pipeline_mismatch(monkeypatch):
     real_tables = minform.tables_DC
 
     def perturbed(Kmax):
-        rows = [list(row) for row in real_tables(Kmax)]
-        rows[1][7] += 1  # the q^7 coefficient of eps
-        return tuple(map(tuple, rows))
+        tables = [list(series) for series in real_tables(Kmax)]
+        tables[8][7] += 1  # the q^7 coefficient of z phi^3, which enters C_7
+        return tuple(tables)
 
     monkeypatch.setattr(minform, "tables_DC", perturbed)
     with pytest.raises(PipelineMismatch, match="K=7:"):
         minimal_form(M2, 10, "both")
 
 
+def _perturbed_divisor_sums(real):
+    def perturbed(Kmax):
+        s = real(Kmax)
+        # psi_7 and, through Miller's recurrence, E: it becomes E exp(24 q^7),
+        # still integral through q^34
+        s[7] += 7
+        return s
+
+    return perturbed
+
+
+def _perturbed_e(real):
+    def perturbed(beta, Kmax):
+        den, (e,), M = real(beta, Kmax).integer_form()
+        e = [x + den if k == 6 else x for k, x in enumerate(e)]  # E_6, so z_7
+        return PureQSeries.from_integers(Fraction(0), Fraction(1), den, [e], M)
+
+    return perturbed
+
+
+@pytest.mark.parametrize(
+    "name, fault",
+    [("_divisor_sums", _perturbed_divisor_sums), ("_e_power", _perturbed_e)],
+    ids=["psi", "E"],
+)
+def test_a_perturbed_closed_route_series_is_a_pipeline_mismatch(monkeypatch, name, fault):
+    monkeypatch.setattr(minform, name, fault(getattr(minform, name)))
+    with pytest.raises(PipelineMismatch, match="K=7:"):
+        minimal_form(M2, 10, "both")
+
+
+@pytest.fixture
+def mutated_kernel(monkeypatch):
+    """Install ``_solve_theta`` with one edit of its own source, shared by both routes."""
+
+    def install(old: str, new: str) -> None:
+        source = inspect.getsource(minform._solve_theta)
+        assert source.count(old) == 1, old
+        namespace = {}
+        exec(source.replace(old, new), vars(minform), namespace)
+        monkeypatch.setattr(minform, "_solve_theta", namespace["_solve_theta"])
+
+    return install
+
+
+# A kernel fault also reaches E, and so z, in the closed route; each is a disagreement.
+_DISAGREE = "closed-form and recursion disagree at K="
+
+
+def test_a_dropped_horner_term_breaks_agreement(mutated_kernel):
+    # the last term of every step, j = 1, is left out
+    mutated_kernel("N[lo:m], Y[lo:])", "N[lo : m - 1], Y[lo : m - 1])")
+    with pytest.raises(PipelineMismatch, match=_DISAGREE):
+        minimal_form(M2, 8, "both")
+
+
+def test_an_off_by_one_x_breaks_agreement(mutated_kernel):
+    # T_j evaluated at m - j + 1 in place of m - j
+    mutated_kernel("((a * i + b) * i + c)", "((a * (i + 1) + b) * (i + 1) + c)")
+    with pytest.raises(PipelineMismatch, match=_DISAGREE):
+        minimal_form(M2, 8, "both")
+
+
 def test_the_frobenius_route_calls_no_closed_route_kernel():
     names = set(re.findall(r"\w+", inspect.getsource(h_frobenius)))
     assert not names & {
-        "_conv", "_iconv", "_toeplitz", "_kernel", "_matvec", "_split", "integer_form",
-        "from_integers",
+        "_conv", "_iconv", "_toeplitz", "_kernel", "_split", "integer_form", "from_integers",
     }
 
 
@@ -436,38 +536,33 @@ def test_a_faulty_E4_fails_the_frobenius_route_alone(monkeypatch):
         minimal_form(M2, 8, "both")
 
 
-def test_a_faulty_indicial_value_breaks_agreement(monkeypatch):
-    real = minform.indicial
+_INDICIAL = "N = [(A[0] * m + B[0]) * m + C[0] for m in range(n + 1)]"
 
-    def one_off(params, x):
-        return real(params, x) + 1 if x == params.l1 + 3 else real(params, x)
 
-    monkeypatch.setattr(minform, "indicial", one_off)
-    assert one_off(M2, M2.l1) == 0
-    with pytest.raises(PipelineMismatch, match="K=3"):
+def test_a_faulty_indicial_value_breaks_agreement(mutated_kernel):
+    # N_3 one too large, on both routes and in E
+    mutated_kernel(_INDICIAL, _INDICIAL.replace("C[0] for", "C[0] + (m == 3) for"))
+    with pytest.raises(PipelineMismatch, match=_DISAGREE):
         minimal_form(M2, 8, "both")
 
 
-def test_a_vanishing_indicial_value_is_refused(monkeypatch):
-    real = minform.indicial
-
-    def vanishing(params, x):
-        return Fraction(0) if x == params.l1 + 2 else real(params, x)
-
-    monkeypatch.setattr(minform, "indicial", vanishing)
-    with pytest.raises(ConsistencyError, match="indicial value vanishes at 2"):
+def test_a_vanishing_indicial_value_is_refused(mutated_kernel):
+    mutated_kernel(_INDICIAL, _INDICIAL.replace("C[0] for", "C[0] if m != 2 else 0 for"))
+    with pytest.raises(ConsistencyError, match="indicial value vanishes at step 2"):
         h_frobenius(M2, 8)
-    with pytest.raises(ConsistencyError, match="indicial value vanishes at 2"):
+    with pytest.raises(ConsistencyError, match="indicial value vanishes at step 2"):
         minimal_form(M2, 8, "both")
 
 
 @pytest.mark.parametrize("component", [0, 1], ids=["h", "h_tilde"])
-@pytest.mark.parametrize("params", [M2, M5, V3], ids=["m2", "m5", "v3"])
+@pytest.mark.parametrize("params", [M2, M5, V3, L120], ids=["m2", "m5", "v3", "l120"])
 def test_h_by_direct_series_arithmetic(params, component):
-    # third route: no tables, no recursion, K^-1 and f by definition; plain series algebra
+    # third routes: no theta-equation, plain series algebra on K^-1 and f by definition,
+    # and on eps = q E in Pfaff form with g
     Kmax = 12
-    closed = h_closed(params, Kmax)[component]
-    assert plain_series_h(params, Kmax, component) == list(closed.coeffs)
+    closed = list(h_closed(params, Kmax)[component].coeffs)
+    assert plain_series_h(params, Kmax, component) == closed
+    assert pfaff_series_h(params, Kmax, component) == closed
 
 
 @pytest.mark.parametrize("params", [M2, M5, sqrt2_instance(2)], ids=["m2", "m5", "k0=2"])
