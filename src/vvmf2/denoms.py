@@ -223,10 +223,11 @@ def _scan_rows(
     p-unit (read off its norm, as p is inert).
     """
     c1, c2 = c
+    asserted = set(S)
     rows = []
     for K in range(1, Kmax + 1):
         p = params.u + K * params.v
-        if p not in S:
+        if p not in asserted:
             rows.append(UbdRow(K, p, p >= 2 and is_prime(p), False, (), None, None))
             continue
         exempt = side_condition_audit(params, p, K)

@@ -71,10 +71,13 @@ def _solve_theta(A: list[int], B: list[int], C: list[int], n: int) -> PureQSerie
     and Y_m = -sum_(i < m) T_(m-i)(i) Y_i prod_(t=i+1..m-1) N_t, by Horner in
     i, so every product is big by small.  A step reads j only below the
     longest series' length (a two-term recurrence costs O(1) per step), and
-    y is reduced once, at the end.
+    y is reduced once, at the end.  y does not change when A, B and C are
+    scaled together, so they are first divided by their content: a common
+    factor left in would grow Delta_m by its m-th power.
     """
     L = max(len(A), len(B), len(C))
-    A, B, C = ([*s, *[0] * (L - len(s))] for s in (A, B, C))
+    g = math.gcd(*A, *B, *C) or 1
+    A, B, C = ([*(x // g for x in s), *[0] * (L - len(s))] for s in (A, B, C))
     N = [(A[0] * m + B[0]) * m + C[0] for m in range(n + 1)]
     if N[0]:
         raise ConsistencyError(f"not an indicial root: the indicial value at 0 is {N[0]}")
@@ -114,10 +117,13 @@ def tables_DC(Kmax: int) -> tuple[list[int], ...]:
     From psi = theta E / E, phi = 1 + psi and z = -64 q E (so theta z = z phi):
     (1 - z) phi, phi^2, z phi^2, (1 - z) theta psi, (1 - z) phi psi,
     (1 - z) phi psi^2, psi phi^2, z psi phi^2 and z phi^3, in that order.
+    E is integral, so a denominator can only come from a fault, and is refused.
     """
     n = Kmax + 1
     psi = [24 * s for s in _divisor_sums(Kmax)]
-    _, (e,), _ = _e_power(_ONE, Kmax).integer_form()
+    den, (e,), _ = _e_power(_ONE, Kmax).integer_form()
+    if den != 1:
+        raise PipelineMismatch(f"E = prod (1 + q^n)^24 came out with denominator {den}, not 1")
     phi, z = [1, *psi[1:]], [0, *(-64 * x for x in e[:Kmax])]
     one_z = [1, *(-x for x in z[1:])]
     phi2, phi_1z = _conv(phi, phi, n), _conv(phi, one_z, n)
@@ -204,20 +210,31 @@ def h_frobenius(params: InstanceParams, Kmax: int) -> tuple[PureQSeries, PureQSe
     Q = b*G^2 + c*E4, f = q^l h puts l + x for theta on q^(l + x): h solves
     the theta-equation A = 1, B = P + 2l, C = Q + l P + l^2, over one D.  Its
     indicial values D (x^2 + (a - 1/6) x + b + c) at x = l + m vanish at
-    m = 0 only, as the other root is l1 + l2 - l.  The route shares
-    ``_solve_theta`` with the closed route, and the series product only for G^2.
+    m = 0 only, as the other root is l1 + l2 - l.  G, G^2, E2 and E4 enter
+    as integer lists, each series' denominator folded into its rational
+    weight, so B and C are integer combinations of four lists and no value
+    is made per coefficient.  The route shares ``_solve_theta`` with the
+    closed route, and the series product only for G^2.
     """
     check_kmax(Kmax)
     G = weight2_G(Kmax)
-    g, g2 = G.coeffs, (G * G).coeffs
-    e2, e4 = eisenstein_E2(Kmax).coeffs, eisenstein_E4(Kmax).coeffs
-    P = [params.a * g[j] - e2[j] / 6 for j in range(Kmax + 1)]
-    Q = [params.b * g2[j] + params.c * e4[j] for j in range(Kmax + 1)]
+    (dg, (g,), _), (dg2, (g2,), _), (de2, (e2,), _), (de4, (e4,), _) = (
+        s.integer_form() for s in (G, G * G, eisenstein_E2(Kmax), eisenstein_E4(Kmax))
+    )
+    a, b, c, sixth = params.a, params.b, params.c, Fraction(1, 6 * de2)
 
     def run(l: Fraction) -> PureQSeries:
-        C = [q + l * p for p, q in zip(P, Q)]
-        C[0] += l * l
-        return _solve_theta(*_scaled([[1], [P[0] + 2 * l, *P[1:]], C]), Kmax)
+        ((D, w_g, w_e2, w_g2, w_e4, w_lg, w_le2, w_l2, w_2l),) = _scaled(
+            [(1, a / dg, sixth, b / dg2, c / de4, l * a / dg, l * sixth, l * l, 2 * l)]
+        )
+        B = [w_g * x - w_e2 * y for x, y in zip(g, e2, strict=True)]
+        C = [
+            w_g2 * x + w_e4 * y + w_lg * u - w_le2 * v
+            for x, y, u, v in zip(g2, e4, g, e2, strict=True)
+        ]
+        B[0] += w_2l
+        C[0] += w_l2
+        return _solve_theta([D], B, C, Kmax)
 
     return run(params.l1), run(params.l2)
 
@@ -276,13 +293,15 @@ def minimal_form(params: InstanceParams, Kmax: int, method: str = "both") -> Min
         h, ht = h_closed(params, Kmax)
     if method == "both":
         hf, htf = h_frobenius(params, Kmax)
-        # the difference of two routes leads at their first disagreement
-        K = min((h - hf).lead, (ht - htf).lead)
-        if K <= Kmax:
-            raise PipelineMismatch(
-                f"closed-form and recursion disagree at K={K}: "
-                f"{h.coeff(K)} vs {hf.coeff(K)} / {ht.coeff(K)} vs {htf.coeff(K)}"
-            )
+        # canonical forms are equal exactly when the series are; if not, the
+        # difference of two routes leads at their first disagreement
+        if (h, ht) != (hf, htf):
+            K = min((h - hf).lead, (ht - htf).lead)
+            if K <= Kmax:
+                raise PipelineMismatch(
+                    f"closed-form and recursion disagree at K={K}: "
+                    f"{h.coeff(K)} vs {hf.coeff(K)} / {ht.coeff(K)} vs {htf.coeff(K)}"
+                )
 
     eta = eta_pow(2 * params.k0, Kmax)
     comp1 = eta * h.shifted(params.l1)

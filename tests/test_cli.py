@@ -392,6 +392,21 @@ def test_a_perturbed_closed_route_input_exits_4(monkeypatch, capsys, name, fault
     assert f"closed-form and recursion disagree at K={K}:" in capsys.readouterr().err
 
 
+def test_a_non_integral_E_exits_4(monkeypatch, capsys):
+    from vvmf2 import minform
+
+    real = minform._e_power
+
+    def plus_half(beta, Kmax):
+        den, (e,), M = real(beta, Kmax).integer_form()
+        e = [2 * x + (k == 5) for k, x in enumerate(e)]  # E_5 + 1/2
+        return PureQSeries.from_integers(Fraction(0), Fraction(1), 2 * den, [e], M)
+
+    monkeypatch.setattr(minform, "_e_power", plus_half)
+    assert main(["denoms", "--seed-instance", "m2", "--kmax", "10"]) == 4
+    assert "E = prod (1 + q^n)^24 came out with denominator 2, not 1" in capsys.readouterr().err
+
+
 def test_a_cache_directory_variable_is_inert(tmp_path, monkeypatch, capsys):
     argvs = (
         ["expand", "--name", "E4", "--order", "12"],

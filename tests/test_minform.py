@@ -2,7 +2,6 @@
 
 import inspect
 import math
-import re
 from fractions import Fraction
 
 import pytest
@@ -258,7 +257,8 @@ def perturbed_series_kernel(monkeypatch):
     (mod 192) keeps integral products integral and (E4 - G^2)/192
     integral.  The fault reaches both routes of minimal_form by different
     paths: the Frobenius route through G^2, the closed route through the
-    fixed products of ``tables_DC``.
+    fixed products of ``tables_DC``.  ``minform`` binds ``_conv`` when it is
+    imported, so the fault is installed there too.
     """
     real = qseries._conv
 
@@ -271,7 +271,8 @@ def perturbed_series_kernel(monkeypatch):
     paths = []  # the path each product took, as "kronecker" or "schoolbook"
     for name, path in (("_kronecker", "kronecker"), ("_iconv", "schoolbook")):
         monkeypatch.setattr(qseries, name, _recording(getattr(qseries, name), paths, path))
-    monkeypatch.setattr(qseries, "_conv", perturbed)
+    for module in (qseries, minform):
+        monkeypatch.setattr(module, "_conv", perturbed)
     forms.clear_cache()
     yield paths
     forms.clear_cache()
@@ -294,6 +295,9 @@ def test_perturbed_series_kernel_fails_the_identity_suite_on_both_paths(perturbe
 
 
 def test_perturbed_series_kernel_breaks_agreement(perturbed_series_kernel):
+    # the closed route's phi^2 carries the fault: phi = 1 + psi, psi = theta E / E
+    phi = [1, *(24 * s for s in minform._divisor_sums(8)[1:])]
+    assert tables_DC(8)[1][5] == 193 * sum(phi[i] * phi[5 - i] for i in range(6))
     with pytest.raises(PipelineMismatch):
         minimal_form(M2, 8, "both")
 
@@ -469,15 +473,26 @@ def mutated_kernel(monkeypatch):
     return install
 
 
-# A kernel fault also reaches E, and so z, in the closed route; each is a disagreement.
+# A kernel fault also reaches E, and so z, in the closed route.  Where it
+# leaves E non-integral, E is refused; with E held correct, the routes disagree.
 _DISAGREE = "closed-form and recursion disagree at K="
+_E_REFUSED = r"E = prod \(1 \+ q\^n\)\^24 came out with denominator"
 
 
-def test_a_dropped_horner_term_breaks_agreement(mutated_kernel):
-    # the last term of every step, j = 1, is left out
-    mutated_kernel("N[lo:m], Y[lo:])", "N[lo : m - 1], Y[lo : m - 1])")
+def _refused_at_E_then_disagrees(monkeypatch, mutated_kernel, old, new):
+    E = minform._e_power(Fraction(1), 8)
+    mutated_kernel(old, new)
+    with pytest.raises(PipelineMismatch, match=_E_REFUSED):
+        minimal_form(M2, 8, "both")
+    monkeypatch.setattr(minform, "_e_power", lambda beta, Kmax: E)
     with pytest.raises(PipelineMismatch, match=_DISAGREE):
         minimal_form(M2, 8, "both")
+
+
+def test_a_dropped_horner_term_breaks_agreement(monkeypatch, mutated_kernel):
+    # the last term of every step, j = 1, is left out
+    old, new = "N[lo:m], Y[lo:])", "N[lo : m - 1], Y[lo : m - 1])"
+    _refused_at_E_then_disagrees(monkeypatch, mutated_kernel, old, new)
 
 
 def test_an_off_by_one_x_breaks_agreement(mutated_kernel):
@@ -487,11 +502,32 @@ def test_an_off_by_one_x_breaks_agreement(mutated_kernel):
         minimal_form(M2, 8, "both")
 
 
-def test_the_frobenius_route_calls_no_closed_route_kernel():
-    names = set(re.findall(r"\w+", inspect.getsource(h_frobenius)))
-    assert not names & {
-        "_conv", "_iconv", "_toeplitz", "_kernel", "_split", "integer_form", "from_integers",
-    }
+def test_the_frobenius_route_calls_no_closed_route_kernel(monkeypatch):
+    want = reference_h_frobenius(V3, 20)
+
+    def refuse(*args):
+        raise AssertionError("the Frobenius route called a closed-route kernel")
+
+    for name in ("_conv", "tables_DC", "_e_power", "_divisor_sums", "seq_f"):
+        monkeypatch.setattr(minform, name, refuse)
+    assert _lists(h_frobenius(V3, 20)) == want
+
+
+@pytest.mark.parametrize("name", ["weight2_G", "eisenstein_E2", "eisenstein_E4"])
+def test_the_frobenius_route_honours_a_series_denominator(monkeypatch, name):
+    # q^3 gets 1/2 more, so the series' integer form has den 2 (G^2 den 4)
+    real = getattr(minform, name)
+
+    def plus_half(N):
+        s = real(N)
+        cs = [c + Fraction(1, 2) * (j == 3) for j, c in enumerate(s.coeffs)]
+        return PureQSeries.make(s.lead, cs)
+
+    assert plus_half(8).integer_form()[0] == 2
+    monkeypatch.setattr(minform, name, plus_half)
+    monkeypatch.setitem(globals(), name, plus_half)
+    for params in (M2, V3):
+        assert _lists(h_frobenius(params, 8)) == reference_h_frobenius(params, 8)
 
 
 def test_the_closed_route_reads_no_named_series(monkeypatch):
@@ -539,11 +575,10 @@ def test_a_faulty_E4_fails_the_frobenius_route_alone(monkeypatch):
 _INDICIAL = "N = [(A[0] * m + B[0]) * m + C[0] for m in range(n + 1)]"
 
 
-def test_a_faulty_indicial_value_breaks_agreement(mutated_kernel):
+def test_a_faulty_indicial_value_breaks_agreement(monkeypatch, mutated_kernel):
     # N_3 one too large, on both routes and in E
-    mutated_kernel(_INDICIAL, _INDICIAL.replace("C[0] for", "C[0] + (m == 3) for"))
-    with pytest.raises(PipelineMismatch, match=_DISAGREE):
-        minimal_form(M2, 8, "both")
+    new = _INDICIAL.replace("C[0] for", "C[0] + (m == 3) for")
+    _refused_at_E_then_disagrees(monkeypatch, mutated_kernel, _INDICIAL, new)
 
 
 def test_a_vanishing_indicial_value_is_refused(mutated_kernel):
