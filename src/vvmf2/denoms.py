@@ -46,8 +46,12 @@ class PrimeSets(Record):
 
 def prime_sets(params: InstanceParams, bound: int) -> PrimeSets:
     """Enumerate S and S~ up to the bound by sieve, Legendre test and congruence."""
+    return _prime_sets(params, primes_upto(bound))
+
+
+def _prime_sets(params: InstanceParams, primes: list[int]) -> PrimeSets:
     M, u, v = params.M, params.u, params.v
-    inert = [p for p in primes_upto(bound) if p != 2 and legendre(M, p) == -1]
+    inert = [p for p in primes if p != 2 and legendre(M, p) == -1]
     return PrimeSets(
         tuple(p for p in inert if (p - u) % v == 0), tuple(p for p in inert if (p + u) % v == 0)
     )
@@ -61,19 +65,17 @@ def check_factor_bound(bound: int) -> None:
 
 def factor_trial(n: int, bound: int) -> tuple[dict[int, int], int]:
     """Trial-divide |n| up to the bound; returns (factors, unfactored cofactor)."""
-    check_factor_bound(bound)
-    n = abs(n)
-    factors: dict[int, int] = {}
-    d = 2
-    while d <= bound and d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if 1 < n <= bound * bound:
-        factors[n] = factors.get(n, 0) + 1
-        n = 1
-    return factors, n
+    record = _scan_denominators([n], bound)[0]
+    return record.factors, record.cofactor
+
+
+def _strip(n: int, p: int) -> tuple[int, int]:
+    """(n / p^e, e) for e = v_p(n), by a squaring ladder p, p^2, p^4, ...: O(log e) divisions."""
+    q, r = divmod(n, p)
+    if r:
+        return n, 0
+    n, e = _strip(q, p * p)  # n/p = p^(2e) n' with v_p(n') = 0 or 1
+    return (n, 2 * e + 1) if n % p else (n // p, 2 * e + 2)
 
 
 class ScanRecord(Record):
@@ -91,7 +93,24 @@ def denom_scan(seq, factor_bound: int = DEFAULT_FACTOR_BOUND) -> list[ScanRecord
 
 
 def _scan_denominators(dens: list[int], factor_bound: int) -> list[ScanRecord]:
-    return [ScanRecord(i, den, *factor_trial(den, factor_bound)) for i, den in enumerate(dens)]
+    """factor_trial of each, on one sieve doubled on demand up to the factor bound."""
+    check_factor_bound(factor_bound)
+    sieved = min(factor_bound, 64)
+    primes, records = primes_upto(sieved), []
+    for i, den in enumerate(dens):
+        n, factors = abs(den), {}
+        for p in primes:  # while p^2 <= n, the cofactor left
+            if p * p > n:
+                break
+            if n % p == 0:
+                n, factors[p] = _strip(n, p)
+            if p == primes[-1] and sieved < factor_bound:  # the loop reads what this appends
+                sieved = min(factor_bound, 2 * sieved)
+                primes.extend(primes_upto(sieved)[len(primes) :])
+        if 1 < n <= factor_bound**2:  # with no factor up to its root, n is prime
+            factors[n], n = 1, 1
+        records.append(ScanRecord(i, den, factors, n))
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +149,8 @@ def _instance_conditions(params: InstanceParams) -> tuple[tuple[str, int], ...]:
         conditions.append((f"p divides denominator of {label}", hf.Z))
     for label, value in (("l1", params.l1), ("l2", params.l2)):
         conditions.append((f"p divides denominator of {label}", value.denominator))
-    j = 1
-    while params.u + j * params.v < 0:
-        member = params.u + j * params.v
+    for member in range(params.u + params.v, 0, params.v):  # u + j*v < 0 for j >= 1
         conditions.append((f"p divides negative progression member {member}", member))
-        j += 1
     return tuple(conditions)
 
 
@@ -211,7 +227,7 @@ class DenomReport(Record):
 
 
 def _scan_rows(
-    dens: list[int], params: InstanceParams, Kmax: int, S: tuple[int, ...], c=(1, 0), map_den=1
+    dens: list[int], params: InstanceParams, Kmax: int, S, primes: set[int], c=(1, 0), map_den=1
 ) -> list[UbdRow]:
     """Rows K = 1..Kmax against p_K = u + K*v of the given instance.
 
@@ -220,25 +236,32 @@ def _scan_rows(
     map_den the common denominator of their coefficients.  The K-th
     coefficient is (c1 + c2*(K + l1))*d(K) up to p-integral terms, so a
     row is exempt when p divides map_den or that leading factor is not a
-    p-unit (read off its norm, as p is inert).
+    p-unit (read off its norm, as p is inert).  primes is a sieve past every p_K.
     """
     c1, c2 = c
-    asserted = set(S)
+    factor = c1 + c2 * (1 + params.l1)  # the leading factor, the same at every K if c2 = 0
+    norm = norm_trace(factor)[0]
+    p_K = {K: params.u + K * params.v for K in range(1, Kmax + 1)}
+    asserted = set(S).intersection(p_K.values())
+    first, product = {}, math.prod(asserted)
+    for i in range(1, len(dens)):
+        if product > 1 and (g := math.gcd(dens[i], product)) > 1:
+            product //= g
+            first.update((p, i) for p in asserted if g % p == 0)
     rows = []
-    for K in range(1, Kmax + 1):
-        p = params.u + K * params.v
+    for K, p in p_K.items():
         if p not in asserted:
-            rows.append(UbdRow(K, p, p >= 2 and is_prime(p), False, (), None, None))
+            rows.append(UbdRow(K, p, p in primes, False, (), None, None))
             continue
         exempt = side_condition_audit(params, p, K)
         if map_den % p == 0:
             exempt.append("p divides denominator of a map coefficient")
-        factor = c1 + c2 * (K + params.l1)
-        norm = norm_trace(factor)[0]
+        if c2:
+            factor = c1 + c2 * (K + params.l1)
+            norm = norm_trace(factor)[0]
         if norm.numerator % p == 0 or norm.denominator % p == 0:
             exempt.append(f"leading factor {factor}")
-        first = next((i for i in range(1, len(dens)) if dens[i] % p == 0), None)
-        rows.append(UbdRow(K, p, True, True, tuple(exempt), dens[K] % p == 0, first))
+        rows.append(UbdRow(K, p, True, True, tuple(exempt), dens[K] % p == 0, first.get(p)))
     return rows
 
 
@@ -266,10 +289,11 @@ def verify_ubd(
     dens_d, dens_h, dens_dt = (
         [denominator_of(z) for z in seq[: Kmax + 1]] for seq in (t.d, t.h, t.d_tilde)
     )
-    sets = prime_sets(p, abs(p.u) + Kmax * p.v)
-    rows_d = _scan_rows(dens_d, p, Kmax, sets.S)
-    rows_h = _scan_rows(dens_h, p, Kmax, sets.S)
-    rows_dt = _scan_rows(dens_dt, p.mirrored(), Kmax, sets.S_tilde)
+    primes = primes_upto(abs(p.u) + Kmax * p.v)  # every p_K of either component
+    sets, primes = _prime_sets(p, primes), set(primes)
+    rows_d = _scan_rows(dens_d, p, Kmax, sets.S, primes)
+    rows_h = _scan_rows(dens_h, p, Kmax, sets.S, primes)
+    rows_dt = _scan_rows(dens_dt, p.mirrored(), Kmax, sets.S_tilde, primes)
 
     asserted = [r for r in rows_d + rows_h + rows_dt if r.asserted]
     failed = sorted({r.p for r in asserted if not r.passed})
@@ -429,21 +453,21 @@ def ubd_general(
     check_kmax(Kmax)
     p = mf.params
     z1, z2 = combination(mf, m1_map, m2_map, k)
-    sets = prime_sets(p, prime_bound)
     series = tuple(zip((z1, z2), p.leads))
     # coefficients lead + n are known for n < horizon - lead
     scanned_to = min(Kmax, *(math.ceil(z.horizon - lead) - 1 for z, lead in series))
+    sets, primes = prime_sets(p, prime_bound), set(primes_upto(abs(p.u) + scanned_to * p.v))
     # one denominator per scanned coefficient and per map coefficient
     dens1, dens2 = (
         [denominator_of(z.coeff(lead + n)) for n in range(scanned_to + 1)] for z, lead in series
     )
-    constants = (sum(m1_map.values()), sum(m2_map.values()))
+    c = (sum(m1_map.values()), sum(m2_map.values()))
     map_den = math.lcm(*map(denominator_of, (*m1_map.values(), *m2_map.values())))
     rows_1, rows_2 = (
-        {r.p: r for r in _scan_rows(dens, inst, scanned_to, S, constants, map_den) if r.in_S}
+        {r.p: r for r in _scan_rows(dens, inst, scanned_to, S, primes, c, map_den) if r.in_S}
         for inst, S, dens in ((p, sets.S, dens1), (p.mirrored(), sets.S_tilde, dens2))
     )
-    primes = sorted(set(sets.S) | set(sets.S_tilde))
+    audited = sorted(set(sets.S) | set(sets.S_tilde))
     return GeneralWeightReport(
-        scanned_to, tuple(GeneralWeightRow(q, rows_1.get(q), rows_2.get(q)) for q in primes)
+        scanned_to, tuple(GeneralWeightRow(q, rows_1.get(q), rows_2.get(q)) for q in audited)
     )

@@ -6,9 +6,9 @@ K = 64*J integral, the modular derivative D_k, the Jacobi theta^4 and
 eta-quotient companions used at the other cusp, and the monomial basis
 G^a E4^b of each weight together with exact coordinates in it.
 
-Named expansions are cached in memory for the life of the process
-(longest prefix wins); each name is built and read through its one
-accessor (``eisenstein_E2``, ``weight2_G``, ``hauptmodul``, ...).
+Named series and the closed route's tables are cached in memory for the
+life of the process (longest prefix wins); each is built and read through
+its one accessor (``eisenstein_E2``, ``hauptmodul``, ``minform.tables_DC``, ...).
 """
 
 from __future__ import annotations
@@ -42,18 +42,20 @@ def sigma(n: int, power: int = 1) -> int:
 # generation cache
 # ---------------------------------------------------------------------------
 
-_CACHE: dict[str, PureQSeries] = {}
+_CACHE: dict[str, PureQSeries | tuple[list[int], ...]] = {}
 
 
 def clear_cache():
     _CACHE.clear()
 
 
-def _cached(name: str, count: int, builder) -> PureQSeries:
-    """Longest-prefix cache: builder(count) must yield >= count coefficients."""
+def _cached(name: str, count: int, builder):
+    """Longest-prefix cache: builder(count) yields a series or tuple of lists of >= count terms."""
     s = _CACHE.get(name)
-    if s is None or s.length < count:
+    if s is None or (len(s[0]) if isinstance(s, tuple) else s.length) < count:
         s = _CACHE[name] = builder(count)
+    if isinstance(s, tuple):
+        return tuple(x[:count] for x in s)
     return s.truncated_at(s.lead + count * s.step)
 
 

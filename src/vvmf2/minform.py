@@ -27,6 +27,7 @@ from functools import cached_property
 
 from .errors import ConsistencyError, PipelineMismatch
 from .forms import (
+    _cached,
     eisenstein_E2,
     eisenstein_E4,
     eta_pow,
@@ -117,22 +118,25 @@ def tables_DC(Kmax: int) -> tuple[list[int], ...]:
     From psi = theta E / E, phi = 1 + psi and z = -64 q E (so theta z = z phi):
     (1 - z) phi, phi^2, z phi^2, (1 - z) theta psi, (1 - z) phi psi,
     (1 - z) phi psi^2, psi phi^2, z psi phi^2 and z phi^3, in that order.
+    Cached per process: a shorter Kmax reads an exact prefix of a longer build.
     E is integral, so a denominator can only come from a fault, and is refused.
     """
-    n = Kmax + 1
-    psi = [24 * s for s in _divisor_sums(Kmax)]
-    den, (e,), _ = _e_power(_ONE, Kmax).integer_form()
-    if den != 1:
-        raise PipelineMismatch(f"E = prod (1 + q^n)^24 came out with denominator {den}, not 1")
-    phi, z = [1, *psi[1:]], [0, *(-64 * x for x in e[:Kmax])]
-    one_z = [1, *(-x for x in z[1:])]
-    phi2, phi_1z = _conv(phi, phi, n), _conv(phi, one_z, n)
-    psi_phi_1z, psi_phi2, z_phi2 = _conv(psi, phi_1z, n), _conv(psi, phi2, n), _conv(z, phi2, n)
-    theta_psi_1z = _conv([j * x for j, x in enumerate(psi)], one_z, n)
-    return (
-        phi_1z, phi2, z_phi2, theta_psi_1z, psi_phi_1z,
-        _conv(psi, psi_phi_1z, n), psi_phi2, _conv(z, psi_phi2, n), _conv(z_phi2, phi, n),
-    )
+    def build(n: int) -> tuple[list[int], ...]:
+        psi = [24 * s for s in _divisor_sums(n - 1)]
+        den, (e,), _ = _e_power(_ONE, n - 1).integer_form()
+        if den != 1:
+            raise PipelineMismatch(f"E = prod (1 + q^n)^24 came out with denominator {den}, not 1")
+        phi, z = [1, *psi[1:]], [0, *(-64 * x for x in e[: n - 1])]
+        one_z = [1, *(-x for x in z[1:])]
+        phi2, phi_1z = _conv(phi, phi, n), _conv(phi, one_z, n)
+        psi_phi_1z, psi_phi2, z_phi2 = _conv(psi, phi_1z, n), _conv(psi, phi2, n), _conv(z, phi2, n)
+        theta_psi_1z = _conv([j * x for j, x in enumerate(psi)], one_z, n)
+        return (
+            phi_1z, phi2, z_phi2, theta_psi_1z, psi_phi_1z,
+            _conv(psi, psi_phi_1z, n), psi_phi2, _conv(z, psi_phi2, n), _conv(z_phi2, phi, n),
+        )
+
+    return _cached("tables_DC", Kmax + 1, build)
 
 
 def _hypergeometric(params: InstanceParams) -> tuple[Fraction, Fraction]:

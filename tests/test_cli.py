@@ -384,7 +384,7 @@ def _perturbed_ab(real):
     ],
     ids=["table", "psi", "E", "ab"],
 )
-def test_a_perturbed_closed_route_input_exits_4(monkeypatch, capsys, name, fault, K):
+def test_a_perturbed_closed_route_input_exits_4(monkeypatch, capsys, cold_cache, name, fault, K):
     from vvmf2 import minform
 
     monkeypatch.setattr(minform, name, fault(getattr(minform, name)))
@@ -392,7 +392,7 @@ def test_a_perturbed_closed_route_input_exits_4(monkeypatch, capsys, name, fault
     assert f"closed-form and recursion disagree at K={K}:" in capsys.readouterr().err
 
 
-def test_a_non_integral_E_exits_4(monkeypatch, capsys):
+def test_a_non_integral_E_exits_4(monkeypatch, capsys, cold_cache):
     from vvmf2 import minform
 
     real = minform._e_power

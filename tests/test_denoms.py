@@ -22,7 +22,15 @@ from vvmf2.forms import form_monomial
 from vvmf2.minform import decompose, minimal_form, mlde_residual, weight_basis
 from vvmf2.params import ExponentData, params_from_exponents, seed_exponents
 from vvmf2.qseries import PureQSeries, equal_through, to_json
-from vvmf2.quadratic import QuadNum, denominator_of, is_p_integral, legendre, primes_upto
+from vvmf2.quadratic import (
+    QuadNum,
+    denominator_of,
+    is_p_integral,
+    is_prime,
+    legendre,
+    norm_trace,
+    primes_upto,
+)
 from vvmf2.record import replace
 
 from instance_strategy import instances
@@ -496,3 +504,119 @@ def test_verify_ubd_fails_when_a_predicted_denominator_is_cleared():
     assert report.exceptional == (11,)
     assert report.threshold == 13
     assert not report.all_asserted_pass
+
+
+# ---------------------------------------------------------------------------
+# the scans against the loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_factor_trial(n, bound):
+    """Trial division by every odd d (and 2) up to the bound, one division per unit of exponent."""
+    n = abs(n)
+    factors = {}
+    d = 2
+    while d <= bound and d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if 1 < n <= bound * bound:
+        factors[n] = factors.get(n, 0) + 1
+        n = 1
+    return factors, n
+
+
+def _reference_scan_rows(dens, params, Kmax, S, c=(1, 0), map_den=1):
+    """The row scan with Miller-Rabin per row and a first-hit search from index 1 per prime."""
+    c1, c2 = c
+    rows = []
+    for K in range(1, Kmax + 1):
+        p = params.u + K * params.v
+        if p not in S:
+            rows.append(denoms.UbdRow(K, p, p >= 2 and is_prime(p), False, (), None, None))
+            continue
+        exempt = side_condition_audit(params, p, K)
+        if map_den % p == 0:
+            exempt.append("p divides denominator of a map coefficient")
+        factor = c1 + c2 * (K + params.l1)
+        norm = norm_trace(factor)[0]
+        if norm.numerator % p == 0 or norm.denominator % p == 0:
+            exempt.append(f"leading factor {factor}")
+        first = next((i for i in range(1, len(dens)) if dens[i] % p == 0), None)
+        rows.append(denoms.UbdRow(K, p, True, True, tuple(exempt), dens[K] % p == 0, first))
+    return rows
+
+
+def _reference_records(dens, bound):
+    return [denoms.ScanRecord(i, d, *_reference_factor_trial(d, bound)) for i, d in enumerate(dens)]
+
+
+def _assert_report_matches_the_reference(params, Kmax, factor_bound=denoms.DEFAULT_FACTOR_BOUND):
+    mf = minimal_form(params, Kmax, "both")
+    report = verify_ubd(mf, factor_bound=factor_bound)
+    t = mf.tables
+    dens_d, dens_h, dens_dt = ([denominator_of(z) for z in seq] for seq in (t.d, t.h, t.d_tilde))
+    sets = prime_sets(params, abs(params.u) + Kmax * params.v)
+    assert list(report.scan_d) == _reference_records(dens_d, factor_bound)
+    assert list(report.rows_d) == _reference_scan_rows(dens_d, params, Kmax, sets.S)
+    assert list(report.rows_h) == _reference_scan_rows(dens_h, params, Kmax, sets.S)
+    mirrored = params.mirrored()
+    assert list(report.rows_d_tilde) == _reference_scan_rows(dens_dt, mirrored, Kmax, sets.S_tilde)
+    return dens_d
+
+
+@pytest.mark.parametrize("params", [M2, params_from_exponents(seed_exponents("m5")), V3],
+                         ids=["m2", "m5", "v3"])
+def test_verify_ubd_scans_match_the_reference_loops_at_kmax_80(params):
+    dens = _assert_report_matches_the_reference(params, 80)
+    for bound in (1, 2, 7):
+        assert denoms._scan_denominators(dens, bound) == _reference_records(dens, bound)
+
+
+@given(instances())
+@settings(max_examples=20, deadline=None)
+def test_verify_ubd_scans_match_the_reference_loops_on_generated_instances(params):
+    _assert_report_matches_the_reference(params, 16, 50)
+
+
+def test_weighted_row_scans_match_the_reference_loop():
+    # c2 != 0: the leading factor moves with K; map_den 7 exempts p = 7
+    mf = minimal_form(V3, 40, "both")
+    dens = [denominator_of(z) for z in mf.tables.d]
+    S = prime_sets(V3, 200).S
+    primes = set(primes_upto(200))
+    for c, map_den in (((2, 1), 7), ((Fraction(1, 3), Fraction(-2, 5)), 5), ((1, 0), 1)):
+        got = denoms._scan_rows(dens, V3, 40, S, primes, c, map_den)
+        assert got == _reference_scan_rows(dens, V3, 40, S, c, map_den)
+
+
+# a prime above the bound, p^2 with p <= bound < p^2, composite cofactors,
+# large exponents, 0 and 1
+HANDMADE = (
+    0, 1, -1, 2, 49, 3 * 11**2, 1009, 10007, 101 * 103, 2**5 * 101 * 103, -(3**500) * 5**7 * 2**64,
+    7**2 * 10007, 13**3 * 1009**2, 2 * 3 * 5 * 7 * 11 * 13 * 1000003, 999983**2,
+)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 7, 10, 11, 100, 1000])
+def test_factor_trial_matches_the_reference_loop(bound):
+    for n in HANDMADE:
+        assert factor_trial(n, bound) == _reference_factor_trial(n, bound), n
+    assert denoms._scan_denominators(list(HANDMADE), bound) == _reference_records(HANDMADE, bound)
+
+
+def test_the_shared_sieve_never_passes_the_factor_bound(monkeypatch):
+    sieved = []
+
+    def recording(bound):
+        sieved.append(bound)
+        return primes_upto(bound)
+
+    monkeypatch.setattr(denoms, "primes_upto", recording)
+    records = denoms._scan_denominators([10007, 2**40, 999983 * 1000003], 5000)
+    assert [r.cofactor for r in records] == [1, 1, 999983 * 1000003]
+    assert sieved == sorted(sieved) and max(sieved) == 5000
+    sieved.clear()
+    denoms._scan_denominators([2**10 * 3**7 * 97], 10**6)  # no root past 97 is needed
+    assert max(sieved) < 200

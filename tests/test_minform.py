@@ -226,7 +226,7 @@ def test_kernel_solve_theta_needs_an_indicial_root():
         _solve_theta([1], [0], [1, 2], 4)
 
 
-def test_perturbed_kernel_breaks_agreement(monkeypatch):
+def test_perturbed_kernel_breaks_agreement(monkeypatch, cold_cache):
     real = minform._conv
 
     def off_by_one(a, b, n):
@@ -249,7 +249,7 @@ def _recording(fn, log, entry):
 
 
 @pytest.fixture
-def perturbed_series_kernel(monkeypatch):
+def perturbed_series_kernel(monkeypatch, cold_cache):
     """The shared series product with the q^5 entry of every product scaled by 193.
 
     The fault sits in ``qseries._conv``, the one entry point, so it reaches
@@ -273,9 +273,7 @@ def perturbed_series_kernel(monkeypatch):
         monkeypatch.setattr(qseries, name, _recording(getattr(qseries, name), paths, path))
     for module in (qseries, minform):
         monkeypatch.setattr(module, "_conv", perturbed)
-    forms.clear_cache()
-    yield paths
-    forms.clear_cache()
+    return paths
 
 
 def _fails_theta_J(order):
@@ -428,6 +426,27 @@ def test_a_perturbed_table_entry_is_a_pipeline_mismatch(monkeypatch):
         minimal_form(M2, 10, "both")
 
 
+def test_a_warm_table_prefix_equals_a_cold_build(cold_cache):
+    cold = tables_DC(20)
+    assert [len(t) for t in cold] == [21] * 9
+    forms.clear_cache()
+    warm = tables_DC(80)
+    assert tables_DC(20) == cold == tuple(t[:21] for t in warm)
+    tables_DC(20)[8][7] += 1  # a caller's edit stays in its own lists
+    assert tables_DC(20) == cold
+
+
+def test_a_cleared_cache_rebuilds_the_tables(monkeypatch, cold_cache):
+    want = tables_DC(10)
+    monkeypatch.setattr(minform, "_e_power", _perturbed_e(minform._e_power))
+    assert tables_DC(10) == want  # warm: the faulty E is not read
+    minimal_form(M2, 10, "both")
+    forms.clear_cache()
+    assert tables_DC(10) != want  # cold: the rebuild reads it
+    with pytest.raises(PipelineMismatch, match="K=7:"):
+        minimal_form(M2, 10, "both")
+
+
 def _perturbed_divisor_sums(real):
     def perturbed(Kmax):
         s = real(Kmax)
@@ -453,14 +472,16 @@ def _perturbed_e(real):
     [("_divisor_sums", _perturbed_divisor_sums), ("_e_power", _perturbed_e)],
     ids=["psi", "E"],
 )
-def test_a_perturbed_closed_route_series_is_a_pipeline_mismatch(monkeypatch, name, fault):
+def test_a_perturbed_closed_route_series_is_a_pipeline_mismatch(
+    monkeypatch, cold_cache, name, fault
+):
     monkeypatch.setattr(minform, name, fault(getattr(minform, name)))
     with pytest.raises(PipelineMismatch, match="K=7:"):
         minimal_form(M2, 10, "both")
 
 
 @pytest.fixture
-def mutated_kernel(monkeypatch):
+def mutated_kernel(monkeypatch, cold_cache):
     """Install ``_solve_theta`` with one edit of its own source, shared by both routes."""
 
     def install(old: str, new: str) -> None:
