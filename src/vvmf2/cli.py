@@ -175,9 +175,13 @@ def _load_config(args) -> RunConfig:
 
 def _emit(report, out: str | None):
     """Write a text report as it is, anything else as JSON through ``to_json``."""
-    text = report if isinstance(report, str) else json.dumps(
-        to_json(report), indent=2, sort_keys=True
-    )
+    try:
+        text = report if isinstance(report, str) else json.dumps(
+            to_json(report), indent=2, sort_keys=True
+        )
+    except ValueError:  # an integer past the int -> str limit (m2 from Kmax about 1350)
+        raise ValueError(f"the report holds an integer of more than {sys.get_int_max_str_digits()} "
+                         "digits, Python's limit on int -> str conversion; lower --kmax") from None
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")

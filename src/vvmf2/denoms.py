@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import ConsistencyError
 from .minform import MinimalForm, check_kmax, combination
@@ -207,18 +207,22 @@ class PrimeSummary(Record):
 
 
 class DenomReport(Record):
-    """Finite-range unbounded-denominator report for one instance."""
+    """Finite-range unbounded-denominator report; ``scan_d`` factors ``dens_d`` on first read."""
 
     Kmax: int
     factor_bound: int
     rows_d: tuple[UbdRow, ...]
     rows_h: tuple[UbdRow, ...]
     rows_d_tilde: tuple[UbdRow, ...]
-    scan_d: tuple[ScanRecord, ...]
+    dens_d: tuple[int, ...]
     summary_d: tuple[PrimeSummary, ...]
     summary_d_tilde: tuple[PrimeSummary, ...]
     threshold: int | None
     exceptional: tuple[int, ...]
+
+    @cached_property
+    def scan_d(self) -> tuple[ScanRecord, ...]:
+        return tuple(_scan_denominators(self.dens_d, self.factor_bound))
 
     @property
     def all_asserted_pass(self) -> bool:
@@ -275,20 +279,22 @@ def verify_ubd(
     Scans the d-sequence and the h-sequence against p_K = u + K*v and the
     tilde sequence against the mirrored instance (-u + K*v, audited with
     2B).  Rows failing an audited side condition are informational; any
-    other failure is a real failure.
+    other failure is a real failure.  Denominators are read off the integer
+    forms; ``scan_d`` is built when read, but its factor bound checked here.
     """
     p = mf.params
     t = mf.tables
     if Kmax is None:
         Kmax = t.Kmax
     check_kmax(Kmax)
+    check_factor_bound(factor_bound)
     if Kmax > t.Kmax:
         raise ConsistencyError(f"minimal form only computed through K={t.Kmax}")
     if mf.method != "both":
         raise ConsistencyError("denominator analysis requires method='both'")
-    dens_d, dens_h, dens_dt = (
-        [denominator_of(z) for z in seq[: Kmax + 1]] for seq in (t.d, t.h, t.d_tilde)
-    )
+    h, _, _, d, dt = t.series  # with k0 = 0, d is h shifted, on the same integers
+    dens_h, dens_dt = (s.denominators()[: Kmax + 1] for s in (h, dt))
+    dens_d = dens_h if d.integer_form() == h.integer_form() else d.denominators()[: Kmax + 1]
     primes = primes_upto(abs(p.u) + Kmax * p.v)  # every p_K of either component
     sets, primes = _prime_sets(p, primes), set(primes)
     rows_d = _scan_rows(dens_d, p, Kmax, sets.S, primes)
@@ -309,7 +315,7 @@ def verify_ubd(
         rows_d=tuple(rows_d),
         rows_h=tuple(rows_h),
         rows_d_tilde=tuple(rows_dt),
-        scan_d=tuple(_scan_denominators(dens_d, factor_bound)),
+        dens_d=tuple(dens_d),
         summary_d=summarize(rows_d),
         summary_d_tilde=summarize(rows_dt),
         threshold=threshold,
@@ -457,9 +463,9 @@ def ubd_general(
     # coefficients lead + n are known for n < horizon - lead
     scanned_to = min(Kmax, *(math.ceil(z.horizon - lead) - 1 for z, lead in series))
     sets, primes = prime_sets(p, prime_bound), set(primes_upto(abs(p.u) + scanned_to * p.v))
-    # one denominator per scanned coefficient and per map coefficient
+    # one denominator per scanned coefficient (z is zero below z.lead) and per map coefficient
     dens1, dens2 = (
-        [denominator_of(z.coeff(lead + n)) for n in range(scanned_to + 1)] for z, lead in series
+        ([1] * int(z.lead - lead) + z.denominators())[: scanned_to + 1] for z, lead in series
     )
     c = (sum(m1_map.values()), sum(m2_map.values()))
     map_den = math.lcm(*map(denominator_of, (*m1_map.values(), *m2_map.values())))

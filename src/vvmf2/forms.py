@@ -6,8 +6,8 @@ K = 64*J integral, the modular derivative D_k, the Jacobi theta^4 and
 eta-quotient companions used at the other cusp, and the monomial basis
 G^a E4^b of each weight together with exact coordinates in it.
 
-Named series and the closed route's tables are cached in memory for the
-life of the process (longest prefix wins); each is built and read through
+Named series, G^2 and the closed route's tables are cached in memory for
+the life of the process (longest prefix wins); each is built and read through
 its one accessor (``eisenstein_E2``, ``hauptmodul``, ``minform.tables_DC``, ...).
 """
 
@@ -46,6 +46,7 @@ _CACHE: dict[str, PureQSeries | tuple[list[int], ...]] = {}
 
 
 def clear_cache():
+    """Empty the process cache: named series, G^2 (``minform.h_frobenius``) and ``tables_DC``."""
     _CACHE.clear()
 
 

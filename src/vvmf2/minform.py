@@ -143,13 +143,14 @@ def _hypergeometric(params: InstanceParams) -> tuple[Fraction, Fraction]:
     """(c, a b) for h = E^l1 2F1(a, b; c; z): a = l1 + r, b = c - a - 1/2, c = 1 + l1 - l2.
 
     This is Pfaff's form of the paper's 2F1(a, a + 1/2; c; 64/K).  a b is a
-    norm, as b = l1 + r~, exactly when r + r~ = 1/2 - l1 - l2.
+    norm, as b = l1 + r~, exactly when r + r~ = 1/2 - l1 - l2 (r is
+    irrational): then a b = l1 (1/2 - l2) + N(r), in rationals.
     """
-    c, a = 1 + params.l1 - params.l2, params.l1 + params.r
-    ab = a * (c - a - _HALF)
-    if ab.surd:
+    l1, l2, r = params.l1, params.l2, params.r
+    if 2 * r.rat != _HALF - l1 - l2:
+        ab = (l1 + r) * (_HALF - l2 - r)
         raise ConsistencyError(f"r + r~ must be 1/2 - l1 - l2, but a*b = {ab} is irrational")
-    return c, ab.rat
+    return 1 + l1 - l2, l1 * (_HALF - l2) + r.norm()
 
 
 def _scaled(rows) -> list[list[int]]:
@@ -218,12 +219,14 @@ def h_frobenius(params: InstanceParams, Kmax: int) -> tuple[PureQSeries, PureQSe
     as integer lists, each series' denominator folded into its rational
     weight, so B and C are integer combinations of four lists and no value
     is made per coefficient.  The route shares ``_solve_theta`` with the
-    closed route, and the series product only for G^2.
+    closed route, and the series product only for G^2, which depends on
+    Kmax alone and is kept in the process cache of ``forms``.
     """
     check_kmax(Kmax)
     G = weight2_G(Kmax)
+    G2 = _cached("G^2", Kmax + 1, lambda _: G * G)
     (dg, (g,), _), (dg2, (g2,), _), (de2, (e2,), _), (de4, (e4,), _) = (
-        s.integer_form() for s in (G, G * G, eisenstein_E2(Kmax), eisenstein_E4(Kmax))
+        s.integer_form() for s in (G, G2, eisenstein_E2(Kmax), eisenstein_E4(Kmax))
     )
     a, b, c, sixth = params.a, params.b, params.c, Fraction(1, 6 * de2)
 
@@ -243,18 +246,27 @@ def h_frobenius(params: InstanceParams, Kmax: int) -> tuple[PureQSeries, PureQSe
     return run(params.l1), run(params.l2)
 
 
+def _values(i: int) -> cached_property:
+    """The i-th series' ``coeffs``; d (d~) reads h's (h~'s) when their integer forms agree."""
+
+    def values(t: SeqTables) -> tuple:
+        s, h = t.series[i], t.series[i % 3]
+        same = s is not h and s.integer_form()[:2] == h.integer_form()[:2]
+        return getattr(t, ("h", "h_tilde")[i % 3]) if same else s.coeffs
+
+    return cached_property(values)
+
+
 class SeqTables(Record):
     """The sequences the reports and scans read: h, the eta tail e and d = e*h.
 
-    Each is the ``coeffs`` tuple of a series: h, eta^(2 k0) or a component.
+    Kept as the series h, h~, eta^(2 k0), comp1 and comp2, whose integer forms
+    the scans read; each value tuple is derived on its first read and kept.
     """
 
     Kmax: int
-    h: tuple
-    h_tilde: tuple
-    e: tuple
-    d: tuple
-    d_tilde: tuple
+    series: tuple[PureQSeries, ...]
+    h, h_tilde, e, d, d_tilde = (_values(i) for i in range(5))
 
 
 class MinimalForm(Record):
@@ -308,17 +320,11 @@ def minimal_form(params: InstanceParams, Kmax: int, method: str = "both") -> Min
                 )
 
     eta = eta_pow(2 * params.k0, Kmax)
-    comp1 = eta * h.shifted(params.l1)
-    comp2 = eta * ht.shifted(params.l2)
-    tables = SeqTables(
-        Kmax=Kmax,
-        h=h.coeffs,
-        h_tilde=ht.coeffs,
-        e=eta.coeffs,
-        d=comp1.coeffs,
-        d_tilde=comp2.coeffs,
+    comp1, comp2 = (  # eta^0 = 1: no product when k0 = 0
+        eta * s.shifted(l) if params.k0 else s.shifted(l)
+        for s, l in ((h, params.l1), (ht, params.l2))
     )
-    return MinimalForm(params, comp1, comp2, tables, method)
+    return MinimalForm(params, comp1, comp2, SeqTables(Kmax, (h, ht, eta, comp1, comp2)), method)
 
 
 def mlde_residual(params: InstanceParams, u: PureQSeries) -> PureQSeries:
@@ -459,7 +465,7 @@ def decompose(
     F1, F2 = mf.comp1, mf.comp2
     D1, D2 = deriv_components(mf)
     w_inv = (F1 * D2 - F2 * D1).inv()
-    known = min(int(Z1.horizon - lead1), int(Z2.horizon - lead2), len(mf.tables.d))
+    known = min(int(Z1.horizon - lead1), int(Z2.horizon - lead2), F1.length)
 
     m1 = ((Z1 * D2 - Z2 * D1) * w_inv).truncated_at(known)
     m2 = ((F1 * Z2 - F2 * Z1) * w_inv).truncated_at(known)

@@ -48,7 +48,7 @@ from operator import add, mul
 from typing import Union
 
 from .errors import ConfigError, TruncationError
-from .quadratic import FieldElement, QuadNum
+from .quadratic import FieldElement, QuadNum, integer_denominator
 from .record import Record
 
 Scalar = Union[int, Fraction, QuadNum]
@@ -286,6 +286,13 @@ class PureQSeries:
     def coeffs(self) -> tuple:
         """The coefficients as Fraction or QuadNum values, derived from the integer form."""
         return tuple(_rebuild(self._parts, self._den, self._M))
+
+    def denominators(self) -> list[int]:
+        """``denominator_of`` of each coefficient, read off the integer form: no value is built."""
+        den, M = self._den, self._M
+        if M is None:
+            return [den // math.gcd(den, x) for x in self._parts[0]]
+        return [integer_denominator(den, x, y, M) for x, y in zip(*self._parts)]
 
     # -- bookkeeping -------------------------------------------------------
 

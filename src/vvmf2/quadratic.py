@@ -259,26 +259,27 @@ def gen_binomial(z, t: int):
 
 
 def denominator_of(z: QuadNum | Rational) -> int:
-    """Smallest positive Z with Z*z an algebraic integer (1 for z = 0).
-
-    Closed form from the ring of integers of Q(sqrt(M)).  For z = a + b*sqrt(M)
-    with b != 0: when M = 2, 3 (mod 4) the ring is Z[sqrt(M)], so Z is
-    lcm(den a, den b).  When M = 1 (mod 4) the ring is Z[(1 + sqrt(M))/2],
-    whose elements are (x + y*sqrt(M))/2 with x = y (mod 2): Z must make
-    2*Z*a and 2*Z*b integers, so it is a multiple of D = lcm(den 2a, den 2b),
-    and D itself works exactly when 2*D*a and 2*D*b have the same parity;
-    otherwise 2*D does.
-    """
+    """Least Z > 0 with Z*z an algebraic integer (1 for z = 0), by ``integer_denominator``."""
     if isinstance(z, QuadNum):
-        if z.surd == 0:
-            return z.rat.denominator
-        a, b = z.rat, z.surd
-        if z.M % 4 != 1:
-            return math.lcm(a.denominator, b.denominator)
-        D = math.lcm((2 * a).denominator, (2 * b).denominator)
-        return D if (2 * D * a - 2 * D * b) % 2 == 0 else 2 * D
+        den = math.lcm(z.rat.denominator, z.surd.denominator)
+        return integer_denominator(den, int(z.rat * den), int(z.surd * den), z.M)
     z = _as_fraction(z)
     return z.denominator if z else 1
+
+
+def integer_denominator(den: int, x: int, y: int, M: int) -> int:
+    """``denominator_of((x + y*sqrt(M)) / den)`` for integers x, y and den > 0, no value built.
+
+    When M = 2, 3 (mod 4) the ring of integers is Z[sqrt(M)], so Z is
+    den // gcd(den, x, y), as for a rational (y = 0).  When M = 1 (mod 4) it
+    is Z[(1 + sqrt(M))/2], the (s + t*sqrt(M))/2 with s = t (mod 2): Z must
+    make 2*Z*x/den and 2*Z*y/den integers, so it is a multiple of
+    D = den // gcd(den, 2x, 2y), and it is D exactly when 2*D*(x - y)/den is even.
+    """
+    if not y or M % 4 != 1:
+        return den // math.gcd(den, x, y)
+    D = den // math.gcd(den, 2 * x, 2 * y)
+    return D if (2 * D * (x - y) // den) % 2 == 0 else 2 * D
 
 
 def is_p_integral(z: QuadNum | Rational, p: int) -> bool:

@@ -490,6 +490,21 @@ def test_a_negative_kmax_exits_3_before_building(tmp_path, monkeypatch, capsys, 
 
 
 @pytest.mark.parametrize("command", ["minform", "denoms"])
+def test_a_report_past_the_int_to_str_limit_exits_3_and_names_it(tmp_path, capsys, command):
+    # m2's common denominator passes 640 digits (the lowest limit Python allows) near Kmax 210
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        out = tmp_path / "report.json"
+        assert main([command, "--seed-instance", "m2", "--kmax", "300", "--out", str(out)]) == 3
+    finally:
+        sys.set_int_max_str_digits(limit)
+    err = capsys.readouterr().err
+    assert "more than 640 digits, Python's limit on int -> str conversion; lower --kmax" in err
+    assert "Exceeds the limit" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["minform", "denoms"])
 def test_a_negative_kmax_flag_exits_2_before_building(monkeypatch, capsys, command):
     # a flag is a usage error, as the module docstring and the scripts have it
     def unexpected(*args, **kwargs):

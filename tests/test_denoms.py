@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from vvmf2 import denoms
+from vvmf2 import denoms, qseries
 from vvmf2.denoms import (
     combination,
     denom_scan,
@@ -18,8 +18,8 @@ from vvmf2.denoms import (
     verify_ubd,
 )
 from vvmf2.errors import ConsistencyError
-from vvmf2.forms import form_monomial
-from vvmf2.minform import decompose, minimal_form, mlde_residual, weight_basis
+from vvmf2.forms import eta_pow, form_monomial
+from vvmf2.minform import decompose, h_closed, minimal_form, mlde_residual, weight_basis
 from vvmf2.params import ExponentData, params_from_exponents, seed_exponents
 from vvmf2.qseries import PureQSeries, equal_through, to_json
 from vvmf2.quadratic import (
@@ -419,35 +419,55 @@ def test_ubd_general_out_of_range_beyond_computed_terms():
     assert rows[29].rows == () and rows[29].passed is None
 
 
+def _counting_denominators(monkeypatch):
+    """The series whose denominators are read, with every value build refused."""
+    calls, real = [], PureQSeries.denominators
+
+    def counting(s):
+        calls.append(s)
+        return real(s)
+
+    def refuse(*args):
+        raise AssertionError("a coefficient value was built")
+
+    monkeypatch.setattr(PureQSeries, "denominators", counting)
+    monkeypatch.setattr(qseries, "_rebuild", refuse)
+    return calls
+
+
 def test_verify_ubd_computes_each_denominator_once(monkeypatch):
-    calls = []
-
-    def counting(z):
-        calls.append(z)
-        return denominator_of(z)
-
-    monkeypatch.setattr(denoms, "denominator_of", counting)
-    mf = minimal_form(M2, 20, "both")
-    report = verify_ubd(mf, 20)
-    assert report.all_asserted_pass
-    assert len(calls) == 3 * 21  # d, h and d~, once per coefficient
+    # h, d~ and d, once each, off their integer forms; with k0 = 0, d is h's integers, read once
+    built = {k0: minimal_form(lattice_120_instance(k0), 20, "both") for k0 in (0, 2)}
+    calls = _counting_denominators(monkeypatch)
+    monkeypatch.setattr(denoms, "denominator_of", None)  # a call would raise TypeError
+    for k0, mf in built.items():
+        calls.clear()
+        report = verify_ubd(mf, 20)
+        assert report.all_asserted_pass
+        h, _, _, d, d_tilde = mf.tables.series
+        read = (h, d_tilde) if k0 == 0 else (h, d_tilde, d)
+        assert len(calls) == len(read) and all(s is t for s, t in zip(calls, read))
+    monkeypatch.undo()
+    for mf in built.values():
+        assert list(verify_ubd(mf, 20).dens_d) == [denominator_of(z) for z in mf.tables.d]
 
 
 def test_ubd_general_computes_each_denominator_once(monkeypatch):
-    calls = []
+    mf = minimal_form(V3, 20, "both")
+    z = combination(mf, {(4, 0): 1, (0, 2): 1}, {(1, 1): 1}, V3.k0 + 8)
+    map_values = []
 
-    def counting(z):
-        calls.append(z)
-        return denominator_of(z)
+    def counting(x):
+        map_values.append(x)
+        return denominator_of(x)
 
     monkeypatch.setattr(denoms, "denominator_of", counting)
-    mf = minimal_form(V3, 20, "both")
+    calls = _counting_denominators(monkeypatch)
     report = ubd_general(mf, {(4, 0): 1, (0, 2): 1}, {(1, 1): 1}, V3.k0 + 8, 20, 60)
     assert report.all_asserted_pass and len(report.rows) > 2
-    scanned_to = report.scanned_to
-    assert scanned_to == 20
-    # both components, once per coefficient, and once per map coefficient
-    assert len(calls) == 2 * (scanned_to + 1) + 3
+    assert report.scanned_to == 20
+    # both components once, off their integer forms, and each map coefficient once
+    assert calls == list(z) and len(map_values) == 3
 
 
 @pytest.mark.parametrize("k0", [0, 2])
@@ -496,14 +516,77 @@ def test_verify_ubd_fails_when_a_predicted_denominator_is_cleared():
     mf = minimal_form(M2, 40, "both")
     row = next(r for r in verify_ubd(mf).rows_d if r.K == 6)
     assert (row.p, row.asserted, row.passed) == (11, True, True)
-    d = mf.tables.d
-    bad = replace(mf, tables=replace(mf.tables, d=d[:6] + (11 * d[6],) + d[7:]))
+    # verify_ubd reads the integer form of d, the fourth series of the tables
+    h, h_tilde, e, d, d_tilde = mf.tables.series
+    cs = d.coeffs
+    bad_d = PureQSeries.make(d.lead, cs[:6] + (11 * cs[6],) + cs[7:])
+    bad = replace(mf, tables=replace(mf.tables, series=(h, h_tilde, e, bad_d, d_tilde)))
+    assert bad.tables.d[6] == 11 * mf.tables.d[6]
     report = verify_ubd(bad)
     row = next(r for r in report.rows_d if r.K == 6)
     assert (row.divides, row.passed, row.verdict) == (False, False, "fail")
     assert report.exceptional == (11,)
     assert report.threshold == 13
     assert not report.all_asserted_pass
+
+
+# ---------------------------------------------------------------------------
+# the integer-form reads against the values they replaced
+# ---------------------------------------------------------------------------
+
+
+def _assert_reads_match_the_values(params, Kmax, monkeypatch):
+    mf = minimal_form(params, Kmax, "both")
+    t = mf.tables
+    h, h_tilde = h_closed(params, Kmax)
+    eta = eta_pow(2 * params.k0, Kmax)
+    # the value tuples the tables stored before they were derived on read
+    stored = {
+        "h": h.coeffs,
+        "h_tilde": h_tilde.coeffs,
+        "e": eta.coeffs,
+        "d": (eta * h.shifted(params.l1)).coeffs,
+        "d_tilde": (eta * h_tilde.shifted(params.l2)).coeffs,
+    }
+    assert {name: getattr(t, name) for name in stored} == stored
+    for s in t.series:
+        assert s.denominators() == [denominator_of(z) for z in s.coeffs]
+    if params.k0 == 0:
+        assert mf.comp1 == h.shifted(params.l1) and mf.comp2 == h_tilde.shifted(params.l2)
+        assert t.d is t.h and t.d_tilde is t.h_tilde
+    with pytest.raises(ValueError, match="factor bound must be >= 1"):
+        verify_ubd(mf, factor_bound=0)  # at the call, not when scan_d is read
+    scans, real = [], denoms._scan_denominators
+
+    def counting(dens, bound):
+        scans.append(bound)
+        return real(dens, bound)
+
+    monkeypatch.setattr(denoms, "_scan_denominators", counting)
+    for bound in (1, 50, denoms.DEFAULT_FACTOR_BOUND):
+        report = verify_ubd(mf, factor_bound=bound)
+        assert report.dens_d == tuple(denominator_of(z) for z in t.d) and scans == []
+        assert report.scan_d == tuple(real(list(report.dens_d), bound))
+        assert report.scan_d is report.scan_d and scans == [bound]
+        scans.clear()
+    monkeypatch.undo()
+
+
+@pytest.mark.parametrize(
+    "params",
+    [M2, params_from_exponents(seed_exponents("m5")), V3, lattice_120_instance(0),
+     lattice_120_instance(2)],
+    ids=["m2", "m5", "v3", "l2=1/5", "k0=2"],
+)
+def test_integer_form_reads_match_the_values(params, monkeypatch):
+    _assert_reads_match_the_values(params, 40, monkeypatch)
+
+
+@given(instances())
+@settings(max_examples=20, deadline=None)
+def test_integer_form_reads_match_the_values_on_generated_instances(params):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_reads_match_the_values(params, 12, monkeypatch)
 
 
 # ---------------------------------------------------------------------------

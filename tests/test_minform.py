@@ -400,6 +400,23 @@ def test_seq_f_refuses_an_r_off_the_trace_relation():
         seq_f(off, 3)
 
 
+@given(instances())
+@settings(max_examples=40, deadline=None)
+@example(M2)
+@example(M5)
+@example(V3)
+@example(L120)
+@example(sqrt2_instance(2))
+def test_ab_is_the_norm_form_of_the_product(params):
+    # a b = l1 (1/2 - l2) + N(r) in rationals, as the product (l1 + r)(c - a - 1/2) in Q(sqrt M)
+    for p in (params, params.mirrored()):
+        c, ab = minform._hypergeometric(p)
+        a = p.l1 + p.r
+        product = a * (c - a - Fraction(1, 2))
+        assert c == 1 + p.l1 - p.l2 and isinstance(ab, Fraction)
+        assert (product.rat, product.surd) == (ab, 0)
+
+
 def test_a_perturbed_ab_is_a_pipeline_mismatch(monkeypatch):
     # a*b enters the closed route's C series; a perturbed g no longer reaches that route
     real = minform._hypergeometric
@@ -445,6 +462,24 @@ def test_a_cleared_cache_rebuilds_the_tables(monkeypatch, cold_cache):
     assert tables_DC(10) != want  # cold: the rebuild reads it
     with pytest.raises(PipelineMismatch, match="K=7:"):
         minimal_form(M2, 10, "both")
+
+
+def test_g_squared_is_built_once_per_process(monkeypatch, cold_cache):
+    # G^2 is still the series product G * G, kept in the cache of forms beside tables_DC
+    squares, real = [], PureQSeries.__mul__
+
+    def counting(a, b):
+        if a is b:
+            squares.append(a.length)
+        return real(a, b)
+
+    monkeypatch.setattr(PureQSeries, "__mul__", counting)
+    want = _lists(h_frobenius(M2, 12))
+    h_frobenius(V3, 30)
+    assert _lists(h_frobenius(M2, 12)) == want  # a prefix of the longer build
+    assert squares == [13, 31]
+    forms.clear_cache()
+    assert _lists(h_frobenius(M2, 12)) == want and squares == [13, 31, 13]
 
 
 def _perturbed_divisor_sums(real):
@@ -535,7 +570,7 @@ def test_the_frobenius_route_calls_no_closed_route_kernel(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["weight2_G", "eisenstein_E2", "eisenstein_E4"])
-def test_the_frobenius_route_honours_a_series_denominator(monkeypatch, name):
+def test_the_frobenius_route_honours_a_series_denominator(monkeypatch, cold_cache, name):
     # q^3 gets 1/2 more, so the series' integer form has den 2 (G^2 den 4)
     real = getattr(minform, name)
 

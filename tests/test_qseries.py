@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from vvmf2 import qseries
 from vvmf2.errors import ConfigError, TruncationError
 from vvmf2.qseries import PureQSeries, _conv, _iconv, _toeplitz, equal_through, int_from_json
-from vvmf2.quadratic import QuadNum, gen_binomial
+from vvmf2.quadratic import QuadNum, denominator_of, gen_binomial
 
 small_fracs = st.fractions(
     min_value=Fraction(-8), max_value=Fraction(8), max_denominator=6
@@ -729,6 +729,13 @@ def test_prefixes_and_shifts_reuse_the_integer_form():
     assert moved.integer_form()[1] is s.integer_form()[1] and moved.coeffs == s.coeffs
     quad = PureQSeries.make(0, [1, 2]).scaled(QuadNum(0, 1, 2))
     assert all(isinstance(c, QuadNum) for c in quad.coeffs)
+
+
+@given(st.sampled_from([None, 2, 3, 5, 13, -1, -3]).flatmap(_kernel_series))
+@settings(max_examples=200, deadline=None)
+def test_denominators_are_read_off_the_integer_form(s):
+    # both rings of integers, zero and zero-surd coefficients in an irrational series
+    assert s.denominators() == [denominator_of(c) for c in s.coeffs]
 
 
 @pytest.mark.parametrize(
