@@ -179,9 +179,11 @@ def _emit(report, out: str | None):
         text = report if isinstance(report, str) else json.dumps(
             to_json(report), indent=2, sort_keys=True
         )
-    except ValueError:  # an integer past the int -> str limit (m2 from Kmax about 1350)
+    except ValueError as exc:  # an integer past the int -> str limit (m2 from Kmax about 1350)
+        if "Exceeds the limit" not in str(exc):
+            raise
         raise ValueError(f"the report holds an integer of more than {sys.get_int_max_str_digits()} "
-                         "digits, Python's limit on int -> str conversion; lower --kmax") from None
+                         "digits, Python's limit on int -> str conversion; lower --kmax") from exc
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")

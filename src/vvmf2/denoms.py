@@ -292,9 +292,9 @@ def verify_ubd(
         raise ConsistencyError(f"minimal form only computed through K={t.Kmax}")
     if mf.method != "both":
         raise ConsistencyError("denominator analysis requires method='both'")
-    h, _, _, d, dt = t.series  # with k0 = 0, d is h shifted, on the same integers
-    dens_h, dens_dt = (s.denominators()[: Kmax + 1] for s in (h, dt))
-    dens_d = dens_h if d.integer_form() == h.integer_form() else d.denominators()[: Kmax + 1]
+    dens_h, dens_d, dens_dt = (
+        s.denominators()[: Kmax + 1] for s in (t.h_series, t.comp1, t.comp2)
+    )
     primes = primes_upto(abs(p.u) + Kmax * p.v)  # every p_K of either component
     sets, primes = _prime_sets(p, primes), set(primes)
     rows_d = _scan_rows(dens_d, p, Kmax, sets.S, primes)

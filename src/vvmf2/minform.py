@@ -246,27 +246,31 @@ def h_frobenius(params: InstanceParams, Kmax: int) -> tuple[PureQSeries, PureQSe
     return run(params.l1), run(params.l2)
 
 
-def _values(i: int) -> cached_property:
-    """The i-th series' ``coeffs``; d (d~) reads h's (h~'s) when their integer forms agree."""
-
-    def values(t: SeqTables) -> tuple:
-        s, h = t.series[i], t.series[i % 3]
-        same = s is not h and s.integer_form()[:2] == h.integer_form()[:2]
-        return getattr(t, ("h", "h_tilde")[i % 3]) if same else s.coeffs
-
-    return cached_property(values)
-
-
 class SeqTables(Record):
     """The sequences the reports and scans read: h, the eta tail e and d = e*h.
 
-    Kept as the series h, h~, eta^(2 k0), comp1 and comp2, whose integer forms
-    the scans read; each value tuple is derived on its first read and kept.
+    Kept as the series h, h~, eta^(2 k0) and the minimal form's components,
+    whose integer forms the scans read; each value tuple is derived on first
+    read.  With k0 = 0 a component is h shifted, on h's integer form, so d is h's tuple.
     """
 
     Kmax: int
-    series: tuple[PureQSeries, ...]
-    h, h_tilde, e, d, d_tilde = (_values(i) for i in range(5))
+    h_series: PureQSeries
+    h_tilde_series: PureQSeries
+    eta: PureQSeries
+    comp1: PureQSeries
+    comp2: PureQSeries
+
+    h = cached_property(lambda t: t.h_series.coeffs)
+    h_tilde = cached_property(lambda t: t.h_tilde_series.coeffs)
+    e = cached_property(lambda t: t.eta.coeffs)
+    d = cached_property(
+        lambda t: t.h if t.comp1.integer_form() == t.h_series.integer_form() else t.comp1.coeffs
+    )
+    d_tilde = cached_property(
+        lambda t: t.h_tilde if t.comp2.integer_form() == t.h_tilde_series.integer_form()
+        else t.comp2.coeffs
+    )
 
 
 class MinimalForm(Record):
@@ -324,7 +328,7 @@ def minimal_form(params: InstanceParams, Kmax: int, method: str = "both") -> Min
         eta * s.shifted(l) if params.k0 else s.shifted(l)
         for s, l in ((h, params.l1), (ht, params.l2))
     )
-    return MinimalForm(params, comp1, comp2, SeqTables(Kmax, (h, ht, eta, comp1, comp2)), method)
+    return MinimalForm(params, comp1, comp2, SeqTables(Kmax, h, ht, eta, comp1, comp2), method)
 
 
 def mlde_residual(params: InstanceParams, u: PureQSeries) -> PureQSeries:

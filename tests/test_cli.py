@@ -504,6 +504,17 @@ def test_a_report_past_the_int_to_str_limit_exits_3_and_names_it(tmp_path, capsy
     assert "Exceeds the limit" not in err and not out.exists()
 
 
+def test_another_value_error_of_the_writer_keeps_its_message(tmp_path, monkeypatch, capsys):
+    # only the int -> str limit is reworded; any other ValueError of to_json is reported as raised
+    def failing(obj):
+        raise ValueError("a value the writer cannot encode")
+
+    monkeypatch.setattr(cli, "to_json", failing)
+    assert main(["minform", "--seed-instance", "m2", "--kmax", "4", "--out", str(tmp_path / "r")]) == 3
+    err = capsys.readouterr().err
+    assert "a value the writer cannot encode" in err and "lower --kmax" not in err
+
+
 @pytest.mark.parametrize("command", ["minform", "denoms"])
 def test_a_negative_kmax_flag_exits_2_before_building(monkeypatch, capsys, command):
     # a flag is a usage error, as the module docstring and the scripts have it

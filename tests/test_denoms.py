@@ -436,7 +436,7 @@ def _counting_denominators(monkeypatch):
 
 
 def test_verify_ubd_computes_each_denominator_once(monkeypatch):
-    # h, d~ and d, once each, off their integer forms; with k0 = 0, d is h's integers, read once
+    # h, d and d~, once each, off their integer forms, for k0 = 0 (d is h shifted) as for k0 = 2
     built = {k0: minimal_form(lattice_120_instance(k0), 20, "both") for k0 in (0, 2)}
     calls = _counting_denominators(monkeypatch)
     monkeypatch.setattr(denoms, "denominator_of", None)  # a call would raise TypeError
@@ -444,9 +444,9 @@ def test_verify_ubd_computes_each_denominator_once(monkeypatch):
         calls.clear()
         report = verify_ubd(mf, 20)
         assert report.all_asserted_pass
-        h, _, _, d, d_tilde = mf.tables.series
-        read = (h, d_tilde) if k0 == 0 else (h, d_tilde, d)
-        assert len(calls) == len(read) and all(s is t for s, t in zip(calls, read))
+        t = mf.tables
+        read = (t.h_series, t.comp1, t.comp2)
+        assert len(calls) == len(read) and all(s is r for s, r in zip(calls, read))
     monkeypatch.undo()
     for mf in built.values():
         assert list(verify_ubd(mf, 20).dens_d) == [denominator_of(z) for z in mf.tables.d]
@@ -516,11 +516,10 @@ def test_verify_ubd_fails_when_a_predicted_denominator_is_cleared():
     mf = minimal_form(M2, 40, "both")
     row = next(r for r in verify_ubd(mf).rows_d if r.K == 6)
     assert (row.p, row.asserted, row.passed) == (11, True, True)
-    # verify_ubd reads the integer form of d, the fourth series of the tables
-    h, h_tilde, e, d, d_tilde = mf.tables.series
-    cs = d.coeffs
-    bad_d = PureQSeries.make(d.lead, cs[:6] + (11 * cs[6],) + cs[7:])
-    bad = replace(mf, tables=replace(mf.tables, series=(h, h_tilde, e, bad_d, d_tilde)))
+    # verify_ubd reads the integer form of d, the tables' comp1
+    cs = mf.tables.comp1.coeffs
+    bad_d = PureQSeries.make(mf.tables.comp1.lead, cs[:6] + (11 * cs[6],) + cs[7:])
+    bad = replace(mf, tables=replace(mf.tables, comp1=bad_d))
     assert bad.tables.d[6] == 11 * mf.tables.d[6]
     report = verify_ubd(bad)
     row = next(r for r in report.rows_d if r.K == 6)
@@ -549,7 +548,7 @@ def _assert_reads_match_the_values(params, Kmax, monkeypatch):
         "d_tilde": (eta * h_tilde.shifted(params.l2)).coeffs,
     }
     assert {name: getattr(t, name) for name in stored} == stored
-    for s in t.series:
+    for s in (t.h_series, t.h_tilde_series, t.eta, t.comp1, t.comp2):
         assert s.denominators() == [denominator_of(z) for z in s.coeffs]
     if params.k0 == 0:
         assert mf.comp1 == h.shifted(params.l1) and mf.comp2 == h_tilde.shifted(params.l2)
