@@ -1,18 +1,22 @@
 """Exact q-expansions of the modular objects living on Gamma0(2).
 
-Provides the Eisenstein series E2 and E4, the weight-two form G, even
-powers of the eta function, the normalized Hauptmodul pair (K, J) with
-K = 64*J integral, the modular derivative D_k, the Jacobi theta^4 and
-eta-quotient companions used at the other cusp, and the monomial basis
-G^a E4^b of each weight together with exact coordinates in it.
+Provides the Eisenstein series E2 and E4, the weight-two form G, the eta
+quotients eta(tau)^a eta(2 tau)^b, the normalized Hauptmodul pair (K, J)
+with K = 64*J integral, the modular derivative D_k, the Jacobi theta^4
+and eta-quotient companions used at the other cusp, and the monomial
+basis G^a E4^b of each weight together with exact coordinates in it.
 
-Named series, G^2 and the closed route's tables are cached in memory for
-the life of the process (longest prefix wins); each is built and read through
-its one accessor (``eisenstein_E2``, ``hauptmodul``, ``minform.tables_DC``, ...).
+Every eta product is built by ``eta_quotient`` and every G^a E4^b, G^2
+among them, by ``form_monomial``; the closed route reads E from
+``eta_quotient`` and none of E2, E4 or G.  These, the named series and
+the closed route's tables are cached in memory for the life of the
+process (longest prefix wins), each built and read through its one
+accessor (``eisenstein_E2``, ``form_monomial``, ``minform.tables_DC``, ...).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -46,7 +50,7 @@ _CACHE: dict[str, PureQSeries | tuple[list[int], ...]] = {}
 
 
 def clear_cache():
-    """Empty the process cache: named series, G^2 (``minform.h_frobenius``) and ``tables_DC``."""
+    """Empty the process cache: named series, eta quotients, monomials and ``tables_DC``."""
     _CACHE.clear()
 
 
@@ -107,34 +111,36 @@ def g_parity_form(N: int) -> PureQSeries:
 
 
 def _build_euler(count: int) -> PureQSeries:
-    # prod (1 - q^n) via the pentagonal number theorem
-    cs = [Fraction(0)] * count
-    cs[0] = Fraction(1)
-    k = 1
-    while True:
-        e1 = k * (3 * k - 1) // 2
-        e2 = k * (3 * k + 1) // 2
-        if e1 >= count and e2 >= count:
-            break
-        sign = 1 if k % 2 == 0 else -1
-        if e1 < count:
-            cs[e1] = Fraction(sign)
-        if e2 < count:
-            cs[e2] = Fraction(sign)
+    # prod (1 - q^n) by the pentagonal number theorem: (-1)^k at q^(k (3k -+ 1)/2)
+    cs, k = [0] * count, 0
+    while k * (3 * k - 1) // 2 < count:
+        for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if e < count:
+                cs[e] = (-1) ** k
         k += 1
     return PureQSeries.make(0, cs)
+
+
+def eta_quotient(a: int, b: int, N: int) -> PureQSeries:
+    """eta(tau)^a eta(2 tau)^b for integers a and b, to relative order N: q^((a + 2b)/24)
+    (prod (1 - q^n)^(a/g) prod (1 - q^2n)^(b/g))^g for g = gcd(a, b), on the Euler series."""
+
+    def build(count: int) -> PureQSeries:
+        g, euler = math.gcd(a, b), _cached("euler", count, _build_euler)
+        unit = euler ** (a // g) if a else PureQSeries.constant(1, count)
+        if b:
+            half = _cached("euler", (count + 1) // 2, _build_euler)
+            unit = unit * (half ** (b // g)).rescale(2)
+        return (unit**g).shifted(Fraction(a + 2 * b, 24))
+
+    return _cached(f"eta^({a},{b})", N + 1, build)
 
 
 def eta_pow(twok: int, N: int) -> PureQSeries:
     """eta^twok = q^(twok/24) * prod (1-q^n)^twok for even twok, to relative order N."""
     if twok % 2 != 0:
         raise ValueError("eta_pow needs an even power of eta")
-
-    def build(count: int) -> PureQSeries:
-        euler = _cached("euler", count, _build_euler)
-        return (euler**twok).shifted(Fraction(twok, 24))
-
-    return _cached(f"eta^{twok}", N + 1, build)
+    return eta_quotient(twok, 0, N)
 
 
 def eta_tail_coeffs(twok: int, N: int) -> list[Fraction]:
@@ -146,8 +152,7 @@ def eta_tail_coeffs(twok: int, N: int) -> list[Fraction]:
 def _build_hauptK(count: int) -> PureQSeries:
     # K = 192 G^2 / (E4 - G^2), a simple pole at infinity with residue 1
     e4 = eisenstein_E4(count + 1)
-    g = weight2_G(count + 1)
-    g2 = g * g
+    g2 = form_monomial(2, 0, count + 1)
     return (192 * g2) * (e4 - g2).inv()
 
 
@@ -213,7 +218,7 @@ def identity_suite(N: int) -> IdentityReport:
     e4 = eisenstein_E4(margin)
     g = weight2_G(margin)
     one = PureQSeries.constant(1, margin + 2)
-    g2 = g * g
+    g2 = form_monomial(2, 0, margin)
     thJ = J.theta()
 
     checks = []
@@ -300,13 +305,8 @@ def jacobi_theta(N: int) -> PureQSeries:
 
 def theta4_and_E(N: int) -> tuple[PureQSeries, PureQSeries]:
     """(theta^4, E) with E = eta(4 tau)^8 / eta(2 tau)^4, both to order N."""
-    th = jacobi_theta(N)
-    th2 = th * th
-    th4 = th2 * th2
-    m4 = N // 4 + 2
-    m2 = N // 2 + 2
-    quotient = eta_pow(8, m4).rescale(4) * eta_pow(-4, m2).rescale(2)
-    return th4, quotient.truncated_at(Fraction(N + 1))
+    E = eta_quotient(-4, 8, N // 2 + 1).rescale(2)
+    return jacobi_theta(N) ** 4, E.truncated_at(Fraction(N + 1))
 
 
 def g_slash_S(N: int) -> PureQSeries:
@@ -317,9 +317,8 @@ def g_slash_S(N: int) -> PureQSeries:
     """
     count = 4 * N + 5
     th4_quarter = jacobi_theta(count).rescale(Fraction(1, 4)) ** 4
-    eta_quarter = eta_pow(8, count).rescale(Fraction(1, 4))
-    eta_half = eta_pow(-4, 2 * N + 4).rescale(Fraction(1, 2))
-    return Fraction(-1, 4) * th4_quarter + Fraction(-1, 4) * (eta_quarter * eta_half)
+    quotient = eta_quotient(8, -4, count).rescale(Fraction(1, 4))
+    return Fraction(-1, 4) * th4_quarter + Fraction(-1, 4) * quotient
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +337,15 @@ def monomial_basis(k: int) -> list[tuple[int, int]]:
 
 
 def form_monomial(a: int, b: int, N: int) -> PureQSeries:
-    """G^a * E4^b to order N."""
-    return (weight2_G(N) ** a) * (eisenstein_E4(N) ** b)
+    """G^a * E4^b to order N, cached: G^2 is form_monomial(2, 0, N).
+
+    Each is one product on the cached monomial with one E4 less, or with
+    no E4 one G less, so the monomials of one G-degree share its powers.
+    """
+    if a + b <= 1:
+        return weight2_G(N) if a else eisenstein_E4(N) if b else PureQSeries.constant(1, N + 1)
+    rest, factor = ((a, b - 1), eisenstein_E4) if b else ((a - 1, 0), weight2_G)
+    return _cached(f"G^{a}E4^{b}", N + 1, lambda n: form_monomial(*rest, n - 1) * factor(n - 1))
 
 
 def _solve_exact(rows: list[list], rhs: list) -> list:

@@ -5,11 +5,12 @@ solve a linear theta-equation (theta = q d/dq) for h on one fraction-free
 kernel, ``_solve_theta``.  The closed-form route pulls the paper's 2F1
 back along the Hauptmodul z = -64 q E of Gamma0(2), E = prod (1 + q^n)^24;
 its coefficients are integer series in z and the divisor sums
-psi = theta E / E, so it reads no named series.  The other route is the
-weight-zero equation's Frobenius recursion, from G, E2 and E4.  A fault in
-a named series reaches one route, one in the kernel or the series product
-both, through different equations; ``minimal_form(..., method="both")``
-raises ``PipelineMismatch`` at the first coefficient where they disagree.
+psi = theta E / E, and it reads E from ``forms.eta_quotient`` and none of
+E2, E4 or G.  The other route is the weight-zero equation's Frobenius
+recursion, from G, E2 and E4.  A fault in a named series reaches one
+route, one in the kernel or the series product both, through different
+equations; ``minimal_form(..., method="both")`` raises
+``PipelineMismatch`` at the first coefficient where they disagree.
 Every h is a rational ``PureQSeries`` (lead 0, step 1), whatever r's field.
 
 The minimal form F' and its modular derivative DF' generate everything
@@ -31,6 +32,7 @@ from .forms import (
     eisenstein_E2,
     eisenstein_E4,
     eta_pow,
+    eta_quotient,
     form_monomial,
     modular_D,
     monomial_basis,
@@ -103,15 +105,6 @@ def _divisor_sums(Kmax: int) -> list[int]:
     return [0] + [sigma(j) - (2 * sigma(j // 2) if j % 2 == 0 else 0) for j in range(1, Kmax + 1)]
 
 
-def _e_power(beta: Fraction, Kmax: int) -> PureQSeries:
-    """E^beta through q^Kmax for rational beta, by J.C.P. Miller's theta P = beta psi P.
-
-    m P_m = 24 beta sum_(j=1..m) s_j P_(m-j) is, for 24 beta = p/q, A = 0, B = q, C = -p s.
-    """
-    p, q = (24 * beta).as_integer_ratio()
-    return _solve_theta([0], [q], [-p * s for s in _divisor_sums(Kmax)], Kmax)
-
-
 def tables_DC(Kmax: int) -> tuple[list[int], ...]:
     """The closed route's instance-independent integer series through q^Kmax.
 
@@ -119,11 +112,12 @@ def tables_DC(Kmax: int) -> tuple[list[int], ...]:
     (1 - z) phi, phi^2, z phi^2, (1 - z) theta psi, (1 - z) phi psi,
     (1 - z) phi psi^2, psi phi^2, z psi phi^2 and z phi^3, in that order.
     Cached per process: a shorter Kmax reads an exact prefix of a longer build.
-    E is integral, so a denominator can only come from a fault, and is refused.
+    E = eta(2 tau)^24 / (q eta(tau)^24) is integral, so a denominator can only
+    come from a fault, and is refused.
     """
     def build(n: int) -> tuple[list[int], ...]:
         psi = [24 * s for s in _divisor_sums(n - 1)]
-        den, (e,), _ = _e_power(_ONE, n - 1).integer_form()
+        den, (e,), _ = eta_quotient(-24, 24, n - 1).shifted(-1).integer_form()
         if den != 1:
             raise PipelineMismatch(f"E = prod (1 + q^n)^24 came out with denominator {den}, not 1")
         phi, z = [1, *psi[1:]], [0, *(-64 * x for x in e[: n - 1])]
@@ -220,13 +214,12 @@ def h_frobenius(params: InstanceParams, Kmax: int) -> tuple[PureQSeries, PureQSe
     weight, so B and C are integer combinations of four lists and no value
     is made per coefficient.  The route shares ``_solve_theta`` with the
     closed route, and the series product only for G^2, which depends on
-    Kmax alone and is kept in the process cache of ``forms``.
+    Kmax alone and is the cached ``form_monomial(2, 0, Kmax)``.
     """
     check_kmax(Kmax)
-    G = weight2_G(Kmax)
-    G2 = _cached("G^2", Kmax + 1, lambda _: G * G)
+    series = (weight2_G(Kmax), form_monomial(2, 0, Kmax), eisenstein_E2(Kmax), eisenstein_E4(Kmax))
     (dg, (g,), _), (dg2, (g2,), _), (de2, (e2,), _), (de4, (e4,), _) = (
-        s.integer_form() for s in (G, G2, eisenstein_E2(Kmax), eisenstein_E4(Kmax))
+        s.integer_form() for s in series
     )
     a, b, c, sixth = params.a, params.b, params.c, Fraction(1, 6 * de2)
 
@@ -335,13 +328,11 @@ def mlde_residual(params: InstanceParams, u: PureQSeries) -> PureQSeries:
     """Apply the full weight-k0 operator; exact zero certifies a solution."""
     k0 = params.k0
     order = u.length
-    e4 = eisenstein_E4(order)
-    g = weight2_G(order)
     du = modular_D(k0, u)
     return (
         modular_D(k0 + 2, du)
-        + params.a * (g * du)
-        + (params.b * (g * g) + params.c * e4) * u
+        + params.a * (weight2_G(order) * du)
+        + (params.b * form_monomial(2, 0, order) + params.c * eisenstein_E4(order)) * u
     )
 
 

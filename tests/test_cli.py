@@ -351,17 +351,18 @@ def _perturbed_table(real):
 def _perturbed_psi(real):
     def perturbed(Kmax):
         s = real(Kmax)
-        s[7] += 7  # psi_7, and E becomes E exp(24 q^7), integral through q^34
+        s[7] += 7  # psi_7 alone: E is read from the eta quotient
         return s
 
     return perturbed
 
 
 def _perturbed_e(real):
-    def perturbed(beta, Kmax):
-        den, (e,), M = real(beta, Kmax).integer_form()
+    def perturbed(a, b, N):
+        s = real(a, b, N)
+        den, (e,), M = s.integer_form()
         e = [x + den if k == 6 else x for k, x in enumerate(e)]  # E_6, so z_7
-        return PureQSeries.from_integers(Fraction(0), Fraction(1), den, [e], M)
+        return PureQSeries.from_integers(s.lead, s.step, den, [e], M)
 
     return perturbed
 
@@ -379,7 +380,7 @@ def _perturbed_ab(real):
     [
         ("tables_DC", _perturbed_table, 7),
         ("_divisor_sums", _perturbed_psi, 7),
-        ("_e_power", _perturbed_e, 7),
+        ("eta_quotient", _perturbed_e, 7),
         ("_hypergeometric", _perturbed_ab, 1),
     ],
     ids=["table", "psi", "E", "ab"],
@@ -395,14 +396,15 @@ def test_a_perturbed_closed_route_input_exits_4(monkeypatch, capsys, cold_cache,
 def test_a_non_integral_E_exits_4(monkeypatch, capsys, cold_cache):
     from vvmf2 import minform
 
-    real = minform._e_power
+    real = minform.eta_quotient
 
-    def plus_half(beta, Kmax):
-        den, (e,), M = real(beta, Kmax).integer_form()
+    def plus_half(a, b, N):
+        s = real(a, b, N)
+        den, (e,), M = s.integer_form()
         e = [2 * x + (k == 5) for k, x in enumerate(e)]  # E_5 + 1/2
-        return PureQSeries.from_integers(Fraction(0), Fraction(1), 2 * den, [e], M)
+        return PureQSeries.from_integers(s.lead, s.step, 2 * den, [e], M)
 
-    monkeypatch.setattr(minform, "_e_power", plus_half)
+    monkeypatch.setattr(minform, "eta_quotient", plus_half)
     assert main(["denoms", "--seed-instance", "m2", "--kmax", "10"]) == 4
     assert "E = prod (1 + q^n)^24 came out with denominator 2, not 1" in capsys.readouterr().err
 

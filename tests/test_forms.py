@@ -13,6 +13,7 @@ from vvmf2.forms import (
     eisenstein_E2,
     eisenstein_E4,
     eta_pow,
+    eta_quotient,
     eta_tail_coeffs,
     form_monomial,
     g_parity_form,
@@ -76,6 +77,33 @@ def test_eta_powers():
         eta_pow(3, 5)
     tail = eta_tail_coeffs(2, 6)
     assert tail[0] == 1 and all(c.denominator == 1 for c in tail)
+
+
+def _log_derivative_holds(P, a, b, N):
+    # theta log eta(tau) = E2(q)/24 and theta log eta(2 tau) = E2(q^2)/12: no eta product here
+    rhs = (a * eisenstein_E2(N) + 2 * b * eisenstein_E2(N).rescale(2)) * P
+    return equal_through(24 * P.theta(), rhs, P.lead + N)
+
+
+@pytest.mark.parametrize(
+    "a, b", [(-24, 24), (-4, 8), (8, -4), (24, -24), (2, 0), (-2, 0), (12, 0), (0, 0)]
+)
+def test_eta_quotients_solve_their_logarithmic_derivative(a, b):
+    # 24 theta P = (a E2(q) + 2b E2(q^2)) P and the leading 1 fix P = eta(tau)^a eta(2 tau)^b
+    N = 40
+    P = eta_quotient(a, b, N)
+    assert P.lead == Fraction(a + 2 * b, 24) and P.coeffs[0] == 1
+    assert P.horizon == P.lead + N + 1
+    assert _log_derivative_holds(P, a, b, N)
+
+
+@pytest.mark.parametrize("j", [1, 17, 40])
+def test_the_logarithmic_derivative_sees_one_perturbed_coefficient(j):
+    # coefficient j moves 24 theta P by 24 (lead + j) there, the right side by a + 2b only
+    P = eta_quotient(-24, 24, 40)
+    coeffs = list(P.coeffs)
+    coeffs[j] += 1
+    assert not _log_derivative_holds(PureQSeries.make(P.lead, coeffs), -24, 24, 40)
 
 
 def test_hauptmodul_expansion():
@@ -164,23 +192,26 @@ def test_a_faulty_linear_core_fails_the_identity_suite(monkeypatch, capsys, core
 
 
 def test_identity_suite_builds_each_named_series_once(monkeypatch):
-    builds = []
+    # every cached series: the named ones, G^2, the Euler product and each eta quotient
+    builds, real = [], forms._cached
 
-    def counted(name, real):
-        def build(count):
+    def counted(name, count, builder):
+        def build(n):
             builds.append(name)
-            return real(count)
+            return builder(n)
 
-        return build
+        return real(name, count, build)
 
-    for name in ("_build_e2", "_build_e4", "_build_g", "_build_hauptK"):
-        monkeypatch.setattr(forms, name, counted(name, getattr(forms, name)))
+    monkeypatch.setattr(forms, "_cached", counted)
     forms.clear_cache()
     try:
         assert identity_suite(30).all_passed
     finally:
         forms.clear_cache()
-    assert sorted(builds) == ["_build_e2", "_build_e4", "_build_g", "_build_hauptK"]
+    assert sorted(builds) == [
+        "E2", "E4", "G", "G^2E4^0", "eta^(-4,0)", "eta^(-4,8)", "eta^(0,0)", "eta^(12,0)",
+        "eta^(2,0)", "eta^(8,-4)", "euler", "hauptK", "theta",
+    ]
 
 
 def test_identity_suite_requires_depth():

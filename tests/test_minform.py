@@ -168,22 +168,22 @@ def test_tables_match_series_powers():
 
 
 def test_the_hauptmodul_is_one_over_eps_plus_64():
-    # K = 192 G^2 / (E4 - G^2) and eps = q E are built by unrelated code
+    # K = 192 G^2 / (E4 - G^2) and eps = eta(2 tau)^24 / eta(tau)^24 are built by unrelated code
     N = 200
     K = hauptmodul(N)[0]
-    eps = minform._e_power(Fraction(1), N + 1).shifted(1)
+    eps = forms.eta_quotient(-24, 24, N + 1)
     assert equal_through(K, eps.inv() + PureQSeries.constant(64, N + 1), N)
 
 
-@pytest.mark.parametrize("beta", [Fraction(1), Fraction(1, 2), Fraction(-3), Fraction(2, 45)])
+@pytest.mark.parametrize("beta", [Fraction(1), Fraction(-1), Fraction(-3), Fraction(2)])
 def test_e_powers_match_the_series_kernel(beta):
-    # E^beta = U^(24 beta) for U = prod (1 + q^n), so (E^beta)^(2q) = (U^2)^p for 24 beta = p/q
+    # E^beta = eta(2 tau)^(24 beta) / (q eta(tau)^24)^beta = (U^2)^(12 beta) for U = prod (1 + q^n)
     Kmax = 16
-    p, q = (24 * beta).as_integer_ratio()
+    p = int(24 * beta)
     u2 = (forms.eta_pow(2, Kmax).rescale(2) * forms.eta_pow(-2, Kmax)).shifted(Fraction(-1, 12))
-    got = minform._e_power(beta, Kmax)
+    got = forms.eta_quotient(-p, p, Kmax).shifted(-beta)
     assert got.horizon == Kmax + 1
-    assert equal_through(got ** (2 * q), u2**p, Kmax)
+    assert equal_through(got, u2 ** (p // 2), Kmax)
 
 
 def _theta_by_fractions(A, B, C, n):
@@ -455,7 +455,7 @@ def test_a_warm_table_prefix_equals_a_cold_build(cold_cache):
 
 def test_a_cleared_cache_rebuilds_the_tables(monkeypatch, cold_cache):
     want = tables_DC(10)
-    monkeypatch.setattr(minform, "_e_power", _perturbed_e(minform._e_power))
+    monkeypatch.setattr(minform, "eta_quotient", _perturbed_e(minform.eta_quotient))
     assert tables_DC(10) == want  # warm: the faulty E is not read
     minimal_form(M2, 10, "both")
     forms.clear_cache()
@@ -465,28 +465,46 @@ def test_a_cleared_cache_rebuilds_the_tables(monkeypatch, cold_cache):
 
 
 def test_g_squared_is_built_once_per_process(monkeypatch, cold_cache):
-    # G^2 is still the series product G * G, kept in the cache of forms beside tables_DC
-    squares, real = [], PureQSeries.__mul__
+    # every G^a E4^b, G^2 among them, is a form_monomial kept in the cache of forms
+    builds, real = [], forms._cached
 
-    def counting(a, b):
-        if a is b:
-            squares.append(a.length)
-        return real(a, b)
+    def counting(name, count, builder):
+        def build(n):
+            builds.append((name, n))
+            return builder(n)
 
-    monkeypatch.setattr(PureQSeries, "__mul__", counting)
+        return real(name, count, build if name.startswith("G^") else builder)
+
+    monkeypatch.setattr(forms, "_cached", counting)
     want = _lists(h_frobenius(M2, 12))
     h_frobenius(V3, 30)
     assert _lists(h_frobenius(M2, 12)) == want  # a prefix of the longer build
-    assert squares == [13, 31]
+    assert builds == [("G^2E4^0", 13), ("G^2E4^0", 31)]
     forms.clear_cache()
-    assert _lists(h_frobenius(M2, 12)) == want and squares == [13, 31, 13]
+    assert _lists(h_frobenius(M2, 12)) == want and builds[2:] == [("G^2E4^0", 13)]
+
+    # the Hauptmodul of identity_suite(30) asks for the longest G^2; the others read prefixes
+    forms.clear_cache()
+    builds.clear()
+    assert forms.identity_suite(30).all_passed
+    hauptmodul(30)
+    mf = minimal_form(V3, 30, "both")
+    assert mlde_residual(V3, mf.comp1).is_zero and mlde_residual(V3, mf.comp2).is_zero
+    assert builds == [("G^2E4^0", 42)]
+
+    # weight 6 for V3 (k0 = 0): G^3, G E4 times F' and G^2, E4 times DF'
+    builds.clear()
+    basis = weight_basis(mf, 6)
+    z1, z2 = combination(mf, {(3, 0): 1, (1, 1): 2}, {(2, 0): 1, (0, 1): -5}, 6)
+    decompose(mf, z1, z2, 6)
+    assert len(basis) == 4
+    assert sorted(name for name, _ in builds) == ["G^1E4^1", "G^3E4^0"]  # G, E4 and G^2 are read
 
 
 def _perturbed_divisor_sums(real):
     def perturbed(Kmax):
         s = real(Kmax)
-        # psi_7 and, through Miller's recurrence, E: it becomes E exp(24 q^7),
-        # still integral through q^34
+        # psi_7 alone: E is read from the eta quotient
         s[7] += 7
         return s
 
@@ -494,17 +512,18 @@ def _perturbed_divisor_sums(real):
 
 
 def _perturbed_e(real):
-    def perturbed(beta, Kmax):
-        den, (e,), M = real(beta, Kmax).integer_form()
+    def perturbed(a, b, N):
+        s = real(a, b, N)
+        den, (e,), M = s.integer_form()
         e = [x + den if k == 6 else x for k, x in enumerate(e)]  # E_6, so z_7
-        return PureQSeries.from_integers(Fraction(0), Fraction(1), den, [e], M)
+        return PureQSeries.from_integers(s.lead, s.step, den, [e], M)
 
     return perturbed
 
 
 @pytest.mark.parametrize(
     "name, fault",
-    [("_divisor_sums", _perturbed_divisor_sums), ("_e_power", _perturbed_e)],
+    [("_divisor_sums", _perturbed_divisor_sums), ("eta_quotient", _perturbed_e)],
     ids=["psi", "E"],
 )
 def test_a_perturbed_closed_route_series_is_a_pipeline_mismatch(
@@ -529,26 +548,16 @@ def mutated_kernel(monkeypatch, cold_cache):
     return install
 
 
-# A kernel fault also reaches E, and so z, in the closed route.  Where it
-# leaves E non-integral, E is refused; with E held correct, the routes disagree.
+# E comes from the eta quotient, so a kernel fault reaches the two routes'
+# equations only, each in its own way, and they disagree.
 _DISAGREE = "closed-form and recursion disagree at K="
-_E_REFUSED = r"E = prod \(1 \+ q\^n\)\^24 came out with denominator"
 
 
-def _refused_at_E_then_disagrees(monkeypatch, mutated_kernel, old, new):
-    E = minform._e_power(Fraction(1), 8)
-    mutated_kernel(old, new)
-    with pytest.raises(PipelineMismatch, match=_E_REFUSED):
-        minimal_form(M2, 8, "both")
-    monkeypatch.setattr(minform, "_e_power", lambda beta, Kmax: E)
+def test_a_dropped_horner_term_breaks_agreement(mutated_kernel):
+    # the last term of every step, j = 1, is left out
+    mutated_kernel("N[lo:m], Y[lo:])", "N[lo : m - 1], Y[lo : m - 1])")
     with pytest.raises(PipelineMismatch, match=_DISAGREE):
         minimal_form(M2, 8, "both")
-
-
-def test_a_dropped_horner_term_breaks_agreement(monkeypatch, mutated_kernel):
-    # the last term of every step, j = 1, is left out
-    old, new = "N[lo:m], Y[lo:])", "N[lo : m - 1], Y[lo : m - 1])"
-    _refused_at_E_then_disagrees(monkeypatch, mutated_kernel, old, new)
 
 
 def test_an_off_by_one_x_breaks_agreement(mutated_kernel):
@@ -564,7 +573,7 @@ def test_the_frobenius_route_calls_no_closed_route_kernel(monkeypatch):
     def refuse(*args):
         raise AssertionError("the Frobenius route called a closed-route kernel")
 
-    for name in ("_conv", "tables_DC", "_e_power", "_divisor_sums", "seq_f"):
+    for name in ("_conv", "tables_DC", "eta_quotient", "_divisor_sums", "seq_f"):
         monkeypatch.setattr(minform, name, refuse)
     assert _lists(h_frobenius(V3, 20)) == want
 
@@ -580,7 +589,8 @@ def test_the_frobenius_route_honours_a_series_denominator(monkeypatch, cold_cach
         return PureQSeries.make(s.lead, cs)
 
     assert plus_half(8).integer_form()[0] == 2
-    monkeypatch.setattr(minform, name, plus_half)
+    for module in (forms, minform):  # forms builds G^2 from its own G
+        monkeypatch.setattr(module, name, plus_half)
     monkeypatch.setitem(globals(), name, plus_half)
     for params in (M2, V3):
         assert _lists(h_frobenius(params, 8)) == reference_h_frobenius(params, 8)
@@ -631,10 +641,11 @@ def test_a_faulty_E4_fails_the_frobenius_route_alone(monkeypatch):
 _INDICIAL = "N = [(A[0] * m + B[0]) * m + C[0] for m in range(n + 1)]"
 
 
-def test_a_faulty_indicial_value_breaks_agreement(monkeypatch, mutated_kernel):
-    # N_3 one too large, on both routes and in E
-    new = _INDICIAL.replace("C[0] for", "C[0] + (m == 3) for")
-    _refused_at_E_then_disagrees(monkeypatch, mutated_kernel, _INDICIAL, new)
+def test_a_faulty_indicial_value_breaks_agreement(mutated_kernel):
+    # N_3 one too large, on both routes
+    mutated_kernel(_INDICIAL, _INDICIAL.replace("C[0] for", "C[0] + (m == 3) for"))
+    with pytest.raises(PipelineMismatch, match=_DISAGREE):
+        minimal_form(M2, 8, "both")
 
 
 def test_a_vanishing_indicial_value_is_refused(mutated_kernel):

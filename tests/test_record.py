@@ -182,7 +182,8 @@ def test_the_package_imports_without_the_dataclass_machinery():
         "import sys, vvmf2, vvmf2.cli\n"
         f"loaded = sorted(m for m in {heavy!r} if m in sys.modules)\n"
         "import json\n"
-        "print(json.dumps([loaded, vvmf2.InstanceParams._fields, vvmf2.cli.RunConfig._fields]))\n"
+        "fields = [vvmf2.params.InstanceParams._fields, vvmf2.cli.RunConfig._fields]\n"
+        "print(json.dumps([loaded, *fields]))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -198,3 +199,17 @@ def test_the_package_imports_without_the_dataclass_machinery():
     assert params_fields == ["k0", "a", "b", "c", "l1", "l2", "r", "A", "B", "M", "u", "v"]
     assert config_fields == ["exponents", "kmax", "method", "factor_bound"]
     assert [p.name for p in (SRC / "vvmf2").glob("*.py") if "dataclasses" in p.read_text()] == []
+
+
+def test_importing_the_package_loads_only_its_errors():
+    # the top level re-exports nothing: a subcommand compiles only the modules it imports
+    code = "import sys, vvmf2\nprint(sorted(m for m in sys.modules if m.startswith('vvmf2.')))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["['vvmf2.errors']"]
