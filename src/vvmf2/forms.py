@@ -337,15 +337,10 @@ def monomial_basis(k: int) -> list[tuple[int, int]]:
 
 
 def form_monomial(a: int, b: int, N: int) -> PureQSeries:
-    """G^a * E4^b to order N, cached: G^2 is form_monomial(2, 0, N).
-
-    Each is one product on the cached monomial with one E4 less, or with
-    no E4 one G less, so the monomials of one G-degree share its powers.
-    """
+    """G^a * E4^b to order N, cached: G^2 is form_monomial(2, 0, N)."""
     if a + b <= 1:
         return weight2_G(N) if a else eisenstein_E4(N) if b else PureQSeries.constant(1, N + 1)
-    rest, factor = ((a, b - 1), eisenstein_E4) if b else ((a - 1, 0), weight2_G)
-    return _cached(f"G^{a}E4^{b}", N + 1, lambda n: form_monomial(*rest, n - 1) * factor(n - 1))
+    return _cached(f"G^{a}E4^{b}", N + 1, lambda n: weight2_G(n - 1) ** a * eisenstein_E4(n - 1) ** b)
 
 
 def _solve_exact(rows: list[list], rhs: list) -> list:

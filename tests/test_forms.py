@@ -316,6 +316,18 @@ def test_monomial_coordinates_roundtrip(coeffs, k):
     assert {ab: c for ab, c in got.items() if c} == want
 
 
+@pytest.mark.parametrize("a, b", [(400, 0), (2, 398), (150, 250)])
+def test_a_high_weight_monomial_builds_from_a_cold_cache(a, b, cold_cache):
+    # a + b = 400 at weights 800, 1596 and 1300: one cache entry each and no
+    # lower-degree entries; checked through q^2 from G = 1 + 24q + 24q^2 + ...
+    # and E4 = 1 + 240q + 2160q^2 + ...
+    mon = form_monomial(a, b, 6)
+    g2 = 24 * a + 24**2 * a * (a - 1) // 2
+    e2 = 2160 * b + 240**2 * b * (b - 1) // 2
+    assert [mon.coeff(n) for n in range(3)] == [1, 24 * a + 240 * b, g2 + e2 + 24 * a * 240 * b]
+    assert [name for name in forms._CACHE if name.startswith("G^")] == [f"G^{a}E4^{b}"]
+
+
 def test_g_slash_S_full_series_oracle():
     # independent route: the slashed series coincides with -(1/2) G(tau/2),
     # which the theta/eta construction never references
