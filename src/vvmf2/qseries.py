@@ -29,10 +29,8 @@ combined over the sqrt(M) parts by ``_kernel``).  ``_conv`` runs a long
 product with narrow entries by Kronecker substitution (each operand
 packed into one int, one CPython multiplication) and every other product
 schoolbook (``_iconv`` over ``_toeplitz``); its two cutoffs are measured.
-An irrational series is inverted through its conjugate, so the one
-inverse recurrence is rational.  ``from_integers``,
-the inverse of ``integer_form``, builds a series from integers another
-module computed.
+``inv`` takes rational series only.  ``from_integers``, the inverse of
+``integer_form``, builds a series from integers another module computed.
 
 ``to_json`` is the package's one JSON encoder (values, series, records
 and containers of them), used by every CLI report; ``value_from_json``
@@ -44,7 +42,8 @@ from __future__ import annotations
 import contextlib
 import math
 from fractions import Fraction
-from operator import add, mul
+from itertools import chain, compress
+from operator import add, mul, or_
 from typing import Union
 
 from .errors import ConfigError, TruncationError
@@ -207,12 +206,12 @@ def _inverse(den: int, P: list[int]) -> tuple[int, list[int]]:
         powers.append(powers[-1] * L)
     # z_j = Y_j * L^(j-1), stored from j = 1
     z = [(x // g) * w for x, w in zip(P[1:], powers)]
-    B = [1]
-    for i in range(1, n):
-        B.append(-sum(map(mul, z[:i], B[::-1])))
+    rev = [1]  # B_i, ..., B_0: map(mul, z, rev) stops at B_0
+    for _ in range(1, n):
+        rev.insert(0, -sum(map(mul, z, rev)))
     D = powers[-1] * P[0]
     sign = -1 if D < 0 else 1
-    return sign * D, [sign * den * b * w for b, w in zip(B, reversed(powers))]
+    return sign * D, [sign * den * b * w for b, w in zip(rev, powers)][::-1]
 
 
 def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
@@ -231,7 +230,7 @@ def _reduced(den: int, parts: list[list[int]]) -> tuple[int, list[list[int]]]:
     """den and parts divided by gcd(den, *parts), found by one multi-argument gcd."""
     if den == 1:
         return den, parts
-    g = math.gcd(den, *(x for p in parts for x in p))
+    g = math.gcd(den, *chain.from_iterable(parts))
     if g == 1:
         return den, parts
     return den // g, [[x // g for x in p] for p in parts]
@@ -272,7 +271,7 @@ class PureQSeries:
     def from_integers(lead, step, den: int, parts: list[list[int]], M) -> "PureQSeries":
         """The series of an integer form; leading zeros stripped (horizon kept), den reduced."""
         n = len(parts[0])
-        k = next((i for i in range(n) if any(p[i] for p in parts)), n)
+        k = next(compress(range(n), parts[0] if len(parts) == 1 else map(or_, *parts)), n)
         if k:
             lead, parts = lead + k * step, [p[k:] for p in parts]
         den, parts = _reduced(den, parts)  # all zero: den 1 and empty lists, the zero series
@@ -350,7 +349,7 @@ class PureQSeries:
     def make(lead: Scalar, coeffs, step: Scalar = 1) -> "PureQSeries":
         """Normalize (strip leading zeros, keep the horizon) and build."""
         cs, step = tuple(coeffs), Fraction(step)
-        k = next((i for i, c in enumerate(cs) if c), len(cs))
+        k = next(compress(range(len(cs)), cs), len(cs))
         return PureQSeries(Fraction(lead) + k * step, step, cs[k:])
 
     @staticmethod
@@ -493,24 +492,14 @@ class PureQSeries:
         return NotImplemented
 
     def inv(self) -> "PureQSeries":
-        """Two-sided inverse to the truncation order.
-
-        An irrational series a is inverted as conj(a) / (a*conj(a)): the
-        norm a*conj(a) is rational, so one recurrence serves.
-        """
+        """Two-sided inverse to the truncation order, of a rational series."""
         if self.is_zero:
             raise ZeroDivisionError("cannot invert a zero series")
         den, parts, M = self.integer_form()
-        if M is None:
-            iden, inv_rat = _inverse(den, parts[0])
-            return PureQSeries.from_integers(-self.lead, self.step, iden, [inv_rat], None)
-        rat, surd = parts
-        n = len(rat)
-        # the norm rat^2 - M*surd^2, rational
-        norm = list(map(add, _conv(rat, rat, n), _conv(surd, _iscale(surd, -M), n)))
-        iden, inv_norm = _inverse(den * den, norm)
-        out = _kernel([rat, _iscale(surd, -1)], [inv_norm], n, M)
-        return PureQSeries.from_integers(-self.lead, self.step, den * iden, out, M)
+        if M is not None:
+            raise ValueError(f"cannot invert a series with a sqrt({M}) part")
+        iden, inv_rat = _inverse(den, parts[0])
+        return PureQSeries.from_integers(-self.lead, self.step, iden, [inv_rat], None)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):

@@ -25,7 +25,7 @@ class Record:
         super().__init_subclass__(**kwargs)
         cls._fields = names = tuple(cls.__annotations__)  # its own annotations, in order
         cls._defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
-        cls._key = attrgetter(*names)
+        cls._key = attrgetter(*names) if names else staticmethod(lambda rec: ())
         if "__eq__" in cls.__dict__ and cls.__dict__.get("__hash__") is None:
             cls.__hash__ = Record.__hash__  # an own __eq__ keeps the field hash, as in a frozen dataclass
 

@@ -214,6 +214,54 @@ def test_identity_suite_builds_each_named_series_once(monkeypatch):
     ]
 
 
+def test_identity_suite_inverts_four_series_and_no_long_product_runs_schoolbook(
+    monkeypatch, cold_cache
+):
+    # E4 - G^2 for the Hauptmodul and the Euler products of eta^-4, eta^-4(t) eta^8(2t) and
+    # eta^8(t) eta^-4(2t); only the 14-term products of g_slash_S are short enough for schoolbook
+    inverses, columns = [], []
+    real_inverse, real_iconv = qseries._inverse, qseries._iconv
+
+    def inverse(den, P):
+        inverses.append(len(P))
+        return real_inverse(den, P)
+
+    def iconv(a, cols):
+        columns.append(len(cols))
+        return real_iconv(a, cols)
+
+    monkeypatch.setattr(qseries, "_inverse", inverse)
+    monkeypatch.setattr(qseries, "_iconv", iconv)
+    assert identity_suite(200).all_passed
+    assert len(inverses) == 4
+    assert columns and max(columns) < qseries._KRONECKER_MIN_LEN
+
+
+def _theta2_J_divided(N):
+    """theta2-J in its first form: divided by 6J through the inverse of 6J, through q^N."""
+    margin = N + 8
+    _, J = forms.hauptmodul(margin)
+    e2, g2 = eisenstein_E2(margin), form_monomial(2, 0, margin)
+    one, thJ = PureQSeries.constant(1, margin + 2), J.theta()
+    rhs = g2 * (one - J) * (3 * one - 7 * J) * (6 * J).inv() + Fraction(1, 6) * (e2 * thJ)
+    return equal_through(thJ.theta(), rhs, N)
+
+
+@pytest.mark.parametrize("N", [30, 200])
+def test_theta2_J_times_6J_reads_as_deep_as_its_divided_form(monkeypatch, N):
+    # K moved by 1 at one q^k, from its leading q^-1 to two past q^N: both forms fail
+    # through q^N and both pass beyond it
+    K, _ = hauptmodul(N + 8)
+    den, (xs,), _ = K.integer_form()
+    for k in range(-1, N + 3):
+        moved = list(xs)
+        moved[k + 1] += den
+        Kk = PureQSeries.from_integers(K.lead, K.step, den, [moved], None)
+        monkeypatch.setattr(forms, "hauptmodul", lambda n, Kk=Kk: (Kk, Kk * Fraction(1, 64)))
+        suite = next(c.passed for c in identity_suite(N).checks if c.name == "theta2-J")
+        assert suite == _theta2_J_divided(N) == (k > N), k
+
+
 def test_identity_suite_requires_depth():
     with pytest.raises(ValueError):
         identity_suite(5)

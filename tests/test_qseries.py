@@ -289,7 +289,7 @@ def _naive_mul(u, v):
 
 def _naive_inv(u):
     c = u.coeffs
-    b0 = c[0].inverse() if isinstance(c[0], QuadNum) else 1 / c[0]
+    b0 = 1 / c[0]
     out = [b0]
     for i in range(1, len(c)):
         acc = sum((c[j] * out[i - j] for j in range(1, i + 1)), Fraction(0))
@@ -310,6 +310,16 @@ def _same(s, t):
     assert s.coeffs == t.coeffs
 
 
+def _irrational(u):
+    return u.integer_form()[2] is not None
+
+
+def _refuses_inverse(u, invert=PureQSeries.inv):
+    """inv, and so every negative power, takes rational series only."""
+    with pytest.raises(ValueError, match=r"cannot invert a series with a sqrt\(-?\d+\) part"):
+        invert(u)
+
+
 @given(_fields.flatmap(lambda M: st.tuples(_kernel_series(M), _kernel_series(M))))
 @settings(max_examples=150, deadline=None)
 def test_kernel_mul_matches_schoolbook(pair):
@@ -327,8 +337,10 @@ def test_kernel_inv_matches_schoolbook(u):
     if u.is_zero:
         with pytest.raises(ZeroDivisionError):
             u.inv()
-        return
-    _same(u.inv(), _naive_inv(u))
+    elif _irrational(u):
+        _refuses_inverse(u)
+    else:
+        _same(u.inv(), _naive_inv(u))
 
 
 @given(
@@ -339,23 +351,39 @@ def test_kernel_inv_matches_schoolbook(u):
 def test_kernel_pow_matches_schoolbook(u, n):
     if u.is_zero:
         return
+    if n < 0 and _irrational(u):
+        _refuses_inverse(u, lambda u: u**n)
+        return
     _same(u**n, _naive_pow(u, n))
 
 
 def test_kernel_inv_non_unit_leading_terms():
-    # c0 = 3/32 as in 6J, a QuadNum c0, and a tail that stays non-integral
-    # after c0 is factored out (L > 1)
-    w = QuadNum(Fraction(1, 2), Fraction(3), 5)
+    # c0 = 3/32 as in 6J, and a tail that stays non-integral after c0 is
+    # factored out (L > 1)
     for coeffs in (
         [Fraction(3, 32), Fraction(-9, 4), Fraction(27, 16), 5],
-        [w, 1, Fraction(2, 7), w * w, -3],
         [Fraction(2, 3), Fraction(1, 5), Fraction(-7, 11), Fraction(1, 9), Fraction(5, 2)],
-        [QuadNum(0, Fraction(1, 3), 2), Fraction(1, 2), QuadNum(1, Fraction(1, 7), 2)],
     ):
         u = PureQSeries.make(Fraction(-1, 2), coeffs)
         _same(u.inv(), _naive_inv(u))
         one = u * u.inv()
         assert one.coeffs == (1,) + (0,) * (len(coeffs) - 1)
+
+
+def test_kernel_inv_refuses_an_irrational_series():
+    # a QuadNum c0, an irrational tail behind a rational c0, and a sqrt(M) part at the end only
+    w = QuadNum(Fraction(1, 2), Fraction(3), 5)
+    for coeffs in (
+        [w, 1, Fraction(2, 7), w * w, -3],
+        [Fraction(1, 2), QuadNum(0, Fraction(1, 3), 2), QuadNum(1, Fraction(1, 7), 2)],
+        [1, 2, 3, QuadNum(0, 1, 3)],
+    ):
+        u = PureQSeries.make(Fraction(-1, 2), coeffs)
+        _refuses_inverse(u)
+        _refuses_inverse(u, lambda u: u**-2)
+    # a zero sqrt(M) part is stored rational, so it inverts
+    r = PureQSeries.make(0, [QuadNum(2, 0, 5), QuadNum(1, 0, 5)])
+    assert r.inv().coeffs[:2] == (Fraction(1, 2), Fraction(-1, 4))
 
 
 def test_kernel_rejects_mixed_fields():
@@ -482,9 +510,13 @@ def test_long_series_products_inverses_and_powers_match_schoolbook(slot_widths, 
     _same(u * v, _naive_mul(u, v))
     w = u.shifted(Fraction(1, 2)).rescale(2)  # on the grid 1 + 2Z, so v * w runs on v's grid
     _same(v * w, _naive_mul(v, w))
-    _same(u.inv(), _naive_inv(u))
     _same(v**3, _naive_pow(v, 3))
-    _same(v**-2, _naive_pow(v, -2))
+    if M is None:
+        _same(u.inv(), _naive_inv(u))
+        _same(v**-2, _naive_pow(v, -2))
+    else:
+        _refuses_inverse(u)
+        _refuses_inverse(v, lambda v: v**-2)
     assert slot_widths
 
 
@@ -635,6 +667,9 @@ def test_stored_integers_match_schoolbook(name, case):
     op, ref = _STORED_OPS[name]
     if name in ("inv", "pow") and u.is_zero:
         return
+    if (name == "inv" or name == "pow" and extras["n"] < 0) and _irrational(u):
+        _refuses_inverse(u, lambda u: op(u, v, extras))
+        return
     got = op(u, v, extras)
     _assert_reduced(got)
     if name == "mul" and (u.is_zero or v.is_zero):
@@ -729,6 +764,39 @@ def test_prefixes_and_shifts_reuse_the_integer_form():
     assert moved.integer_form()[1] is s.integer_form()[1] and moved.coeffs == s.coeffs
     quad = PureQSeries.make(0, [1, 2]).scaled(QuadNum(0, 1, 2))
     assert all(isinstance(c, QuadNum) for c in quad.coeffs)
+
+
+@pytest.mark.parametrize(
+    "parts, lead, form",
+    [
+        # the rational part leads with zeros, the sqrt(2) part starts the series
+        ([[0, 0, 4, 2], [0, 2, 0, 6]], Fraction(5, 6), (3, [[0, 2, 1], [1, 0, 3]], 2)),
+        # the sqrt(2) part leads with zeros
+        ([[0, 3, 0, 9], [0, 0, 0, 6]], Fraction(5, 6), (2, [[1, 0, 3], [0, 0, 2]], 2)),
+        # an all-zero sqrt(2) part is dropped
+        ([[0, 2, 4], [0, 0, 0]], Fraction(5, 6), (3, [[1, 2]], None)),
+        # all zero: the zero series, known up to the same horizon
+        ([[0, 0, 0, 0], [0, 0, 0, 0]], Fraction(11, 6), (1, [[]], None)),
+    ],
+)
+def test_from_integers_strips_the_leading_zeros_of_either_part(parts, lead, form):
+    step, den = Fraction(1, 3), 6
+    s = PureQSeries.from_integers(Fraction(1, 2), step, den, parts, 2)
+    horizon = Fraction(1, 2) + len(parts[0]) * step
+    assert (s.lead, s.horizon, s.integer_form()) == (lead, horizon, form)
+    values = [QuadNum(Fraction(x, den), Fraction(y, den), 2) for x, y in zip(*parts)]
+    _same(s, PureQSeries.make(Fraction(1, 2), values, step))
+    _assert_reduced(s)
+
+
+def test_reduced_divides_both_parts_by_one_gcd():
+    assert qseries._reduced(6, [[2, 4], [0, 8]]) == (3, [[1, 2], [0, 4]])
+    assert qseries._reduced(6, [[0, 0], [0, 8]]) == (3, [[0, 0], [0, 4]])
+    assert qseries._reduced(5, [[0, 0], [0, 3]]) == (5, [[0, 0], [0, 3]])
+    assert qseries._reduced(6, [[0, 0], [0, 0]]) == (1, [[0, 0], [0, 0]])
+    assert qseries._reduced(6, [[], []]) == (1, [[], []])
+    parts = [[4, 6], [2, 8]]
+    assert qseries._reduced(1, parts)[1] is parts
 
 
 @given(st.sampled_from([None, 2, 3, 5, 13, -1, -3]).flatmap(_kernel_series))

@@ -85,6 +85,24 @@ def test_equality_and_hash_follow_the_fields_and_the_class():
     assert len({a, b, Pair(1, Fraction(1, 2))}) == 2
 
 
+def test_a_record_with_no_fields_is_a_value():
+    class Empty(Record):
+        pass
+
+    @dataclass(frozen=True)
+    class EmptyDC:
+        pass
+
+    a, b = Empty(), Empty()
+    assert Empty._fields == () and Empty._key(a) == ()
+    assert a == b and hash(a) == hash(b) == hash(())
+    assert a != Point(1, Fraction(1, 2)) and len({a, b}) == 1
+    assert repr(a) == repr(EmptyDC()).replace("EmptyDC", "Empty")
+    assert replace(a) == a and to_json(a) == {}
+    with pytest.raises(TypeError):
+        Empty(1)
+
+
 def test_the_hash_is_computed_once_and_stays_out_of_the_fields():
     class Counted:
         calls = 0
