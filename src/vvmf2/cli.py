@@ -10,8 +10,9 @@ Exit codes are stable and documented:
 
 All machine output is JSON written by the package's one encoder,
 ``qseries.to_json``: rationals as "p/q" strings, quadratic values as
-{"rat", "surd", "M"} objects, emitted with sorted keys so identical
-configs produce byte-identical reports.
+{"rat", "surd", "M"} objects, written with sorted keys and an indent of
+two, the bytes of ``json.dumps(..., indent=2, sort_keys=True)``, so
+identical configs produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import denoms as denoms_mod
 from . import forms
@@ -173,12 +175,67 @@ def _load_config(args) -> RunConfig:
     return replace(cfg, **updates)
 
 
+_SCALAR_TEXT = {
+    str: _quote,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(tree) -> str:
+    """``json.dumps(tree, indent=2, sort_keys=True)`` for what ``to_json`` makes, in one recursion.
+
+    str, int, bool, None, lists and dicts with str keys; anything else is a
+    TypeError.  Each scalar is one piece with the separator and key before it.
+    """
+    pieces = []
+    put, scalar_text = pieces.append, _SCALAR_TEXT.get
+
+    def write(x, head: str, nl: str) -> None:
+        # head: the separator and key before x; nl: a newline and the indent of x's level
+        inner = nl + "  "
+        if x.__class__ is list:
+            if not x:
+                return put(head + "[]")
+            put(head + "[")
+            sep = inner
+            for v in x:
+                text = scalar_text(v.__class__)
+                if text is None:
+                    write(v, sep, inner)
+                else:
+                    put(sep + text(v))
+                sep = "," + inner
+            put(nl + "]")
+        elif x.__class__ is dict:
+            if not x:
+                return put(head + "{}")
+            put(head + "{")
+            sep = inner
+            for k in sorted(x):
+                v = x[k]
+                text = scalar_text(v.__class__)
+                if text is None:
+                    write(v, f"{sep}{_quote(k)}: ", inner)
+                else:
+                    put(f"{sep}{_quote(k)}: {text(v)}")
+                sep = "," + inner
+            put(nl + "}")
+        else:
+            raise TypeError(f"a report holds no {x.__class__.__name__}")
+
+    text = scalar_text(tree.__class__)
+    if text is not None:
+        return text(tree)
+    write(tree, "", "\n")
+    return "".join(pieces)
+
+
 def _emit(report, out: str | None):
     """Write a text report as it is, anything else as JSON through ``to_json``."""
     try:
-        text = report if isinstance(report, str) else json.dumps(
-            to_json(report), indent=2, sort_keys=True
-        )
+        text = report if isinstance(report, str) else _json_text(to_json(report))
     except ValueError as exc:  # an integer past the int -> str limit (m2 from Kmax about 1350)
         if "Exceeds the limit" not in str(exc):
             raise
@@ -403,70 +460,74 @@ def cmd_probe(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_instance_flags(sub):
-    sub.add_argument("--config", help="JSON run configuration file")
-    sub.add_argument(
-        "--seed-instance",
-        choices=tuple(SEED_FIELDS),
-        help="use a built-in worked instance instead of a config file",
-    )
-    sub.add_argument("--kmax", type=checked_int(check_kmax), default=None)
-    sub.add_argument("--method", choices=METHODS, default=None)
-    sub.add_argument("--out", default=None, help="write the report here instead of stdout")
+_OUT = ("--out", {"default": None})
+_FORMAT = ("--format", {"choices": ("json", "text"), "default": "json"})
+_INSTANCE_FLAGS = (
+    ("--config", {"help": "JSON run configuration file"}),
+    ("--seed-instance", {
+        "choices": tuple(SEED_FIELDS),
+        "help": "use a built-in worked instance instead of a config file",
+    }),
+    ("--kmax", {"type": checked_int(check_kmax), "default": None}),
+    ("--method", {"choices": METHODS, "default": None}),
+    ("--out", {"default": None, "help": "write the report here instead of stdout"}),
+)
+
+# name -> (help, handler, flags), in the order the usage lists them
+COMMANDS = {
+    "verify-identities": ("run the exact series identity suite", cmd_verify_identities, (
+        ("--order", {"type": int, "default": 200}), _OUT, _FORMAT,
+    )),
+    "expand": ("print a named q-expansion", cmd_expand, (
+        ("--name", {"required": True}), ("--order", {"type": int, "default": 20}), _OUT, _FORMAT,
+    )),
+    "minform": ("compute the minimal form by both pipelines", cmd_minform, _INSTANCE_FLAGS),
+    "denoms": ("finite-range unbounded-denominator report", cmd_denoms, (
+        *_INSTANCE_FLAGS,
+        ("--factor-bound", {"type": checked_int(denoms_mod.check_factor_bound), "default": None}),
+        _FORMAT,
+    )),
+    "decompose": ("express a vector in the F', DF' basis", cmd_decompose, (
+        *_INSTANCE_FLAGS, ("--components", {"required": True, "help": "JSON file with k, z1, z2"}),
+    )),
+    "probe": ("test Pochhammer numerators against an inert prime", cmd_probe, (
+        ("--M", {"type": int, "required": True}),
+        ("--rat", {"required": True}),
+        ("--surd", {"required": True}),
+        ("--shift", {"default": "0"}),
+        ("--p", {"type": int, "required": True}),
+        ("--tmax", {"type": int, "default": 20}),
+        _OUT,
+    )),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of the one that command names.
+
+    A parser of one subcommand parses and words its messages as the full
+    one does: its usage still lists all six names.
+    """
     parser = argparse.ArgumentParser(
         prog="vvmf2",
         description="Exact minimal-weight vector-valued forms on Gamma0(2) "
         "and their coefficient denominators.",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("verify-identities", help="run the exact series identity suite")
-    s.add_argument("--order", type=int, default=200)
-    s.add_argument("--out", default=None)
-    s.add_argument("--format", choices=("json", "text"), default="json")
-    s.set_defaults(handler=cmd_verify_identities)
-
-    s = subs.add_parser("expand", help="print a named q-expansion")
-    s.add_argument("--name", required=True)
-    s.add_argument("--order", type=int, default=20)
-    s.add_argument("--out", default=None)
-    s.add_argument("--format", choices=("json", "text"), default="json")
-    s.set_defaults(handler=cmd_expand)
-
-    s = subs.add_parser("minform", help="compute the minimal form by both pipelines")
-    _add_instance_flags(s)
-    s.set_defaults(handler=cmd_minform)
-
-    s = subs.add_parser("denoms", help="finite-range unbounded-denominator report")
-    _add_instance_flags(s)
-    s.add_argument("--factor-bound", type=checked_int(denoms_mod.check_factor_bound), default=None)
-    s.add_argument("--format", choices=("json", "text"), default="json")
-    s.set_defaults(handler=cmd_denoms)
-
-    s = subs.add_parser("decompose", help="express a vector in the F', DF' basis")
-    _add_instance_flags(s)
-    s.add_argument("--components", required=True, help="JSON file with k, z1, z2")
-    s.set_defaults(handler=cmd_decompose)
-
-    s = subs.add_parser("probe", help="test Pochhammer numerators against an inert prime")
-    s.add_argument("--M", type=int, required=True)
-    s.add_argument("--rat", required=True)
-    s.add_argument("--surd", required=True)
-    s.add_argument("--shift", default="0")
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--tmax", type=int, default=20)
-    s.add_argument("--out", default=None)
-    s.set_defaults(handler=cmd_probe)
-
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    every_name = None if len(names) > 1 else "{" + ",".join(COMMANDS) + "}"
+    subs = parser.add_subparsers(dest="command", required=True, metavar=every_name)
+    for name in names:
+        help_text, handler, flags = COMMANDS[name]
+        s = subs.add_parser(name, help=help_text)
+        for flag, options in flags:
+            s.add_argument(flag, **options)
+        s.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.handler(args)
     except ConfigError as exc:

@@ -298,7 +298,8 @@ def verify_ubd(
     primes = primes_upto(abs(p.u) + Kmax * p.v)  # every p_K of either component
     sets, primes = _prime_sets(p, primes), set(primes)
     rows_d = _scan_rows(dens_d, p, Kmax, sets.S, primes)
-    rows_h = _scan_rows(dens_h, p, Kmax, sets.S, primes)
+    # at k0 = 0 d is h shifted: the same denominators give the same rows
+    rows_h = rows_d if dens_h == dens_d else _scan_rows(dens_h, p, Kmax, sets.S, primes)
     rows_dt = _scan_rows(dens_dt, p.mirrored(), Kmax, sets.S_tilde, primes)
 
     asserted = [r for r in rows_d + rows_h + rows_dt if r.asserted]

@@ -5,11 +5,11 @@ solve a linear theta-equation (theta = q d/dq) for h on one fraction-free
 kernel, ``_solve_theta``.  The closed-form route pulls the paper's 2F1
 back along the Hauptmodul z = -64 q E of Gamma0(2), E = prod (1 + q^n)^24;
 its coefficients are integer series in z and the divisor sums
-psi = theta E / E, and it reads E from ``forms.eta_quotient`` and none of
-E2, E4 or G.  The other route is the weight-zero equation's Frobenius
-recursion, from G, E2 and E4.  A fault in a named series reaches one
-route, one in the kernel or the series product both, through different
-equations; ``minimal_form(..., method="both")`` raises
+psi = theta E / E, and it builds E from psi alone, by theta E = psi E,
+reading none of E2, E4 or G.  The other route is the weight-zero
+equation's Frobenius recursion, from G, E2 and E4.  A fault in a named
+series reaches one route, one in the kernel or the series product both,
+through different equations; ``minimal_form(..., method="both")`` raises
 ``PipelineMismatch`` at the first coefficient where they disagree.
 Every h is a rational ``PureQSeries`` (lead 0, step 1), whatever r's field.
 
@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .errors import ConsistencyError, PipelineMismatch
 from .forms import (
@@ -32,7 +33,6 @@ from .forms import (
     eisenstein_E2,
     eisenstein_E4,
     eta_pow,
-    eta_quotient,
     form_monomial,
     modular_D,
     monomial_basis,
@@ -105,29 +105,49 @@ def _divisor_sums(Kmax: int) -> list[int]:
     return [0] + [sigma(j) - (2 * sigma(j // 2) if j % 2 == 0 else 0) for j in range(1, Kmax + 1)]
 
 
+def _e_series(psi: list[int], n: int) -> list[int]:
+    """E = prod (1 + q^n)^24 through q^(n-1) (n >= 1) from theta E = psi E, by
+    m E_m = sum_(j=1..m) psi_j E_(m-j).
+
+    E is integral, so a remainder can only come from a fault, and is refused.
+    """
+    e = [1]
+    for m in range(1, n):
+        e_m, rest = divmod(sum(map(mul, psi[1 : m + 1], reversed(e))), m)
+        if rest:
+            raise PipelineMismatch(f"E = prod (1 + q^n)^24 came out non-integral at q^{m}")
+        e.append(e_m)
+    return e
+
+
 def tables_DC(Kmax: int) -> tuple[list[int], ...]:
     """The closed route's instance-independent integer series through q^Kmax.
 
     From psi = theta E / E, phi = 1 + psi and z = -64 q E (so theta z = z phi):
     (1 - z) phi, phi^2, z phi^2, (1 - z) theta psi, (1 - z) phi psi,
     (1 - z) phi psi^2, psi phi^2, z psi phi^2 and z phi^3, in that order.
+    E comes from psi by ``_e_series``, and six products, phi^2, z phi,
+    z phi^2, phi^3, z phi^3 and z theta psi, give the nine: as psi = phi - 1,
+    every other table is an integer difference of these and phi.
     Cached per process: a shorter Kmax reads an exact prefix of a longer build.
-    E = eta(2 tau)^24 / (q eta(tau)^24) is integral, so a denominator can only
-    come from a fault, and is refused.
     """
     def build(n: int) -> tuple[list[int], ...]:
         psi = [24 * s for s in _divisor_sums(n - 1)]
-        den, (e,), _ = eta_quotient(-24, 24, n - 1).shifted(-1).integer_form()
-        if den != 1:
-            raise PipelineMismatch(f"E = prod (1 + q^n)^24 came out with denominator {den}, not 1")
-        phi, z = [1, *psi[1:]], [0, *(-64 * x for x in e[: n - 1])]
-        one_z = [1, *(-x for x in z[1:])]
-        phi2, phi_1z = _conv(phi, phi, n), _conv(phi, one_z, n)
-        psi_phi_1z, psi_phi2, z_phi2 = _conv(psi, phi_1z, n), _conv(psi, phi2, n), _conv(z, phi2, n)
-        theta_psi_1z = _conv([j * x for j, x in enumerate(psi)], one_z, n)
+        phi, theta_psi = [1, *psi[1:]], [j * x for j, x in enumerate(psi)]
+        z = [0, *(-64 * x for x in _e_series(psi, n)[: n - 1])]
+        phi2, z_phi, z_th = _conv(phi, phi, n), _conv(z, phi, n), _conv(z, theta_psi, n)
+        phi3, z_phi2 = _conv(phi2, phi, n), _conv(z, phi2, n)
+        z_phi3 = _conv(z_phi2, phi, n)
+        phi_1z = [x - y for x, y in zip(phi, z_phi)]
+        phi2_1z = [x - y for x, y in zip(phi2, z_phi2)]
         return (
-            phi_1z, phi2, z_phi2, theta_psi_1z, psi_phi_1z,
-            _conv(psi, psi_phi_1z, n), psi_phi2, _conv(z, psi_phi2, n), _conv(z_phi2, phi, n),
+            phi_1z, phi2, z_phi2,
+            [x - y for x, y in zip(theta_psi, z_th)],
+            [x - y for x, y in zip(phi2_1z, phi_1z)],
+            [x - y - 2 * u + v for x, y, u, v in zip(phi3, z_phi3, phi2_1z, phi_1z)],
+            [x - y for x, y in zip(phi3, phi2)],
+            [x - y for x, y in zip(z_phi3, z_phi2)],
+            z_phi3,
         )
 
     return _cached("tables_DC", Kmax + 1, build)

@@ -4,9 +4,10 @@
 ``@dataclass(frozen=True)`` would make it, without the standard library's
 dataclass module (which imports ``inspect``, ``ast`` and ``dis`` and
 compiles code for every class, a large share of a command's start-up).
-The fields are the class's own annotations, in order, and a class
-attribute with a field's name is that field's default.  A record is
-built from positional or keyword arguments and then runs
+The fields are the annotations of the records in the class's MRO, base
+first and each in order, and a class attribute with a field's name is
+that field's default, which a subclass inherits.  A record is built
+from positional or keyword arguments and then runs
 ``__post_init__``; ``==`` and ``hash`` compare the class and the field
 values (the hash is computed once per record), and ``repr`` reads as
 the dataclass one.  Records keep an instance ``__dict__``, so
@@ -23,8 +24,14 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = names = tuple(cls.__annotations__)  # its own annotations, in order
-        cls._defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+        annotated, cls._defaults = {}, {}  # base first along the MRO, as a dataclass collects them
+        for klass in reversed(cls.__mro__[: cls.__mro__.index(Record)]):
+            own = klass.__dict__
+            for n in own.get("__annotations__", ()):
+                annotated[n] = None
+                if n in own:
+                    cls._defaults[n] = own[n]
+        cls._fields = names = tuple(annotated)
         cls._key = attrgetter(*names) if names else staticmethod(lambda rec: ())
         if "__eq__" in cls.__dict__ and cls.__dict__.get("__hash__") is None:
             cls.__hash__ = Record.__hash__  # an own __eq__ keeps the field hash, as in a frozen dataclass

@@ -10,7 +10,7 @@ def cold_cache():
     """The process series cache, emptied before and after the test.
 
     ``minform.tables_DC`` keeps its build there, so a fault patched into
-    one of its inputs (``_conv``, ``eta_quotient``, ``_divisor_sums`` or the
+    one of its inputs (``_conv``, ``_e_series``, ``_divisor_sums`` or the
     kernel) reaches the build only from a cold cache, and the faulty
     tables it leaves must not reach a later test.
     """

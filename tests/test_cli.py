@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vvmf2
 from vvmf2 import cli, forms
@@ -351,18 +353,17 @@ def _perturbed_table(real):
 def _perturbed_psi(real):
     def perturbed(Kmax):
         s = real(Kmax)
-        s[7] += 7  # psi_7 alone: E is read from the eta quotient
+        s[7] += 7  # psi_7 + 168: E, built from psi, stays integral (E_7 + 24)
         return s
 
     return perturbed
 
 
 def _perturbed_e(real):
-    def perturbed(a, b, N):
-        s = real(a, b, N)
-        den, (e,), M = s.integer_form()
-        e = [x + den if k == 6 else x for k, x in enumerate(e)]  # E_6, so z_7
-        return PureQSeries.from_integers(s.lead, s.step, den, [e], M)
+    def perturbed(psi, n):
+        e = real(psi, n)
+        e[6] += 1  # E_6, so z_7
+        return e
 
     return perturbed
 
@@ -380,7 +381,7 @@ def _perturbed_ab(real):
     [
         ("tables_DC", _perturbed_table, 7),
         ("_divisor_sums", _perturbed_psi, 7),
-        ("eta_quotient", _perturbed_e, 7),
+        ("_e_series", _perturbed_e, 7),
         ("_hypergeometric", _perturbed_ab, 1),
     ],
     ids=["table", "psi", "E", "ab"],
@@ -396,17 +397,14 @@ def test_a_perturbed_closed_route_input_exits_4(monkeypatch, capsys, cold_cache,
 def test_a_non_integral_E_exits_4(monkeypatch, capsys, cold_cache):
     from vvmf2 import minform
 
-    real = minform.eta_quotient
+    real = minform._e_series
 
-    def plus_half(a, b, N):
-        s = real(a, b, N)
-        den, (e,), M = s.integer_form()
-        e = [2 * x + (k == 5) for k, x in enumerate(e)]  # E_5 + 1/2
-        return PureQSeries.from_integers(s.lead, s.step, 2 * den, [e], M)
+    def psi_5_plus_1(psi, n):  # E alone reads psi_5 + 1, so 5 E_5 leaves remainder 1
+        return real([x + (j == 5) for j, x in enumerate(psi)], n)
 
-    monkeypatch.setattr(minform, "eta_quotient", plus_half)
+    monkeypatch.setattr(minform, "_e_series", psi_5_plus_1)
     assert main(["denoms", "--seed-instance", "m2", "--kmax", "10"]) == 4
-    assert "E = prod (1 + q^n)^24 came out with denominator 2, not 1" in capsys.readouterr().err
+    assert "E = prod (1 + q^n)^24 came out non-integral at q^5" in capsys.readouterr().err
 
 
 def test_a_cache_directory_variable_is_inert(tmp_path, monkeypatch, capsys):
@@ -515,6 +513,55 @@ def test_another_value_error_of_the_writer_keeps_its_message(tmp_path, monkeypat
     assert main(["minform", "--seed-instance", "m2", "--kmax", "4", "--out", str(tmp_path / "r")]) == 3
     err = capsys.readouterr().err
     assert "a value the writer cannot encode" in err and "lower --kmax" not in err
+
+
+# what to_json makes: text with non-ASCII and control characters, ints of up to
+# hundreds of digits, bools, None, and (possibly empty) lists and str-keyed dicts
+_REPORT_TREES = st.recursive(
+    st.text()
+    | st.integers()
+    | st.builds(lambda n, e: n * 7**e, st.integers(), st.integers(0, 600))
+    | st.booleans()
+    | st.none(),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(), kids, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(_REPORT_TREES)
+@settings(max_examples=300, deadline=None)
+def test_the_report_writer_writes_the_bytes_of_json_dumps(tree):
+    assert cli._json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("tree", [1.5, (1, 2), {"a": [Fraction(1, 2)]}, {1: "a"}, {"a": {"b"}}])
+def test_the_report_writer_refuses_what_to_json_does_not_make(tree):
+    with pytest.raises(TypeError):
+        cli._json_text(tree)
+
+
+def _parse_exit(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def test_help_lists_all_six_commands(capsys):
+    code, out, _ = _parse_exit(main, ["--help"], capsys)
+    assert code == 0 and len(cli.COMMANDS) == 6
+    assert all(f"    {name}" in out for name in cli.COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[name, "--help"] for name in cli.COMMANDS]
+    + [["denoms", "--bogus"], ["probe"], ["expand", "--order", "x"], ["minform", "--method", "x"]],
+)
+def test_one_subcommand_parser_words_everything_as_the_full_parser(capsys, argv):
+    # main builds the subcommand argv names alone; usage, help and errors must not change
+    full = _parse_exit(cli.build_parser().parse_args, argv, capsys)
+    assert _parse_exit(main, argv, capsys) == full
 
 
 @pytest.mark.parametrize("command", ["minform", "denoms"])

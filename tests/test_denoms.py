@@ -452,6 +452,29 @@ def test_verify_ubd_computes_each_denominator_once(monkeypatch):
         assert list(verify_ubd(mf, 20).dens_d) == [denominator_of(z) for z in mf.tables.d]
 
 
+def test_h_is_scanned_on_its_own_only_when_d_differs(monkeypatch):
+    # at k0 = 0 d is h shifted, so d's rows are h's; at k0 = 2 h has its own denominators
+    scans, real = [], denoms._scan_rows
+
+    def recording(dens, *args):
+        rows = real(dens, *args)
+        scans.append((list(dens), rows))
+        return rows
+
+    monkeypatch.setattr(denoms, "_scan_rows", recording)
+    for k0 in (0, 2):
+        mf = minimal_form(lattice_120_instance(k0), 20, "both")
+        dens_h, dens_d, dens_dt = (
+            list(s.denominators()) for s in (mf.tables.h_series, mf.tables.comp1, mf.tables.comp2)
+        )
+        scans.clear()
+        report = verify_ubd(mf, 20)
+        assert (dens_h == dens_d) == (k0 == 0)
+        want = [dens_d, dens_dt] if k0 == 0 else [dens_d, dens_h, dens_dt]
+        assert [dens for dens, _ in scans] == want
+        assert report.rows_h == tuple(next(rows for dens, rows in scans if dens == dens_h))
+
+
 def test_ubd_general_computes_each_denominator_once(monkeypatch):
     mf = minimal_form(V3, 20, "both")
     z = combination(mf, {(4, 0): 1, (0, 2): 1}, {(1, 1): 1}, V3.k0 + 8)

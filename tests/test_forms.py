@@ -301,6 +301,13 @@ def test_theta4_and_eta_quotient_identity():
     assert equal_through(g, th4 + 16 * curly_e, 60)
 
 
+def test_e4_minus_g_squared_is_an_eta_quotient():
+    # E4 - G^2 = 192 eta(2 tau)^16 / eta(tau)^8, both sides from unrelated code
+    delta = eisenstein_E4(60) - form_monomial(2, 0, 60)
+    assert delta.lead == 1 and delta.coeff(1) == 192
+    assert equal_through(eta_quotient(-8, 16, 60) * 192, delta, 60)
+
+
 def test_jacobi_theta_transform_inputs():
     th = jacobi_theta(10)
     assert [th.coeff(n) for n in range(5)] == [1, 2, 0, 0, 2]

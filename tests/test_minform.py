@@ -455,7 +455,7 @@ def test_a_warm_table_prefix_equals_a_cold_build(cold_cache):
 
 def test_a_cleared_cache_rebuilds_the_tables(monkeypatch, cold_cache):
     want = tables_DC(10)
-    monkeypatch.setattr(minform, "eta_quotient", _perturbed_e(minform.eta_quotient))
+    monkeypatch.setattr(minform, "_e_series", _perturbed_e(minform._e_series))
     assert tables_DC(10) == want  # warm: the faulty E is not read
     minimal_form(M2, 10, "both")
     forms.clear_cache()
@@ -504,7 +504,7 @@ def test_g_squared_is_built_once_per_process(monkeypatch, cold_cache):
 def _perturbed_divisor_sums(real):
     def perturbed(Kmax):
         s = real(Kmax)
-        # psi_7 alone: E is read from the eta quotient
+        # psi_7 + 168: 7 divides it, so E, built from psi, stays integral (E_7 + 24)
         s[7] += 7
         return s
 
@@ -512,18 +512,17 @@ def _perturbed_divisor_sums(real):
 
 
 def _perturbed_e(real):
-    def perturbed(a, b, N):
-        s = real(a, b, N)
-        den, (e,), M = s.integer_form()
-        e = [x + den if k == 6 else x for k, x in enumerate(e)]  # E_6, so z_7
-        return PureQSeries.from_integers(s.lead, s.step, den, [e], M)
+    def perturbed(psi, n):
+        e = real(psi, n)
+        e[6] += 1  # E_6, so z_7
+        return e
 
     return perturbed
 
 
 @pytest.mark.parametrize(
     "name, fault",
-    [("_divisor_sums", _perturbed_divisor_sums), ("eta_quotient", _perturbed_e)],
+    [("_divisor_sums", _perturbed_divisor_sums), ("_e_series", _perturbed_e)],
     ids=["psi", "E"],
 )
 def test_a_perturbed_closed_route_series_is_a_pipeline_mismatch(
@@ -531,6 +530,19 @@ def test_a_perturbed_closed_route_series_is_a_pipeline_mismatch(
 ):
     monkeypatch.setattr(minform, name, fault(getattr(minform, name)))
     with pytest.raises(PipelineMismatch, match="K=7:"):
+        minimal_form(M2, 10, "both")
+
+
+def test_a_psi_fault_that_m_does_not_divide_leaves_E_non_integral(monkeypatch, cold_cache):
+    real = minform._divisor_sums
+
+    def perturbed(Kmax):
+        s = real(Kmax)
+        s[7] += 1  # psi_7 + 24, and 7 E_7 = ... + psi_7 leaves remainder 3
+        return s
+
+    monkeypatch.setattr(minform, "_divisor_sums", perturbed)
+    with pytest.raises(PipelineMismatch, match=r"came out non-integral at q\^7$"):
         minimal_form(M2, 10, "both")
 
 
@@ -548,8 +560,8 @@ def mutated_kernel(monkeypatch, cold_cache):
     return install
 
 
-# E comes from the eta quotient, so a kernel fault reaches the two routes'
-# equations only, each in its own way, and they disagree.
+# E comes from psi by its own recurrence, not from the kernel, so a kernel
+# fault reaches the two routes' equations only, each in its own way, and they disagree.
 _DISAGREE = "closed-form and recursion disagree at K="
 
 
@@ -573,7 +585,7 @@ def test_the_frobenius_route_calls_no_closed_route_kernel(monkeypatch):
     def refuse(*args):
         raise AssertionError("the Frobenius route called a closed-route kernel")
 
-    for name in ("_conv", "tables_DC", "eta_quotient", "_divisor_sums", "seq_f"):
+    for name in ("_conv", "tables_DC", "_e_series", "_divisor_sums", "seq_f"):
         monkeypatch.setattr(minform, name, refuse)
     assert _lists(h_frobenius(V3, 20)) == want
 

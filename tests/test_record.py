@@ -51,6 +51,34 @@ def test_fields_are_the_annotations_in_order_and_a_class_attribute_is_a_default(
     assert Point(1, y=2, label="q") == Point(label="q", y=2, x=1)
 
 
+class Base(Record):
+    x: int
+    tag: str = "base"
+
+
+class Derived(Base):
+    y: int = 0
+
+
+def test_a_subclass_record_keeps_the_inherited_fields_and_defaults():
+    @dataclass(frozen=True)
+    class DBase:
+        x: int
+        tag: str = "base"
+
+    @dataclass(frozen=True)
+    class DDerived(DBase):
+        y: int = 0
+
+    assert Derived._fields == ("x", "tag", "y") == tuple(DDerived.__dataclass_fields__)
+    d = Derived(1, "t", 2)
+    assert d == Derived(y=2, tag="t", x=1) and hash(d) == hash(Derived(1, "t", 2))
+    assert Derived(1) == Derived(1, "base", 0) != Base(1)
+    assert repr(d) == "Derived(x=1, tag='t', y=2)"
+    assert replace(d, x=5) == Derived(5, "t", 2)
+    assert Base._fields == ("x", "tag")
+
+
 def test_assigning_or_deleting_an_attribute_raises():
     pt = Point(1, Fraction(1, 2))
     for name in ("x", "label", "other"):
