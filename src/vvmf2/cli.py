@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -244,8 +245,11 @@ def _emit(report, out: str | None):
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+        return
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the reader left: stdout goes to devnull, so the exit flush passes
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ConsistencyError
-from .quadratic import QuadNum, is_square_free
+from .quadratic import FieldElement, QuadNum, _as_fraction, is_square_free
 from .record import Record
-
-FieldValue = Fraction | QuadNum
 
 
 def _rational_sqrt(x: Fraction) -> Fraction | None:
@@ -45,8 +44,8 @@ class ExponentData(Record):
     k0: int
     l1: Fraction
     l2: Fraction
-    r1: FieldValue
-    r2: FieldValue
+    r1: FieldElement
+    r2: FieldElement
 
 
 class InstanceParams(Record):
@@ -84,14 +83,13 @@ class InstanceParams(Record):
         """The instance with l1 and l2 exchanged: the same equation with its components swapped.
 
         A and B swap and u goes to -u, so the paper's tilde data (B, -u, S~)
-        is the untilded data of the mirror.  It is built once per instance
-        and kept beside the fields.
+        is the untilded data of the mirror; the other fields are symmetric in
+        l1 and l2.  It is built once per instance and kept beside the fields.
         """
         mirror = getattr(self, "_mirror", None)
         if mirror is None:
-            mirror = params_from_exponents(
-                ExponentData(self.k0, self.l2, self.l1, self.r, self.r.conjugate())
-            )
+            mirror = InstanceParams(self.k0, self.a, self.b, self.c, self.l2, self.l1, self.r,
+                                    self.B, self.A, self.M, -self.u, self.v)
             # not through __dict__ (as cached_property would), which slows every later read
             object.__setattr__(self, "_mirror", mirror)
         return mirror
@@ -99,14 +97,14 @@ class InstanceParams(Record):
 
 def params_from_exponents(e: ExponentData) -> InstanceParams:
     """Solve the indicial relations for (a, b, c, A, B, u, v, M)."""
-    l1, l2 = Fraction(e.l1), Fraction(e.l2)
-    r = e.r1
+    l1, l2, r, r2 = _as_fraction(e.l1), _as_fraction(e.l2), e.r1, e.r2
 
-    if (l1 - l2).denominator == 1:
+    # l1 - l2 in lowest terms is an integer only if both have one denominator that divides it
+    if l1.denominator == l2.denominator and (l1.numerator - l2.numerator) % l1.denominator == 0:
         raise ConsistencyError("l1 - l2 in Z")
-    if isinstance(r, QuadNum) and e.r2 != r.conjugate():
+    if isinstance(r, QuadNum) and not _conjugates(r, r2):
         raise ConsistencyError("r1, r2 must be a conjugate pair")
-    total = l1 + l2 + r + e.r2
+    total = l1 + l2 + r + r2
     if total != Fraction(1, 2):
         raise ConsistencyError(f"l1+l2+r1+r2 = {total} != 1/2")
     if not isinstance(r, QuadNum):
@@ -116,10 +114,17 @@ def params_from_exponents(e: ExponentData) -> InstanceParams:
     c = (r.norm() - l1 * l2) / 3
     b = l1 * l2 - c
     diff = l1 - l2
-    return InstanceParams(
-        k0=e.k0, a=a, b=b, c=c, l1=l1, l2=l2, r=r, A=r + l1, B=r + l2,
-        M=r.M, u=diff.numerator, v=diff.denominator,
-    )
+    return InstanceParams(e.k0, a, b, c, l1, l2, r, r + l1, r + l2, r.M,
+                          diff.numerator, diff.denominator)
+
+
+def _conjugates(r: QuadNum, r2) -> bool:
+    """``r2 == r.conjugate()``, field by field (surds in lowest terms); fields share only Q."""
+    if isinstance(r2, QuadNum):
+        s, t = r.surd, r2.surd
+        return (t.numerator == -s.numerator and t.denominator == s.denominator
+                and r2.rat == r.rat and (r2.M == r.M or not s))
+    return isinstance(r2, (int, Fraction)) and not r.surd and r.rat == r2
 
 
 def roots_from_abc(
@@ -140,11 +145,7 @@ def roots_from_abc(
     if s == 0:
         raise ConsistencyError("l1 = l2 (double root)")
     base = (Fraction(1, 6) - a) / 2
-    roots = sorted(
-        (base + s / 2, base - s / 2),
-        key=lambda x: (x.denominator, abs(x)),
-    )
-    l1, l2 = roots[0], roots[1]
+    l1, l2 = sorted((base + s / 2, base - s / 2), key=lambda x: (x.denominator, abs(x)))
 
     disc_r = (a + Fraction(1, 3)) ** 2 - 4 * (b + 4 * c)
     if _rational_sqrt(disc_r) is not None:
@@ -202,16 +203,14 @@ class InducedClasses(Record):
     l_classes: tuple[Fraction, Fraction]
     r_classes: tuple[QuadNum, QuadNum]
 
+    def __post_init__(self):
+        # a search tries each shift of a class many times: each shifted class is built once
+        classes, memo = (*self.l_classes, *self.r_classes), lru_cache(maxsize=None, typed=True)
+        object.__setattr__(self, "_shifted", memo(lambda i, s: classes[i] + s))
+
     def exponents(self, shifts: tuple[int, int, int, int]) -> ExponentData:
         """Concrete ExponentData from integer shifts (validated downstream)."""
-        s1, s2, s3, s4 = shifts
-        return ExponentData(
-            k0=self.k0,
-            l1=self.l_classes[0] + s1,
-            l2=self.l_classes[1] + s2,
-            r1=self.r_classes[0] + s3,
-            r2=self.r_classes[1] + s4,
-        )
+        return ExponentData(self.k0, *map(self._shifted, range(4), shifts))
 
 
 def induced_exponent_classes(
@@ -237,12 +236,9 @@ def induced_exponent_classes(
     l1 = (m1 + shift) % 1
     l2 = (m2 + shift) % 1
 
-    def reduce_mod_one(x: QuadNum) -> QuadNum:
-        return QuadNum(x.rat % 1, x.surd, x.M)
-
-    r1 = reduce_mod_one(-xi2 - Fraction(k0, 3))
-    r2 = reduce_mod_one(xi2 - xi1 - Fraction(k0, 3))
-    return InducedClasses(k0, (m1, m2), (l1, l2), (r1, r2))
+    r1, r2 = -xi2 - Fraction(k0, 3), xi2 - xi1 - Fraction(k0, 3)
+    r_classes = tuple(QuadNum(r.rat % 1, r.surd, r.M) for r in (r1, r2))  # rational parts mod 1
+    return InducedClasses(k0, (m1, m2), (l1, l2), r_classes)
 
 
 # ---------------------------------------------------------------------------

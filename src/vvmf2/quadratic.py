@@ -88,11 +88,20 @@ def is_square_free(m: int) -> bool:
     return True
 
 
-_set = object.__setattr__
+_set = object.__setattr__  # not through __dict__, which would slow every later read of a field
 
 
 def _as_fraction(x: Rational) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _quad(rat: Fraction, surd: Fraction, M: int) -> "QuadNum":
+    """A QuadNum with no checks, for fields that hold: Fractions rat and surd, and a QuadNum's M."""
+    q = object.__new__(QuadNum)
+    _set(q, "rat", rat)
+    _set(q, "surd", surd)
+    _set(q, "M", M)
+    return q
 
 
 class QuadNum(Record):
@@ -113,7 +122,7 @@ class QuadNum(Record):
     # -- structure ---------------------------------------------------------
 
     def conjugate(self) -> "QuadNum":
-        return QuadNum(self.rat, -self.surd, self.M)
+        return _quad(self.rat, -self.surd, self.M)
 
     def norm(self) -> Fraction:
         """Field norm rat^2 - M*surd^2 (product with the conjugate)."""
@@ -124,47 +133,38 @@ class QuadNum(Record):
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other) -> "QuadNum | None":
-        if isinstance(other, QuadNum):
-            if other.M != self.M:
-                raise ValueError(f"mixed quadratic fields: M={self.M} vs M={other.M}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadNum(_as_fraction(other), Fraction(0), self.M)
-        return None
+    def _field(self, other: "QuadNum") -> int:
+        """The M that self and other share; ValueError if they lie in different fields."""
+        if other.M != self.M:
+            raise ValueError(f"mixed quadratic fields: M={self.M} vs M={other.M}")
+        return self.M
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadNum(self.rat + o.rat, self.surd + o.surd, self.M)
+        if isinstance(other, QuadNum):
+            return _quad(self.rat + other.rat, self.surd + other.surd, self._field(other))
+        if isinstance(other, (int, Fraction)):
+            return _quad(self.rat + other, self.surd, self.M)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadNum(self.rat - o.rat, self.surd - o.surd, self.M)
+        return self + -other if isinstance(other, (QuadNum, int, Fraction)) else NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return self.__neg__().__add__(other)
 
     def __neg__(self):
-        return QuadNum(-self.rat, -self.surd, self.M)
+        return _quad(-self.rat, -self.surd, self.M)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadNum(
-            self.rat * o.rat + self.M * self.surd * o.surd,
-            self.rat * o.surd + self.surd * o.rat,
-            self.M,
-        )
+        if isinstance(other, QuadNum):
+            M = self._field(other)
+            return _quad(self.rat * other.rat + M * self.surd * other.surd,
+                         self.rat * other.surd + self.surd * other.rat, M)
+        if isinstance(other, (int, Fraction)):
+            return _quad(self.rat * other, self.surd * other, self.M)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -172,26 +172,26 @@ class QuadNum(Record):
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt(M))")
-        return QuadNum(self.rat / n, -self.surd / n, self.M)
+        return _quad(self.rat / n, -self.surd / n, self.M)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, (int, Fraction)):
+            other = _quad(_as_fraction(other), Fraction(0), self.M)
+        elif isinstance(other, QuadNum):
+            self._field(other)
+        else:
             return NotImplemented
-        return self * o.inverse()
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        return self.inverse() * other if isinstance(other, (int, Fraction)) else NotImplemented
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = QuadNum(Fraction(1), Fraction(0), self.M)
+        out = _quad(Fraction(1), Fraction(0), self.M)
         base = self
         while n:
             if n & 1:

@@ -242,6 +242,24 @@ def test_probe_with_large_denominators_ends(tmp_path):
     assert json.loads(proc.stdout)["status"] == "pass"
 
 
+def test_a_reader_that_closes_the_pipe_early_ends_the_command_quietly():
+    # as `vvmf2 expand ... | head -1`: the report is far larger than the pipe buffer
+    src = Path(vvmf2.__file__).resolve().parent.parent
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vvmf2.cli", "expand", "--name", "E4", "--order", "3000",
+         "--format", "text"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert first == b"# E4, known below q^3001\n" and stderr == b""
+
+
 def test_malformed_integer_in_config_exits_2(tmp_path, capsys):
     for key, value in (("kmax", "ten"), ("factor_bound", [3]), ("kmax", None)):
         cfg = write_config(tmp_path, {**M2_CONFIG, key: value}, f"{key}.json")

@@ -68,6 +68,60 @@ def test_mixed_field_rejected():
         QuadNum(Fraction(1), Fraction(1), 4)  # not square-free
 
 
+operands = st.one_of(st.integers(-50, 50), st.booleans(), rationals)
+same_field_pairs = st.sampled_from([2, 5, -3]).flatmap(
+    lambda M: st.tuples(quadnums(M), st.one_of(quadnums(M), operands))
+)
+
+
+@given(same_field_pairs)
+@settings(max_examples=300)
+def test_arithmetic_matches_the_validating_constructor(xy):
+    # each result against its fields written out and built by the public constructor
+    x, y = xy
+    M = x.M
+    ry, sy = (y.rat, y.surd) if isinstance(y, QuadNum) else (Fraction(y), Fraction(0))
+    expected = {
+        "x + y": (x.rat + ry, x.surd + sy), "y + x": (x.rat + ry, x.surd + sy),
+        "x - y": (x.rat - ry, x.surd - sy), "y - x": (ry - x.rat, sy - x.surd),
+        "x * y": (x.rat * ry + M * x.surd * sy, x.rat * sy + x.surd * ry),
+        "y * x": (x.rat * ry + M * x.surd * sy, x.rat * sy + x.surd * ry),
+        "-x": (-x.rat, -x.surd), "x.conjugate()": (x.rat, -x.surd),
+    }
+    got = {"x + y": x + y, "y + x": y + x, "x - y": x - y, "y - x": y - x,
+           "x * y": x * y, "y * x": y * x, "-x": -x, "x.conjugate()": x.conjugate()}
+    if ry or sy:
+        n = ry * ry - M * sy * sy
+        expected["x / y"] = ((x.rat * ry - M * x.surd * sy) / n, (x.surd * ry - x.rat * sy) / n)
+        got["x / y"] = x / y
+    for name, value in got.items():
+        reference = QuadNum(*expected[name], M)
+        assert type(value) is QuadNum and value == reference, name
+        assert hash(value) == hash(reference), name
+        assert (value.rat, value.surd, value.M) == (reference.rat, reference.surd, M), name
+        assert type(value.rat) is Fraction and type(value.surd) is Fraction, name
+
+
+@given(quadnums(2), quadnums(3))
+@settings(max_examples=50)
+def test_arithmetic_refuses_mixed_fields_and_floats(x, z):
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(ValueError, match="mixed quadratic fields: M=2 vs M=3"):
+            op(x, z)
+        for a, b in ((x, 0.5), (0.5, x)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    if z:
+        with pytest.raises(ValueError, match="mixed quadratic fields"):
+            x / z
+    with pytest.raises(TypeError):
+        x / 0.5
+    with pytest.raises(ValueError, match="mixed quadratic fields"):
+        x / QuadNum(0, 0, 3)  # the field is checked before the zero divisor
+    with pytest.raises(ZeroDivisionError, match="division by zero in Q"):
+        x / 0
+
+
 def test_pochhammer_examples():
     assert pochhammer(SQRT2, 0) == 1
     assert pochhammer(Fraction(1), 5) == math.factorial(5)
