@@ -185,10 +185,11 @@ _SCALAR_TEXT = {
 
 
 def _json_text(tree) -> str:
-    """``json.dumps(tree, indent=2, sort_keys=True)`` for what ``to_json`` makes, in one recursion.
+    """``json.dumps(to_json(tree), indent=2, sort_keys=True)``, in one recursion over tree.
 
-    str, int, bool, None, lists and dicts with str keys; anything else is a
-    TypeError.  Each scalar is one piece with the separator and key before it.
+    str, int, bool, None, lists and dicts with str keys are written as met,
+    any other object as its ``to_json`` form if that is one of them (else a
+    TypeError).  Each scalar is one piece with the separator and key before it.
     """
     pieces = []
     put, scalar_text = pieces.append, _SCALAR_TEXT.get
@@ -223,28 +224,32 @@ def _json_text(tree) -> str:
                     put(f"{sep}{_quote(k)}: {text(v)}")
                 sep = "," + inner
             put(nl + "}")
+        elif (text := scalar_text(x.__class__)) is not None:
+            put(head + text(x))
+        elif (form := to_json(x)) is not x:
+            write(form, head, nl)
         else:
             raise TypeError(f"a report holds no {x.__class__.__name__}")
 
-    text = scalar_text(tree.__class__)
-    if text is not None:
-        return text(tree)
     write(tree, "", "\n")
     return "".join(pieces)
 
 
 def _emit(report, out: str | None):
-    """Write a text report as it is, anything else as JSON through ``to_json``."""
+    """Write a text report as it is, anything else as JSON; an unwritable out is a usage error."""
     try:
-        text = report if isinstance(report, str) else _json_text(to_json(report))
+        text = report if isinstance(report, str) else _json_text(report)
     except ValueError as exc:  # an integer past the int -> str limit (m2 from Kmax about 1350)
         if "Exceeds the limit" not in str(exc):
             raise
         raise ValueError(f"the report holds an integer of more than {sys.get_int_max_str_digits()} "
                          "digits, Python's limit on int -> str conversion; lower --kmax") from exc
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write report: {exc}") from None
         return
     try:
         print(text, flush=True)

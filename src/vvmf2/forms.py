@@ -61,7 +61,7 @@ def _cached(name: str, count: int, builder):
         s = _CACHE[name] = builder(count)
     if isinstance(s, tuple):
         return tuple(x[:count] for x in s)
-    return s.truncated_at(s.lead + count * s.step)
+    return s if s.length == count else s.truncated_at(s.lead + count * s.step)
 
 
 # ---------------------------------------------------------------------------

@@ -72,11 +72,13 @@ def _solve_theta(A: list[int], B: list[int], C: list[int], n: int) -> PureQSerie
     the one indicial check: N_m = T_0(m) must vanish at m = 0 and nowhere
     after.  Fraction-free, y_m = Y_m / Delta_m with Delta_m = Delta_(m-1) N_m
     and Y_m = -sum_(i < m) T_(m-i)(i) Y_i prod_(t=i+1..m-1) N_t, by Horner in
-    i, so every product is big by small.  A step reads j only below the
-    longest series' length (a two-term recurrence costs O(1) per step), and
-    y is reduced once, at the end.  y does not change when A, B and C are
-    scaled together, so they are first divided by their content: a common
-    factor left in would grow Delta_m by its m-th power.
+    i, so every product is big by small, and with no A-term when A = [A_0].
+    A step reads j only below the longest series' length (a two-term
+    recurrence costs O(1) per step).  Y_m is then brought to |Delta_n| by
+    the running product N_n ... N_(m+1), and y is reduced once.  y does not
+    change when A, B and C are scaled together, so they are first divided
+    by their content: a common factor left in would grow Delta_m by its
+    m-th power.
     """
     L = max(len(A), len(B), len(C))
     g = math.gcd(*A, *B, *C) or 1
@@ -86,17 +88,23 @@ def _solve_theta(A: list[int], B: list[int], C: list[int], n: int) -> PureQSerie
         raise ConsistencyError(f"not an indicial root: the indicial value at 0 is {N[0]}")
     if 0 in N[1:]:
         raise ConsistencyError(f"indicial value vanishes at step {N.index(0, 1)}")
-    Y, ds = [1], [1]
+    Y, dense = [1], any(A[1:])
     for m in range(1, n + 1):
         lo, k = max(0, m - L + 1), min(m, L - 1)
         acc = 0
-        terms = zip(range(lo, m), A[k:0:-1], B[k:0:-1], C[k:0:-1], N[lo:m], Y[lo:])
-        for i, a, b, c, Ni, Yi in terms:
-            acc = acc * Ni + ((a * i + b) * i + c) * Yi
+        if dense:
+            terms = zip(range(lo, m), A[k:0:-1], B[k:0:-1], C[k:0:-1], N[lo:m], Y[lo:])
+            for i, a, b, c, Ni, Yi in terms:
+                acc = acc * Ni + ((a * i + b) * i + c) * Yi
+        else:  # T_j(i) = B_j i + C_j for j >= 1
+            for i, b, c, Ni, Yi in zip(range(lo, m), B[k:0:-1], C[k:0:-1], N[lo:m], Y[lo:]):
+                acc = acc * Ni + (b * i + c) * Yi
         Y.append(-acc)
-        ds.append(ds[-1] * N[m])
-    d = abs(ds[-1])  # every ds[m] divides it
-    Y = [x * (d // dm) for x, dm in zip(Y, ds)]
+    d = -1 if sum(x < 0 for x in N) % 2 else 1  # d ends as |Delta_n| = |prod N_m|
+    for m in range(n, 0, -1):
+        Y[m] *= d
+        d *= N[m]
+    Y[0] = d
     return PureQSeries.from_integers(_ZERO, _ONE, d, [Y], None)
 
 
@@ -158,32 +166,35 @@ def _hypergeometric(params: InstanceParams) -> tuple[Fraction, Fraction]:
 
     This is Pfaff's form of the paper's 2F1(a, a + 1/2; c; 64/K).  a b is a
     norm, as b = l1 + r~, exactly when r + r~ = 1/2 - l1 - l2 (r is
-    irrational): then a b = l1 (1/2 - l2) + N(r), in rationals.
+    irrational): then a b = l1 (1/2 - l2) + N(r), in rationals.  Both are
+    read off the numerators and denominators of l1 = p1/q1, l2 = p2/q2 and
+    r = x/dx + (y/dy) sqrt(M), with no Fraction arithmetic.
     """
     l1, l2, r = params.l1, params.l2, params.r
-    if 2 * r.rat != _HALF - l1 - l2:
+    p1, q1, p2, q2 = l1.numerator, l1.denominator, l2.numerator, l2.denominator
+    x, dx, y, dy = r.rat.numerator, r.rat.denominator, r.surd.numerator, r.surd.denominator
+    if 4 * x * q1 * q2 != dx * (q1 * q2 - 2 * (p1 * q2 + p2 * q1)):  # 2 r.rat = 1/2 - l1 - l2
         ab = (l1 + r) * (_HALF - l2 - r)
         raise ConsistencyError(f"r + r~ must be 1/2 - l1 - l2, but a*b = {ab} is irrational")
-    return 1 + l1 - l2, l1 * (_HALF - l2) + r.norm()
-
-
-def _scaled(rows) -> list[list[int]]:
-    """Rational rows times the least common denominator of all their entries."""
-    D = math.lcm(*(x.denominator for row in rows for x in row))
-    return [[int(x * D) for x in row] for row in rows]
+    e2, n_r = (dx * dy) ** 2, (x * dy) ** 2 - r.M * (y * dx) ** 2  # N(r) = n_r / e2
+    return (Fraction(q1 * q2 + p1 * q2 - p2 * q1, q1 * q2),
+            Fraction(p1 * (q2 - 2 * p2) * e2 + 2 * q1 * q2 * n_r, 2 * q1 * q2 * e2))
 
 
 def seq_f(params: InstanceParams, Kmax: int) -> tuple[PureQSeries, PureQSeries]:
     """g(k) = (-64)^k (a)_k (b)_k / ((c)_k k!) for the instance and its mirror (l1, l2 swapped).
 
     (k+1)(k+c) g(k+1) = -64 (k^2 + (c - 1/2) k + a b) g(k) is a theta-equation
-    of two terms; k + c never vanishes, as l1 - l2 is not an integer.
+    of two terms; k + c never vanishes, as l1 - l2 is not an integer.  With
+    c - 1 = s/d and a b = e/f it is solved times d f, on integers.
     """
     check_kmax(Kmax)
 
     def run(p: InstanceParams) -> PureQSeries:
         c, ab = _hypergeometric(p)
-        return _solve_theta(*_scaled([(1, 64), (c - 1, 64 * (c - _HALF)), (0, 64 * ab)]), Kmax)
+        d, s, e, f = c.denominator, c.numerator - c.denominator, ab.numerator, ab.denominator
+        A, B, C = [d * f, 64 * d * f], [s * f, 32 * (2 * s + d) * f], [0, 64 * d * e]
+        return _solve_theta(A, B, C, Kmax)
 
     return run(params), run(params.mirrored())
 
@@ -197,7 +208,9 @@ def h_closed(params: InstanceParams, Kmax: int) -> tuple[PureQSeries, PureQSerie
     and C_F = -a b z phi^3.  F = E^-l h then gives
     A theta^2 h + (B_F - 2 l psi A) theta h + (A (l^2 psi^2 - l theta psi)
     - l psi B_F + C_F) h = 0, whose theta psi terms add up to -l (1 - z) theta psi
-    as phi - psi = 1.  Its indicial values are D m (m + c - 1).
+    as phi - psi = 1.  Its indicial values are D m (m + c - 1).  The weights
+    1, c - 1, c - 1/2, l, l^2, l (c - 1), l (c - 1/2) and a b are integers
+    over 2 d q^2 f, read off c - 1 = s/d, l = n/q and a b = e/f.
     """
     check_kmax(Kmax)
     (phi_1z, phi2, z_phi2, th_1z, psi_phi_1z, psi2_phi_1z, psi_phi2, z_psi_phi2,
@@ -205,10 +218,11 @@ def h_closed(params: InstanceParams, Kmax: int) -> tuple[PureQSeries, PureQSerie
 
     def run(p: InstanceParams) -> PureQSeries:
         c, ab = _hypergeometric(p)
-        l = p.l1
-        ((D, w_c1, w_c2, w_l, w_l2, w_lc1, w_lc2, w_ab),) = _scaled(
-            [(1, c - 1, c - _HALF, l, l * l, l * (c - 1), l * (c - _HALF), ab)]
-        )
+        n, q, d = p.l1.numerator, p.l1.denominator, c.denominator
+        s, e, f = c.numerator - d, ab.numerator, ab.denominator
+        s2, qf = 2 * s + d, q * f
+        D, w_c1, w_c2, w_ab = 2 * d * q * qf, 2 * s * q * qf, s2 * q * qf, 2 * d * q * q * e
+        w_l, w_l2, w_lc1, w_lc2 = 2 * n * d * qf, 2 * n * n * d * f, 2 * n * s * qf, n * s2 * qf
         B = [
             w_c1 * x - w_c2 * y - D * t - 2 * w_l * u
             for x, y, t, u in zip(phi2, z_phi2, th_1z, psi_phi_1z)
@@ -227,34 +241,36 @@ def h_frobenius(params: InstanceParams, Kmax: int) -> tuple[PureQSeries, PureQSe
 
     With the equation as theta^2 f + P theta f + Q f = 0, P = a*G - E2/6 and
     Q = b*G^2 + c*E4, f = q^l h puts l + x for theta on q^(l + x): h solves
-    the theta-equation A = 1, B = P + 2l, C = Q + l P + l^2, over one D.  Its
-    indicial values D (x^2 + (a - 1/6) x + b + c) at x = l + m vanish at
-    m = 0 only, as the other root is l1 + l2 - l.  G, G^2, E2 and E4 enter
-    as integer lists, each series' denominator folded into its rational
-    weight, so B and C are integer combinations of four lists and no value
-    is made per coefficient.  The route shares ``_solve_theta`` with the
-    closed route, and the series product only for G^2, which depends on
-    Kmax alone and is the cached ``form_monomial(2, 0, Kmax)``.
+    the theta-equation A = 1, B = P + 2l, C = Q + l P + l^2.  Its indicial
+    values x^2 + (a - 1/6) x + b + c at x = l + m vanish at m = 0 only, as
+    the other root is l1 + l2 - l.  G, G^2, E2 and E4 enter as integer
+    lists, each series' denominator folded into its weight, so R P and R Q
+    are integer lists for one R, made once; l = n/q gives the equation
+    times q^2 R, and no Fraction or per-coefficient value is made.  The
+    route shares ``_solve_theta`` with the closed route, and the series
+    product only for G^2, the cached ``form_monomial(2, 0, Kmax)``.
     """
     check_kmax(Kmax)
     series = (weight2_G(Kmax), form_monomial(2, 0, Kmax), eisenstein_E2(Kmax), eisenstein_E4(Kmax))
     (dg, (g,), _), (dg2, (g2,), _), (de2, (e2,), _), (de4, (e4,), _) = (
         s.integer_form() for s in series
     )
-    a, b, c, sixth = params.a, params.b, params.c, Fraction(1, 6 * de2)
+    a, b, c = params.a, params.b, params.c
+    da, d6, db, dc = a.denominator * dg, 6 * de2, b.denominator * dg2, c.denominator * de4
+    R = math.lcm(da, d6, db, dc)
+    w_g, w_e2 = a.numerator * (R // da), R // d6
+    w_g2, w_e4 = b.numerator * (R // db), c.numerator * (R // dc)
+    P = [w_g * x - w_e2 * y for x, y in zip(g, e2, strict=True)]
+    Q = [w_g2 * x + w_e4 * y for x, y in zip(g2, e4, strict=True)]
 
     def run(l: Fraction) -> PureQSeries:
-        ((D, w_g, w_e2, w_g2, w_e4, w_lg, w_le2, w_l2, w_2l),) = _scaled(
-            [(1, a / dg, sixth, b / dg2, c / de4, l * a / dg, l * sixth, l * l, 2 * l)]
-        )
-        B = [w_g * x - w_e2 * y for x, y in zip(g, e2, strict=True)]
-        C = [
-            w_g2 * x + w_e4 * y + w_lg * u - w_le2 * v
-            for x, y, u, v in zip(g2, e4, g, e2, strict=True)
-        ]
-        B[0] += w_2l
-        C[0] += w_l2
-        return _solve_theta([D], B, C, Kmax)
+        n, q = l.numerator, l.denominator
+        qq, nq = q * q, n * q
+        B = [qq * x for x in P]
+        C = [qq * x + nq * y for x, y in zip(Q, P)]
+        B[0] += 2 * nq * R
+        C[0] += n * n * R
+        return _solve_theta([qq * R], B, C, Kmax)
 
     return run(params.l1), run(params.l2)
 

@@ -261,8 +261,9 @@ def gen_binomial(z, t: int):
 def denominator_of(z: QuadNum | Rational) -> int:
     """Least Z > 0 with Z*z an algebraic integer (1 for z = 0), by ``integer_denominator``."""
     if isinstance(z, QuadNum):
-        den = math.lcm(z.rat.denominator, z.surd.denominator)
-        return integer_denominator(den, int(z.rat * den), int(z.surd * den), z.M)
+        (x, dx), (y, dy) = z.rat.as_integer_ratio(), z.surd.as_integer_ratio()
+        den = math.lcm(dx, dy)
+        return integer_denominator(den, x * (den // dx), y * (den // dy), z.M)
     z = _as_fraction(z)
     return z.denominator if z else 1
 
@@ -299,13 +300,12 @@ class HalfForm(Record):
 
 
 def half_form(z: QuadNum) -> HalfForm:
-    """Half-integer coordinates of the numerator of z."""
+    """Z z = (x + y sqrt(M))/2, Z = denominator_of(z), x and y as 2 Z p // q for z's p/q parts."""
     if not z:
         raise ValueError("half_form needs z != 0")
     Z = denominator_of(z)
-    x = 2 * Z * z.rat
-    y = 2 * Z * z.surd
-    if x.denominator != 1 or y.denominator != 1:
+    (x, rx), (y, ry) = (divmod(2 * Z * v.numerator, v.denominator) for v in (z.rat, z.surd))
+    if rx or ry:
         raise PipelineMismatch(f"numerator of {z} is not half-integral")
-    return HalfForm(Z, int(x), int(y), z.M)
+    return HalfForm(Z, x, y, z.M)
 

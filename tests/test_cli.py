@@ -8,15 +8,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vvmf2
 from vvmf2 import cli, forms
 from vvmf2.cli import main, parse_config, value_from_json, value_to_json
 from vvmf2.errors import ConfigError, ConsistencyError
-from vvmf2.qseries import PureQSeries
+from vvmf2.qseries import PureQSeries, to_json
 from vvmf2.quadratic import QuadNum
+from vvmf2.record import Record
 
 M2_CONFIG = {
     "instance": {
@@ -533,29 +534,56 @@ def test_another_value_error_of_the_writer_keeps_its_message(tmp_path, monkeypat
     assert "a value the writer cannot encode" in err and "lower --kmax" not in err
 
 
-# what to_json makes: text with non-ASCII and control characters, ints of up to
-# hundreds of digits, bools, None, and (possibly empty) lists and str-keyed dicts
+class _Pair(Record):
+    first: object
+    second: object
+
+
+_FRACTIONS = st.fractions(max_denominator=10**6)
+
+# what a report holds: text with non-ASCII and control characters, ints of up
+# to hundreds of digits, bools, None, (possibly empty) lists and str-keyed
+# dicts, and the engine objects to_json encodes (rationals, quadratic values,
+# series, records and tuples)
 _REPORT_TREES = st.recursive(
     st.text()
     | st.integers()
     | st.builds(lambda n, e: n * 7**e, st.integers(), st.integers(0, 600))
     | st.booleans()
-    | st.none(),
-    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(), kids, max_size=4),
+    | st.none()
+    | _FRACTIONS
+    | st.builds(QuadNum, _FRACTIONS, _FRACTIONS, st.sampled_from([2, 5, -3]))
+    | st.builds(lambda cs: PureQSeries.make(Fraction(1, 3), cs), st.lists(_FRACTIONS, max_size=4)),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(), kids, max_size=4)
+    | st.lists(kids, max_size=3).map(tuple)
+    | st.builds(_Pair, kids, kids),
     max_leaves=30,
 )
 
 
 @given(_REPORT_TREES)
 @settings(max_examples=300, deadline=None)
+@example([QuadNum(Fraction(1, 2), 0, 5), _Pair((), QuadNum(0, 1, 2))])  # a QuadNum is a record
 def test_the_report_writer_writes_the_bytes_of_json_dumps(tree):
-    assert cli._json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+    # one pass over the engine objects writes what to_json and then json.dumps write
+    assert cli._json_text(tree) == json.dumps(to_json(tree), indent=2, sort_keys=True)
 
 
-@pytest.mark.parametrize("tree", [1.5, (1, 2), {"a": [Fraction(1, 2)]}, {1: "a"}, {"a": {"b"}}])
+@pytest.mark.parametrize(
+    "tree", [1.5, {"a": [1.5j]}, {"a": (object(),)}, {1: "a"}, {"a": {"b"}}]
+)
 def test_the_report_writer_refuses_what_to_json_does_not_make(tree):
     with pytest.raises(TypeError):
         cli._json_text(tree)
+
+
+def test_an_unwritable_out_path_exits_2(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "r.json"
+    assert main(["expand", "--name", "E4", "--order", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write report: ") and "Traceback" not in err
+    assert not out.parent.exists()
 
 
 def _parse_exit(parse, argv, capsys):

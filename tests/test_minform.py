@@ -2,7 +2,9 @@
 
 import inspect
 import math
+import runpy
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,7 +35,12 @@ from vvmf2.minform import (
     tables_DC,
     weight_basis,
 )
-from vvmf2.params import ExponentData, params_from_exponents, seed_exponents
+from vvmf2.params import (
+    ExponentData,
+    induced_exponent_classes,
+    params_from_exponents,
+    seed_exponents,
+)
 from vvmf2.qseries import PureQSeries, equal_through
 from vvmf2.quadratic import QuadNum, pochhammer
 from vvmf2.record import replace
@@ -206,6 +213,9 @@ _small = st.lists(st.integers(-50, 50), min_size=1, max_size=6)
 @example(0, 1, [0], [0], [0, -24, -24, -96], 5)  # Miller's E: A = 0, B = 1, C = -24 s
 @example(1, 2, [1, 64], [2, 5], [0, 7], 9)  # two terms, as g's recurrence
 @example(-1, 1, [0], [0], [0, 3, 1], 6)  # indicial values m (1 - m) vanish at m = 1
+@example(0, -3, [7], [0, 2, -5], [0, 1, 4], 7)  # A of one term: Delta_7 = (-3)^7 7! < 0
+@example(2, 3, [0, 3, -1], [0, 5], [0, -2, 6, 1], 8)  # a dense A, every T_j quadratic
+@example(-1, -2, [0, 4, 1], [0, 1], [0, 3], 5)  # a dense A and Delta_5 = -prod m (m + 2) < 0
 @settings(max_examples=150, deadline=None)
 def test_kernel_solve_theta_matches_naive(a0, b0, A, B, C, n):
     # T_0(m) = m (a0 m + b0); the kernel refuses a vanishing one and agrees with Fractions otherwise
@@ -417,6 +427,81 @@ def test_ab_is_the_norm_form_of_the_product(params):
         assert (product.rat, product.surd) == (ab, 0)
 
 
+def _primitive(rows):
+    """Rows of rationals as the coprime integers they are a positive multiple of."""
+    D = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
+    ints = [[int(x * D) for x in row] for row in rows]
+    g = math.gcd(*(x for row in ints for x in row))
+    return [[x // g for x in row] for row in ints]
+
+
+def _fraction_triples(params, Kmax):
+    """Each route's (A, B, C) for h and h~, from the rational formulas of its equation."""
+    half, out = Fraction(1, 2), []
+    (phi_1z, phi2, z_phi2, th_1z, psi_phi_1z, psi2_phi_1z, psi_phi2, z_psi_phi2,
+     z_phi3) = tables_DC(Kmax)
+    for p in (params, params.mirrored()):
+        l, c = p.l1, 1 + p.l1 - p.l2
+        ab = p.l1 * (half - p.l2) + p.r.norm()
+        B = [(c - 1) * x - (c - half) * y - t - 2 * l * u
+             for x, y, t, u in zip(phi2, z_phi2, th_1z, psi_phi_1z)]
+        C = [l * l * v - l * t - l * (c - 1) * x + l * (c - half) * y - ab * w
+             for v, t, x, y, w in zip(psi2_phi_1z, th_1z, psi_phi2, z_psi_phi2, z_phi3)]
+        out.append(_primitive([phi_1z, B, C]))
+    series = (weight2_G(Kmax), form_monomial(2, 0, Kmax), eisenstein_E2(Kmax), eisenstein_E4(Kmax))
+    g, g2, e2, e4 = (s.coeffs for s in series)
+    P = [params.a * x - y / 6 for x, y in zip(g, e2)]
+    Q = [params.b * x + params.c * y for x, y in zip(g2, e4)]
+    for l in (params.l1, params.l2):
+        B = [x + 2 * l * (j == 0) for j, x in enumerate(P)]
+        C = [x + l * y + l * l * (j == 0) for j, (x, y) in enumerate(zip(Q, P))]
+        out.append(_primitive([[1], B, C]))
+    return out
+
+
+def _sweep_instances():
+    """The instances of scripts/scan_induced_instances.py, realized as it realizes them."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "scan_induced_instances.py"
+    scan = runpy.run_path(str(script))
+    classes = induced_exponent_classes
+    return [
+        scan["realize"](classes(xi1, QuadNum(xi1 / 2, Fraction(-1), M), 0, "minus"))
+        for xi1 in scan["XI1_CHOICES"]
+        for M in scan["M_CHOICES"]
+    ]
+
+
+def _assert_kernel_sees_the_fraction_triples(params, Kmax=12):
+    seen, real = [], minform._solve_theta
+
+    def capture(A, B, C, n):
+        seen.append(_primitive([A, B, C]))
+        return real(A, B, C, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minform, "_solve_theta", capture)
+        minimal_form(params, Kmax, "both")
+    assert seen == _fraction_triples(params, Kmax)
+
+
+L2_FIFTH_K2 = params_from_exponents(
+    ExponentData(2, Fraction(0), Fraction(1, 5), R_L120, R_L120.conjugate())
+)
+
+
+@pytest.mark.parametrize("params", [M2, M5, V3, L2_FIFTH_K2, *_sweep_instances()])
+def test_both_routes_solve_the_equations_of_the_fraction_formulas(params):
+    # closed route h, h~, then Frobenius h, h~: divided by its content, each
+    # triple that reaches the kernel is the one the rational weights give
+    _assert_kernel_sees_the_fraction_triples(params)
+
+
+@given(instances())
+@settings(max_examples=30, deadline=None)
+def test_generated_instances_solve_the_equations_of_the_fraction_formulas(params):
+    _assert_kernel_sees_the_fraction_triples(params, 8)
+
+
 def test_a_perturbed_ab_is_a_pipeline_mismatch(monkeypatch):
     # a*b enters the closed route's C series; a perturbed g no longer reaches that route
     real = minform._hypergeometric
@@ -548,10 +633,13 @@ def test_a_psi_fault_that_m_does_not_divide_leaves_E_non_integral(monkeypatch, c
 
 @pytest.fixture
 def mutated_kernel(monkeypatch, cold_cache):
-    """Install ``_solve_theta`` with one edit of its own source, shared by both routes."""
+    """Install ``_solve_theta`` with one edit of its own source, shared by both routes.
+
+    Each install edits the unmutated source, so a test can try one edit after another.
+    """
+    source = inspect.getsource(minform._solve_theta)
 
     def install(old: str, new: str) -> None:
-        source = inspect.getsource(minform._solve_theta)
         assert source.count(old) == 1, old
         namespace = {}
         exec(source.replace(old, new), vars(minform), namespace)
@@ -565,18 +653,28 @@ def mutated_kernel(monkeypatch, cold_cache):
 _DISAGREE = "closed-form and recursion disagree at K="
 
 
+# the kernel's two Horner loops: with the A-term (the closed route's) and without it (the
+# Frobenius route's A = [D]); a fault in either reaches one route and breaks agreement
+_LOOPS = ("A[k:0:-1], B[k:0:-1], C[k:0:-1]", "zip(range(lo, m), B[k:0:-1], C[k:0:-1]")
+
+
 def test_a_dropped_horner_term_breaks_agreement(mutated_kernel):
-    # the last term of every step, j = 1, is left out
-    mutated_kernel("N[lo:m], Y[lo:])", "N[lo : m - 1], Y[lo : m - 1])")
-    with pytest.raises(PipelineMismatch, match=_DISAGREE):
-        minimal_form(M2, 8, "both")
+    # the last term of every step, j = 1, is left out, in one loop at a time
+    for loop in _LOOPS:
+        mutated_kernel(f"{loop}, N[lo:m], Y[lo:])", f"{loop}, N[lo : m - 1], Y[lo : m - 1])")
+        with pytest.raises(PipelineMismatch, match=_DISAGREE):
+            minimal_form(M2, 8, "both")
 
 
 def test_an_off_by_one_x_breaks_agreement(mutated_kernel):
-    # T_j evaluated at m - j + 1 in place of m - j
-    mutated_kernel("((a * i + b) * i + c)", "((a * (i + 1) + b) * (i + 1) + c)")
-    with pytest.raises(PipelineMismatch, match=_DISAGREE):
-        minimal_form(M2, 8, "both")
+    # T_j evaluated at m - j + 1 in place of m - j, in one loop at a time
+    for old, new in (
+        ("((a * i + b) * i + c)", "((a * (i + 1) + b) * (i + 1) + c)"),
+        ("(b * i + c)", "(b * (i + 1) + c)"),
+    ):
+        mutated_kernel(old, new)
+        with pytest.raises(PipelineMismatch, match=_DISAGREE):
+            minimal_form(M2, 8, "both")
 
 
 def test_the_frobenius_route_calls_no_closed_route_kernel(monkeypatch):

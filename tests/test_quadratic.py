@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
+from vvmf2 import quadratic
+from vvmf2.errors import PipelineMismatch
 from vvmf2.quadratic import (
     HalfForm,
     QuadNum,
@@ -235,6 +237,24 @@ def test_half_form_reconstructs(z):
             assert (hf.x - hf.y) % 2 == 0
         else:
             assert hf.x % 2 == 0 and hf.y % 2 == 0
+
+
+@given(st.one_of(*(quadnums(M) for M in (2, 3, 5, -3))), st.integers(1, 40))
+@settings(max_examples=200)
+def test_half_form_is_its_fraction_definition(z, other):
+    # Z z = (x + y sqrt(M))/2 with Z the least denominator, x = 2 Z rat and y = 2 Z surd
+    assume(z)
+    Z = brute_force_denominator(z)
+    assert half_form(z) == HalfForm(Z, int(2 * Z * z.rat), int(2 * Z * z.surd), z.M)
+    # a faulty Z: the form where 2 Z rat and 2 Z surd are integers, else PipelineMismatch
+    x, y = 2 * other * z.rat, 2 * other * z.surd
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadratic, "denominator_of", lambda _: other)
+        if x.denominator == y.denominator == 1:
+            assert half_form(z) == HalfForm(other, int(x), int(y), z.M)
+        else:
+            with pytest.raises(PipelineMismatch, match="is not half-integral"):
+                half_form(z)
 
 
 def test_is_prime_small():
