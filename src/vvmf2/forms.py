@@ -4,7 +4,8 @@ Provides the Eisenstein series E2 and E4, the weight-two form G, the eta
 quotients eta(tau)^a eta(2 tau)^b, the normalized Hauptmodul pair (K, J)
 with K = 64*J integral, the modular derivative D_k, the Jacobi theta^4
 and eta-quotient companions used at the other cusp, and the monomial
-basis G^a E4^b of each weight together with exact coordinates in it.
+basis G^a E4^b of each weight together with exact coordinates in it,
+solved by forward substitution in the triangular basis G^(k/2-2b) (E4 - G^2)^b.
 
 Every eta product is built by ``eta_quotient`` and every G^a E4^b, G^2
 among them, by ``form_monomial``; the closed route reads E from
@@ -347,31 +348,19 @@ def form_monomial(a: int, b: int, N: int) -> PureQSeries:
     return _cached(f"G^{a}E4^{b}", N + 1, lambda n: weight2_G(n - 1) ** a * eisenstein_E4(n - 1) ** b)
 
 
-def _solve_exact(rows: list[list], rhs: list) -> list:
-    """Gaussian elimination with pivoting on the first nonzero entry."""
-    n = len(rows)
-    m = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            raise NotAFormError("singular coefficient system")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = m[col][col]
-        m[col] = [x / inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
-
-
 def monomial_coordinates(f: PureQSeries, k: int) -> dict[tuple[int, int], object]:
     """Coordinates of f in the basis {G^a E4^b : 2a+4b = k}.
 
-    Solves the square system given by the first dim M_k coefficients, then
-    rebuilds f from the solution and compares it with f through the last
-    known integer exponent; any difference means f is not a form of
-    weight k on Gamma0(2).  A huge k is refused before any basis is built.
+    The basis G^(k/2-2b) (E4 - G^2)^b, b < r = dim M_k, is triangular in
+    q, since E4 - G^2 = 192q + ...: through q^(r-1), f/G^(k/2) is a
+    polynomial sum c_b t^b in t = (E4 - G^2)/G^2 = 192/K.  Each c_b is
+    peeled off an r-term prefix as its constant term, which is then
+    subtracted and the rest multiplied by K/192.  The binomial expansion
+    of (E4 - G^2)^b maps them to the coefficient sum_(b>=j) c_b C(b, j)
+    (-1)^(b-j) of G^(k/2-2j) E4^j.  f is then rebuilt from the monomials
+    and compared with f through the last known integer exponent; any
+    difference means f is not a form of weight k on Gamma0(2).  A huge k
+    is refused before any basis is built.
     """
     r = dim_M(k)
     if r == 0:
@@ -385,8 +374,13 @@ def monomial_coordinates(f: PureQSeries, k: int) -> dict[tuple[int, int], object
         raise TruncationError(f"need at least {r} coefficients, have {known}")
     basis = monomial_basis(k)
     mons = [form_monomial(a, b, known + 1) for a, b in basis]
-    rows = [[mon.coeff(n) for mon in mons] for n in range(r)]
-    sol = _solve_exact(rows, [f.coeff(n) for n in range(r)])
+    h = f.truncated_at(r) * mons[0].truncated_at(r).inv()  # mons[0] is G^(k/2)
+    peel = hauptmodul(r)[0] * Fraction(1, 192)
+    cs = [h.coeff(0)]
+    for _ in range(r - 1):
+        h = (h - PureQSeries.constant(cs[-1], r)) * peel
+        cs.append(h.coeff(0))
+    sol = [sum((-1) ** (b - j) * math.comb(b, j) * cs[b] for b in range(j, r)) for j in range(r)]
     built = sum((c * mon for c, mon in zip(sol, mons)), PureQSeries.zero(known + 1))
     if not equal_through(built, f, known - 1):
         raise NotAFormError(f"series is not in M_{k}: the solved combination differs from it")

@@ -217,6 +217,29 @@ def test_decompose_refuses_a_huge_weight_before_building_a_basis(tmp_path, monke
     assert "need at least 250000000001 coefficients" in capsys.readouterr().err
 
 
+_NOT_IN_M6 = "series is not in M_6: the solved combination differs from it"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda g: {**g, "z1": []}, "need at least 2 coefficients, have 0"),
+        (lambda g: {**g, "k": 7}, "M_7 is zero but the series is not"),
+        (lambda g: {**g, "k": 12}, "series is not in M_12: the solved combination differs from it"),
+        (lambda g: {**g, "z1": [{"rat": "3", "surd": "1", "M": 3}] + g["z1"][1:]}, _NOT_IN_M6),
+        (lambda g: {**g, "z1": [{"rat": "3", "surd": "1", "M": 2}] + g["z1"][1:]}, _NOT_IN_M6),
+    ],
+    ids=["z1-empty", "k-odd", "k-12", "z1-sqrt3", "z1-sqrt2"],
+)
+def test_decompose_refuses_malformed_components(tmp_path, capsys, edit, message):
+    golden = Path(__file__).parent / "golden" / "decompose-components-m2.json"
+    comp_file = tmp_path / "components.json"
+    comp_file.write_text(json.dumps(edit(json.loads(golden.read_text()))))
+    argv = ["decompose", "--seed-instance", "m2", "--kmax", "8", "--components", str(comp_file)]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", f"validation error: {message}\n")
+
+
 def test_probe_command(capsys):
     assert (
         main(["probe", "--M", "2", "--rat", "0", "--surd", "1", "--p", "5", "--tmax", "15"])

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vvmf2 import forms, qseries
@@ -29,6 +29,7 @@ from vvmf2.forms import (
     weight2_G,
 )
 from vvmf2.qseries import PureQSeries, equal_through
+from vvmf2.quadratic import QuadNum
 
 
 def divisor_sum(n, power=1):
@@ -346,14 +347,19 @@ def test_monomial_coordinates_examples():
         monomial_coordinates(e4, 0)
 
 
+_FRACTIONS = st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=4)
+# values of Q(sqrt 2), some with zero surd, mixed with plain fractions
+_SURDS = st.sampled_from([0, 0, 1, -3])
+_VALUES = st.one_of(_FRACTIONS, st.builds(QuadNum, _FRACTIONS, _SURDS, st.just(2)))
+
+
 @given(
-    st.lists(
-        st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=4),
-        min_size=1,
-        max_size=4,
-    ),
-    st.integers(min_value=0, max_value=6).map(lambda k: 2 * k),
+    st.lists(_VALUES, min_size=1, max_size=4),
+    st.integers(min_value=0, max_value=20).map(lambda k: 2 * k),
 )
+@example([Fraction(3)], 2)  # r = 1: one peel, no product by K/192
+@example([Fraction(-1, 2), QuadNum(1, 1, 2)], 6)  # odd k/2: G^3 and G E4
+@example([Fraction(2 * n - 11, 3) for n in range(11)], 40)  # dense: all 11 monomials of weight 40
 @settings(max_examples=40, deadline=None)
 def test_monomial_coordinates_roundtrip(coeffs, k):
     basis = monomial_basis(k)
@@ -369,6 +375,35 @@ def test_monomial_coordinates_roundtrip(coeffs, k):
     got = monomial_coordinates(combo, k)
     want = {ab: c for c, ab in zip(coeffs, basis) if c}
     assert {ab: c for ab, c in got.items() if c} == want
+    assert list(got) == [ab for ab in basis if ab in got]
+
+
+def test_the_cusp_form_of_weight_4_has_coordinates_minus_one_and_one():
+    # 192 eta(2 tau)^16 / eta(tau)^8 = E4 - G^2: its constant term, the first peel, is 0
+    assert monomial_coordinates(192 * eta_quotient(-8, 16, 30), 4) == {(2, 0): -1, (0, 1): 1}
+
+
+@pytest.mark.parametrize("k", [8, 40, 120])
+def test_one_coefficient_past_the_basis_is_not_a_form(k):
+    r = len(monomial_basis(k))
+    f = form_monomial(k // 2, 0, r + 4) - 3 * form_monomial(k // 2 - 2 * (r - 1), r - 1, r + 4)
+    assert monomial_coordinates(f, k) == {(k // 2, 0): 1, (k // 2 - 2 * (r - 1), r - 1): -3}
+    message = f"series is not in M_{k}: the solved combination differs from it"
+    past = PureQSeries.make(r, [1, 0])
+    off_grid = PureQSeries.make(Fraction(5, 2), [1] + [0] * 2 * r, Fraction(1, 2))
+    for bump in (past, off_grid):
+        with pytest.raises(NotAFormError, match=message):
+            monomial_coordinates(f + bump, k)
+
+
+def test_a_weight_120_map_round_trips_from_a_cold_cache(cold_cache):
+    basis = monomial_basis(120)
+    coeffs = [Fraction((-1) ** b * (b + 1), b % 3 + 1) for b in range(len(basis))]
+    f = PureQSeries.zero(len(basis) + 2)
+    for c, (a, b) in zip(coeffs, basis):
+        f = f + c * form_monomial(a, b, len(basis) + 2)
+    forms.clear_cache()
+    assert monomial_coordinates(f, 120) == dict(zip(basis, coeffs))
 
 
 @pytest.mark.parametrize("a, b", [(400, 0), (2, 398), (150, 250)])
