@@ -50,8 +50,10 @@ def prime_sets(params: InstanceParams, bound: int) -> PrimeSets:
 
 
 def _prime_sets(params: InstanceParams, primes: list[int]) -> PrimeSets:
+    """S and S~ among sieved primes: p is inert when M^((p-1)/2) = -1 (mod p), Euler's
+    criterion read directly, since ``legendre`` would test each prime for primality again."""
     M, u, v = params.M, params.u, params.v
-    inert = [p for p in primes if p != 2 and legendre(M, p) == -1]
+    inert = [p for p in primes if p != 2 and pow(M, (p - 1) // 2, p) == p - 1]
     return PrimeSets(
         tuple(p for p in inert if (p - u) % v == 0), tuple(p for p in inert if (p + u) % v == 0)
     )
@@ -160,6 +162,12 @@ class UbdRow(Record):
     ``first`` is the first index >= 1 whose denominator p divides (None
     if there is none, or if p is not in the prime set).  An asserted row
     passes only when ``first`` is K; ``exempt`` names why it is not asserted.
+
+    The verdicts are derived once, when the row is built, and are not
+    fields: ``earlier_integral`` (whether p divides no denominator at
+    indices 1..K-1, None off the prime set), ``asserted``, ``passed``
+    (None when not asserted) and ``verdict``, which is "exempt" (a prime
+    of S failing a side condition), "pass", "fail" or "skip".
     """
 
     K: int
@@ -170,31 +178,19 @@ class UbdRow(Record):
     divides: bool | None
     first: int | None
 
-    @property
-    def earlier_integral(self) -> bool | None:
-        """Whether p divides no denominator at indices 1..K-1 (None off the prime set)."""
-        if not self.in_S:
-            return None
-        return self.first is None or self.first >= self.K
-
-    @property
-    def asserted(self) -> bool:
-        return self.is_prime and self.in_S and not self.exempt
-
-    @property
-    def passed(self) -> bool | None:
-        if not self.asserted:
-            return None
-        return bool(self.divides and self.earlier_integral)
-
-    @property
-    def verdict(self) -> str:
-        """"exempt" (a prime of S failing a side condition), "pass", "fail" or "skip"."""
+    def __post_init__(self):
+        earlier = None if not self.in_S else self.first is None or self.first >= self.K
+        asserted = self.is_prime and self.in_S and not self.exempt
+        passed = bool(self.divides and earlier) if asserted else None
         if self.in_S and self.exempt:
-            return "exempt"
-        if self.passed is None:
-            return "skip"
-        return "pass" if self.passed else "fail"
+            verdict = "exempt"
+        else:
+            verdict = "skip" if passed is None else "pass" if passed else "fail"
+        _set = object.__setattr__
+        _set(self, "earlier_integral", earlier)
+        _set(self, "asserted", asserted)
+        _set(self, "passed", passed)
+        _set(self, "verdict", verdict)
 
 
 class PrimeSummary(Record):

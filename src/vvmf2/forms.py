@@ -102,12 +102,12 @@ def weight2_G(N: int) -> PureQSeries:
 def g_parity_form(N: int) -> PureQSeries:
     """The same form assembled from sigma-parity data: 1 + 24 sum over odd
     arguments plus (24 sigma(2n) - 48 sigma(n)) q^(2n); G must equal it."""
-    cs = [Fraction(1)]
+    cs = [1]
     for n in range(1, N + 1):
         if n % 2 == 1:
-            cs.append(Fraction(24 * sigma(n)))
+            cs.append(24 * sigma(n))
         else:
-            cs.append(Fraction(24 * sigma(n) - 48 * sigma(n // 2)))
+            cs.append(24 * sigma(n) - 48 * sigma(n // 2))
     return PureQSeries.make(0, cs)
 
 
@@ -297,11 +297,11 @@ def jacobi_theta(N: int) -> PureQSeries:
     """theta = 1 + 2 sum q^(n^2), to order N."""
 
     def build(count: int) -> PureQSeries:
-        cs = [Fraction(0)] * count
-        cs[0] = Fraction(1)
+        cs = [0] * count
+        cs[0] = 1
         n = 1
         while n * n < count:
-            cs[n * n] = Fraction(2)
+            cs[n * n] = 2
             n += 1
         return PureQSeries.make(0, cs)
 
@@ -359,8 +359,9 @@ def monomial_coordinates(f: PureQSeries, k: int) -> dict[tuple[int, int], object
     of (E4 - G^2)^b maps them to the coefficient sum_(b>=j) c_b C(b, j)
     (-1)^(b-j) of G^(k/2-2j) E4^j.  f is then rebuilt from the monomials
     and compared with f through the last known integer exponent; any
-    difference means f is not a form of weight k on Gamma0(2).  A huge k
-    is refused before any basis is built.
+    difference means f is not a form of weight k on Gamma0(2).  At least
+    r + 1 coefficients must be known, so that the rebuild checks one the
+    solve did not use.  A huge k is refused before any basis is built.
     """
     r = dim_M(k)
     if r == 0:
@@ -370,8 +371,8 @@ def monomial_coordinates(f: PureQSeries, k: int) -> dict[tuple[int, int], object
     if f.lead < 0:
         raise NotAFormError("a holomorphic form cannot have a pole at infinity")
     known = int(f.horizon) if f.horizon == int(f.horizon) else int(f.horizon) + 1
-    if known < r:
-        raise TruncationError(f"need at least {r} coefficients, have {known}")
+    if known <= r:  # the r-term solve plus one coefficient for the rebuild to check
+        raise TruncationError(f"need at least {r + 1} coefficients, have {known}")
     basis = monomial_basis(k)
     mons = [form_monomial(a, b, known + 1) for a, b in basis]
     h = f.truncated_at(r) * mons[0].truncated_at(r).inv()  # mons[0] is G^(k/2)

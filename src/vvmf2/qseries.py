@@ -29,6 +29,11 @@ combined over the sqrt(M) parts by ``_kernel``).  ``_conv`` runs a long
 product with narrow entries by Kronecker substitution (each operand
 packed into one int, one CPython multiplication) and every other product
 schoolbook (``_iconv`` over ``_toeplitz``); its two cutoffs are measured.
+Around the multiplication only byte-level passes run: the borrows of
+negative entries come off as one int, and the product's slots are read
+as lifted digits (2^(8w-1) added to every slot at once, so no slot
+borrows from the next).  A square packs its operand once and multiplies
+the int by itself, which CPython squares.
 ``inv`` takes rational series only.  ``from_integers``, the inverse of
 ``integer_form``, builds a series from integers another module computed.
 
@@ -80,7 +85,10 @@ def _split(values) -> tuple[int, list[list[int]], int | None]:
 
     Returns (L, parts, M) with values[i] = (parts[0][i] + parts[1][i]*sqrt(M)) / L;
     parts has the single rational list, and M is None, when every value is rational.
+    An all-``int`` input is already in that form, over L = 1.
     """
+    if set(map(type, values)) <= {int}:
+        return 1, [list(values)], None
     fields = {v.M for v in values if isinstance(v, QuadNum) and v.surd}
     if len(fields) > 1:
         raise ValueError(f"mixed quadratic fields: M in {sorted(fields)}")
@@ -141,35 +149,51 @@ def _conv(a: list[int], b: list[int], n: int) -> list[int]:
     """The first n coefficients of the product of the integer polynomials a and b.
 
     Long products whose coefficients fit narrow slots run by Kronecker
-    substitution, every other product schoolbook.
+    substitution, every other product schoolbook.  A square (``a is b``)
+    packs its operand once.
     """
+    square = a is b
     a, b = a[:n], b[:n]
     if n >= _KRONECKER_MIN_LEN:
-        bound = max(map(abs, a), default=0) * max(map(abs, b), default=0) * min(len(a), len(b))
+        top = max(map(abs, a), default=0)
+        bound = top * (top if square else max(map(abs, b), default=0)) * min(len(a), len(b))
         if not bound:
             return [0] * n
         w = (bound.bit_length() + 8) // 8  # bytes per slot, so that |coefficient| < 2^(8w - 1)
         if 8 * w <= _KRONECKER_MAX_BITS:
-            return _kronecker(a, b, n, w)
+            return _kronecker(a, None if square else b, n, w)
     return _iconv(a, _toeplitz(b, n))
 
 
+_SIGN_BIT = bytes(128) + b"\x01" * 128  # byte -> 1 when its top bit is set, else 0
+
+
 def _pack(a: list[int], w: int) -> int:
-    """sum_i a[i] 2^(8wi): entries in signed slots of w bytes, less each negative one's borrow."""
-    x = int.from_bytes(b"".join([c.to_bytes(w, "little", signed=True) for c in a]), "little")
-    if min(a) < 0:
-        one, zero = b"\x01" + bytes(w - 1), bytes(w)
-        x -= int.from_bytes(b"".join([one if c < 0 else zero for c in a]), "little") << 8 * w
-    return x
+    """sum_i a[i] 2^(8wi): entries in signed slots of w bytes, less each negative one's borrow.
+
+    A negative entry's slot reads 2^(8w) too high, a borrow of 1 from the
+    slot above; the borrows are the top bits of the slots, moved up one
+    slot and taken off as one int.
+    """
+    data = b"".join([c.to_bytes(w, "little", signed=True) for c in a])
+    borrow = bytearray(len(data) + w)
+    borrow[w::w] = data[w - 1 :: w].translate(_SIGN_BIT)
+    return int.from_bytes(data, "little") - int.from_bytes(borrow, "little")
 
 
-def _kronecker(a: list[int], b: list[int], n: int, w: int) -> list[int]:
-    """``_conv`` by one int product, in slots of w bytes that hold every coefficient."""
-    prod = _pack(a, w) * _pack(b, w)
-    buf = (prod & ((1 << 8 * w * n) - 1)).to_bytes(w * n, "little")
-    digits = [int.from_bytes(buf[i : i + w], "little", signed=True) for i in range(0, w * n, w)]
-    # balanced digits: a slot read as negative borrowed 1 from the slot above it
-    return [d + (low < 0) for low, d in zip([0] + digits, digits)]
+def _kronecker(a: list[int], b: list[int] | None, n: int, w: int) -> list[int]:
+    """``_conv`` by one int product, in slots of w bytes that hold every coefficient.
+
+    ``b=None`` squares a, packing it once.  Each slot is read lifted by
+    beta = 2^(8w - 1): with beta added to every slot at once, a slot holds
+    coefficient + beta in [0, 2^(8w)), so no slot borrows from the next.
+    """
+    x = _pack(a, w)
+    prod = x * (x if b is None else _pack(b, w))
+    lift = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+    buf = ((prod + lift) & ((1 << 8 * w * n) - 1)).to_bytes(w * n, "little")
+    beta = 1 << (8 * w - 1)
+    return [int.from_bytes(buf[i : i + w], "little") - beta for i in range(0, w * n, w)]
 
 
 def _kernel(

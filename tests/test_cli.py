@@ -214,7 +214,7 @@ def test_decompose_refuses_a_huge_weight_before_building_a_basis(tmp_path, monke
     comp_file.write_text(json.dumps({**json.loads(golden.read_text()), "k": 10**12}))
     argv = ["decompose", "--seed-instance", "m2", "--kmax", "8", "--components", str(comp_file)]
     assert main(argv) == 3
-    assert "need at least 250000000001 coefficients" in capsys.readouterr().err
+    assert "need at least 250000000002 coefficients" in capsys.readouterr().err
 
 
 _NOT_IN_M6 = "series is not in M_6: the solved combination differs from it"
@@ -223,7 +223,7 @@ _NOT_IN_M6 = "series is not in M_6: the solved combination differs from it"
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda g: {**g, "z1": []}, "need at least 2 coefficients, have 0"),
+        (lambda g: {**g, "z1": []}, "need at least 3 coefficients, have 0"),
         (lambda g: {**g, "k": 7}, "M_7 is zero but the series is not"),
         (lambda g: {**g, "k": 12}, "series is not in M_12: the solved combination differs from it"),
         (lambda g: {**g, "z1": [{"rat": "3", "surd": "1", "M": 3}] + g["z1"][1:]}, _NOT_IN_M6),
@@ -238,6 +238,23 @@ def test_decompose_refuses_malformed_components(tmp_path, capsys, edit, message)
     argv = ["decompose", "--seed-instance", "m2", "--kmax", "8", "--components", str(comp_file)]
     assert main(argv) == 3
     assert capsys.readouterr() == ("", f"validation error: {message}\n")
+
+
+def test_decompose_needs_one_coefficient_past_the_basis(tmp_path, capsys):
+    # dim M_6 = dim M_4 = 2: two known terms are all the solve uses, so the rebuild would check
+    # nothing; a third term is the first one it checks
+    golden_dir = Path(__file__).parent / "golden"
+    golden = json.loads((golden_dir / "decompose-components-m2.json").read_text())
+    want = json.loads((golden_dir / "decompose-m2-k8.json").read_text())
+    comp_file = tmp_path / "components.json"
+    argv = ["decompose", "--seed-instance", "m2", "--kmax", "8", "--components", str(comp_file)]
+    comp_file.write_text(json.dumps({**golden, "z1": golden["z1"][:2], "z2": golden["z2"][:2]}))
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", "validation error: need at least 3 coefficients, have 2\n")
+    comp_file.write_text(json.dumps({**golden, "z1": golden["z1"][:3], "z2": golden["z2"][:3]}))
+    assert main(argv) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert (got["m1_monomials"], got["m2_monomials"]) == (want["m1_monomials"], want["m2_monomials"])
 
 
 def test_probe_command(capsys):

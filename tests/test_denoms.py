@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -68,6 +69,46 @@ def test_prime_sets_congruence_filter():
     ps = prime_sets(M2, 60)
     inert = tuple(p for p in primes_upto(60) if p != 2 and legendre(2, p) == -1)
     assert ps.S == inert
+
+
+@pytest.mark.parametrize("M", [2, 3, 5, -1, -3, -7])
+def test_prime_sets_read_eulers_criterion_as_the_legendre_symbol(M):
+    # u = -1, v = 2 passes every odd prime through both congruences
+    primes = primes_upto(300)
+    inert = tuple(p for p in primes if p != 2 and legendre(M, p) == -1)
+    got = denoms._prime_sets(SimpleNamespace(M=M, u=-1, v=2), primes)
+    assert got == denoms.PrimeSets(inert, inert)
+
+
+def _verdicts(row):
+    return row.earlier_integral, row.asserted, row.passed, row.verdict
+
+
+def test_ubd_row_verdicts_are_built_with_the_row_and_again_by_replace():
+    row = denoms.UbdRow(11, 23, True, True, (), True, 11)
+    assert _verdicts(row) == (True, True, True, "pass")
+    assert row._fields == ("K", "p", "is_prime", "in_S", "exempt", "divides", "first")
+    assert to_json(row) == {"K": 11, "p": 23, "is_prime": True, "in_S": True, "exempt": [],
+                            "divides": True, "first": 11}
+    assert repr(row) == (
+        "UbdRow(K=11, p=23, is_prime=True, in_S=True, exempt=(), divides=True, first=11)"
+    )
+    cases = [
+        ({"first": 3}, (False, True, False, "fail")),
+        ({"divides": False}, (True, True, False, "fail")),
+        ({"first": None}, (True, True, True, "pass")),
+        ({"exempt": ("p divides the level",)}, (True, False, None, "exempt")),
+        ({"is_prime": False}, (True, False, None, "skip")),
+        ({"in_S": False, "divides": None, "first": None}, (None, False, None, "skip")),
+    ]
+    for changes, want in cases:
+        changed = replace(row, **changes)
+        assert _verdicts(changed) == want, changes
+        assert changed != row and replace(changed, **{n: getattr(row, n) for n in changes}) == row
+    assert _verdicts(row) == (True, True, True, "pass")
+    assert replace(row) == row and hash(replace(row)) == hash(row)
+    with pytest.raises(AttributeError, match="cannot assign"):
+        row.verdict = "fail"
 
 
 def test_factor_trial():

@@ -482,6 +482,79 @@ def test_conv_fills_each_slot_to_its_extremes(slot_widths, w):
         assert got == _schoolbook(a, b, _MIN_LEN) and got[-1] == sign * m * m * _MIN_LEN
 
 
+def _width_operands(rng, w, shape):
+    """Two operands of _MIN_LEN entries whose slot bound takes exactly w bytes."""
+    top = 2 ** (8 * w - 1) - 1
+    if shape == "extremes":  # +-top times a unit: the bound is the largest slot value
+        return [rng.choice((top, -top)) for _ in range(_MIN_LEN)], [rng.choice((1, -1))]
+    m = max(1, math.isqrt(top // _MIN_LEN))  # m^2 * _MIN_LEN <= top, the bound reached
+    if shape == "all-negative":  # the last coefficient of the product is the bound itself
+        return [-m] * _MIN_LEN, [-m] * _MIN_LEN
+    # alternating signs
+    a = [(-1) ** i * (m if i == 0 else rng.randint(1, m)) for i in range(_MIN_LEN)]
+    b = [(-1) ** (i + 1) * (m if i == 1 else rng.randint(1, m)) for i in range(_MIN_LEN)]
+    return a, b
+
+
+@pytest.mark.parametrize("shape", ["all-negative", "alternating", "extremes"])
+@pytest.mark.parametrize("w", range(1, _MAX_BITS // 8 + 1))
+def test_conv_matches_schoolbook_at_every_slot_width(slot_widths, w, shape):
+    rng = random.Random(w)
+    a, b = _width_operands(rng, w, shape)
+    for x, y in ((a, b), (b, a)):
+        slot_widths.clear()
+        assert _conv(x, y, _MIN_LEN) == _schoolbook(x, y, _MIN_LEN)
+        assert slot_widths == [8 * w]
+    assert _conv(a, a, _MIN_LEN) == _schoolbook(a, list(a), _MIN_LEN)  # a square, either path
+
+
+@pytest.mark.parametrize(
+    "length, bits, narrow",
+    [(_MIN_LEN - 1, 8, True), (_MIN_LEN, 8, True), (150, 140, True), (150, 160, False)],
+)
+def test_a_square_matches_schoolbook_on_both_paths(slot_widths, length, bits, narrow):
+    rng = random.Random(length + bits)
+    a = _entries(rng, length, bits, "mixed")
+    for n in (length, length + 9):
+        slot_widths.clear()
+        assert _conv(a, a, n) == _schoolbook(a, list(a), n)
+        assert bool(slot_widths) == (narrow and n >= _MIN_LEN)
+    u = PureQSeries.make(0, [Fraction(c, 7) for c in a])
+    _same(u * u, _naive_mul(u, u))
+    _same(u**2, _naive_pow(u, 2))
+
+
+def test_a_square_packs_its_operand_once(monkeypatch):
+    packed = []
+    real = qseries._pack
+
+    def pack(a, w):
+        packed.append(len(a))
+        return real(a, w)
+
+    monkeypatch.setattr(qseries, "_pack", pack)
+    a = [(-1) ** i * (3 * i + 1) for i in range(2 * _MIN_LEN)]
+    assert _conv(a, a, len(a)) == _schoolbook(a, a, len(a)) and packed == [len(a)]
+    packed.clear()
+    assert _conv(a, list(a), len(a)) == _schoolbook(a, a, len(a)) and packed == [len(a)] * 2
+    packed.clear()
+    u = PureQSeries.make(0, a)
+    assert u * u == u**2 and packed == [len(a)] * 2  # one pack per square
+
+
+def test_split_of_integers_is_the_integer_form_of_the_general_path():
+    ints = [3, 0, -7, 2**70, 1]
+    L, parts, M = qseries._split(ints)
+    assert (L, parts, M) == qseries._split([Fraction(c) for c in ints]) == (1, [ints], None)
+    assert parts[0] is not ints and all(type(x) is int for x in parts[0])
+    assert qseries._split([]) == qseries._split(()) == (1, [[]], None)
+    # a bool or a Fraction among the values takes the general path, which writes plain ints
+    for values, want in (([1, True, 0], (1, [[1, 1, 0]], None)),
+                         ([2, Fraction(1, 2)], (2, [[4, 1]], None))):
+        got = qseries._split(values)
+        assert got == want and all(type(x) is int for x in got[1][0])
+
+
 def test_conv_of_a_zero_operand_is_zero():
     assert _conv([0] * 50, [2**400] * 50, 50) == [0] * 50
     assert _conv([], [1] * 50, 45) == [0] * 45
