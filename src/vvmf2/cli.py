@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import denoms as denoms_mod
@@ -36,7 +37,7 @@ from .minform import (
     METHODS,
     MinimalForm,
     check_kmax,
-    decompose,
+    decomposition,
     deriv_components,
     minimal_form,
     mlde_residual,
@@ -318,12 +319,12 @@ def _build_minform(cfg: RunConfig) -> tuple[InstanceParams, MinimalForm]:
 def cmd_minform(args) -> int:
     cfg = _load_config(args)
     params, mf = _build_minform(cfg)
-    res1 = mlde_residual(params, mf.comp1)
-    res2 = mlde_residual(params, mf.comp2)
+    residual_zero = [mlde_residual(params, c).is_zero for c in (mf.comp1, mf.comp2)]
     t = mf.tables
-    # deriv_components raises PipelineMismatch if the formula and the operator disagree
+    # deriv_components raises PipelineMismatch if the formula and the operator disagree;
+    # a derivative's leading zeros (t(0) = l = 0) were stripped and are written as "0"
     t1, t2 = (
-        [dc.coeff(lead + n) for n in range(len(t.d))]
+        [Fraction(0)] * int(dc.lead - lead) + [*dc.coeffs]
         for dc, lead in zip(deriv_components(mf), params.leads)
     )
     payload = {
@@ -337,13 +338,12 @@ def cmd_minform(args) -> int:
         },
         "checks": {
             "pipelines_agree": True if cfg.method == "both" else None,
-            "mlde_residual_zero": [res1.is_zero, res2.is_zero],
+            "mlde_residual_zero": residual_zero,
             "derivative_formula_matches": True,
         },
     }
     _emit(payload, args.out)
-    ok = res1.is_zero and res2.is_zero
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return EXIT_OK if all(residual_zero) else EXIT_CHECK_FAILED
 
 
 def _ubd_row_json(r: denoms_mod.UbdRow) -> dict:
@@ -433,16 +433,10 @@ def cmd_decompose(args) -> int:
         PureQSeries.make(lead, [value_from_json(c) for c in comp[key]])
         for key, lead in zip(("z1", "z2"), params.leads)
     )
-    m1, m2 = decompose(mf, z1, z2, k)
-    coords1 = forms.monomial_coordinates(m1, k - params.k0)
-    coords2 = forms.monomial_coordinates(m2, k - params.k0 - 2)
-    payload = {
-        "k": k,
-        "m1": m1,
-        "m2": m2,
-        "m1_monomials": {f"G^{a}*E4^{b}": c for (a, b), c in coords1.items()},
-        "m2_monomials": {f"G^{a}*E4^{b}": c for (a, b), c in coords2.items()},
-    }
+    payload = {"k": k}
+    for name, (m, coords) in zip(("m1", "m2"), decomposition(mf, z1, z2, k)):
+        payload[name] = m
+        payload[f"{name}_monomials"] = {f"G^{a}*E4^{b}": c for (a, b), c in coords.items()}
     _emit(payload, args.out)
     return EXIT_OK
 

@@ -16,16 +16,17 @@ Every h is a rational ``PureQSeries`` (lead 0, step 1), whatever r's field.
 The minimal form F' and its modular derivative DF' generate everything
 of higher weight.  ``combination`` is the one builder of m1*F' + m2*DF'
 from monomials G^a E4^b, ``weight_basis`` lists the one-monomial
-multiples, and ``decompose`` inverts that construction exactly, by
-Cramer's rule with the Wronskian of the two, one rational inverse.
+multiples, and ``decomposition`` inverts that construction exactly, by
+Cramer's rule with the Wronskian of the two, one rational inverse, and
+returns the monomial coordinates it checks them by.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
-from operator import mul
+from functools import cached_property, reduce
+from operator import add, mul
 
 from .errors import ConsistencyError, PipelineMismatch
 from .forms import (
@@ -41,7 +42,7 @@ from .forms import (
     weight2_G,
 )
 from .params import InstanceParams
-from .qseries import PureQSeries, _conv, equal_through
+from .qseries import PureQSeries, _conv, _iweigh, _lincomb, equal_through
 from .quadratic import FieldElement, pochhammer
 from .record import Record
 
@@ -317,13 +318,11 @@ class MinimalForm(Record):
 
     @cached_property
     def derivative(self) -> tuple[PureQSeries, PureQSeries]:
-        out = []
-        for t, comp, lead in zip(t_lists(self), (self.comp1, self.comp2), self.params.leads):
-            built = PureQSeries.make(lead, t)
-            if not equal_through(built, modular_D(self.params.k0, comp), lead + len(t) - 1):
+        built = t_lists(self)
+        for t, comp in zip(built, (self.comp1, self.comp2)):
+            if not equal_through(t, modular_D(self.params.k0, comp), comp.horizon - 1):
                 raise PipelineMismatch("derivative coefficient formula disagrees with operator")
-            out.append(built)
-        return out[0], out[1]
+        return built
 
 
 def minimal_form(params: InstanceParams, Kmax: int, method: str = "both") -> MinimalForm:
@@ -372,27 +371,25 @@ def mlde_residual(params: InstanceParams, u: PureQSeries) -> PureQSeries:
     )
 
 
-def t_lists(mf: MinimalForm) -> tuple[list, list]:
-    """Coefficient lists of the modular derivative of the minimal form.
+def t_lists(mf: MinimalForm) -> tuple[PureQSeries, PureQSeries]:
+    """The modular derivative of the minimal form by its coefficient formula.
 
-    t(K) = d(K)(K + l) + 2 k0 sum_{n=1..K} sigma(n) d(K-n), the n = K term
-    using d(0) = 1; the leading entry is l itself.
+    A component q^lead sum d(K) q^K has t(K) = (K + l) d(K) + 2 k0 sum_(n=1..K)
+    sigma(n) d(K - n).  On its integer form (den, [x]) and l = n/q this is
+    t(K) q den = (q K + n) x(K) + 2 k0 q (sigma * x)(K): one weighting and,
+    when k0 != 0, one product with [0, sigma(1), sigma(2), ...].
     """
-    p = mf.params
-    k0 = p.k0
+    k0 = mf.params.k0
 
-    def build(dlist: tuple, l: Fraction) -> list:
-        out: list = [l]
-        for K in range(1, len(dlist)):
-            val = dlist[K] * (K + l)
-            if k0:
-                val = val + 2 * k0 * sum(
-                    (sigma(n) * dlist[K - n] for n in range(1, K + 1)), Fraction(0)
-                )
-            out.append(val)
-        return out
+    def build(comp: PureQSeries, l: Fraction) -> PureQSeries:
+        den, (x,), _ = comp.integer_form()
+        t = _iweigh(x, l.numerator, l.denominator)
+        if k0:
+            sig = [0, *map(sigma, range(1, len(x)))]
+            t = _lincomb(t, 1, _conv(x, sig, len(x)), 2 * k0 * l.denominator)
+        return PureQSeries.from_integers(comp.lead, comp.step, l.denominator * den, [t], None)
 
-    return build(mf.tables.d, p.l1), build(mf.tables.d_tilde, p.l2)
+    return build(mf.comp1, mf.params.l1), build(mf.comp2, mf.params.l2)
 
 
 def deriv_components(mf: MinimalForm) -> tuple[PureQSeries, PureQSeries]:
@@ -435,26 +432,15 @@ def combination(
                     f"monomial G^{a}E4^{b} has weight {2 * a + 4 * b}, need {want}"
                 )
     n = mf.comp1.length + 1
-
-    def scalar_form(coeff_map) -> PureQSeries | None:
-        total = None
-        for (a, b), c in sorted(coeff_map.items()):
-            term = form_monomial(a, b, n) * c
-            total = term if total is None else total + term
-        return total
-
-    m1 = scalar_form(m1_map)
-    m2 = scalar_form(m2_map)
-    z1 = z2 = None
-    if m1 is not None:
-        z1, z2 = m1 * mf.comp1, m1 * mf.comp2
-    if m2 is not None:
-        d1, d2 = deriv_components(mf)
-        t1, t2 = m2 * d1, m2 * d2
-        z1 = t1 if z1 is None else z1 + t1
-        z2 = t2 if z2 is None else z2 + t2
-    if z1 is None:
+    z = []
+    for coeff_map, derivative in ((m1_map, False), (m2_map, True)):
+        if coeff_map:
+            m = reduce(add, [form_monomial(a, b, n) * c for (a, b), c in sorted(coeff_map.items())])
+            vector = deriv_components(mf) if derivative else (mf.comp1, mf.comp2)
+            z.append([m * u for u in vector])
+    if not z:
         raise ConsistencyError("empty combination")
+    z1, z2 = (reduce(add, terms) for terms in zip(*z))
     return z1, z2
 
 
@@ -470,19 +456,27 @@ def weight_basis(mf: MinimalForm, k: int) -> list[BasisElement]:
 
 
 def decompose(
+    mf: MinimalForm, Z1: PureQSeries, Z2: PureQSeries, k: int
+) -> tuple[PureQSeries, PureQSeries]:
+    """(m1, m2) of ``decomposition``: (Z1, Z2) = m1*F' + m2*DF' with scalar forms m1, m2."""
+    (m1, _), (m2, _) = decomposition(mf, Z1, Z2, k)
+    return m1, m2
+
+
+def decomposition(
     mf: MinimalForm,
     Z1: PureQSeries,
     Z2: PureQSeries,
     k: int,
-) -> tuple[PureQSeries, PureQSeries]:
-    """Write (Z1, Z2) as m1*F' + m2*DF' with scalar forms m1, m2.
+) -> tuple[tuple[PureQSeries, dict], tuple[PureQSeries, dict]]:
+    """((m1, coords1), (m2, coords2)) with (Z1, Z2) = m1*F' + m2*DF' and m1, m2 scalar forms.
 
     Cramer's rule with the Wronskian W = F1*D2 - F2*D1 of F' = (F1, F2)
     and DF' = (D1, D2): m1 = (Z1*D2 - Z2*D1)/W and m2 = (F1*Z2 - F2*Z1)/W.
     W leads with (l2 - l1) q^(2k0/12 + l1 + l2), and l1 != l2, so W is
     invertible.  The results are known as far as both components of Z and
-    the minimal form are.  Both outputs are checked to be genuine forms of
-    the right weights via their monomial coordinates.
+    the minimal form are.  Their monomial coordinates, solved once, show
+    both to be genuine forms of the right weights.
     """
     p = mf.params
     lead1, lead2 = p.leads
@@ -500,6 +494,4 @@ def decompose(
 
     m1 = ((Z1 * D2 - Z2 * D1) * w_inv).truncated_at(known)
     m2 = ((F1 * Z2 - F2 * Z1) * w_inv).truncated_at(known)
-    monomial_coordinates(m1, k - p.k0)
-    monomial_coordinates(m2, k - p.k0 - 2)
-    return m1, m2
+    return (m1, monomial_coordinates(m1, k - p.k0)), (m2, monomial_coordinates(m2, k - p.k0 - 2))

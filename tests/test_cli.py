@@ -257,6 +257,26 @@ def test_decompose_needs_one_coefficient_past_the_basis(tmp_path, capsys):
     assert (got["m1_monomials"], got["m2_monomials"]) == (want["m1_monomials"], want["m2_monomials"])
 
 
+def test_decompose_solves_each_coordinate_system_once(tmp_path, monkeypatch, capsys):
+    # the coordinates that check m1 and m2 are the ones the report writes
+    from vvmf2 import minform
+
+    calls = []
+    real = forms.monomial_coordinates
+
+    def counting(f, k):
+        calls.append(k)
+        return real(f, k)
+
+    monkeypatch.setattr(forms, "monomial_coordinates", counting)
+    monkeypatch.setattr(minform, "monomial_coordinates", counting)
+    components = Path(__file__).parent / "golden" / "decompose-components-m2.json"
+    argv = ["decompose", "--seed-instance", "m2", "--kmax", "8", "--components", str(components)]
+    assert main(argv) == 0
+    assert calls == [6, 4]
+    capsys.readouterr()
+
+
 def test_probe_command(capsys):
     assert (
         main(["probe", "--M", "2", "--rat", "0", "--surd", "1", "--p", "5", "--tmax", "15"])

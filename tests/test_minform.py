@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vvmf2 import denoms, forms, minform, qseries
+from vvmf2 import cli, denoms, forms, minform, qseries
 from vvmf2.errors import ConsistencyError, NotAFormError, PipelineMismatch
 from vvmf2.forms import (
     eisenstein_E2,
@@ -807,14 +807,94 @@ def test_deriv_components(params):
     mf = minimal_form(params, 12, "both")
     d1, d2 = deriv_components(mf)  # raises PipelineMismatch if formula drifts
     t1, t2 = t_lists(mf)
-    assert t1[0] == params.l1
-    assert t2[0] == params.l2
+    assert (t1, t2) == (d1, d2)
+    lead1, lead2 = params.leads
+    assert t1.coeff(lead1) == params.l1
+    assert t2.coeff(lead2) == params.l2
     if params.k0 == 0:
-        assert t1[1] == mf.tables.d[1] * (1 + params.l1) == 256
-        lead2 = Fraction(params.k0, 12) + params.l2
+        assert t1.coeff(lead1 + 1) == mf.tables.d[1] * (1 + params.l1) == 256
         assert d2.coeff(lead2) == Fraction(1, 2)
     direct = modular_D(params.k0, mf.comp1)
     assert equal_through(direct, d1, Fraction(params.k0, 12) + params.l1 + 11)
+
+
+def fraction_t_lists(mf):
+    """The derivative formula term by term on Fraction, the reference for ``t_lists``:
+    t(K) = d(K)(K + l) + 2 k0 sum_(n=1..K) sigma(n) d(K - n), the leading entry l."""
+    k0 = mf.params.k0
+
+    def build(dlist, l):
+        out = [l]
+        for K in range(1, len(dlist)):
+            val = dlist[K] * (K + l)
+            if k0:
+                val += 2 * k0 * sum((forms.sigma(n) * dlist[K - n] for n in range(1, K + 1)),
+                                    Fraction(0))
+            out.append(val)
+        return out
+
+    return build(mf.tables.d, mf.params.l1), build(mf.tables.d_tilde, mf.params.l2)
+
+
+EXPONENTS = {
+    "m2": seed_exponents("m2"),
+    "v3": ExponentData(0, Fraction(0), Fraction(1, 3), R_V3, R_V3.conjugate()),
+    "l2=1/5": ExponentData(0, Fraction(0), Fraction(1, 5), R_L120, R_L120.conjugate()),
+}
+
+
+@pytest.mark.parametrize("k0", [-2, 0, 2, 4])
+@pytest.mark.parametrize("name", EXPONENTS)
+def test_t_lists_is_the_coefficient_formula(name, k0):
+    params = params_from_exponents(replace(EXPONENTS[name], k0=k0))
+    mf = minimal_form(params, 16, "both")
+    for t, want, lead in zip(t_lists(mf), fraction_t_lists(mf), params.leads):
+        assert t.horizon == lead + len(want)
+        assert [t.coeff(lead + K) for K in range(len(want))] == want
+
+
+def _sigma_off_at_3(n, power=1):
+    return forms.sigma(n, power) + (n == 3)
+
+
+def _weigh_with_d3_doubled(x, a0, s):
+    return qseries._iweigh([*x[:3], 2 * x[3], *x[4:]], a0, s)
+
+
+DERIVATIVE_MISMATCH = "derivative coefficient formula disagrees with operator"
+L120_K0_2 = params_from_exponents(replace(EXPONENTS["l2=1/5"], k0=2))
+L120_CONFIG = str(Path(__file__).parent / "golden" / "minform-config-l120-k12.json")
+
+
+def test_a_perturbed_sigma_trips_the_derivative_check(monkeypatch):
+    # k0 = 2: sigma(3) one too large, read by the formula only, after the form is built
+    mf = minimal_form(L120_K0_2, 12, "both")
+    monkeypatch.setattr(minform, "sigma", _sigma_off_at_3)
+    with pytest.raises(PipelineMismatch, match=DERIVATIVE_MISMATCH):
+        deriv_components(mf)
+
+
+def test_a_perturbed_sigma_makes_minform_exit_4(monkeypatch, capsys):
+    real_minimal_form = cli.minimal_form
+
+    def build_then_perturb(*args):
+        mf = real_minimal_form(*args)
+        monkeypatch.setattr(minform, "sigma", _sigma_off_at_3)
+        return mf
+
+    monkeypatch.setattr(cli, "minimal_form", build_then_perturb)
+    assert cli.main(["minform", "--config", L120_CONFIG]) == 4
+    assert capsys.readouterr() == ("", f"pipeline disagreement: {DERIVATIVE_MISMATCH}\n")
+
+
+def test_a_scaled_d_coefficient_trips_the_derivative_check(monkeypatch, capsys):
+    # k0 = 0 reads no sigma: the formula alone sees d(3) doubled
+    mf = minimal_form(M2, 8, "both")
+    monkeypatch.setattr(minform, "_iweigh", _weigh_with_d3_doubled)
+    with pytest.raises(PipelineMismatch, match=DERIVATIVE_MISMATCH):
+        deriv_components(mf)
+    assert cli.main(["minform", "--seed-instance", "m2", "--kmax", "8"]) == 4
+    assert capsys.readouterr() == ("", f"pipeline disagreement: {DERIVATIVE_MISMATCH}\n")
 
 
 def test_weight_basis_counts():
