@@ -35,7 +35,7 @@ def main():
     params = params_from_exponents(seed_exponents(args.instance))
     print(f"instance {args.instance}: M={params.M}, u={params.u}, v={params.v}, "
           f"a={params.a}, b={params.b}, c={params.c}")
-    mf = minimal_form(params, args.kmax, "both")
+    mf = minimal_form(params, args.kmax)
     print(f"both pipelines agree through K={args.kmax}")
 
     print(f"\n{'K':>4} {'den(d(K))':<40} {'p_K':>5}  verdict")

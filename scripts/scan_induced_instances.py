@@ -55,7 +55,7 @@ def main():
             if params is None:
                 print(f"{str(xi1):>6} {M:>3} {'-':>7} {'-':>10}  no consistent shifts in window")
                 continue
-            mf = minimal_form(params, args.kmax, "both")
+            mf = minimal_form(params, args.kmax)
             report = verify_ubd(mf, args.kmax)
             realized += 1
             failed += not report.all_asserted_pass

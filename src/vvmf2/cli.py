@@ -34,7 +34,6 @@ from .errors import (
     TruncationError,
 )
 from .minform import (
-    METHODS,
     MinimalForm,
     check_kmax,
     decomposition,
@@ -82,12 +81,9 @@ class RunConfig(Record):
 
     exponents: ExponentData
     kmax: int = DEFAULT_KMAX
-    method: str = "both"
     factor_bound: int = denoms_mod.DEFAULT_FACTOR_BOUND
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r}")
         check_kmax(self.kmax)
         denoms_mod.check_factor_bound(self.factor_bound)
 
@@ -144,14 +140,13 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"malformed JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("top-level config must be an object")
-    _check_keys(data, {"instance", "kmax", "method", "factor_bound"}, "config")
+    _check_keys(data, {"instance", "kmax", "factor_bound"}, "config")
     instance = data.get("instance")
     if not isinstance(instance, dict):
         raise ConfigError("config needs an 'instance' object")
     return RunConfig(
         exponents=_exponents_from_spec(instance),
         kmax=int_from_json(data.get("kmax", DEFAULT_KMAX), "kmax"),
-        method=data.get("method", "both"),
         factor_bound=int_from_json(
             data.get("factor_bound", denoms_mod.DEFAULT_FACTOR_BOUND), "factor_bound"
         ),
@@ -172,7 +167,7 @@ def _load_config(args) -> RunConfig:
     else:
         raise ConfigError("need --config FILE or --seed-instance NAME")
     # a flag given on the command line overrides the config; replace re-runs the check
-    flags = ("kmax", "method", "factor_bound")
+    flags = ("kmax", "factor_bound")
     updates = {f: getattr(args, f) for f in flags if getattr(args, f, None) is not None}
     return replace(cfg, **updates)
 
@@ -313,7 +308,7 @@ def cmd_expand(args) -> int:
 
 def _build_minform(cfg: RunConfig) -> tuple[InstanceParams, MinimalForm]:
     params = params_from_exponents(cfg.exponents)
-    return params, minimal_form(params, cfg.kmax, cfg.method)
+    return params, minimal_form(params, cfg.kmax)
 
 
 def cmd_minform(args) -> int:
@@ -329,7 +324,7 @@ def cmd_minform(args) -> int:
     )
     payload = {
         "kmax": cfg.kmax,
-        "method": cfg.method,
+        "method": "both",
         "params": params,
         "components": {"first": mf.comp1, "second": mf.comp2},
         "sequences": {
@@ -337,7 +332,7 @@ def cmd_minform(args) -> int:
             "t1": t1, "t2": t2,
         },
         "checks": {
-            "pipelines_agree": True if cfg.method == "both" else None,
+            "pipelines_agree": True,
             "mlde_residual_zero": residual_zero,
             "derivative_formula_matches": True,
         },
@@ -361,8 +356,6 @@ def _ubd_row_json(r: denoms_mod.UbdRow) -> dict:
 
 def cmd_denoms(args) -> int:
     cfg = _load_config(args)
-    if cfg.method != "both":  # verify_ubd refuses it too, but only after the build
-        raise ConsistencyError("denominator analysis requires method='both'")
     params, mf = _build_minform(cfg)
     report = denoms_mod.verify_ubd(mf, cfg.kmax, cfg.factor_bound)
     if args.format == "text":
@@ -472,7 +465,6 @@ _INSTANCE_FLAGS = (
         "help": "use a built-in worked instance instead of a config file",
     }),
     ("--kmax", {"type": checked_int(check_kmax), "default": None}),
-    ("--method", {"choices": METHODS, "default": None}),
     ("--out", {"default": None, "help": "write the report here instead of stdout"}),
 )
 

@@ -286,8 +286,6 @@ def verify_ubd(
     check_factor_bound(factor_bound)
     if Kmax > t.Kmax:
         raise ConsistencyError(f"minimal form only computed through K={t.Kmax}")
-    if mf.method != "both":
-        raise ConsistencyError("denominator analysis requires method='both'")
     dens_h, dens_d, dens_dt = (
         s.denominators()[: Kmax + 1] for s in (t.h_series, t.comp1, t.comp2)
     )

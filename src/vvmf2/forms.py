@@ -7,12 +7,13 @@ and eta-quotient companions used at the other cusp, and the monomial
 basis G^a E4^b of each weight together with exact coordinates in it,
 solved by forward substitution in the triangular basis G^(k/2-2b) (E4 - G^2)^b.
 
-Every eta product is built by ``eta_quotient`` and every G^a E4^b, G^2
-among them, by ``form_monomial``; the closed route reads E from
-``eta_quotient`` and none of E2, E4 or G.  These, the named series and
-the closed route's tables are cached in memory for the life of the
-process (longest prefix wins), each built and read through its one
-accessor (``eisenstein_E2``, ``form_monomial``, ``minform.tables_DC``, ...).
+Every eta product here is built by ``eta_quotient`` and every G^a E4^b,
+G^2 among them, by ``form_monomial``.  The closed route reads none of
+them, nor E2, E4 or G: ``minform.tables_DC`` builds E from the divisor
+sums psi alone, by theta E = psi E.  These, the named series and the
+closed route's tables are cached in memory for the life of the process
+(longest prefix wins), each built and read through its one accessor
+(``eisenstein_E2``, ``form_monomial``, ``minform.tables_DC``, ...).
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ psi = theta E / E, and it builds E from psi alone, by theta E = psi E,
 reading none of E2, E4 or G.  The other route is the weight-zero
 equation's Frobenius recursion, from G, E2 and E4.  A fault in a named
 series reaches one route, one in the kernel or the series product both,
-through different equations; ``minimal_form(..., method="both")`` raises
+through different equations; ``minimal_form`` always runs both and raises
 ``PipelineMismatch`` at the first coefficient where they disagree.
 Every h is a rational ``PureQSeries`` (lead 0, step 1), whatever r's field.
 
@@ -47,7 +47,6 @@ from .quadratic import FieldElement, pochhammer
 from .record import Record
 
 _ZERO, _ONE, _HALF = Fraction(0), Fraction(1), Fraction(1, 2)
-METHODS = ("both", "closed", "frobenius")
 
 
 def check_kmax(Kmax: int) -> None:
@@ -314,7 +313,6 @@ class MinimalForm(Record):
     comp1: PureQSeries
     comp2: PureQSeries
     tables: SeqTables
-    method: str
 
     @cached_property
     def derivative(self) -> tuple[PureQSeries, PureQSeries]:
@@ -326,37 +324,32 @@ class MinimalForm(Record):
 
 
 def minimal_form(params: InstanceParams, Kmax: int, method: str = "both") -> MinimalForm:
-    """Build the normalized minimal form to relative order Kmax.
+    """Build the normalized minimal form to relative order Kmax by both routes.
 
-    method "closed" uses the sequence formulas, "frobenius" the series
-    recursion, and "both" (the default for anything feeding denominator
-    analysis) runs the two and requires exact agreement.
+    The closed-form and Frobenius routes must agree exactly.  ``method`` is
+    kept for callers that pass "both"; any other value is a ValueError.
     """
-    if method not in METHODS:
+    if method != "both":
         raise ValueError(f"unknown method {method!r}")
     check_kmax(Kmax)
-    if method == "frobenius":
-        h, ht = h_frobenius(params, Kmax)
-    else:
-        h, ht = h_closed(params, Kmax)
-    if method == "both":
-        hf, htf = h_frobenius(params, Kmax)
-        # canonical forms are equal exactly when the series are; if not, the
-        # difference of two routes leads at their first disagreement
-        if (h, ht) != (hf, htf):
-            K = min((h - hf).lead, (ht - htf).lead)
-            if K <= Kmax:
-                raise PipelineMismatch(
-                    f"closed-form and recursion disagree at K={K}: "
-                    f"{h.coeff(K)} vs {hf.coeff(K)} / {ht.coeff(K)} vs {htf.coeff(K)}"
-                )
+    h, ht = h_closed(params, Kmax)
+    hf, htf = h_frobenius(params, Kmax)
+    # canonical forms are equal exactly when the series are; if not, the
+    # difference of two routes leads at their first disagreement
+    if (h, ht) != (hf, htf):
+        K = min((h - hf).lead, (ht - htf).lead)
+        if K <= Kmax:
+            raise PipelineMismatch(
+                f"closed-form and recursion disagree at K={K}: "
+                f"{h.coeff(K)} vs {hf.coeff(K)} / {ht.coeff(K)} vs {htf.coeff(K)}"
+            )
 
     eta = eta_pow(2 * params.k0, Kmax)
     comp1, comp2 = (  # eta^0 = 1: no product when k0 = 0
         eta * s.shifted(l) if params.k0 else s.shifted(l)
         for s, l in ((h, params.l1), (ht, params.l2))
     )
-    return MinimalForm(params, comp1, comp2, SeqTables(Kmax, h, ht, eta, comp1, comp2), method)
+    return MinimalForm(params, comp1, comp2, SeqTables(Kmax, h, ht, eta, comp1, comp2))
 
 
 def mlde_residual(params: InstanceParams, u: PureQSeries) -> PureQSeries:

@@ -338,11 +338,6 @@ class PureQSeries:
         """First exponent about which nothing is known (exclusive bound)."""
         return self.lead + self.length * self.step
 
-    @property
-    def order(self) -> int:
-        """Truncation order N: coefficients c0..cN are known."""
-        return self.length - 1
-
     def coeff(self, exponent: Scalar) -> FieldElement:
         """Coefficient of q^exponent; 0 off the support, error past the horizon."""
         e = Fraction(exponent) if isinstance(exponent, int) else exponent

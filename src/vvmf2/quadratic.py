@@ -29,7 +29,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid far beyond any prime used here."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0

@@ -52,14 +52,14 @@ def criterion(number: int, name: str):
 @pytest.fixture(scope="module")
 def mf40():
     return {
-        "m2": minimal_form(M2, 40, "both"),
-        "m5": minimal_form(M5, 40, "both"),
+        "m2": minimal_form(M2, 40),
+        "m5": minimal_form(M5, 40),
     }
 
 
 @pytest.fixture(scope="module")
 def mf60_m2():
-    return minimal_form(M2, 60, "both")
+    return minimal_form(M2, 60)
 
 
 def test_criterion_1_identity_suite():
@@ -152,8 +152,7 @@ def test_criterion_6_parameter_algebra():
 
 def test_criterion_7_spot_value(mf40):
     with criterion(7, "d(1) = 256 by both pipelines"):
-        mf = mf40["m2"]  # built with method="both", so the pipelines agreed
-        assert mf.method == "both"
+        mf = mf40["m2"]  # minimal_form builds by both routes, so the pipelines agreed
         assert mf.tables.d[1] == 256
         assert h_closed(M2, 1)[0].coeffs[1] == 256
         assert h_frobenius(M2, 1)[0].coeffs[1] == 256

@@ -27,13 +27,20 @@ M2_CONFIG = {
         "r": {"rat": "0", "surd": "1", "M": 2, "conjugate_pair": True},
     },
     "kmax": 8,
-    "method": "both",
 }
+
+M2_COMPONENTS = Path(__file__).parent / "golden" / "decompose-components-m2.json"
 
 ABC_CONFIG = {
     "instance": {"a": "-1/3", "b": "2/3", "c": "-2/3", "M": 2, "k0": 0},
     "kmax": 8,
 }
+
+
+def command_argv(command, *args):
+    """argv for a subcommand that builds a minimal form; decompose also reads M2_COMPONENTS."""
+    extra = ["--components", str(M2_COMPONENTS)] if command == "decompose" else []
+    return [command, *args, *extra]
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -47,7 +54,7 @@ def test_parse_config_both_forms():
     b = parse_config(json.dumps(ABC_CONFIG))
     assert a.exponents.l1 == b.exponents.l1 == Fraction(0)
     assert a.exponents.r1 == b.exponents.r1
-    assert a.kmax == 8 and a.method == "both"
+    assert a.kmax == 8
 
 
 def test_parse_config_rejects_garbage():
@@ -166,7 +173,7 @@ def test_decompose_roundtrip(tmp_path, capsys):
     from vvmf2.params import params_from_exponents, seed_exponents
 
     p = params_from_exponents(seed_exponents("m2"))
-    mf = minimal_form(p, 10, "both")
+    mf = minimal_form(p, 10)
     d1, d2 = deriv_components(mf)
     g = form_monomial(1, 0, 12)
     e4 = form_monomial(0, 1, 12)
@@ -209,9 +216,8 @@ def test_decompose_refuses_a_huge_weight_before_building_a_basis(tmp_path, monke
         pytest.fail(f"decompose built the monomial basis of weight {k}")
 
     monkeypatch.setattr(forms, "monomial_basis", unexpected)
-    golden = Path(__file__).parent / "golden" / "decompose-components-m2.json"
     comp_file = tmp_path / "components.json"
-    comp_file.write_text(json.dumps({**json.loads(golden.read_text()), "k": 10**12}))
+    comp_file.write_text(json.dumps({**json.loads(M2_COMPONENTS.read_text()), "k": 10**12}))
     argv = ["decompose", "--seed-instance", "m2", "--kmax", "8", "--components", str(comp_file)]
     assert main(argv) == 3
     assert "need at least 250000000002 coefficients" in capsys.readouterr().err
@@ -232,9 +238,8 @@ _NOT_IN_M6 = "series is not in M_6: the solved combination differs from it"
     ids=["z1-empty", "k-odd", "k-12", "z1-sqrt3", "z1-sqrt2"],
 )
 def test_decompose_refuses_malformed_components(tmp_path, capsys, edit, message):
-    golden = Path(__file__).parent / "golden" / "decompose-components-m2.json"
     comp_file = tmp_path / "components.json"
-    comp_file.write_text(json.dumps(edit(json.loads(golden.read_text()))))
+    comp_file.write_text(json.dumps(edit(json.loads(M2_COMPONENTS.read_text()))))
     argv = ["decompose", "--seed-instance", "m2", "--kmax", "8", "--components", str(comp_file)]
     assert main(argv) == 3
     assert capsys.readouterr() == ("", f"validation error: {message}\n")
@@ -244,7 +249,7 @@ def test_decompose_needs_one_coefficient_past_the_basis(tmp_path, capsys):
     # dim M_6 = dim M_4 = 2: two known terms are all the solve uses, so the rebuild would check
     # nothing; a third term is the first one it checks
     golden_dir = Path(__file__).parent / "golden"
-    golden = json.loads((golden_dir / "decompose-components-m2.json").read_text())
+    golden = json.loads(M2_COMPONENTS.read_text())
     want = json.loads((golden_dir / "decompose-m2-k8.json").read_text())
     comp_file = tmp_path / "components.json"
     argv = ["decompose", "--seed-instance", "m2", "--kmax", "8", "--components", str(comp_file)]
@@ -270,9 +275,7 @@ def test_decompose_solves_each_coordinate_system_once(tmp_path, monkeypatch, cap
 
     monkeypatch.setattr(forms, "monomial_coordinates", counting)
     monkeypatch.setattr(minform, "monomial_coordinates", counting)
-    components = Path(__file__).parent / "golden" / "decompose-components-m2.json"
-    argv = ["decompose", "--seed-instance", "m2", "--kmax", "8", "--components", str(components)]
-    assert main(argv) == 0
+    assert main(command_argv("decompose", "--seed-instance", "m2", "--kmax", "8")) == 0
     assert calls == [6, 4]
     capsys.readouterr()
 
@@ -486,6 +489,22 @@ def test_a_non_integral_E_exits_4(monkeypatch, capsys, cold_cache):
     assert "E = prod (1 + q^n)^24 came out non-integral at q^5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["minform", "denoms", "decompose"])
+def test_a_faulty_E4_makes_every_minimal_form_command_exit_4(monkeypatch, capsys, command):
+    # E4 feeds the Frobenius route alone; no subcommand can skip the cross-check
+    from vvmf2 import minform
+
+    real = minform.eisenstein_E4
+
+    def faulty(N):
+        s = real(N)
+        return PureQSeries.make(s.lead, [c + (j == 3) for j, c in enumerate(s.coeffs)])
+
+    monkeypatch.setattr(minform, "eisenstein_E4", faulty)
+    assert main(command_argv(command, "--seed-instance", "m2", "--kmax", "10")) == 4
+    assert "closed-form and recursion disagree at K=3:" in capsys.readouterr().err
+
+
 def test_a_cache_directory_variable_is_inert(tmp_path, monkeypatch, capsys):
     argvs = (
         ["expand", "--name", "E4", "--order", "12"],
@@ -518,12 +537,15 @@ def test_minform_runs_on_a_lattice_120_instance(tmp_path, capsys):
 
 
 def test_denoms_refuses_a_single_route_before_building(monkeypatch, capsys):
+    # no subcommand takes --method: every minimal form is built by both routes
     def unexpected(*args, **kwargs):
         pytest.fail("denoms built a minimal form it was going to refuse")
 
     monkeypatch.setattr(cli, "minimal_form", unexpected)
-    assert main(["denoms", "--seed-instance", "m2", "--method", "closed"]) == 3
-    assert "method='both'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["denoms", "--seed-instance", "m2", "--method", "closed"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --method closed" in capsys.readouterr().err
 
 
 def test_minform_has_no_format_flag(capsys):
@@ -662,11 +684,13 @@ def test_help_lists_all_six_commands(capsys):
 @pytest.mark.parametrize(
     "argv",
     [[name, "--help"] for name in cli.COMMANDS]
-    + [["denoms", "--bogus"], ["probe"], ["expand", "--order", "x"], ["minform", "--method", "x"]],
+    + [["denoms", "--bogus"], ["probe"], ["expand", "--order", "x"], ["minform", "--method", "x"]]
+    + [["minform", "--method", "both"]],
 )
 def test_one_subcommand_parser_words_everything_as_the_full_parser(capsys, argv):
     # main builds the subcommand argv names alone; usage, help and errors must not change
     full = _parse_exit(cli.build_parser().parse_args, argv, capsys)
+    assert full[0] == (0 if "--help" in argv else 2)
     assert _parse_exit(main, argv, capsys) == full
 
 
@@ -683,19 +707,19 @@ def test_a_negative_kmax_flag_exits_2_before_building(monkeypatch, capsys, comma
     assert "Kmax must be >= 0, got -1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("method", cli.METHODS)
+@pytest.mark.parametrize("command", ["minform", "denoms", "decompose"])
 @pytest.mark.parametrize("rat", ["1/7", "0"])
 def test_an_instance_outside_the_class_exits_3_before_building(
-    tmp_path, monkeypatch, capsys, rat, method
+    tmp_path, monkeypatch, capsys, rat, command
 ):
     # r with surd 0 and r2 = conj(r1): 1/7 breaks the sum rule, 0 keeps it and fails the class
     def unexpected(*args, **kwargs):
-        pytest.fail("minform built a minimal form for an instance outside the paper's class")
+        pytest.fail(f"{command} built a minimal form for an instance outside the paper's class")
 
     monkeypatch.setattr(cli, "minimal_form", unexpected)
     instance = {**M2_CONFIG["instance"], "r": {"rat": rat, "surd": "0", "M": 2}}
-    cfg = write_config(tmp_path, {"instance": instance, "kmax": 6, "method": method})
-    assert main(["minform", "--config", cfg]) == 3
+    cfg = write_config(tmp_path, {"instance": instance, "kmax": 6})
+    assert main(command_argv(command, "--config", cfg)) == 3
     err = capsys.readouterr().err
     assert ("!= 1/2" if rat == "1/7" else "outside the paper's class: r_quadratic") in err
 
@@ -705,11 +729,8 @@ def test_an_instance_outside_the_class_exits_3_before_building(
 def test_an_out_or_format_key_in_a_config_exits_2(tmp_path, capsys, command, key):
     # --out and --format are flags only; a config that sets them is refused, not half obeyed
     value = "text" if key == "format" else str(tmp_path / "report.json")
-    argv = [command, "--config", write_config(tmp_path, {**M2_CONFIG, key: value})]
-    if command == "decompose":
-        components = Path(__file__).parent / "golden" / "decompose-components-m2.json"
-        argv += ["--components", str(components)]
-    assert main(argv) == 2
+    cfg = write_config(tmp_path, {**M2_CONFIG, key: value})
+    assert main(command_argv(command, "--config", cfg)) == 2
     assert f"'{key}'" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
@@ -728,8 +749,9 @@ def with_instance(config, **keys):
             "unknown 'r' key 'conjugate'",
         ),
         (with_instance(ABC_CONFIG, l1="0"), "unknown instance key 'l1'"),
+        ({**M2_CONFIG, "method": "both"}, "unknown config key 'method'"),
     ],
-    ids=["kmx", "k_0", "r-conjugate", "abc-l1"],
+    ids=["kmx", "k_0", "r-conjugate", "abc-l1", "method"],
 )
 def test_an_unknown_config_key_exits_2(tmp_path, capsys, config, message):
     # a misspelt key used to fall back to its default: Kmax 40, k0 = 0, conjugate_pair true

@@ -139,7 +139,7 @@ def test_side_condition_audit():
 
 
 def test_verify_ubd_m2():
-    mf = minimal_form(M2, 20, "both")
+    mf = minimal_form(M2, 20)
     report = verify_ubd(mf, 20)
     assert report.all_asserted_pass
     assert report.exceptional == ()
@@ -155,7 +155,7 @@ def test_verify_ubd_m2():
 
 def test_verify_ubd_m2_at_kmax_320():
     # the verdict of both routes at Kmax 320: 58 asserted rows in each of d, h and d~, all passing
-    report = verify_ubd(minimal_form(M2, 320, "both"))
+    report = verify_ubd(minimal_form(M2, 320))
     components = (report.rows_d, report.rows_h, report.rows_d_tilde)
     asserted = [[r for r in rows if r.asserted] for rows in components]
     assert [len(rows) for rows in asserted] == [58, 58, 58]
@@ -165,7 +165,7 @@ def test_verify_ubd_m2_at_kmax_320():
 
 def test_verify_ubd_h_and_d_first_hits_agree():
     # the eta tail is integral, so h and d go non-integral at the same K
-    mf = minimal_form(M2, 16, "both")
+    mf = minimal_form(M2, 16)
     for p in (5, 11, 13):
         first_h = min(
             K for K in range(1, 17) if not is_p_integral(mf.tables.h[K], p)
@@ -177,16 +177,16 @@ def test_verify_ubd_h_and_d_first_hits_agree():
 
 
 def test_verify_ubd_requires_both():
-    mf = minimal_form(M2, 6, "closed")
-    with pytest.raises(ConsistencyError):
-        verify_ubd(mf, 6)
-    mf = minimal_form(M2, 6, "both")
+    # verify_ubd reads a MinimalForm, and minimal_form builds none from one route
+    with pytest.raises(ValueError, match="unknown method 'closed'"):
+        minimal_form(M2, 6, "closed")
+    mf = minimal_form(M2, 6)
     with pytest.raises(ConsistencyError):
         verify_ubd(mf, 12)
 
 
 def test_the_verifiers_refuse_a_negative_kmax():
-    mf = minimal_form(M2, 6, "both")
+    mf = minimal_form(M2, 6)
     with pytest.raises(ValueError, match="Kmax must be >= 0, got -3"):
         verify_ubd(mf, -3)
     with pytest.raises(ValueError, match="Kmax must be >= 0, got -3"):
@@ -213,7 +213,7 @@ def test_probe_rational_shift():
 
 
 def test_combination_weights():
-    mf = minimal_form(M2, 10, "both")
+    mf = minimal_form(M2, 10)
     with pytest.raises(ConsistencyError):
         combination(mf, {(1, 0): 1}, {}, M2.k0 + 8)
     z1, z2 = combination(mf, {(0, 0): Fraction(1)}, {}, M2.k0)
@@ -222,7 +222,7 @@ def test_combination_weights():
 
 
 def test_ubd_general_reduces_to_minimal_scan():
-    mf = minimal_form(M2, 16, "both")
+    mf = minimal_form(M2, 16)
     report = ubd_general(mf, {(0, 0): 1}, {}, M2.k0, 16, 14)
     rows = {r.p: r for r in report.rows}
     # first hit for p must sit exactly where the d-sequence loses p-integrality
@@ -232,14 +232,14 @@ def test_ubd_general_reduces_to_minimal_scan():
 
 
 def test_ubd_general_derivative_only():
-    mf = minimal_form(M2, 16, "both")
+    mf = minimal_form(M2, 16)
     report = ubd_general(mf, {}, {(0, 0): 1}, M2.k0 + 2, 16, 12)
     rows = {r.p: r for r in report.rows}
     assert rows[5].passed and rows[11].passed
 
 
 def test_ubd_general_mixed_weight8():
-    mf = minimal_form(M2, 24, "both")
+    mf = minimal_form(M2, 24)
     m1 = {(4, 0): 2, (2, 1): -3, (0, 2): 1}
     m2 = {(3, 0): 5, (1, 1): 1}
     report = ubd_general(mf, m1, m2, M2.k0 + 8, 24, 14)
@@ -247,14 +247,14 @@ def test_ubd_general_mixed_weight8():
 
 
 def test_denominators_display_growth():
-    mf = minimal_form(M2, 12, "both")
+    mf = minimal_form(M2, 12)
     dens = [denominator_of(x) for x in mf.tables.d]
     assert dens[0] == 1
     assert max(dens) > 10**3  # denominators visibly blow up
 
 
 def test_prime_summary():
-    mf = minimal_form(M2, 20, "both")
+    mf = minimal_form(M2, 20)
     report = verify_ubd(mf, 20)
     by_p = {s.p: s for s in report.summary_d}
     # each audited prime first divides a denominator exactly at its own index
@@ -271,7 +271,7 @@ def test_v3_instance_full_run():
     assert ps.S == (5, 11, 29, 53, 59)
     assert ps.S_tilde == (13, 19, 37, 43)
     assert not set(ps.S) & set(ps.S_tilde)
-    mf = minimal_form(p, 22, "both")
+    mf = minimal_form(p, 22)
     report = verify_ubd(mf, 22)
     assert report.all_asserted_pass
     assert {r.p for r in report.rows_d if r.passed} >= {5, 11, 29, 59}
@@ -280,7 +280,7 @@ def test_v3_instance_full_run():
 
 def test_ubd_general_v3_checks_only_own_component():
     # S and S~ are disjoint for v = 3: each prime is hit in its own component only
-    mf = minimal_form(V3, 30, "both")
+    mf = minimal_form(V3, 30)
     report = ubd_general(mf, {(0, 0): 1}, {}, V3.k0, 30, 120)
     assert report.all_asserted_pass
     rows = {r.p: r for r in report.rows}
@@ -315,7 +315,7 @@ def test_the_second_component_follows_the_mirrored_instance(l1):
     p, q = mirror_pair(l1)
     assert p.mirrored() == q and q.mirrored() == p
     assert (q.A, q.B, q.u, q.v) == (p.B, p.A, -p.u, p.v)
-    built = {x: minimal_form(x, 30, "both") for x in (p, q)}
+    built = {x: minimal_form(x, 30) for x in (p, q)}
 
     def key(rows):
         return [(r.K, r.p, r.verdict, r.exempt) for r in rows]
@@ -383,7 +383,7 @@ def general_instance(name):
 
 @pytest.mark.parametrize("name", list(GENERAL_ROWS))
 def test_ubd_general_pins_the_component_rows(name):
-    mf = minimal_form(general_instance(name), 30, "both")
+    mf = minimal_form(general_instance(name), 30)
     report = ubd_general(mf, {(4, 0): 1, (0, 2): 1}, {(1, 1): 1}, 8, 30, 60)
     got = [(r.p, r.exempt, r.first_hit_1, r.first_hit_2, r.asserted, r.passed) for r in report.rows]
     assert got == GENERAL_ROWS[name]
@@ -401,7 +401,7 @@ def test_ubd_general_pins_the_component_rows(name):
 
 def test_ubd_general_fails_when_an_asserted_coefficient_is_scaled_by_p(monkeypatch):
     # p = 11 is asserted at K = 4 in the first component; 11*z(4) is 11-integral
-    mf = minimal_form(V3, 30, "both")
+    mf = minimal_form(V3, 30)
     m1, m2 = {(4, 0): 1, (0, 2): 1}, {(1, 1): 1}
     lead = V3.leads[0]
 
@@ -422,7 +422,7 @@ def test_ubd_general_fails_when_an_asserted_coefficient_is_scaled_by_p(monkeypat
 
 def test_ubd_general_exempts_a_vanishing_leading_factor():
     # Z = DF' on m2: the second component's leading factor is K + 1/2 = p/2
-    mf = minimal_form(M2, 16, "both")
+    mf = minimal_form(M2, 16)
     report = ubd_general(mf, {}, {(0, 0): 1}, M2.k0 + 2, 16, 30)
     rows = [r for r in report.rows if r.p != 3]  # p = 3 divides 12
     assert [r.p for r in rows] == [5, 11, 13, 19, 29]
@@ -433,7 +433,7 @@ def test_ubd_general_exempts_a_vanishing_leading_factor():
 
 def test_ubd_general_exempts_a_prime_in_a_map_denominator():
     # Z = F'/5: every coefficient has 5 in its denominator, so p = 5 predicts nothing
-    mf = minimal_form(M2, 16, "both")
+    mf = minimal_form(M2, 16)
     rows = {r.p: r for r in ubd_general(mf, {(0, 0): Fraction(1, 5)}, {}, M2.k0, 16, 14).rows}
     row = rows[5].row_1
     assert row.exempt == ("p divides denominator of a map coefficient", "leading factor 1/5")
@@ -443,7 +443,7 @@ def test_ubd_general_exempts_a_prime_in_a_map_denominator():
 
 def test_ubd_general_asserts_nothing_for_a_cusp_form_multiplier():
     # m1 = E4 - G^2 and m2 = 0 have constant terms c1 = c2 = 0: no row is predicted
-    mf = minimal_form(M2, 16, "both")
+    mf = minimal_form(M2, 16)
     report = ubd_general(mf, {(0, 1): 1, (2, 0): -1}, {}, M2.k0 + 4, 16, 30)
     assert len(report.rows) == 6
     assert not any(r.asserted for r in report.rows)
@@ -452,7 +452,7 @@ def test_ubd_general_asserts_nothing_for_a_cusp_form_multiplier():
 
 def test_ubd_general_out_of_range_beyond_computed_terms():
     # a Kmax past the computed coefficients scans only what is known
-    mf = minimal_form(M2, 10, "both")
+    mf = minimal_form(M2, 10)
     report = ubd_general(mf, {(0, 0): 1}, {}, M2.k0, 40, 40)
     rows = {r.p: r for r in report.rows}
     assert report.all_asserted_pass
@@ -478,7 +478,7 @@ def _counting_denominators(monkeypatch):
 
 def test_verify_ubd_computes_each_denominator_once(monkeypatch):
     # h, d and d~, once each, off their integer forms, for k0 = 0 (d is h shifted) as for k0 = 2
-    built = {k0: minimal_form(lattice_120_instance(k0), 20, "both") for k0 in (0, 2)}
+    built = {k0: minimal_form(lattice_120_instance(k0), 20) for k0 in (0, 2)}
     calls = _counting_denominators(monkeypatch)
     monkeypatch.setattr(denoms, "denominator_of", None)  # a call would raise TypeError
     for k0, mf in built.items():
@@ -504,7 +504,7 @@ def test_h_is_scanned_on_its_own_only_when_d_differs(monkeypatch):
 
     monkeypatch.setattr(denoms, "_scan_rows", recording)
     for k0 in (0, 2):
-        mf = minimal_form(lattice_120_instance(k0), 20, "both")
+        mf = minimal_form(lattice_120_instance(k0), 20)
         dens_h, dens_d, dens_dt = (
             list(s.denominators()) for s in (mf.tables.h_series, mf.tables.comp1, mf.tables.comp2)
         )
@@ -517,7 +517,7 @@ def test_h_is_scanned_on_its_own_only_when_d_differs(monkeypatch):
 
 
 def test_ubd_general_computes_each_denominator_once(monkeypatch):
-    mf = minimal_form(V3, 20, "both")
+    mf = minimal_form(V3, 20)
     z = combination(mf, {(4, 0): 1, (0, 2): 1}, {(1, 1): 1}, V3.k0 + 8)
     map_values = []
 
@@ -537,7 +537,7 @@ def test_ubd_general_computes_each_denominator_once(monkeypatch):
 @pytest.mark.parametrize("k0", [0, 2])
 def test_combinations_run_on_the_instance_lattice(k0):
     params = lattice_120_instance(k0)
-    mf = minimal_form(params, 8, "both")
+    mf = minimal_form(params, 8)
     assert mf.comp1.lattice == 24
     assert mf.comp2.lattice == 120
     assert mlde_residual(params, mf.comp1).is_zero and mlde_residual(params, mf.comp2).is_zero
@@ -561,7 +561,7 @@ def test_combinations_run_on_the_instance_lattice(k0):
 @given(instances())
 @settings(max_examples=30, deadline=None)
 def test_generated_instances_run_through_the_engine(params):
-    mf = minimal_form(params, 8, "both")
+    mf = minimal_form(params, 8)
     assert mf.comp1.integer_form()[2] is None and mf.comp2.integer_form()[2] is None
     assert plain_series_h(params, 8, 0) == list(mf.tables.h)
     assert plain_series_h(params, 8, 1) == list(mf.tables.h_tilde)
@@ -577,7 +577,7 @@ def test_generated_instances_run_through_the_engine(params):
 
 
 def test_verify_ubd_fails_when_a_predicted_denominator_is_cleared():
-    mf = minimal_form(M2, 40, "both")
+    mf = minimal_form(M2, 40)
     row = next(r for r in verify_ubd(mf).rows_d if r.K == 6)
     assert (row.p, row.asserted, row.passed) == (11, True, True)
     # verify_ubd reads the integer form of d, the tables' comp1
@@ -599,7 +599,7 @@ def test_verify_ubd_fails_when_a_predicted_denominator_is_cleared():
 
 
 def _assert_reads_match_the_values(params, Kmax, monkeypatch):
-    mf = minimal_form(params, Kmax, "both")
+    mf = minimal_form(params, Kmax)
     t = mf.tables
     h, h_tilde = h_closed(params, Kmax)
     eta = eta_pow(2 * params.k0, Kmax)
@@ -699,7 +699,7 @@ def _reference_records(dens, bound):
 
 
 def _assert_report_matches_the_reference(params, Kmax, factor_bound=denoms.DEFAULT_FACTOR_BOUND):
-    mf = minimal_form(params, Kmax, "both")
+    mf = minimal_form(params, Kmax)
     report = verify_ubd(mf, factor_bound=factor_bound)
     t = mf.tables
     dens_d, dens_h, dens_dt = ([denominator_of(z) for z in seq] for seq in (t.d, t.h, t.d_tilde))
@@ -728,7 +728,7 @@ def test_verify_ubd_scans_match_the_reference_loops_on_generated_instances(param
 
 def test_weighted_row_scans_match_the_reference_loop():
     # c2 != 0: the leading factor moves with K; map_den 7 exempts p = 7
-    mf = minimal_form(V3, 40, "both")
+    mf = minimal_form(V3, 40)
     dens = [denominator_of(z) for z in mf.tables.d]
     S = prime_sets(V3, 200).S
     primes = set(primes_upto(200))

@@ -70,10 +70,6 @@ def test_verify_identities_matches_golden(tmp_path):
     _check(tmp_path, ["verify-identities", "--order", "200"], "verify-identities-o200.json")
 
 
-@pytest.mark.parametrize("method", ["closed", "frobenius"])
-def test_single_route_minform_matches_golden(tmp_path, method):
-    argv = ["minform", "--seed-instance", "m2", "--kmax", "20", "--method", method]
-    _check(tmp_path, argv, f"minform-m2-k20-{method}.json")
 
 
 def test_decompose_matches_golden(tmp_path):

@@ -247,7 +247,7 @@ def test_perturbed_kernel_breaks_agreement(monkeypatch, cold_cache):
 
     monkeypatch.setattr(minform, "_conv", off_by_one)
     with pytest.raises(PipelineMismatch):
-        minimal_form(M2, 6, "both")
+        minimal_form(M2, 6)
 
 
 def _recording(fn, log, entry):
@@ -307,7 +307,7 @@ def test_perturbed_series_kernel_breaks_agreement(perturbed_series_kernel):
     phi = [1, *(24 * s for s in minform._divisor_sums(8)[1:])]
     assert tables_DC(8)[1][5] == 193 * sum(phi[i] * phi[5 - i] for i in range(6))
     with pytest.raises(PipelineMismatch):
-        minimal_form(M2, 8, "both")
+        minimal_form(M2, 8)
 
 
 def test_seq_f_spot_values():
@@ -480,7 +480,7 @@ def _assert_kernel_sees_the_fraction_triples(params, Kmax=12):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(minform, "_solve_theta", capture)
-        minimal_form(params, Kmax, "both")
+        minimal_form(params, Kmax)
     assert seen == _fraction_triples(params, Kmax)
 
 
@@ -512,7 +512,7 @@ def test_a_perturbed_ab_is_a_pipeline_mismatch(monkeypatch):
 
     monkeypatch.setattr(minform, "_hypergeometric", perturbed)
     with pytest.raises(PipelineMismatch, match="K=1:"):
-        minimal_form(M2, 10, "both")
+        minimal_form(M2, 10)
 
 
 def test_a_perturbed_table_entry_is_a_pipeline_mismatch(monkeypatch):
@@ -525,7 +525,7 @@ def test_a_perturbed_table_entry_is_a_pipeline_mismatch(monkeypatch):
 
     monkeypatch.setattr(minform, "tables_DC", perturbed)
     with pytest.raises(PipelineMismatch, match="K=7:"):
-        minimal_form(M2, 10, "both")
+        minimal_form(M2, 10)
 
 
 def test_a_warm_table_prefix_equals_a_cold_build(cold_cache):
@@ -542,11 +542,11 @@ def test_a_cleared_cache_rebuilds_the_tables(monkeypatch, cold_cache):
     want = tables_DC(10)
     monkeypatch.setattr(minform, "_e_series", _perturbed_e(minform._e_series))
     assert tables_DC(10) == want  # warm: the faulty E is not read
-    minimal_form(M2, 10, "both")
+    minimal_form(M2, 10)
     forms.clear_cache()
     assert tables_DC(10) != want  # cold: the rebuild reads it
     with pytest.raises(PipelineMismatch, match="K=7:"):
-        minimal_form(M2, 10, "both")
+        minimal_form(M2, 10)
 
 
 def test_g_squared_is_built_once_per_process(monkeypatch, cold_cache):
@@ -573,7 +573,7 @@ def test_g_squared_is_built_once_per_process(monkeypatch, cold_cache):
     builds.clear()
     assert forms.identity_suite(30).all_passed
     hauptmodul(30)
-    mf = minimal_form(V3, 30, "both")
+    mf = minimal_form(V3, 30)
     assert mlde_residual(V3, mf.comp1).is_zero and mlde_residual(V3, mf.comp2).is_zero
     assert builds == [("G^2E4^0", 42)]
 
@@ -615,7 +615,7 @@ def test_a_perturbed_closed_route_series_is_a_pipeline_mismatch(
 ):
     monkeypatch.setattr(minform, name, fault(getattr(minform, name)))
     with pytest.raises(PipelineMismatch, match="K=7:"):
-        minimal_form(M2, 10, "both")
+        minimal_form(M2, 10)
 
 
 def test_a_psi_fault_that_m_does_not_divide_leaves_E_non_integral(monkeypatch, cold_cache):
@@ -628,7 +628,7 @@ def test_a_psi_fault_that_m_does_not_divide_leaves_E_non_integral(monkeypatch, c
 
     monkeypatch.setattr(minform, "_divisor_sums", perturbed)
     with pytest.raises(PipelineMismatch, match=r"came out non-integral at q\^7$"):
-        minimal_form(M2, 10, "both")
+        minimal_form(M2, 10)
 
 
 @pytest.fixture
@@ -663,7 +663,7 @@ def test_a_dropped_horner_term_breaks_agreement(mutated_kernel):
     for loop in _LOOPS:
         mutated_kernel(f"{loop}, N[lo:m], Y[lo:])", f"{loop}, N[lo : m - 1], Y[lo : m - 1])")
         with pytest.raises(PipelineMismatch, match=_DISAGREE):
-            minimal_form(M2, 8, "both")
+            minimal_form(M2, 8)
 
 
 def test_an_off_by_one_x_breaks_agreement(mutated_kernel):
@@ -674,7 +674,7 @@ def test_an_off_by_one_x_breaks_agreement(mutated_kernel):
     ):
         mutated_kernel(old, new)
         with pytest.raises(PipelineMismatch, match=_DISAGREE):
-            minimal_form(M2, 8, "both")
+            minimal_form(M2, 8)
 
 
 def test_the_frobenius_route_calls_no_closed_route_kernel(monkeypatch):
@@ -731,11 +731,11 @@ def test_a_negative_kmax_is_refused(entry):
 
 def test_kmax_zero_is_the_normalized_one_on_both_routes():
     assert _lists(h_closed(M2, 0)) == _lists(h_frobenius(M2, 0)) == ([1], [1])
-    assert minimal_form(M2, 0, "both").tables.h == (1,)
+    assert minimal_form(M2, 0).tables.h == (1,)
 
 
 def test_a_faulty_E4_fails_the_frobenius_route_alone(monkeypatch):
-    closed = minimal_form(M2, 8, "closed").tables
+    closed = h_closed(M2, 8)
     real = minform.eisenstein_E4
 
     def faulty(N):
@@ -743,9 +743,9 @@ def test_a_faulty_E4_fails_the_frobenius_route_alone(monkeypatch):
         return PureQSeries.make(s.lead, [c + 1 if j == 3 else c for j, c in enumerate(s.coeffs)])
 
     monkeypatch.setattr(minform, "eisenstein_E4", faulty)
-    assert minimal_form(M2, 8, "closed").tables == closed
+    assert h_closed(M2, 8) == closed
     with pytest.raises(PipelineMismatch, match="K=3"):
-        minimal_form(M2, 8, "both")
+        minimal_form(M2, 8)
 
 
 _INDICIAL = "N = [(A[0] * m + B[0]) * m + C[0] for m in range(n + 1)]"
@@ -755,7 +755,7 @@ def test_a_faulty_indicial_value_breaks_agreement(mutated_kernel):
     # N_3 one too large, on both routes
     mutated_kernel(_INDICIAL, _INDICIAL.replace("C[0] for", "C[0] + (m == 3) for"))
     with pytest.raises(PipelineMismatch, match=_DISAGREE):
-        minimal_form(M2, 8, "both")
+        minimal_form(M2, 8)
 
 
 def test_a_vanishing_indicial_value_is_refused(mutated_kernel):
@@ -763,7 +763,7 @@ def test_a_vanishing_indicial_value_is_refused(mutated_kernel):
     with pytest.raises(ConsistencyError, match="indicial value vanishes at step 2"):
         h_frobenius(M2, 8)
     with pytest.raises(ConsistencyError, match="indicial value vanishes at step 2"):
-        minimal_form(M2, 8, "both")
+        minimal_form(M2, 8)
 
 
 @pytest.mark.parametrize("component", [0, 1], ids=["h", "h_tilde"])
@@ -779,7 +779,7 @@ def test_h_by_direct_series_arithmetic(params, component):
 
 @pytest.mark.parametrize("params", [M2, M5, sqrt2_instance(2)], ids=["m2", "m5", "k0=2"])
 def test_minimal_form_and_residual(params):
-    mf = minimal_form(params, 15, "both")
+    mf = minimal_form(params, 15)
     lead1 = Fraction(params.k0, 12) + params.l1
     lead2 = Fraction(params.k0, 12) + params.l2
     assert params.leads == (lead1, lead2) == (mf.comp1.lead, mf.comp2.lead)
@@ -794,17 +794,16 @@ def test_minimal_form_and_residual(params):
 
 
 def test_minimal_form_methods_match():
-    a = minimal_form(M2, 10, "closed")
-    b = minimal_form(M2, 10, "frobenius")
-    assert a.tables.h == b.tables.h
-    assert a.tables.d_tilde == b.tables.d_tilde
-    with pytest.raises(ValueError):
-        minimal_form(M2, 10, "numerology")
+    mf = minimal_form(M2, 10, "both")
+    assert h_closed(M2, 10) == h_frobenius(M2, 10) == (mf.tables.h_series, mf.tables.h_tilde_series)
+    for method in ("closed", "frobenius", "numerology"):
+        with pytest.raises(ValueError, match=f"unknown method '{method}'"):
+            minimal_form(M2, 10, method)
 
 
 @pytest.mark.parametrize("params", [M2, sqrt2_instance(2)], ids=["k0=0", "k0=2"])
 def test_deriv_components(params):
-    mf = minimal_form(params, 12, "both")
+    mf = minimal_form(params, 12)
     d1, d2 = deriv_components(mf)  # raises PipelineMismatch if formula drifts
     t1, t2 = t_lists(mf)
     assert (t1, t2) == (d1, d2)
@@ -847,7 +846,7 @@ EXPONENTS = {
 @pytest.mark.parametrize("name", EXPONENTS)
 def test_t_lists_is_the_coefficient_formula(name, k0):
     params = params_from_exponents(replace(EXPONENTS[name], k0=k0))
-    mf = minimal_form(params, 16, "both")
+    mf = minimal_form(params, 16)
     for t, want, lead in zip(t_lists(mf), fraction_t_lists(mf), params.leads):
         assert t.horizon == lead + len(want)
         assert [t.coeff(lead + K) for K in range(len(want))] == want
@@ -868,7 +867,7 @@ L120_CONFIG = str(Path(__file__).parent / "golden" / "minform-config-l120-k12.js
 
 def test_a_perturbed_sigma_trips_the_derivative_check(monkeypatch):
     # k0 = 2: sigma(3) one too large, read by the formula only, after the form is built
-    mf = minimal_form(L120_K0_2, 12, "both")
+    mf = minimal_form(L120_K0_2, 12)
     monkeypatch.setattr(minform, "sigma", _sigma_off_at_3)
     with pytest.raises(PipelineMismatch, match=DERIVATIVE_MISMATCH):
         deriv_components(mf)
@@ -889,7 +888,7 @@ def test_a_perturbed_sigma_makes_minform_exit_4(monkeypatch, capsys):
 
 def test_a_scaled_d_coefficient_trips_the_derivative_check(monkeypatch, capsys):
     # k0 = 0 reads no sigma: the formula alone sees d(3) doubled
-    mf = minimal_form(M2, 8, "both")
+    mf = minimal_form(M2, 8)
     monkeypatch.setattr(minform, "_iweigh", _weigh_with_d3_doubled)
     with pytest.raises(PipelineMismatch, match=DERIVATIVE_MISMATCH):
         deriv_components(mf)
@@ -898,7 +897,7 @@ def test_a_scaled_d_coefficient_trips_the_derivative_check(monkeypatch, capsys):
 
 
 def test_weight_basis_counts():
-    mf = minimal_form(M2, 8, "both")
+    mf = minimal_form(M2, 8)
     at_k0 = weight_basis(mf, M2.k0)
     assert len(at_k0) == 1 and not at_k0[0].derivative
     assert weight_basis(mf, M2.k0 + 1) == []
@@ -910,7 +909,7 @@ def test_weight_basis_counts():
 
 @pytest.mark.parametrize("params", [M2, V3], ids=["M2", "V3"])
 def test_decompose_trivial_and_roundtrip(params):
-    mf = minimal_form(params, 16, "both")
+    mf = minimal_form(params, 16)
     d1, d2 = deriv_components(mf)
     m1, m2 = decompose(mf, mf.comp1, mf.comp2, params.k0)
     assert m1.coeff(0) == 1 and m2.is_zero
@@ -931,14 +930,14 @@ def test_decompose_trivial_and_roundtrip(params):
 
 
 def test_decompose_rejects_outside_span():
-    mf = minimal_form(M2, 12, "both")
+    mf = minimal_form(M2, 12)
     z1 = mf.comp1 + PureQSeries.make(M2.l1 + 3, [1] + [0] * 8)
     with pytest.raises(NotAFormError):
         decompose(mf, z1, mf.comp2, M2.k0)
 
 
 def test_decompose_rejects_off_grid():
-    mf = minimal_form(M2, 12, "both")
+    mf = minimal_form(M2, 12)
     shifted = mf.comp1.shifted(Fraction(1, 3))
     with pytest.raises(ConsistencyError):
         decompose(mf, shifted, mf.comp2, M2.k0)
@@ -973,7 +972,7 @@ def test_the_minimal_form_is_rational(params, monkeypatch):
 
     monkeypatch.setattr(qseries, "_conv", spying_conv)
     forms.clear_cache()
-    mf = minimal_form(params, 20, "both")
+    mf = minimal_form(params, 20)
     k = params.k0 + 4
     decompose(mf, *combination(mf, {(2, 0): 1}, {(1, 0): 3}, k), k)
     assert products and not zero_operands
@@ -998,7 +997,7 @@ def test_the_minimal_form_is_rational(params, monkeypatch):
 
 def test_negative_minimal_weight():
     params = sqrt2_instance(-2)
-    mf = minimal_form(params, 10, "both")
+    mf = minimal_form(params, 10)
     assert mf.comp1.lead == Fraction(-1, 6)
     assert mlde_residual(params, mf.comp1).is_zero
     assert mlde_residual(params, mf.comp2).is_zero
@@ -1006,7 +1005,7 @@ def test_negative_minimal_weight():
 
 
 def test_the_derivative_is_built_once_per_form(monkeypatch):
-    mf = minimal_form(V3, 12, "both")
+    mf = minimal_form(V3, 12)
     t_calls, d_args = [], []
     real_t_lists, real_modular_D = minform.t_lists, minform.modular_D
 
@@ -1045,4 +1044,4 @@ def test_a_perturbed_closed_route_is_a_pipeline_mismatch(monkeypatch):
 
     monkeypatch.setattr(minform, "h_closed", perturbed)
     with pytest.raises(PipelineMismatch, match="K=5"):
-        minimal_form(M2, 8, "both")
+        minimal_form(M2, 8)

@@ -167,9 +167,9 @@ def test_repr_is_the_dataclass_repr():
 
 def test_post_init_runs_and_replace_runs_it_again():
     cfg = RunConfig(seed_exponents("m2"))
-    assert (cfg.kmax, cfg.method, cfg.factor_bound) == (DEFAULT_KMAX, "both", DEFAULT_FACTOR_BOUND)
-    moved = replace(cfg, kmax=7, method="closed")
-    assert (moved.kmax, moved.method, moved.exponents) == (7, "closed", cfg.exponents)
+    assert (cfg.kmax, cfg.factor_bound) == (DEFAULT_KMAX, DEFAULT_FACTOR_BOUND)
+    moved = replace(cfg, kmax=7, factor_bound=99)
+    assert (moved.kmax, moved.factor_bound, moved.exponents) == (7, 99, cfg.exponents)
     assert cfg.kmax == DEFAULT_KMAX
     with pytest.raises(ValueError, match="Kmax must be >= 0"):
         replace(cfg, kmax=-1)
@@ -216,8 +216,8 @@ def test_to_json_of_a_record_is_the_field_keyed_object():
         "r2": {"rat": "0", "surd": "-1", "M": 2},
     }
     cfg = to_json(RunConfig(e, kmax=3))
-    assert cfg == {"exponents": to_json(e), "kmax": 3, "method": "both", "factor_bound": 10**6}
-    assert list(cfg) == ["exponents", "kmax", "method", "factor_bound"]
+    assert cfg == {"exponents": to_json(e), "kmax": 3, "factor_bound": 10**6}
+    assert list(cfg) == ["exponents", "kmax", "factor_bound"]
     assert isinstance(e, Record) and isinstance(e, ExponentData)
 
 
@@ -243,7 +243,7 @@ def test_the_package_imports_without_the_dataclass_machinery():
     assert loaded == []
     # the fields come from the class annotations, in declaration order, on every Python version
     assert params_fields == ["k0", "a", "b", "c", "l1", "l2", "r", "A", "B", "M", "u", "v"]
-    assert config_fields == ["exponents", "kmax", "method", "factor_bound"]
+    assert config_fields == ["exponents", "kmax", "factor_bound"]
     assert [p.name for p in (SRC / "vvmf2").glob("*.py") if "dataclasses" in p.read_text()] == []
 
 
