@@ -12,12 +12,14 @@ checked against both in the tests, tests/plain_series.py.)
 import argparse
 import time
 
-from vvmf2.cli import checked_int
 from vvmf2.minform import check_kmax, h_closed, h_frobenius
 from vvmf2.params import SEED_FIELDS, params_from_exponents, seed_exponents
 
 
 def main():
+    # scripts/ is on sys.path when the script runs, not when another file imports it
+    from _flags import checked_int
+
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--instance", choices=tuple(SEED_FIELDS), default="m2")
     ap.add_argument("--kmax", type=checked_int(check_kmax), nargs="+", default=[10, 20, 40])

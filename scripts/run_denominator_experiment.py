@@ -10,7 +10,6 @@ asserted row fails, 2 on a bad argument.
 
 import argparse
 
-from vvmf2.cli import checked_int
 from vvmf2.denoms import DEFAULT_FACTOR_BOUND, check_factor_bound, verify_ubd
 from vvmf2.minform import check_kmax, minimal_form
 from vvmf2.params import SEED_FIELDS, params_from_exponents, seed_exponents
@@ -24,6 +23,9 @@ def fmt_factors(factors, cofactor):
 
 
 def main():
+    # scripts/ is on sys.path when the script runs, not when another file imports it
+    from _flags import checked_int
+
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--instance", choices=tuple(SEED_FIELDS), default="m2")
     ap.add_argument("--kmax", type=checked_int(check_kmax), default=40)

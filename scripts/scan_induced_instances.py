@@ -14,7 +14,6 @@ import argparse
 import itertools
 from fractions import Fraction
 
-from vvmf2.cli import checked_int
 from vvmf2.denoms import verify_ubd
 from vvmf2.errors import ConsistencyError
 from vvmf2.minform import check_kmax, minimal_form
@@ -37,6 +36,9 @@ def realize(classes, window=2):
 
 
 def main():
+    # scripts/ is on sys.path when the script runs, not when another file imports it
+    from _flags import checked_int
+
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--kmax", type=checked_int(check_kmax), default=20)
     ap.add_argument("--k0", type=int, default=0)

@@ -1,4 +1,14 @@
-"""Command-line front end: argument parsing, dispatch to the library, report emission.
+"""Command-line front end: flag parsing, dispatch to the library, report emission.
+
+``COMMANDS`` is the one description of the command line: each command's
+help text, handler and flags, and each flag's kind, check, default,
+choices, help and whether it is required.  ``parse_args`` reads argv
+against it (``vvmf2 COMMAND --flag VALUE`` or ``--flag=VALUE``, no
+abbreviations, a repeated flag keeping its last value) and writes the
+usage line and the ``-h``/``--help`` text from it, so running a command
+loads no argument-parsing module.  A bad flag, a value that fails its
+check (``--kmax -1``, ``--factor-bound 0``) or a missing required flag is
+a usage error, reported before anything is built.
 
 Exit codes are stable and documented:
 
@@ -17,12 +27,12 @@ identical configs produce byte-identical reports.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from types import SimpleNamespace
 
 from . import denoms as denoms_mod
 from . import forms
@@ -88,19 +98,6 @@ class RunConfig(Record):
         denoms_mod.check_factor_bound(self.factor_bound)
 
 
-def checked_int(check):
-    """An argparse type: an int that check accepts; one it refuses is a usage error (exit 2)."""
-
-    def parse(text: str) -> int:
-        try:
-            check(int(text))
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-        return int(text)
-
-    return parse
-
-
 def _check_keys(spec: dict, allowed: set, where: str):
     unknown = sorted(set(spec) - allowed)
     if unknown:
@@ -154,21 +151,22 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _load_config(args) -> RunConfig:
-    """The run request of a subcommand: a seed instance or a config file, then the flags."""
-    if getattr(args, "seed_instance", None):
+    """The run request: exactly one of a seed instance and a config file, then the flags."""
+    if bool(args.seed_instance) == bool(args.config):
+        raise ConfigError("need exactly one of --config FILE and --seed-instance NAME")
+    if args.seed_instance:
         cfg = RunConfig(seed_exponents(args.seed_instance))
-    elif getattr(args, "config", None):
+    else:
         try:
             with open(args.config) as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
         cfg = parse_config(text)
-    else:
-        raise ConfigError("need --config FILE or --seed-instance NAME")
     # a flag given on the command line overrides the config; replace re-runs the check
-    flags = ("kmax", "factor_bound")
-    updates = {f: getattr(args, f) for f in flags if getattr(args, f, None) is not None}
+    updates = {
+        f: v for f, v in vars(args).items() if f in ("kmax", "factor_bound") and v is not None
+    }
     return replace(cfg, **updates)
 
 
@@ -456,75 +454,133 @@ def cmd_probe(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-_OUT = ("--out", {"default": None})
-_FORMAT = ("--format", {"choices": ("json", "text"), "default": "json"})
+class Flag(Record):
+    """A command's flag ``--name VALUE``: a value of kind, in choices if given, that check takes."""
+
+    name: str
+    kind: type = str
+    default: object = None
+    required: bool = False
+    choices: tuple = ()
+    check: object = None
+    help: str = ""
+
+    def word(self):
+        """The flag as the usage shows it: its name, then its choices or its name in capitals."""
+        return f"{self.name} {'|'.join(self.choices) or self.name[2:].upper()}"
+
+
+_OUT = Flag("--out", help="write the report here instead of stdout")
+_FORMAT = Flag("--format", default="json", choices=("json", "text"))
 _INSTANCE_FLAGS = (
-    ("--config", {"help": "JSON run configuration file"}),
-    ("--seed-instance", {
-        "choices": tuple(SEED_FIELDS),
-        "help": "use a built-in worked instance instead of a config file",
-    }),
-    ("--kmax", {"type": checked_int(check_kmax), "default": None}),
-    ("--out", {"default": None, "help": "write the report here instead of stdout"}),
+    Flag("--config", help="JSON run configuration file"),
+    Flag("--seed-instance", choices=tuple(SEED_FIELDS),
+         help="use a built-in worked instance instead of a config file"),
+    Flag("--kmax", int, check=check_kmax),
+    _OUT,
 )
 
 # name -> (help, handler, flags), in the order the usage lists them
 COMMANDS = {
     "verify-identities": ("run the exact series identity suite", cmd_verify_identities, (
-        ("--order", {"type": int, "default": 200}), _OUT, _FORMAT,
+        Flag("--order", int, 200), _OUT, _FORMAT,
     )),
     "expand": ("print a named q-expansion", cmd_expand, (
-        ("--name", {"required": True}), ("--order", {"type": int, "default": 20}), _OUT, _FORMAT,
+        Flag("--name", required=True), Flag("--order", int, 20), _OUT, _FORMAT,
     )),
     "minform": ("compute the minimal form by both pipelines", cmd_minform, _INSTANCE_FLAGS),
     "denoms": ("finite-range unbounded-denominator report", cmd_denoms, (
-        *_INSTANCE_FLAGS,
-        ("--factor-bound", {"type": checked_int(denoms_mod.check_factor_bound), "default": None}),
-        _FORMAT,
+        *_INSTANCE_FLAGS, Flag("--factor-bound", int, check=denoms_mod.check_factor_bound), _FORMAT,
     )),
     "decompose": ("express a vector in the F', DF' basis", cmd_decompose, (
-        *_INSTANCE_FLAGS, ("--components", {"required": True, "help": "JSON file with k, z1, z2"}),
+        *_INSTANCE_FLAGS, Flag("--components", required=True, help="JSON file with k, z1, z2"),
     )),
     "probe": ("test Pochhammer numerators against an inert prime", cmd_probe, (
-        ("--M", {"type": int, "required": True}),
-        ("--rat", {"required": True}),
-        ("--surd", {"required": True}),
-        ("--shift", {"default": "0"}),
-        ("--p", {"type": int, "required": True}),
-        ("--tmax", {"type": int, "default": 20}),
+        Flag("--M", int, required=True),
+        Flag("--rat", required=True),
+        Flag("--surd", required=True),
+        Flag("--shift", default="0"),
+        Flag("--p", int, required=True),
+        Flag("--tmax", int, 20),
         _OUT,
     )),
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of the one that command names.
+def _usage(command):
+    if command not in COMMANDS:
+        return f"usage: vvmf2 [-h] {'|'.join(COMMANDS)} ..."
+    words = " ".join(f.word() if f.required else f"[{f.word()}]" for f in COMMANDS[command][2])
+    return f"usage: vvmf2 {command} [-h] {words}"
 
-    A parser of one subcommand parses and words its messages as the full
-    one does: its usage still lists all six names.
+
+def _help(command):
+    """Print the usage line, what the command does and a line per command or flag; exit 0."""
+    if command not in COMMANDS:
+        rows = [(name, spec[0]) for name, spec in COMMANDS.items()]
+        about = "Exact minimal-weight vector-valued forms on Gamma0(2) and their denominators."
+    else:
+        about, rows = COMMANDS[command][0], [(f.word(), f.help) for f in COMMANDS[command][2]]
+    lines = (f"    {left:<26}  {text}".rstrip() for left, text in rows)
+    print(f"{_usage(command)}\n\n{about}\n", *lines, sep="\n")
+    raise SystemExit(EXIT_OK)
+
+
+def parse_args(argv):
+    """The handler that argv names and the flag values to call it with.
+
+    The first word names the command.  Each flag is ``--flag VALUE`` or
+    ``--flag=VALUE``, and a repeated flag keeps its last value; a flag
+    not given has its default.  ``-h`` or ``--help`` prints the help and
+    exits 0.  A usage error prints the usage line and the error on stderr
+    and exits 2, so a bad flag stops the run before anything is built.
     """
-    parser = argparse.ArgumentParser(
-        prog="vvmf2",
-        description="Exact minimal-weight vector-valued forms on Gamma0(2) "
-        "and their coefficient denominators.",
+    command = argv[0] if argv else None
+    if "-h" in argv or "--help" in argv:
+        _help(command)
+    try:
+        if command not in COMMANDS:
+            raise ValueError(f"argument command: invalid choice: {command!r}" if argv
+                             else "the following arguments are required: command")
+        _, handler, flags = COMMANDS[command]
+        by_name = {f.name: f for f in flags}
+        given, unrecognized, words = {}, [], iter(argv[1:])
+        for word in words:
+            name, eq, text = word.partition("=")
+            if name not in by_name:
+                unrecognized.append(word)
+                continue
+            if not eq:
+                text = next(words, "--")
+                if text.startswith("--"):
+                    raise ValueError(f"argument {name}: expected one argument")
+            flag = by_name[name]
+            try:
+                given[name] = value = flag.kind(text)
+            except ValueError:
+                raise ValueError(f"argument {name}: invalid {flag.kind.__name__} value: {text!r}")
+            if flag.choices and value not in flag.choices:
+                raise ValueError(f"argument {name}: invalid choice: {text!r}")
+            if flag.check:
+                flag.check(value)  # its ValueError is the message
+        missing = [f.name for f in flags if f.required and f.name not in given]
+        if missing:
+            raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+        if unrecognized:
+            raise ValueError(f"unrecognized arguments: {' '.join(unrecognized)}")
+    except ValueError as exc:
+        prog = f"vvmf2 {command}" if command in COMMANDS else "vvmf2"
+        print(f"{_usage(command)}\n{prog}: error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+    return handler, SimpleNamespace(
+        **{f.name[2:].replace("-", "_"): given.get(f.name, f.default) for f in flags}
     )
-    names = [command] if command in COMMANDS else list(COMMANDS)
-    every_name = None if len(names) > 1 else "{" + ",".join(COMMANDS) + "}"
-    subs = parser.add_subparsers(dest="command", required=True, metavar=every_name)
-    for name in names:
-        help_text, handler, flags = COMMANDS[name]
-        s = subs.add_parser(name, help=help_text)
-        for flag, options in flags:
-            s.add_argument(flag, **options)
-        s.set_defaults(handler=handler)
-    return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    handler, args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.handler(args)
+        return handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -681,17 +681,98 @@ def test_help_lists_all_six_commands(capsys):
     assert all(f"    {name}" in out for name in cli.COMMANDS)
 
 
+# each usage error and its message; the first five are worded as argparse worded them
+_USAGE_ERRORS = {
+    ("denoms", "--bogus"): "unrecognized arguments: --bogus",
+    ("probe",): "the following arguments are required: --M, --rat, --surd, --p",
+    ("expand", "--order", "x"): "argument --order: invalid int value: 'x'",
+    ("minform", "--method", "x"): "unrecognized arguments: --method x",
+    ("minform", "--method", "both"): "unrecognized arguments: --method both",
+    (): "the following arguments are required: command",
+    ("no-such-command",): "argument command: invalid choice: 'no-such-command'",
+    ("denoms", "--seed-instance", "m2", "--kmax"): "argument --kmax: expected one argument",
+    ("denoms", "--kmax", "--seed-instance", "m2"): "argument --kmax: expected one argument",
+    ("denoms", "--kmax", "4.5"): "argument --kmax: invalid int value: '4.5'",
+    ("denoms", "--seed-instance", "m9"): "argument --seed-instance: invalid choice: 'm9'",
+    ("denoms", "--format=csv"): "argument --format: invalid choice: 'csv'",
+    ("decompose", "--seed-instance", "m2"): "the following arguments are required: --components",
+    ("denoms", "--seed", "m2"): "unrecognized arguments: --seed m2",  # no abbreviations
+    ("denoms", "m2"): "unrecognized arguments: m2",
+}
+
+
+def _unexpected_build(*args, **kwargs):
+    pytest.fail("a minimal form was built for a command line that is a usage error")
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [[name, "--help"] for name in cli.COMMANDS]
-    + [["denoms", "--bogus"], ["probe"], ["expand", "--order", "x"], ["minform", "--method", "x"]]
-    + [["minform", "--method", "both"]],
+    "argv", [[name, "--help"] for name in cli.COMMANDS] + [list(argv) for argv in _USAGE_ERRORS]
 )
-def test_one_subcommand_parser_words_everything_as_the_full_parser(capsys, argv):
-    # main builds the subcommand argv names alone; usage, help and errors must not change
-    full = _parse_exit(cli.build_parser().parse_args, argv, capsys)
-    assert full[0] == (0 if "--help" in argv else 2)
-    assert _parse_exit(main, argv, capsys) == full
+def test_one_subcommand_parser_words_everything_as_the_full_parser(monkeypatch, capsys, argv):
+    # a table test over COMMANDS: help exits 0 and an error exits 2, each under its usage line,
+    # and no usage error builds anything
+    monkeypatch.setattr(cli, "minimal_form", _unexpected_build)
+    code, out, err = _parse_exit(main, argv, capsys)
+    prog = f"vvmf2 {argv[0]}" if argv and argv[0] in cli.COMMANDS else "vvmf2"
+    usage = f"usage: {prog} [-h] "
+    if "--help" in argv:
+        assert code == 0 and out.startswith(usage) and err == ""
+    else:
+        assert code == 2 and out == "" and err.startswith(usage) and "Traceback" not in err
+        assert err.endswith(f"\n{prog}: error: {_USAGE_ERRORS[tuple(argv)]}\n")
+
+
+@pytest.mark.parametrize("option", ["-h", "--help"])
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_each_command_help_lists_every_flag(capsys, command, option):
+    code, out, err = _parse_exit(main, [command, option], capsys)
+    about, _, flags = cli.COMMANDS[command]
+    assert code == 0 and err == ""
+    assert out.startswith(f"usage: vvmf2 {command} [-h] ") and about in out
+    listed = [line.split()[0] for line in out.splitlines() if line.startswith("    --")]
+    assert listed == [flag.name for flag in flags]
+
+
+def test_a_joined_flag_value_parses_as_a_separate_one():
+    # --flag=VALUE is --flag VALUE; a value may start with "-" or hold "="; the last one given wins
+    separate = cli.parse_args(["probe", "--M", "2", "--rat", "-1/2", "--surd", "1", "--p", "5"])
+    joined = cli.parse_args(["probe", "--M=2", "--rat=-1/2", "--surd=1", "--p=5"])
+    assert joined == separate
+    assert vars(joined[1]) == {
+        "M": 2, "rat": "-1/2", "surd": "1", "shift": "0", "p": 5, "tmax": 20, "out": None,
+    }
+    _, args = cli.parse_args(["expand", "--name", "E4", "--order", "3", "--order=5", "--out=a=b"])
+    assert (args.order, args.out) == (5, "a=b")
+
+
+def test_a_report_run_loads_no_argument_parsing_module():
+    # argparse imports gettext, which imports locale: a few milliseconds of every report
+    src = Path(vvmf2.__file__).resolve().parent.parent
+    code = (
+        "import contextlib, io, sys\n"
+        "from vvmf2 import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['denoms', '--seed-instance', 'm2', '--kmax', '4'])\n"
+        "print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n"
+
+
+@pytest.mark.parametrize("flags", [["--seed-instance", "m2", "--config", "/nonexistent.json"], []])
+@pytest.mark.parametrize("command", ["minform", "denoms", "decompose"])
+def test_a_command_needs_exactly_one_instance_source(monkeypatch, capsys, command, flags):
+    # both used to run the seed instance and ignore the config; neither has always exited 2
+    monkeypatch.setattr(cli, "minimal_form", _unexpected_build)
+    assert main(command_argv(command, *flags, "--kmax", "2")) == 2
+    assert "need exactly one of --config FILE and --seed-instance NAME" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["minform", "denoms"])
